@@ -85,6 +85,21 @@ def _parse_kset(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (usage error otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _versions() -> dict:
     return {
         "panelresponse": __version__,
@@ -134,7 +149,8 @@ def _effective_config(args, exclude: Sequence[str] = ()) -> dict:
 def _resolve_mode_count(args, w: StandardizedPanel, basis) -> int:
     if args.k is not None:
         return args.k
-    ensemble = null_ensemble(w, "rotational", args.samples, args.seed)
+    # the decision reads only lambda_max, so skip keeping the pooled spectrum
+    ensemble = null_ensemble(w, "rotational", args.samples, args.seed, keep_pooled=False)
     return default_mode_count(basis, ensemble)
 
 
@@ -415,23 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("null", help="shuffling null ensemble and significance edge")
     _add_common(p)
     p.add_argument("--mode", choices=("complete", "rotational"), default="rotational")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_null)
 
     p = sub.add_parser("genuine", help="noise-filtered correlation matrix")
     _add_common(p)
     p.add_argument("--k", type=int, default=None,
                    help="modes to keep (default: count above the rotational edge)")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_genuine)
 
     p = sub.add_parser("ripple", help="final-demand to producer-goods response table")
     _add_common(p)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--source", default=None, help="optional source series, e.g. S.15")
     p.add_argument("--shift", type=float, default=1.0)
     p.set_defaults(func=_cmd_ripple)
@@ -444,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
     _add_common(p)
-    p.add_argument("--xi", type=int, default=6, help="moving-average half-width")
+    p.add_argument("--xi", type=_int_at_least(0), default=6, help="moving-average half-width")
     p.add_argument("--max-lag", type=int, default=36)
     p.set_defaults(func=_cmd_cycles)
 
@@ -459,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stimuli", help="invert the reduced response on residuals")
     _add_common(p)
-    p.add_argument("--xi", type=int, default=6)
+    p.add_argument("--xi", type=_int_at_least(0), default=6)
     p.add_argument("--kset", type=_parse_kset, default=KSET_BUSINESS_CYCLES)
     p.add_argument("--beta", type=float, default=1.0)
     p.set_defaults(func=_cmd_stimuli)
@@ -467,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic panel CSV from a spec")
     _add_common(p, pipeline=False)
     p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the spec seed")
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=_cmd_synth)
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BadFrequencyIndex,
     BadModeCount,
+    BadParameter,
     DegenerateWeights,
     DimensionMismatch,
     EmptyInput,
@@ -72,7 +73,7 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> Smoothed
     arr = np.asarray(x, dtype=float)
     n = arr.size
     if half_width < 0:
-        raise ValueError(f"half-width must be >= 0, got {half_width}")
+        raise BadParameter(f"half-width must be >= 0, got {half_width}")
     if half_width >= n:
         raise WindowTooWide(f"half-width {half_width} >= series length {n}")
     if half_width == 0:

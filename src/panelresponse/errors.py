@@ -12,6 +12,14 @@ class PanelResponseError(Exception):
     """Base class for all panelresponse data and contract errors."""
 
 
+class BadParameter(PanelResponseError, ValueError):
+    """A numeric argument lies outside its valid range.
+
+    Also a :class:`ValueError`, so callers that catch ``ValueError`` for a
+    bad argument keep working.
+    """
+
+
 # ---------------------------------------------------------------------------
 # panel ingestion / transformation
 # ---------------------------------------------------------------------------

@@ -16,22 +16,23 @@ threshold for retained eigenmodes.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import TextIO
 
 import numpy as np
-from scipy import stats as _stats
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadConfidence,
+    BadParameter,
     EmptyEnsemble,
     LagOutOfRange,
 )
-from .panel import StandardizedPanel
+from .panel import StandardizedPanel, check_standardized
 from .spectral import ModeBasis
 
 
@@ -92,8 +93,8 @@ def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
     if not 0.0 < confidence < 1.0:
         raise BadConfidence(f"confidence must be in (0, 1), got {confidence}")
     if n_obs < 2:
-        raise ValueError(f"sample length must be >= 2, got {n_obs}")
-    z = float(_stats.norm.ppf((1.0 + confidence) / 2.0))
+        raise BadParameter(f"sample length must be >= 2, got {n_obs}")
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     return z / np.sqrt(n_obs)
 
 
@@ -129,15 +130,18 @@ def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standa
     return w.replace_values(values)
 
 
-_SHUFFLERS = {
-    ShuffleMode.COMPLETE: complete_shuffle,
-    ShuffleMode.ROTATIONAL: rotational_shuffle,
-}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo ensembles
 # ---------------------------------------------------------------------------
+
+#: Bytes of shuffled values gathered per chunk of null samples.  Large enough
+#: to amortise the per-chunk numpy calls (~8 samples at 63 x 239), small
+#: enough that the working set stays O(M N') and never approaches the
+#: M^2 N' of a precomputed lag tensor.
+_CHUNK_BYTES = 1 << 20
+
+#: Samples formatted per write by :meth:`NullEnsemble.pooled_to_csv`.
+_CSV_BLOCK_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -223,16 +227,20 @@ class NullEnsemble:
         return eigenvalue_histogram(self.pooled.ravel(), bins, value_range)
 
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
+        """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
             raise EmptyEnsemble("ensemble carries no pooled eigenvalues")
         own = not hasattr(target, "write")
         fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
         try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sample", "eigenvalue"])
-            for s in range(self.pooled.shape[0]):
-                for lam in self.pooled[s]:
-                    writer.writerow([s, repr(float(lam))])
+            fh.write("sample,eigenvalue\n")
+            # one string per block of samples: far fewer writes than one per
+            # row, without holding the whole file's text in memory at once
+            for lo in range(0, self.pooled.shape[0], _CSV_BLOCK_SAMPLES):
+                block = self.pooled[lo:lo + _CSV_BLOCK_SAMPLES].tolist()
+                fh.write("".join(
+                    f"{s},{lam!r}\n" for s, row in enumerate(block, lo) for lam in row
+                ))
         finally:
             if own:
                 fh.close()
@@ -250,23 +258,54 @@ def null_ensemble(
     Each sample draws from its own counter-based stream spawned from the
     master seed, so the result depends only on (seed, samples, mode) and is
     reproducible regardless of how samples would be scheduled.
+
+    Samples run in chunks.  Every sample makes the same draws, in the same
+    order, as :func:`rotational_shuffle` / :func:`complete_shuffle`, and the
+    shuffled rows are gathered without arithmetic, so each sample's panel,
+    correlation matrix and eigenvalues are bit-identical to the one-sample
+    loop over those shufflers.  Memory is O(M N') per chunk.
     """
     mode = ShuffleMode(mode)
     if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    shuffler = _SHUFFLERS[mode]
-    n = w.n_obs
-    pooled = np.empty((samples, w.n_series)) if keep_pooled else None
+        raise EmptyEnsemble(f"need at least 1 sample, got {samples}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
+    v = w.values
+    m, n = v.shape
+    chunk = max(1, _CHUNK_BYTES // (m * n * v.itemsize))
+    if mode is ShuffleMode.ROTATIONAL:
+        # windows[i, s] = [v v][i, s:s+n]; start (n - tau) % n is np.roll(v[i], tau)
+        windows = sliding_window_view(np.concatenate([v, v], axis=1), n, axis=1)
+        rows = np.arange(m)
+
+        def gather(rngs):
+            taus = np.stack([rng.integers(0, n, size=m) for rng in rngs])
+            return windows[rows, (n - taus) % n]
+    else:
+        row_starts = np.arange(0, m * n, n)[:, np.newaxis]
+
+        def gather(rngs):
+            # flat indices into v, filled in place: stacking the permutations
+            # and take_along_axis measured ~20% slower at 300 x 1200
+            flat = np.empty((len(rngs), m, n), dtype=np.intp)
+            for k, rng in enumerate(rngs):
+                for i in range(m):
+                    flat[k, i] = rng.permutation(n)
+            flat += row_starts
+            return v.take(flat)
+
+    pooled = np.empty((samples, m)) if keep_pooled else None
     lambda_max = np.empty(samples)
     streams = np.random.SeedSequence(seed).spawn(samples)
-    for s in range(samples):
-        rng = np.random.Generator(np.random.Philox(streams[s]))
-        shuffled = shuffler(w, rng)
-        corr = shuffled.values @ shuffled.values.T / n
-        eigs = np.linalg.eigvalsh(corr)
-        lambda_max[s] = eigs[-1]
+    for lo in range(0, samples, chunk):
+        rngs = [np.random.Generator(np.random.Philox(s)) for s in streams[lo:lo + chunk]]
+        x = gather(rngs)
+        check_standardized(x)
+        eigs = np.linalg.eigvalsh(x @ x.transpose(0, 2, 1) / n)
+        hi = lo + len(rngs)
+        lambda_max[lo:hi] = eigs[:, -1]
         if pooled is not None:
-            pooled[s] = eigs[::-1]
+            pooled[lo:hi] = eigs[:, ::-1]
     edge_vals = upper_edge_values(lambda_max, 0.95)
     return NullEnsemble(
         mode=mode,
@@ -301,5 +340,5 @@ def upper_edge(
 def count_significant(basis: ModeBasis, threshold: float) -> int:
     """Number of eigenvalues strictly above the significance threshold."""
     if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+        raise BadParameter(f"threshold must be positive, got {threshold}")
     return int(np.sum(basis.eigenvalues > threshold))

@@ -284,6 +284,22 @@ _MEAN_TOL = 1e-10
 _STD_TOL = 1e-10
 
 
+def check_standardized(values: np.ndarray) -> None:
+    """Raise SchemaError unless every row (last axis) has mean 0 and std 1.
+
+    Works on a single M x N' panel or on a stack of them; the tolerances are
+    those every :class:`StandardizedPanel` is held to.
+    """
+    if not values.size:
+        return
+    resid_mean = np.abs(values.mean(axis=-1)).max()
+    resid_std = np.abs(values.std(axis=-1) - 1.0).max()
+    if resid_mean > _MEAN_TOL:
+        raise SchemaError(f"series mean off zero by {resid_mean:.3e}")
+    if resid_std > _STD_TOL:
+        raise SchemaError(f"series std off one by {resid_std:.3e}")
+
+
 @dataclass(frozen=True)
 class StandardizedPanel:
     """Zero-mean, unit-variance growth-rate series w_l(t_j).
@@ -305,12 +321,7 @@ class StandardizedPanel:
             raise SchemaError("standardized values and months are inconsistent")
         if self.ids is not None and len(self.ids) != values.shape[0]:
             raise SchemaError("ids do not match value rows")
-        resid_mean = np.abs(values.mean(axis=1)).max() if values.size else 0.0
-        resid_std = np.abs(values.std(axis=1) - 1.0).max() if values.size else 0.0
-        if resid_mean > _MEAN_TOL:
-            raise SchemaError(f"series mean off zero by {resid_mean:.3e}")
-        if resid_std > _STD_TOL:
-            raise SchemaError(f"series std off one by {resid_std:.3e}")
+        check_standardized(values)
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "mean", _freeze(np.asarray(self.mean, dtype=float)))

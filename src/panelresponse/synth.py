@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence, TextIO, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DegenerateSeries, InfeasibleSpec
 from .panel import Panel, StandardizedPanel, canonical_ids, parse_month
@@ -106,6 +105,8 @@ def _noise_coeffs(spec: SynthSpec) -> np.ndarray | None:
 
 def _ar1_rows(rng: np.random.Generator, phi: np.ndarray, n: int) -> np.ndarray:
     """Stationary unit-variance AR(1) rows, one per coefficient."""
+    from scipy.signal import lfilter  # lazy: only synthetic panels need scipy
+
     rows = np.empty((phi.size, n))
     eps = rng.standard_normal((phi.size, n))
     for i, p in enumerate(phi):

@@ -4,8 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from panelresponse import synth
+
+# Property tests run a fixed, bounded set of examples so the suite stays
+# deterministic and its run time predictable.
+settings.register_profile("panelresponse", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("panelresponse")
 
 # ---------------------------------------------------------------------------
 # shared panels (session-scoped: several modules reuse them)

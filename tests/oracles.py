@@ -122,6 +122,35 @@ def circular_mean_degrees(phases_deg: np.ndarray, weights: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# shuffle-null oracle
+# ---------------------------------------------------------------------------
+
+
+def explicit_null_ensemble(w, mode: str, samples: int, seed: int):
+    """(lambda_max, pooled, edge) from one public shuffler call per sample.
+
+    The plain loop the batched ``null_ensemble`` replaces: spawn one Philox
+    stream per sample, shuffle with ``rotational_shuffle`` or
+    ``complete_shuffle``, form X X^T / N' and take ``eigvalsh``.
+    """
+    from panelresponse.nullmodel import (
+        complete_shuffle,
+        rotational_shuffle,
+        upper_edge_values,
+    )
+
+    shuffle = {"rotational": rotational_shuffle, "complete": complete_shuffle}[mode]
+    lambda_max = np.empty(samples)
+    pooled = np.empty((samples, w.n_series))
+    for s, stream in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        x = shuffle(w, np.random.Generator(np.random.Philox(stream))).values
+        eigs = np.linalg.eigvalsh(x @ x.T / w.n_obs)
+        lambda_max[s] = eigs[-1]
+        pooled[s] = eigs[::-1]
+    return lambda_max, pooled, upper_edge_values(lambda_max, 0.95)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian conditional-expectation oracle
 # ---------------------------------------------------------------------------
 

@@ -84,6 +84,26 @@ def test_usage_error_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("null", "--samples", "0"),
+        ("genuine", "--samples", "0"),
+        ("ripple", "--samples", "-5"),
+        ("null", "--seed", "-1"),
+        ("cycles", "--xi", "-1"),
+        ("stimuli", "--xi", "-2"),
+    ],
+)
+def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
+    panel_path, _ = planted_csv
+    res = run_cli(*args, "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert f"argument {args[1]}" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_artifacts(planted_csv, tmp_path):
     panel_path, _ = planted_csv
     res = run_cli("analyze", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)

@@ -25,6 +25,7 @@ from panelresponse import (
 )
 from panelresponse.errors import (
     BadFrequencyIndex,
+    BadParameter,
     DegenerateWeights,
     EmptyInput,
     InsufficientOverlap,
@@ -96,7 +97,7 @@ def test_moving_average_linearity():
 def test_moving_average_window_too_wide():
     with pytest.raises(WindowTooWide):
         moving_average(np.zeros(10), 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         moving_average(np.zeros(10), -1)
 
 

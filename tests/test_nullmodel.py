@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelresponse import (
     NullEnsemble,
@@ -16,14 +21,26 @@ from panelresponse import (
     mp_bounds,
     no_autocorr_band,
     null_ensemble,
+    nullmodel,
     rotational_shuffle,
     synth,
     upper_edge,
 )
-from panelresponse.errors import BadConfidence, EmptyEnsemble, LagOutOfRange
+from panelresponse.errors import (
+    BadConfidence,
+    BadParameter,
+    EmptyEnsemble,
+    LagOutOfRange,
+    SchemaError,
+)
 from panelresponse.nullmodel import EdgeEstimate
 
-from oracles import MpReference, brute_autocorrelation, ks_distance
+from oracles import (
+    MpReference,
+    brute_autocorrelation,
+    explicit_null_ensemble,
+    ks_distance,
+)
 
 
 def alternating_panel(n=240):
@@ -83,6 +100,12 @@ def test_band_bad_confidence():
     for c in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(BadConfidence):
             no_autocorr_band(100, c)
+
+
+def test_band_short_sample():
+    for n in (1, 0, -4):
+        with pytest.raises(BadParameter):
+            no_autocorr_band(n, 0.95)
 
 
 def test_band_coverage_monte_carlo():
@@ -159,6 +182,69 @@ def test_ensemble_deterministic(iid_panel):
     assert not np.array_equal(a.lambda_max, c.lambda_max)
 
 
+def test_ensemble_needs_a_sample(iid_panel):
+    for samples in (0, -3):
+        with pytest.raises(EmptyEnsemble):
+            null_ensemble(iid_panel, "rotational", samples, seed=1)
+    with pytest.raises(BadParameter):
+        null_ensemble(iid_panel, "rotational", 5, seed=-1)
+
+
+def standardized_panel(m, n, seed):
+    x = np.random.default_rng(seed).standard_normal((m, n))
+    return StandardizedPanel.from_values(
+        (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    )
+
+
+def assert_matches_oracle(w, mode, samples, seed):
+    lambda_max, pooled, edge = explicit_null_ensemble(w, mode, samples, seed)
+    e = null_ensemble(w, mode, samples, seed)
+    assert np.array_equal(e.lambda_max, lambda_max)
+    assert np.array_equal(e.pooled, pooled)
+    assert (e.edge.center, e.edge.low, e.edge.high) == edge
+
+
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(2, 40),
+    samples=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(["rotational", "complete"]),
+)
+def test_ensemble_bit_identical_to_shuffle_oracle(m, n, samples, seed, mode):
+    assert_matches_oracle(standardized_panel(m, n, seed % 2**32), mode, samples, seed)
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_paper_shape_matches_oracle(ar1_panel, mode):
+    # several full chunks plus a partial one at the paper's 63 x 239 shape
+    assert_matches_oracle(ar1_panel, mode, 21, seed=8)
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_independent_of_chunk_size(monkeypatch, mode):
+    w = standardized_panel(6, 30, 3)
+    sample_bytes = w.values.nbytes
+    results = []
+    for per_chunk in (1, 3, 25):  # one sample, a ragged split, everything at once
+        monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", per_chunk * sample_bytes)
+        results.append(null_ensemble(w, mode, 11, seed=42))
+    for e in results[1:]:
+        assert np.array_equal(e.lambda_max, results[0].lambda_max)
+        assert np.array_equal(e.pooled, results[0].pooled)
+        assert e.edge == results[0].edge
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_rejects_destandardized_panel(mode):
+    w = standardized_panel(4, 20, 5)
+    # bypass the panel's own check, as a panel mutated after construction would
+    object.__setattr__(w, "values", w.values * 2.0)
+    with pytest.raises(SchemaError):
+        null_ensemble(w, mode, 3, seed=0)
+
+
 def test_ensemble_single_sample(iid_panel):
     e = null_ensemble(iid_panel, "rotational", 1, seed=9)
     assert e.samples == 1
@@ -220,8 +306,20 @@ def test_count_significant(planted_panel):
     assert count_significant(identity_basis, 1.5) == 0
     # two planted modes clear the threshold
     assert count_significant(basis, 2.67) == 2
-    with pytest.raises(ValueError):
-        count_significant(basis, 0.0)
+    for threshold in (0.0, -1.0):
+        with pytest.raises(BadParameter):
+            count_significant(basis, threshold)
+
+
+def test_pooled_csv_rows(iid_panel, monkeypatch, tmp_path):
+    e = null_ensemble(iid_panel, "complete", 5, seed=19)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["sample", "eigenvalue"])
+    writer.writerows([s, repr(float(lam))] for s in range(5) for lam in e.pooled[s])
+    monkeypatch.setattr(nullmodel, "_CSV_BLOCK_SAMPLES", 2)  # blocks 2 + 2 + 1
+    e.pooled_to_csv(tmp_path / "pooled.csv")
+    assert (tmp_path / "pooled.csv").read_text() == expected.getvalue()
 
 
 def test_ensemble_histogram(iid_panel):
