@@ -40,7 +40,6 @@ from .nullmodel import (
     complete_shuffle,
     count_significant,
     cyclic_autocorrelation,
-    cyclic_shift,
     no_autocorr_band,
     null_ensemble,
     rotational_shuffle,
@@ -68,19 +67,16 @@ from .panel import (
 from .response import (
     ReducedSusceptibility,
     RippleReport,
-    Susceptibility,
     final_to_intermediate,
     final_to_intermediate_csv,
     reduced_susceptibility,
     ripple,
-    susceptibility,
 )
 from .spectral import (
     CorrMatrix,
     EigenvalueHistogram,
     ModeBasis,
     ModeSeries,
-    MpParams,
     basis_from_json,
     basis_to_json,
     corr_from_csv,
@@ -115,7 +111,7 @@ __all__ = [
     "simple_growth", "standardize", "weighted_aggregate", "parse_month",
     "parse_window",
     # spectral
-    "CorrMatrix", "ModeBasis", "ModeSeries", "MpParams", "EigenvalueHistogram",
+    "CorrMatrix", "ModeBasis", "ModeSeries", "EigenvalueHistogram",
     "correlation_matrix", "eigendecompose", "mode_series", "reconstruct",
     "mp_bounds", "mp_density", "eigenvalue_histogram",
     "corr_to_csv", "corr_from_csv", "corr_to_json", "corr_from_json",
@@ -123,13 +119,12 @@ __all__ = [
     # nullmodel
     "ShuffleMode", "NullEnsemble", "EdgeEstimate", "autocorrelation",
     "autocorrelations", "cyclic_autocorrelation", "no_autocorr_band",
-    "cyclic_shift", "complete_shuffle", "rotational_shuffle", "null_ensemble",
-    "upper_edge", "count_significant",
+    "complete_shuffle", "rotational_shuffle", "null_ensemble", "upper_edge",
+    "count_significant",
     # genuine
     "genuine_matrix", "default_mode_count",
     # response
-    "Susceptibility", "RippleReport", "ReducedSusceptibility",
-    "susceptibility", "ripple", "final_to_intermediate",
+    "RippleReport", "ReducedSusceptibility", "ripple", "final_to_intermediate",
     "final_to_intermediate_csv", "reduced_susceptibility",
     # cycles
     "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "SmoothedSeries",

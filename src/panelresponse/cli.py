@@ -13,18 +13,20 @@ diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import json
 import os
 import platform
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
-import scipy
 
 from . import __version__
+from ._files import open_text
 from .cycles import (
     KSET_BUSINESS_CYCLES,
     KSET_LONG_PERIODS,
@@ -38,7 +40,6 @@ from .errors import PanelResponseError
 from .genuine import default_mode_count, genuine_matrix
 from .nullmodel import null_ensemble
 from .panel import (
-    Panel,
     SeriesId,
     StandardizedPanel,
     load_panel,
@@ -47,12 +48,10 @@ from .panel import (
     standardize,
     write_panel_csv,
 )
-from .response import (
-    final_to_intermediate_csv,
-    reduced_susceptibility,
-    ripple,
-)
+from .response import final_to_intermediate_csv, reduced_susceptibility, ripple
 from .spectral import (
+    CorrMatrix,
+    ModeBasis,
     correlation_matrix,
     corr_to_csv,
     corr_to_json,
@@ -100,53 +99,50 @@ def _int_at_least(low: int):
     return parse
 
 
-def _versions() -> dict:
-    return {
-        "panelresponse": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
+def _effective_config(args) -> dict:
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    config["outdir"] = str(config["outdir"])
+    return config
 
 
-def _config_line(config: dict) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def _artifact(target: Path | TextIO, config: dict) -> Iterator[TextIO]:
+    """Open a CSV artifact (a path, or a stream such as stdout) under its config line."""
+    with open_text(target, "w") as fh:
+        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        yield fh
 
 
-def _write_manifest(outdir: Path, subcommand: str, config: dict) -> None:
-    doc = {"subcommand": subcommand, "config": config, "versions": _versions()}
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-
-
-def _write_csv_rows(path: Path, config: dict, header: list[str], rows) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        fh.write(_config_line(config))
-        writer = _csv.writer(fh, lineterminator="\n")
+def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
+    with _artifact(path, config) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _open_input(path: str) -> TextIO | str:
-    return sys.stdin if path == "-" else path
+def _write_json(path: Path, config: dict, doc: dict) -> None:
+    """A JSON artifact whose first key is its config."""
+    with open_text(path, "w") as fh:
+        json.dump({"config": config, **doc}, fh)
 
 
-def _load_pipeline(args) -> tuple[Panel, StandardizedPanel]:
-    panel = load_panel(_open_input(args.input), window=args.window)
-    growth = log_growth(panel) if args.method == "log10" else simple_growth(panel)
-    return panel, standardize(growth)
+def _input(args) -> TextIO | str:
+    return sys.stdin if args.input == "-" else args.input
 
 
-def _effective_config(args, exclude: Sequence[str] = ()) -> dict:
-    skip = {"func", "command"} | set(exclude)
-    config = {k: v for k, v in vars(args).items() if k not in skip}
-    config["outdir"] = str(config.get("outdir", ""))
-    return config
+def _standardized(args) -> StandardizedPanel:
+    panel = load_panel(_input(args), window=args.window)
+    return standardize(log_growth(panel) if args.method == "log10" else simple_growth(panel))
 
 
-def _resolve_mode_count(args, w: StandardizedPanel, basis) -> int:
+def _spectrum(args) -> tuple[StandardizedPanel, CorrMatrix, ModeBasis]:
+    """The pipeline every analysis shares: standardized panel, raw matrix, modes."""
+    w = _standardized(args)
+    raw = correlation_matrix(w)
+    return w, raw, eigendecompose(raw)
+
+
+def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
     if args.k is not None:
         return args.k
     # the decision reads only lambda_max, so skip keeping the pooled spectrum
@@ -159,31 +155,27 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, outdir: Path, config: dict) -> int:
-    panel = load_panel(_open_input(args.input), window=args.window, weights=args.weights)
-    summary = {
+def _cmd_validate(args, outdir: Path, config: dict) -> None:
+    panel = load_panel(_input(args), window=args.window, weights=args.weights)
+    print(json.dumps({
         "series": panel.n_series,
         "goods": panel.n_goods,
         "months": panel.n_months,
         "start": str(panel.months[0]),
         "end": str(panel.months[-1]),
         "weight_sum": panel.weight_sum,
-    }
-    print(json.dumps(summary, sort_keys=True))
-    _write_manifest(outdir, "validate", config)
-    return 0
+    }, sort_keys=True))
 
 
-def _cmd_analyze(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
+def _cmd_analyze(args, outdir: Path, config: dict) -> None:
+    w, _, basis = _spectrum(args)
     lam = basis.eigenvalues
-    _write_csv_rows(
+    _write_csv(
         outdir / "eigenvalues.csv", config, ["n", "eigenvalue"],
         [[n + 1, repr(float(v))] for n, v in enumerate(lam)],
     )
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
-    _write_csv_rows(
+    _write_csv(
         outdir / "eigenvectors.csv", config, ["mode", "series", "component"],
         [
             [n + 1, labels[i], repr(float(basis.vectors[i, n]))]
@@ -193,7 +185,7 @@ def _cmd_analyze(args, outdir: Path, config: dict) -> int:
     )
     top = float(lam[0]) * 1.05
     hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
-    _write_csv_rows(
+    _write_csv(
         outdir / "spectrum_histogram.csv", config, ["lambda_lo", "lambda_hi", "density"],
         [
             [repr(float(lo)), repr(float(hi)), repr(float(d))]
@@ -203,7 +195,7 @@ def _cmd_analyze(args, outdir: Path, config: dict) -> int:
     q = w.n_obs / w.n_series
     grid = np.linspace(0.0, top, 512)
     dens = mp_density(grid, q)
-    _write_csv_rows(
+    _write_csv(
         outdir / "mp_density.csv", config, ["lambda", "density"],
         [[repr(float(x)), repr(float(d))] for x, d in zip(grid, dens)],
     )
@@ -213,84 +205,53 @@ def _cmd_analyze(args, outdir: Path, config: dict) -> int:
         "mp_lower": lo, "mp_upper": hi,
         "top_eigenvalues": [float(v) for v in lam[:3]],
     }, sort_keys=True))
-    _write_manifest(outdir, "analyze", config)
-    return 0
 
 
-def _cmd_null(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    ensemble = null_ensemble(w, args.mode, args.samples, args.seed)
-    doc = {"config": config}
-    doc.update(ensemble.to_json())
-    with open(outdir / "ensemble.json", "w") as fh:
-        json.dump(doc, fh)
-    with open(outdir / "pooled_eigenvalues.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
+def _cmd_null(args, outdir: Path, config: dict) -> None:
+    ensemble = null_ensemble(_standardized(args), args.mode, args.samples, args.seed)
+    _write_json(outdir / "ensemble.json", config, ensemble.to_json())
+    with _artifact(outdir / "pooled_eigenvalues.csv", config) as fh:
         ensemble.pooled_to_csv(fh)
     print(json.dumps({
         "mode": ensemble.mode.value,
         "edge": dataclasses.asdict(ensemble.edge),
     }, sort_keys=True))
-    _write_manifest(outdir, "null", config)
-    return 0
 
 
-def _cmd_genuine(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
-    k = _resolve_mode_count(args, w, basis)
-    config["effective_k"] = k
+def _cmd_genuine(args, outdir: Path, config: dict) -> None:
+    w, _, basis = _spectrum(args)
+    k = config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with open(outdir / "genuine_matrix.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
+    with _artifact(outdir / "genuine_matrix.csv", config) as fh:
         corr_to_csv(cg, fh)
-    doc = {"config": config}
-    doc.update(corr_to_json(cg))
-    with open(outdir / "genuine_matrix.json", "w") as fh:
-        json.dump(doc, fh)
+    _write_json(outdir / "genuine_matrix.json", config, corr_to_json(cg))
     print(json.dumps({"k": k, "m": cg.m}, sort_keys=True))
-    _write_manifest(outdir, "genuine", config)
-    return 0
 
 
-def _cmd_ripple(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    craw = correlation_matrix(w)
-    basis = eigendecompose(craw)
-    k = _resolve_mode_count(args, w, basis)
-    config["effective_k"] = k
+def _cmd_ripple(args, outdir: Path, config: dict) -> None:
+    w, raw, basis = _spectrum(args)
+    k = config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with open(outdir / "intermediate_response.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
-        final_to_intermediate_csv(cg, craw, fh)
+    with _artifact(outdir / "intermediate_response.csv", config) as fh:
+        final_to_intermediate_csv(cg, raw, fh)
     if args.source is not None:
         report = ripple(cg, SeriesId.parse(args.source), args.shift)
-        _write_csv_rows(
+        _write_csv(
             outdir / "ripple_source.csv", config, ["series", "response"],
-            [
-                [sid.label, repr(float(r))]
-                for sid, r in zip(w.ids, report.responses)
-            ],
+            [[sid.label, repr(float(r))] for sid, r in zip(w.ids, report.responses)],
         )
-    _write_manifest(outdir, "ripple", config)
-    return 0
 
 
-def _cmd_reduced_chi(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
-    cg = genuine_matrix(basis, args.k)
-    red = reduced_susceptibility(cg, basis, args.k, args.beta)
-    doc = {
-        "config": config,
+def _cmd_reduced_chi(args, outdir: Path, config: dict) -> None:
+    _, _, basis = _spectrum(args)
+    red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
+    _write_json(outdir / "reduced_chi.json", config, {
         "beta": red.beta,
         "k": args.k,
         "values": red.values.tolist(),
         "normalized": red.normalized.tolist(),
-    }
-    with open(outdir / "reduced_chi.json", "w") as fh:
-        json.dump(doc, fh)
-    _write_csv_rows(
+    })
+    _write_csv(
         outdir / "reduced_chi.csv", config, ["row", "col", "value", "normalized"],
         [
             [i + 1, j + 1, repr(float(red.values[i, j])), repr(float(red.normalized[i, j]))]
@@ -299,18 +260,15 @@ def _cmd_reduced_chi(args, outdir: Path, config: dict) -> int:
         ],
     )
     print(json.dumps({"normalized": red.normalized.tolist()}))
-    _write_manifest(outdir, "reduced-chi", config)
-    return 0
 
 
-def _cmd_cycles(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
+def _cmd_cycles(args, outdir: Path, config: dict) -> None:
+    w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     a1, a2 = ms.coeffs[0], ms.coeffs[1]
     s1 = moving_average(a1, args.xi).values
     s2 = moving_average(a2, args.xi).values
-    _write_csv_rows(
+    _write_csv(
         outdir / "mode_series.csv", config,
         ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
         [
@@ -319,25 +277,22 @@ def _cmd_cycles(args, outdir: Path, config: dict) -> int:
             for j, m in enumerate(ms.months)
         ],
     )
-    rows = []
-    for lag in range(-args.max_lag, args.max_lag + 1):
-        rows.append([lag, repr(lag_correlation(a1, a2, lag, args.xi))])
-    _write_csv_rows(outdir / "lag_correlation.csv", config, ["lag", "correlation"], rows)
-    _write_manifest(outdir, "cycles", config)
-    return 0
+    _write_csv(
+        outdir / "lag_correlation.csv", config, ["lag", "correlation"],
+        [[lag, repr(lag_correlation(a1, a2, lag, args.xi))]
+         for lag in range(-args.max_lag, args.max_lag + 1)],
+    )
 
 
-def _cmd_phases(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
+def _cmd_phases(args, outdir: Path, config: dict) -> None:
+    w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     ref = SeriesId.parse(args.ref)
     if args.freq_avg:
         table = freq_avg_phases(ms, basis, args.kset, ref)
     else:
         table = mode_phases(ms, basis, args.k, ref)
-    with open(outdir / "phases.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
+    with _artifact(outdir / "phases.csv", config) as fh:
         table.to_csv(fh)
     print(json.dumps({
         "period": table.period_label,
@@ -346,44 +301,28 @@ def _cmd_phases(args, outdir: Path, config: dict) -> int:
             "I": table.class_average(3),
         },
     }, sort_keys=True))
-    _write_manifest(outdir, "phases", config)
-    return 0
 
 
-def _cmd_stimuli(args, outdir: Path, config: dict) -> int:
-    _, w = _load_pipeline(args)
-    basis = eigendecompose(correlation_matrix(w))
-    ms = mode_series(w, basis)
-    cg = genuine_matrix(basis, 2)
-    chi = reduced_susceptibility(cg, basis, 2, args.beta)
-    series = external_stimuli(ms, basis, chi, args.xi, args.kset)
-    with open(outdir / "stimuli.csv", "w", newline="") as fh:
-        fh.write(_config_line(config))
+def _cmd_stimuli(args, outdir: Path, config: dict) -> None:
+    w, _, basis = _spectrum(args)
+    chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2, args.beta)
+    series = external_stimuli(mode_series(w, basis), basis, chi, args.xi, args.kset)
+    with _artifact(outdir / "stimuli.csv", config) as fh:
         series.to_csv(fh)
     print(json.dumps({
         "max_abs_eta1": float(np.abs(series.eta1).max()),
         "max_abs_eta2": float(np.abs(series.eta2).max()),
     }, sort_keys=True))
-    _write_manifest(outdir, "stimuli", config)
-    return 0
 
 
-def _cmd_synth(args, outdir: Path, config: dict) -> int:
+def _cmd_synth(args, outdir: Path, config: dict) -> None:
     spec = spec_from_json(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     config["effective_spec"] = spec_to_json(spec)
-    w = generate(spec)
-    panel = to_level_panel(w)
-    if args.stdout:
-        sys.stdout.write(_config_line(config))
-        write_panel_csv(panel, sys.stdout)
-    else:
-        with open(outdir / "panel.csv", "w", newline="") as fh:
-            fh.write(_config_line(config))
-            write_panel_csv(panel, fh)
-    _write_manifest(outdir, "synth", config)
-    return 0
+    panel = to_level_panel(generate(spec))
+    with _artifact(sys.stdout if args.stdout else outdir / "panel.csv", config) as fh:
+        write_panel_csv(panel, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
     _add_common(p)
     p.add_argument("--xi", type=_int_at_least(0), default=6, help="moving-average half-width")
-    p.add_argument("--max-lag", type=int, default=36)
+    p.add_argument("--max-lag", type=_int_at_least(0), default=36)
     p.set_defaults(func=_cmd_cycles)
 
     p = sub.add_parser("phases", help="per-goods oscillation phase table")
@@ -491,19 +430,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     outdir = Path(args.outdir)
     config = _effective_config(args)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, outdir, config)
-    except PanelResponseError as exc:
+        args.func(args, outdir, config)
+        manifest = {
+            "subcommand": args.command,
+            "config": config,
+            "versions": {
+                "panelresponse": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+        }
+        with open_text(outdir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+    except (PanelResponseError, OSError) as exc:
         print(f"panelresponse: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"panelresponse: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from ._files import open_text
 from .errors import (
     BadFrequencyIndex,
     BadModeCount,
@@ -159,7 +160,7 @@ def inverse_dft(sc: SpectralCoefficients) -> np.ndarray:
     out = np.fft.fft(b) / np.sqrt(n)
     scale = np.abs(sc.coeffs).max() if sc.coeffs.size else 0.0
     if np.abs(out.imag).max() > 1e-9 * max(scale, 1.0):
-        raise ValueError("coefficients are not conjugate-symmetric; result not real")
+        raise BadParameter("coefficients are not conjugate-symmetric; result not real")
     return out.real
 
 
@@ -244,16 +245,11 @@ class StimulusSeries:
         return self.values[1]
 
     def to_csv(self, target: str | Path | TextIO) -> None:
-        own = not hasattr(target, "write")
-        fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
-        try:
+        with open_text(target, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["date", "eta1", "eta2"])
             for j, month in enumerate(self.months):
                 writer.writerow([str(month), repr(float(self.values[0, j])), repr(float(self.values[1, j]))])
-        finally:
-            if own:
-                fh.close()
 
 
 def external_stimuli(
@@ -320,9 +316,7 @@ class PhaseTable:
 
     def to_csv(self, target: str | Path | TextIO) -> None:
         """Goods rows with P/S/I columns, one decimal, plus a class-average row."""
-        own = not hasattr(target, "write")
-        fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
-        try:
+        with open_text(target, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["goods", "P", "S", "I"])
             g_count = self.n_goods
@@ -334,9 +328,6 @@ class PhaseTable:
             writer.writerow(
                 ["average"] + [f"{self.class_average(a):.1f}" for a in (1, 2, 3)]
             )
-        finally:
-            if own:
-                fh.close()
 
 
 def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, k: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadModeCount
 from .nullmodel import NullEnsemble, count_significant, upper_edge
-from .spectral import CorrMatrix, ModeBasis
+from .spectral import CorrMatrix, ModeBasis, reconstruct
 
 
 def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
@@ -25,8 +25,7 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     """
     if not 0 <= k <= basis.m:
         raise BadModeCount(f"mode count {k} outside [0, {basis.m}]")
-    vk = basis.vectors[:, :k]
-    values = (vk * basis.eigenvalues[:k]) @ vk.T
+    values = reconstruct(basis, range(1, k + 1))
     np.fill_diagonal(values, 1.0)
     values = (values + values.T) / 2.0
     return CorrMatrix(values=values, kind="genuine", n_goods=basis.n_goods, n_modes=k)

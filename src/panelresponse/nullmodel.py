@@ -26,6 +26,7 @@ from typing import TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._files import open_text, read_json
 from .errors import (
     BadConfidence,
     BadParameter,
@@ -54,7 +55,7 @@ def autocorrelation(w: StandardizedPanel, series: int, lag: int) -> float:
     """
     if not 1 <= series <= w.n_series:
         raise LagOutOfRange(f"series index {series} outside [1, {w.n_series}]")
-    return _autocorr_row(w.values[series - 1], lag)
+    return float(autocorrelations(w, lag)[series - 1])
 
 
 def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
@@ -66,15 +67,6 @@ def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
         return (w.values * w.values).mean(axis=1)
     v = w.values
     return (v[:, :-lag] * v[:, lag:]).sum(axis=1) / (n - lag)
-
-
-def _autocorr_row(x: np.ndarray, lag: int) -> float:
-    n = x.size
-    if not 0 <= lag <= n - 2:
-        raise LagOutOfRange(f"lag {lag} outside [0, {n - 2}]")
-    if lag == 0:
-        return float((x * x).mean())
-    return float((x[:-lag] * x[lag:]).sum() / (n - lag))
 
 
 def cyclic_autocorrelation(x: np.ndarray, lag: int) -> float:
@@ -101,11 +93,6 @@ def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
 # ---------------------------------------------------------------------------
 # shuffles
 # ---------------------------------------------------------------------------
-
-
-def cyclic_shift(x: np.ndarray, tau: int) -> np.ndarray:
-    """Shift a series right by tau months under the periodic boundary."""
-    return np.roll(np.asarray(x), tau)
 
 
 def complete_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> StandardizedPanel:
@@ -191,24 +178,13 @@ class NullEnsemble:
             },
         }
         if target is not None:
-            own = not hasattr(target, "write")
-            fh: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-            try:
+            with open_text(target, "w") as fh:
                 json.dump(doc, fh)
-            finally:
-                if own:
-                    fh.close()
         return doc
 
     @classmethod
     def from_json(cls, source: str | Path | TextIO | dict) -> "NullEnsemble":
-        if isinstance(source, dict):
-            doc = source
-        elif hasattr(source, "read"):
-            doc = json.load(source)  # type: ignore[arg-type]
-        else:
-            with open(source) as fh:
-                doc = json.load(fh)
+        doc = read_json(source)
         edge = EdgeEstimate(**doc["edge"])
         return cls(
             mode=ShuffleMode(doc["mode"]),
@@ -230,9 +206,7 @@ class NullEnsemble:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
             raise EmptyEnsemble("ensemble carries no pooled eigenvalues")
-        own = not hasattr(target, "write")
-        fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
-        try:
+        with open_text(target, "w") as fh:
             fh.write("sample,eigenvalue\n")
             # one string per block of samples: far fewer writes than one per
             # row, without holding the whole file's text in memory at once
@@ -241,9 +215,6 @@ class NullEnsemble:
                 fh.write("".join(
                     f"{s},{lam!r}\n" for s, row in enumerate(block, lo) for lam in row
                 ))
-        finally:
-            if own:
-                fh.close()
 
 
 def null_ensemble(

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._files import open_text
 from .errors import (
     DegenerateSeries,
     DuplicateSeries,
@@ -425,13 +426,9 @@ def load_panel(
     if isinstance(weights, (str, Path)):
         weights = load_weights(weights)
 
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-        name = getattr(source, "name", "<stream>")
-    else:
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh))
-        name = str(source)
+    with open_text(source) as fh:
+        rows = list(csv.reader(fh))
+        name = str(getattr(fh, "name", "<stream>"))
     rows = [r for r in rows if not (r and r[0].startswith("#"))]
     if not rows:
         raise SchemaError(f"{name}: empty file")
@@ -509,16 +506,11 @@ def load_panel(
 
 def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:
     """Write a panel back out in the `date,P.1,...` schema."""
-    own = not hasattr(target, "write")
-    fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
-    try:
+    with open_text(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date"] + [sid.label for sid in panel.ids])
         for j, month in enumerate(panel.months):
             writer.writerow([str(month)] + [repr(float(v)) for v in panel.values[:, j]])
-    finally:
-        if own:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,10 @@ from typing import TextIO
 
 import numpy as np
 
+from ._files import open_text
 from .errors import BadBeta, BadModeCount, LayoutMismatch, UnknownSeries
 from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable
 from .spectral import CorrMatrix, ModeBasis
-
-
-@dataclass(frozen=True)
-class Susceptibility:
-    """Linear-response matrix chi = beta * C (M x M, symmetric)."""
-
-    values: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -71,17 +59,6 @@ class ReducedSusceptibility:
         return self.values / self.values[0, 0]
 
 
-def susceptibility(c: CorrMatrix, beta: float = 1.0) -> Susceptibility:
-    """Scale a correlation matrix by the inverse-temperature parameter.
-
-    All ripple quantities are ratios chi_lm / chi_mm, so beta cancels in
-    every reported response; it defaults to 1 and only sets an overall scale.
-    """
-    if beta <= 0:
-        raise BadBeta(f"beta must be positive, got {beta}")
-    return Susceptibility(values=beta * c.values, beta=beta)
-
-
 def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport:
     """Mean shifts induced in every series by a shift at the source series.
 
@@ -96,7 +73,7 @@ def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport
     try:
         idx = source.flat(cg.n_goods) - 1
     except Exception:
-        raise UnknownSeries(f"series {source} not in a {cg.n_goods}-goods layout") from None
+        raise UnknownSeries(f"series {source.label} not in a {cg.n_goods}-goods layout") from None
     responses = cg.values[:, idx] * shift
     responses[idx] = shift  # unit diagonal, kept exact
     return RippleReport(source=source, shift=shift, responses=responses, n_goods=cg.n_goods)
@@ -133,9 +110,7 @@ def final_to_intermediate_csv(
     """
     table_g = final_to_intermediate(genuine)
     table_r = final_to_intermediate(raw) if raw is not None else None
-    own = not hasattr(target, "write")
-    fh: TextIO = open(target, "w", newline="") if own else target  # type: ignore[arg-type]
-    try:
+    with open_text(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["goods", "label", "g20_genuine", "g21_genuine"]
         if table_r is not None:
@@ -147,9 +122,6 @@ def final_to_intermediate_csv(
             if table_r is not None:
                 row += [repr(float(table_r[g - 1, 0])), repr(float(table_r[g - 1, 1]))]
             writer.writerow(row)
-    finally:
-        if own:
-            fh.close()
 
 
 def reduced_susceptibility(

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from ._files import open_text, read_json
 from .errors import (
     BadModeIndex,
     DimensionMismatch,
@@ -246,38 +247,17 @@ def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
 
 def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
     """Partial spectral sum over the given 1-based mode indices."""
-    idx = sorted(set(int(n) for n in modes))
+    idx = np.array(sorted({int(n) for n in modes}), dtype=int)
     for n in idx:
         if not 1 <= n <= basis.m:
             raise BadModeIndex(f"mode {n} outside [1, {basis.m}]")
-    out = np.zeros((basis.m, basis.m))
-    for n in idx:
-        v = basis.vectors[:, n - 1]
-        out += basis.eigenvalues[n - 1] * np.outer(v, v)
-    return out
+    v = basis.vectors[:, idx - 1]
+    return (v * basis.eigenvalues[idx - 1]) @ v.T
 
 
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur reference law
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MpParams:
-    """Aspect ratio Q = N'/M and the implied eigenvalue support bounds."""
-
-    q: float
-    lower: float
-    upper: float
-
-    @classmethod
-    def from_q(cls, q: float) -> "MpParams":
-        lo, hi = mp_bounds(q)
-        return cls(q=float(q), lower=lo, upper=hi)
-
-    @classmethod
-    def from_shape(cls, n_series: int, n_obs: int) -> "MpParams":
-        return cls.from_q(n_obs / n_series)
 
 
 def mp_bounds(q: float) -> tuple[float, float]:
@@ -337,19 +317,9 @@ def eigenvalue_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _open_w(target: str | Path | TextIO):
-    return open(target, "w", newline="") if not hasattr(target, "write") else target
-
-
-def _open_r(source: str | Path | TextIO):
-    return open(source, newline="") if not hasattr(source, "read") else source
-
-
 def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     """Row-major CSV with a two-line header carrying kind and dimensions."""
-    fh = _open_w(target)
-    own = fh is not target
-    try:
+    with open_text(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind", "m", "goods", "k"])
         writer.writerow(
@@ -358,19 +328,11 @@ def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
         )
         for row in c.values:
             writer.writerow([repr(float(x)) for x in row])
-    finally:
-        if own:
-            fh.close()
 
 
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
-    fh = _open_r(source)
-    own = fh is not source
-    try:
+    with open_text(source) as fh:
         rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
     rows = [r for r in rows if not (r and r[0].startswith("#"))]
     if len(rows) < 3 or rows[0][:2] != ["kind", "m"]:
         raise SchemaError("not a correlation-matrix CSV")
@@ -394,27 +356,13 @@ def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> di
         "values": c.values.tolist(),
     }
     if target is not None:
-        fh = _open_w(target)
-        own = fh is not target
-        try:
+        with open_text(target, "w") as fh:
             json.dump(doc, fh)
-        finally:
-            if own:
-                fh.close()
     return doc
 
 
-def _read_json(source: str | Path | TextIO | dict) -> dict:
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        return json.load(source)  # type: ignore[arg-type]
-    with open(source) as fh:
-        return json.load(fh)
-
-
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
-    doc = _read_json(source)
+    doc = read_json(source)
     return CorrMatrix(
         values=np.asarray(doc["values"], dtype=float),
         kind=doc["kind"],
@@ -433,18 +381,13 @@ def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> di
         "eigenvectors": b.vectors.tolist(),
     }
     if target is not None:
-        fh = _open_w(target)
-        own = fh is not target
-        try:
+        with open_text(target, "w") as fh:
             json.dump(doc, fh)
-        finally:
-            if own:
-                fh.close()
     return doc
 
 
 def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
-    doc = _read_json(source)
+    doc = read_json(source)
     if doc.get("kind") != "mode-basis":
         raise SchemaError("not a mode-basis document")
     return ModeBasis(

@@ -21,7 +21,8 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import DegenerateSeries, InfeasibleSpec
+from ._files import open_text, read_json
+from .errors import BadParameter, DegenerateSeries, InfeasibleSpec, PanelResponseError
 from .panel import Panel, StandardizedPanel, canonical_ids, parse_month
 
 _ORTHO_TOL = 1e-10
@@ -83,6 +84,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_series < 1 or self.n_obs < 2:
             raise InfeasibleSpec("panel must have at least 1 series and 2 months")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be >= 0, got {self.seed}")
         if sum(m.eigenvalue for m in self.modes) > self.n_series + 1e-9:
             raise InfeasibleSpec("planted eigenvalues exceed the trace budget M")
         for m in self.modes:
@@ -104,15 +107,18 @@ def _noise_coeffs(spec: SynthSpec) -> np.ndarray | None:
 
 
 def _ar1_rows(rng: np.random.Generator, phi: np.ndarray, n: int) -> np.ndarray:
-    """Stationary unit-variance AR(1) rows, one per coefficient."""
-    from scipy.signal import lfilter  # lazy: only synthetic panels need scipy
+    """Stationary unit-variance AR(1) rows, one per coefficient.
 
-    rows = np.empty((phi.size, n))
+    x(t) = u(t) + phi x(t-1), run over all rows at once, column by column.
+    """
     eps = rng.standard_normal((phi.size, n))
-    for i, p in enumerate(phi):
-        u = eps[i] * np.sqrt(1.0 - p * p)
-        u[0] = eps[i, 0]  # stationary start
-        rows[i] = lfilter([1.0], [1.0, -p], u)
+    u = eps * np.sqrt(1.0 - phi * phi)[:, np.newaxis]
+    u[:, 0] = eps[:, 0]  # stationary start
+    rows = np.empty_like(u)
+    acc = np.zeros(phi.size)
+    for t in range(n):
+        acc = u[:, t] + phi * acc
+        rows[:, t] = acc
     return rows
 
 
@@ -254,44 +260,58 @@ def spec_to_json(spec: SynthSpec, target: str | Path | TextIO | None = None) -> 
         "modes": modes,
     }
     if target is not None:
-        own = not hasattr(target, "write")
-        fh: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
+        with open_text(target, "w") as fh:
             json.dump(doc, fh, indent=2)
-        finally:
-            if own:
-                fh.close()
     return doc
 
 
 def spec_from_json(source: str | Path | TextIO | dict) -> SynthSpec:
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)  # type: ignore[arg-type]
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    """Spec from a JSON document; a malformed one raises InfeasibleSpec."""
+    try:
+        return _spec_from_doc(read_json(source))
+    except PanelResponseError:
+        raise
+    except KeyError as exc:
+        raise InfeasibleSpec(f"spec lacks field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InfeasibleSpec(f"malformed spec: {exc}") from None
+
+
+def _number(value, key: str, kind: type | tuple = (int, float)):
+    """A spec field's value, checked to be a JSON number (an integer if kind is int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise InfeasibleSpec(f"spec field {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _spec_from_doc(doc: dict) -> SynthSpec:
     modes = []
     for entry in doc.get("modes", []):
         dspec = entry["driver"]
         if dspec["kind"] == "sinusoid":
-            driver: Driver = Sinusoid(period=dspec["period"], phase=dspec.get("phase", 0.0))
+            driver: Driver = Sinusoid(
+                period=_number(dspec["period"], "period"),
+                phase=_number(dspec.get("phase", 0.0), "phase"),
+            )
         elif dspec["kind"] == "ar1":
-            driver = Ar1(coefficient=dspec["coefficient"])
+            driver = Ar1(coefficient=_number(dspec["coefficient"], "coefficient"))
         else:
             raise InfeasibleSpec(f"unknown driver kind {dspec['kind']!r}")
         loading = entry.get("loading", "random")
         modes.append(PlantedMode(
-            eigenvalue=entry["eigenvalue"],
+            eigenvalue=_number(entry["eigenvalue"], "eigenvalue"),
             driver=driver,
             loading=None if loading == "random" else np.asarray(loading, dtype=float),
         ))
+    noise = doc.get("noise_ar1", 0.0)
+    for value in [] if noise is None else noise if isinstance(noise, list) else [noise]:
+        _number(value, "noise_ar1")
     return SynthSpec(
-        n_series=doc["n_series"],
-        n_obs=doc["n_obs"],
+        n_series=_number(doc["n_series"], "n_series", int),
+        n_obs=_number(doc["n_obs"], "n_obs", int),
         modes=tuple(modes),
-        noise_ar1=doc.get("noise_ar1", 0.0),
-        seed=doc.get("seed", 0),
+        noise_ar1=noise,
+        seed=_number(doc.get("seed", 0), "seed", int),
         start=doc.get("start", "1988-01"),
     )

@@ -91,6 +91,30 @@ def direct_dft(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def explicit_reconstruct(vectors: np.ndarray, eigenvalues: np.ndarray, modes) -> np.ndarray:
+    """Partial spectral sum, one outer product per 1-based mode index."""
+    out = np.zeros((vectors.shape[0], vectors.shape[0]))
+    for n in sorted(set(modes)):
+        out += eigenvalues[n - 1] * np.outer(vectors[:, n - 1], vectors[:, n - 1])
+    return out
+
+
+def lfilter_ar1_rows(rng: np.random.Generator, phi: np.ndarray, n: int) -> np.ndarray:
+    """Stationary AR(1) rows, each filtered by scipy's lfilter.
+
+    Makes the same draws as ``synth._ar1_rows``, so the two agree bit for bit.
+    """
+    from scipy.signal import lfilter
+
+    rows = np.empty((phi.size, n))
+    eps = rng.standard_normal((phi.size, n))
+    for i, p in enumerate(phi):
+        u = eps[i] * np.sqrt(1.0 - p * p)
+        u[0] = eps[i, 0]
+        rows[i] = lfilter([1.0], [1.0, -p], u)
+    return rows
+
+
 def brute_moving_average(x: np.ndarray, xi: int) -> np.ndarray:
     """Window mean with explicit clipping, one point at a time."""
     x = np.asarray(x, dtype=float)

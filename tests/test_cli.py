@@ -93,6 +93,7 @@ def test_usage_error_exit_2(tmp_path):
         ("null", "--seed", "-1"),
         ("cycles", "--xi", "-1"),
         ("stimuli", "--xi", "-2"),
+        ("cycles", "--max-lag", "-1"),
     ],
 )
 def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
@@ -102,6 +103,36 @@ def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
     assert "Traceback" not in res.stderr
     assert f"argument {args[1]}" in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+def assert_one_line_error(res):
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("panelresponse: "), res.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_series": 6, "n_obs": 20, "seed": -1}',  # negative seed
+        '{"n_obs": 20}',  # missing n_series
+        "n_series = 6",  # not JSON
+        '{"n_series": "six", "n_obs": 20}',  # wrong type
+    ],
+)
+def test_bad_spec_file_is_one_line_error(tmp_path, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert_one_line_error(run_cli("synth", "--spec", str(spec), "--outdir", "o", cwd=tmp_path))
+
+
+def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    res = run_cli("ripple", "--input", str(panel_path), "--k", "2", "--source", "S.99",
+                  "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert "series S.99 not in a 21-goods layout" in res.stderr
 
 
 def test_analyze_artifacts(planted_csv, tmp_path):

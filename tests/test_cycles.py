@@ -8,6 +8,7 @@ from panelresponse import (
     ModeSeries,
     ReducedSusceptibility,
     SeriesId,
+    SpectralCoefficients,
     StandardizedPanel,
     Variable,
     correlation_matrix,
@@ -164,6 +165,13 @@ def test_dft_round_trip_and_parseval():
     energy_x = float(np.sum(x**2))
     energy_c = float(np.sum(np.abs(sc.coeffs) ** 2))
     assert abs(energy_c - energy_x) <= 1e-8 * energy_x
+
+
+def test_inverse_dft_rejects_non_real_result():
+    coeffs = np.zeros(8, dtype=complex)
+    coeffs[1] = 1.0  # no conjugate partner at k = 7
+    with pytest.raises(BadParameter, match="conjugate-symmetric"):
+        inverse_dft(SpectralCoefficients(coeffs=coeffs))
 
 
 def test_dft_conjugate_symmetry():

@@ -1,0 +1,108 @@
+"""Every reader and writer behaves the same on a path as on an open stream."""
+
+import io
+import json
+
+import pytest
+
+from panelresponse import (
+    NullEnsemble,
+    SeriesId,
+    basis_from_json,
+    basis_to_json,
+    corr_from_csv,
+    corr_from_json,
+    corr_to_csv,
+    corr_to_json,
+    correlation_matrix,
+    eigendecompose,
+    external_stimuli,
+    final_to_intermediate_csv,
+    genuine_matrix,
+    load_panel,
+    mode_phases,
+    mode_series,
+    null_ensemble,
+    reduced_susceptibility,
+    synth,
+    to_level_panel,
+    write_panel_csv,
+)
+
+
+@pytest.fixture(scope="module")
+def objects(planted_panel):
+    w = planted_panel
+    raw = correlation_matrix(w)
+    basis = eigendecompose(raw)
+    cg = genuine_matrix(basis, 2)
+    ms = mode_series(w, basis)
+    chi = reduced_susceptibility(cg, basis, 2)
+    return {
+        "raw": raw,
+        "basis": basis,
+        "cg": cg,
+        "ensemble": null_ensemble(w, "rotational", 5, 0),
+        "stimuli": external_stimuli(ms, basis, chi),
+        "phases": mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
+        "panel": to_level_panel(w),
+        "spec": synth.SynthSpec(
+            n_series=6, n_obs=30, noise_ar1=-0.2, seed=4,
+            modes=(synth.PlantedMode(eigenvalue=2.0, driver=synth.Ar1(0.3)),),
+        ),
+    }
+
+
+WRITERS = {
+    "corr_to_csv": lambda o, t: corr_to_csv(o["cg"], t),
+    "corr_to_json": lambda o, t: corr_to_json(o["cg"], t),
+    "basis_to_json": lambda o, t: basis_to_json(o["basis"], t),
+    "NullEnsemble.to_json": lambda o, t: o["ensemble"].to_json(t),
+    "NullEnsemble.pooled_to_csv": lambda o, t: o["ensemble"].pooled_to_csv(t),
+    "StimulusSeries.to_csv": lambda o, t: o["stimuli"].to_csv(t),
+    "PhaseTable.to_csv": lambda o, t: o["phases"].to_csv(t),
+    "write_panel_csv": lambda o, t: write_panel_csv(o["panel"], t),
+    "final_to_intermediate_csv": lambda o, t: final_to_intermediate_csv(o["cg"], o["raw"], t),
+    "spec_to_json": lambda o, t: synth.spec_to_json(o["spec"], t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_path_and_stream_get_same_text(objects, tmp_path, name):
+    path = tmp_path / "out"
+    WRITERS[name](objects, path)
+    buf = io.StringIO()
+    WRITERS[name](objects, buf)
+    assert not buf.closed  # a caller's stream stays open
+    with open(path, newline="") as fh:
+        assert fh.read() == buf.getvalue() != ""
+
+
+def _panel_form(p):
+    return p.months.tolist(), p.values.tolist(), p.ids
+
+
+# reader -> (object key, writer name, reader, comparable form, reads a dict too)
+READERS = {
+    "corr_from_csv": ("cg", "corr_to_csv", corr_from_csv, corr_to_json, False),
+    "corr_from_json": ("cg", "corr_to_json", corr_from_json, corr_to_json, True),
+    "basis_from_json": ("basis", "basis_to_json", basis_from_json, basis_to_json, True),
+    "NullEnsemble.from_json": ("ensemble", "NullEnsemble.to_json", NullEnsemble.from_json,
+                               NullEnsemble.to_json, True),
+    "spec_from_json": ("spec", "spec_to_json", synth.spec_from_json, synth.spec_to_json, True),
+    "load_panel": ("panel", "write_panel_csv", load_panel, _panel_form, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_path_stream_and_dict_agree(objects, tmp_path, name):
+    key, writer, read, form, reads_dict = READERS[name]
+    path = tmp_path / "doc"
+    WRITERS[writer](objects, path)
+    want = form(objects[key])
+    assert form(read(path)) == want
+    with open(path, newline="") as fh:
+        assert form(read(fh)) == want
+        assert not fh.closed
+    if reads_dict:
+        assert form(read(json.loads(path.read_text()))) == want

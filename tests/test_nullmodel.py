@@ -16,7 +16,6 @@ from panelresponse import (
     correlation_matrix,
     count_significant,
     cyclic_autocorrelation,
-    cyclic_shift,
     eigendecompose,
     mp_bounds,
     no_autocorr_band,
@@ -125,14 +124,6 @@ def test_band_coverage_monte_carlo():
 # ---------------------------------------------------------------------------
 # shuffles
 # ---------------------------------------------------------------------------
-
-
-def test_cyclic_shift_cases():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(cyclic_shift(x, 0), x)
-    assert np.array_equal(cyclic_shift(x, 1), [4.0, 1.0, 2.0, 3.0])
-    single = np.array([3.5])
-    assert np.array_equal(cyclic_shift(single, 1), single)
 
 
 def test_complete_shuffle_preserves_multiset(iid_panel, rng):

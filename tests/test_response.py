@@ -16,7 +16,6 @@ from panelresponse import (
     reconstruct,
     reduced_susceptibility,
     ripple,
-    susceptibility,
 )
 from panelresponse.errors import (
     BadBeta,
@@ -38,31 +37,6 @@ def basis_with_leading_mode(loading: np.ndarray, eigenvalue: float) -> ModeBasis
         q[:, 0] = -q[:, 0]
     lams = np.concatenate([[eigenvalue], np.ones(m - 1)])
     return ModeBasis(eigenvalues=lams, vectors=q, n_goods=m // 3 if m % 3 == 0 else None)
-
-
-# ---------------------------------------------------------------------------
-# susceptibility
-# ---------------------------------------------------------------------------
-
-
-def test_susceptibility_scaling(planted_panel):
-    c = correlation_matrix(planted_panel)
-    chi1 = susceptibility(c, 1.0)
-    chi2 = susceptibility(c, 2.0)
-    assert np.array_equal(chi1.values, c.values)
-    assert np.array_equal(chi2.values, 2.0 * c.values)
-    # ripple ratios are beta-free
-    ratios1 = chi1.values[:, 5] / chi1.values[5, 5]
-    ratios2 = chi2.values[:, 5] / chi2.values[5, 5]
-    assert np.allclose(ratios1, ratios2, atol=1e-15)
-
-
-def test_susceptibility_bad_beta(planted_panel):
-    c = correlation_matrix(planted_panel)
-    with pytest.raises(BadBeta):
-        susceptibility(c, 0.0)
-    with pytest.raises(BadBeta):
-        susceptibility(c, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +98,12 @@ def test_ripple_matches_gaussian_regression(rng):
 # ---------------------------------------------------------------------------
 # final demand -> producer goods table
 # ---------------------------------------------------------------------------
+
+
+def test_ripple_unknown_source_names_its_label():
+    cg = CorrMatrix(values=np.eye(63), kind="raw", n_goods=21)
+    with pytest.raises(UnknownSeries, match=r"^series S\.99 not in a 21-goods layout$"):
+        ripple(cg, SeriesId.parse("S.99"))
 
 
 def test_final_to_intermediate_identity():

@@ -30,7 +30,7 @@ from panelresponse.errors import (
     QOutOfRange,
 )
 
-from oracles import MpReference, mp_bounds_decimal, mp_density_decimal
+from oracles import MpReference, explicit_reconstruct, mp_bounds_decimal, mp_density_decimal
 
 
 def panel_from_rows(rows):
@@ -168,6 +168,14 @@ def test_reconstruct_limits(planted_panel):
         reconstruct(basis, [m + 1])
 
 
+def test_reconstruct_matches_outer_product_sum(planted_panel):
+    basis = eigendecompose(correlation_matrix(planted_panel))
+    for modes in ([1], [2, 1, 2], [1, 3, 5], range(1, basis.m + 1)):
+        want = explicit_reconstruct(basis.vectors, basis.eigenvalues, modes)
+        # one matmul sums in another order than the loop: allow rounding only
+        assert np.abs(reconstruct(basis, modes) - want).max() <= 1e-12
+
+
 def test_reconstruct_rank_one():
     basis = eigendecompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(reconstruct(basis, [1]), [[1, 1], [1, 1]], atol=1e-12)
@@ -200,17 +208,6 @@ def test_mp_bounds_out_of_range():
     for q in (1.0, 0.5, -2.0):
         with pytest.raises(QOutOfRange):
             mp_bounds(q)
-
-
-def test_mp_params():
-    from panelresponse import MpParams
-
-    p = MpParams.from_shape(63, 239)
-    assert p.q == pytest.approx(239 / 63)
-    assert p.lower < p.upper
-    assert (p.lower, p.upper) == mp_bounds(239 / 63)
-    with pytest.raises(QOutOfRange):
-        MpParams.from_q(0.9)
 
 
 def test_mp_density_outside_support():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelresponse import (
     correlation_matrix,
@@ -11,9 +13,9 @@ from panelresponse import (
     synth,
     write_panel_csv,
 )
-from panelresponse.errors import InfeasibleSpec
+from panelresponse.errors import BadParameter, InfeasibleSpec
 
-from oracles import MpReference, ks_distance
+from oracles import MpReference, ks_distance, lfilter_ar1_rows
 
 
 def test_generate_deterministic():
@@ -124,6 +126,42 @@ def test_infeasible_specs():
                 modes=(synth.PlantedMode(eigenvalue=0.5, driver=synth.Ar1(0.0)),),
             )
         )  # below the unit noise floor
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(BadParameter):
+        synth.SynthSpec(n_series=3, n_obs=10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n_obs": 20},
+        {"n_series": "six", "n_obs": 20},
+        {"n_series": 6, "n_obs": 20.0},
+        {"n_series": 6, "n_obs": 20, "modes": [{"driver": {"kind": "ar1"}}]},
+        {"n_series": 6, "n_obs": 20, "noise_ar1": "x"},
+        {"n_series": 6, "n_obs": 20, "noise_ar1": [0.1] * 5 + [None]},
+        {"n_series": 6, "n_obs": 20, "modes": [
+            {"eigenvalue": 2.0, "driver": {"kind": "sinusoid", "period": "60"}}]},
+        [6, 20],
+    ],
+)
+def test_malformed_spec_document(doc):
+    with pytest.raises(InfeasibleSpec):
+        synth.spec_from_json(doc)
+
+
+@given(
+    phi=st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                 min_size=1, max_size=8),
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**63),
+)
+def test_ar1_recursion_matches_lfilter(phi, n, seed):
+    phi = np.array(phi)
+    got = synth._ar1_rows(np.random.default_rng(seed), phi, n)
+    assert np.array_equal(got, lfilter_ar1_rows(np.random.default_rng(seed), phi, n))
 
 
 def test_non_orthonormal_loadings_rejected():
