@@ -99,6 +99,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and inf are usage errors)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _effective_config(args) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     config["outdir"] = str(config["outdir"])
@@ -388,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--source", default=None, help="optional source series, e.g. S.15")
-    p.add_argument("--shift", type=float, default=1.0)
+    p.add_argument("--shift", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_ripple)
 
     p = sub.add_parser("reduced-chi", help="two-mode reduced susceptibility")
     _add_common(p)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_reduced_chi)
 
     p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--xi", type=_int_at_least(0), default=6)
     p.add_argument("--kset", type=_parse_kset, default=KSET_BUSINESS_CYCLES)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_stimuli)
 
     p = sub.add_parser("synth", help="generate a synthetic panel CSV from a spec")

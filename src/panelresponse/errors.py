@@ -85,6 +85,13 @@ class DimensionMismatch(PanelResponseError):
     """Array dimensions of two inputs are incompatible."""
 
 
+class EigensolverFailure(PanelResponseError, RuntimeError):
+    """The eigendecomposition failed its residual check.
+
+    Also a :class:`RuntimeError`, the type this failure used to raise.
+    """
+
+
 class BadModeIndex(PanelResponseError):
     """Eigenmode index outside the valid range [1, M]."""
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -121,14 +123,32 @@ def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standa
 # Monte Carlo ensembles
 # ---------------------------------------------------------------------------
 
-#: Bytes of shuffled values gathered per chunk of null samples.  Large enough
-#: to amortise the per-chunk numpy calls (~8 samples at 63 x 239), small
-#: enough that the working set stays O(M N') and never approaches the
-#: M^2 N' of a precomputed lag tensor.
+#: Bytes of shuffled values gathered per chunk of null samples, and so held
+#: by each worker thread.  Large enough to amortise the per-chunk numpy calls
+#: (~8 samples at 63 x 239), small enough that the working set stays
+#: O(workers M N') and never approaches the M^2 N' of a precomputed lag
+#: tensor.
 _CHUNK_BYTES = 1 << 20
 
 #: Samples formatted per write by :meth:`NullEnsemble.pooled_to_csv`.
-_CSV_BLOCK_SAMPLES = 1000
+_CSV_BLOCK_SAMPLES = 100
+
+
+def _worker_count(sample_bytes: int, chunks: int) -> int:
+    """Threads to spread a null's chunks over: the usable CPUs, or one.
+
+    One when a single sample exceeds a worker's :data:`_CHUNK_BYTES`: BLAS
+    already spreads such a sample's matmul and ``eigvalsh`` over the cores.
+    Usable CPUs are the process's affinity mask where the OS has one; a
+    cgroup CPU quota is not read.
+    """
+    if sample_bytes > _CHUNK_BYTES:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks)
 
 
 @dataclass(frozen=True)
@@ -230,11 +250,17 @@ def null_ensemble(
     master seed, so the result depends only on (seed, samples, mode) and is
     reproducible regardless of how samples would be scheduled.
 
-    Samples run in chunks.  Every sample makes the same draws, in the same
-    order, as :func:`rotational_shuffle` / :func:`complete_shuffle`, and the
-    shuffled rows are gathered without arithmetic, so each sample's panel,
-    correlation matrix and eigenvalues are bit-identical to the one-sample
-    loop over those shufflers.  Memory is O(M N') per chunk.
+    Samples run in chunks, and the chunks run on one worker thread per
+    usable CPU unless one sample exceeds a chunk (see :func:`_worker_count`);
+    each worker writes only its own samples' rows, and a failing worker
+    stops the others before their next chunk.  Every sample makes the
+    same draws, in the same order, as :func:`rotational_shuffle` /
+    :func:`complete_shuffle`, and the shuffled rows are gathered without
+    arithmetic, so each sample's panel, correlation matrix and eigenvalues
+    are bit-identical to the one-sample loop over those shufflers, at any
+    chunk size and worker count.  Each chunk's moments are checked from its
+    row sums and the diagonal of its X X^T / N'.  Memory is O(M N') per
+    worker, so it grows with the number of usable CPUs.
     """
     mode = ShuffleMode(mode)
     if samples < 1:
@@ -243,7 +269,8 @@ def null_ensemble(
         raise BadParameter(f"seed must be >= 0, got {seed}")
     v = w.values
     m, n = v.shape
-    chunk = max(1, _CHUNK_BYTES // (m * n * v.itemsize))
+    sample_bytes = m * n * v.itemsize
+    chunk = max(1, _CHUNK_BYTES // sample_bytes)
     if mode is ShuffleMode.ROTATIONAL:
         # windows[i, s] = [v v][i, s:s+n]; start (n - tau) % n is np.roll(v[i], tau)
         windows = sliding_window_view(np.concatenate([v, v], axis=1), n, axis=1)
@@ -267,16 +294,46 @@ def null_ensemble(
 
     pooled = np.empty((samples, m)) if keep_pooled else None
     lambda_max = np.empty(samples)
-    streams = np.random.SeedSequence(seed).spawn(samples)
-    for lo in range(0, samples, chunk):
-        rngs = [np.random.Generator(np.random.Philox(s)) for s in streams[lo:lo + chunk]]
-        x = gather(rngs)
-        check_standardized(x)
-        eigs = np.linalg.eigvalsh(x @ x.transpose(0, 2, 1) / n)
-        hi = lo + len(rngs)
-        lambda_max[lo:hi] = eigs[:, -1]
-        if pooled is not None:
-            pooled[lo:hi] = eigs[:, ::-1]
+
+    stop = threading.Event()
+
+    def run(starts):
+        try:
+            for lo in starts:
+                if stop.is_set():
+                    return
+                hi = min(lo + chunk, samples)
+                # the children SeedSequence(seed).spawn(samples) would make,
+                # one chunk at a time instead of all of them held at once
+                x = gather([
+                    np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+                    for i in range(lo, hi)
+                ])
+                gram = x @ x.transpose(0, 2, 1) / n
+                check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
+                eigs = np.linalg.eigvalsh(gram)
+                lambda_max[lo:hi] = eigs[:, -1]
+                if pooled is not None:
+                    pooled[lo:hi] = eigs[:, ::-1]
+        except BaseException:
+            stop.set()
+            raise
+
+    starts = range(0, samples, chunk)
+    workers = _worker_count(sample_bytes, len(starts))
+    if workers == 1:
+        run(starts)
+    else:
+        # the gather, matmul, reductions and eigvalsh release the GIL
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                for done in [pool.submit(run, starts[k::workers]) for k in range(workers)]:
+                    done.result()
+            finally:
+                # an interrupt while waiting stops the workers too
+                stop.set()
     edge_vals = upper_edge_values(lambda_max, 0.95)
     return NullEnsemble(
         mode=mode,

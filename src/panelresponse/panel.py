@@ -285,19 +285,21 @@ _MEAN_TOL = 1e-10
 _STD_TOL = 1e-10
 
 
-def check_standardized(values: np.ndarray) -> None:
-    """Raise SchemaError unless every row (last axis) has mean 0 and std 1.
+def check_standardized(mean: np.ndarray, mean_square: np.ndarray) -> None:
+    """Raise SchemaError unless every series has mean 0 and std 1.
 
-    Works on a single M x N' panel or on a stack of them; the tolerances are
-    those every :class:`StandardizedPanel` is held to.
+    Takes each series' first two moments, E[x] and E[x^2], for one M x N'
+    panel or a stack of them, so a caller that already holds X X^T / N'
+    reads E[x^2] off its diagonal instead of passing over the values again.
+    The std is sqrt(E[x^2] - E[x]^2); the mean is tested first, and NaN
+    fails both tests.  The tolerances are those every
+    :class:`StandardizedPanel` is held to.
     """
-    if not values.size:
-        return
-    resid_mean = np.abs(values.mean(axis=-1)).max()
-    resid_std = np.abs(values.std(axis=-1) - 1.0).max()
-    if resid_mean > _MEAN_TOL:
+    resid_mean = np.abs(mean).max()
+    if not resid_mean <= _MEAN_TOL:
         raise SchemaError(f"series mean off zero by {resid_mean:.3e}")
-    if resid_std > _STD_TOL:
+    resid_std = np.abs(np.sqrt(mean_square - mean * mean) - 1.0).max()
+    if not resid_std <= _STD_TOL:
         raise SchemaError(f"series std off one by {resid_std:.3e}")
 
 
@@ -322,7 +324,11 @@ class StandardizedPanel:
             raise SchemaError("standardized values and months are inconsistent")
         if self.ids is not None and len(self.ids) != values.shape[0]:
             raise SchemaError("ids do not match value rows")
-        check_standardized(values)
+        if values.size:
+            n = values.shape[1]
+            check_standardized(
+                values.sum(axis=1) / n, np.einsum("ij,ij->i", values, values) / n
+            )
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "mean", _freeze(np.asarray(self.mean, dtype=float)))

@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from ._files import open_text
-from .errors import BadBeta, BadModeCount, LayoutMismatch, UnknownSeries
+from .errors import BadBeta, BadModeCount, BadParameter, LayoutMismatch, UnknownSeries
 from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable
 from .spectral import CorrMatrix, ModeBasis
 
@@ -68,6 +68,8 @@ def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport
     but the economically grounded direction is shipments of final demand
     goods driving production of producer goods.
     """
+    if not np.isfinite(shift):
+        raise BadParameter(f"shift must be finite, got {shift}")
     if cg.n_goods is None:
         raise UnknownSeries("matrix carries no series layout")
     try:
@@ -136,8 +138,8 @@ def reduced_susceptibility(
     this is exactly beta * diag(lambda_1 .. lambda_k) by orthonormality; on
     the noise-filtered matrix the diagonal reset adds small corrections.
     """
-    if beta <= 0:
-        raise BadBeta(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise BadBeta(f"beta must be positive and finite, got {beta}")
     if not 1 <= k <= basis.m:
         raise BadModeCount(f"mode count {k} outside [1, {basis.m}]")
     values = c.values if isinstance(c, CorrMatrix) else np.asarray(c, dtype=float)

@@ -27,6 +27,7 @@ from ._files import open_text, read_json
 from .errors import (
     BadModeIndex,
     DimensionMismatch,
+    EigensolverFailure,
     EmptyInput,
     NotSymmetric,
     QOutOfRange,
@@ -226,7 +227,7 @@ def eigendecompose(c: CorrMatrix | np.ndarray) -> ModeBasis:
     lam, vec = _break_ties(lam, vec)
     resid = np.abs(values @ vec - vec * lam).max()
     if resid > _EIG_RESID_FACTOR * lam.size:
-        raise RuntimeError(f"eigensolver residual {resid:.3e} too large")
+        raise EigensolverFailure(f"eigensolver residual {resid:.3e} too large")
     convention = "production-sum" if n_goods is not None else "component-sum"
     return ModeBasis(
         eigenvalues=lam, vectors=vec, n_goods=n_goods, sign_convention=convention

@@ -94,6 +94,11 @@ def test_usage_error_exit_2(tmp_path):
         ("cycles", "--xi", "-1"),
         ("stimuli", "--xi", "-2"),
         ("cycles", "--max-lag", "-1"),
+        ("reduced-chi", "--beta", "nan"),
+        ("stimuli", "--beta", "nan"),
+        ("stimuli", "--beta", "inf"),
+        ("ripple", "--shift", "nan"),
+        ("ripple", "--shift", "-inf"),
     ],
 )
 def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
@@ -133,6 +138,37 @@ def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
                   "--outdir", "o", cwd=tmp_path)
     assert_one_line_error(res)
     assert "series S.99 not in a 21-goods layout" in res.stderr
+
+
+def test_eigensolver_failure_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):
+    from panelresponse import cli
+
+    def wrong_eigh(a):  # eigenpairs that fail the residual check
+        return np.arange(a.shape[0], dtype=float), np.eye(a.shape[0])
+
+    monkeypatch.setattr(np.linalg, "eigh", wrong_eigh)
+    panel_path, _ = planted_csv
+    code = cli.main(["analyze", "--input", str(panel_path), "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("panelresponse: eigensolver residual"), err
+
+
+def test_import_loads_neither_scipy_nor_an_executor():
+    # import time is paid by every CLI call: the null imports its thread pool
+    # only when it runs, and nothing at run time needs scipy
+    code = (
+        "import sys, panelresponse; "
+        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_analyze_artifacts(planted_csv, tmp_path):

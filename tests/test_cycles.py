@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelresponse import (
     KSET_BUSINESS_CYCLES,
@@ -425,3 +427,25 @@ def test_phase_table_csv(planted_panel):
     assert lines[-1].startswith("average,")
     p20_row = lines[20].split(",")
     assert p20_row[0] == "20" and float(p20_row[1]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# property tests
+# ---------------------------------------------------------------------------
+
+
+@given(n=st.integers(2, 300), scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_dft_round_trip_property(n, scale, seed):
+    x = scale * np.random.default_rng(seed).standard_normal(n)
+    back = inverse_dft(dft(x))
+    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@given(
+    n=st.integers(1, 400),
+    width=st.integers(0, 399),
+    value=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+def test_moving_average_keeps_constants_property(n, width, value):
+    smoothed = moving_average(np.full(n, value), width % n).values
+    assert np.abs(smoothed - value).max() <= 1e-12 * abs(value)

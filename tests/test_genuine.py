@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelresponse import (
     CorrMatrix,
+    StandardizedPanel,
     correlation_matrix,
     default_mode_count,
     eigendecompose,
@@ -20,6 +23,16 @@ def test_zero_modes_gives_identity(planted_panel):
     assert np.array_equal(cg.values, np.eye(basis.m))
     assert cg.kind == "genuine"
     assert cg.n_modes == 0
+
+
+@given(m=st.integers(2, 10), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_all_modes_reproduces_raw_property(m, extra, seed):
+    x = np.random.default_rng(seed).standard_normal((m, m + 1 + extra))
+    c = correlation_matrix(StandardizedPanel.from_values(
+        (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    ))
+    cg = genuine_matrix(eigendecompose(c), m)
+    assert np.abs(cg.values - c.values).max() <= 1e-12
 
 
 def test_all_modes_reproduces_raw(planted_panel):

@@ -1,5 +1,7 @@
 import csv
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,13 +229,121 @@ def test_ensemble_independent_of_chunk_size(monkeypatch, mode):
         assert e.edge == results[0].edge
 
 
+def fixed_workers(monkeypatch, workers):
+    """Spread every null over ``workers`` threads (at most one per chunk)."""
+    monkeypatch.setattr(
+        nullmodel, "_worker_count", lambda sample_bytes, chunks: min(workers, chunks)
+    )
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 25])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["rotational", "complete"])
-def test_ensemble_rejects_destandardized_panel(mode):
+def test_ensemble_independent_of_worker_count(monkeypatch, mode, workers, per_chunk):
+    w = standardized_panel(6, 30, 3)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", per_chunk * w.values.nbytes)
+    fixed_workers(monkeypatch, workers)
+    assert_matches_oracle(w, mode, 11, seed=42)
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_threads_under_contention(monkeypatch, mode):
+    # more workers than cores, one sample per chunk and a short switch
+    # interval: a row written by the wrong worker, or lost, breaks equality
+    w = standardized_panel(5, 24, 8)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_matches_oracle(w, mode, 40, seed=6)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_policy():
+    small = 63 * 239 * 8
+    # a sample beyond one worker's budget: BLAS already threads its calls
+    assert nullmodel._worker_count(nullmodel._CHUNK_BYTES + 8, 100) == 1
+    assert nullmodel._worker_count(small, 1) == 1
+    assert 1 <= nullmodel._worker_count(small, 1250) <= 1250
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_failing_worker_stops_the_others(monkeypatch, mode):
+    # the first chunk checked fails; the other worker may finish the chunk
+    # it holds, but starts no further one of its 100
+    w = standardized_panel(4, 20, 5)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, 2)
+    lock, calls = threading.Lock(), []
+
+    def check(mean, mean_square):
+        with lock:
+            calls.append(len(mean))
+            first = len(calls) == 1
+        if first:
+            raise SchemaError("planted failure")
+
+    monkeypatch.setattr(nullmodel, "check_standardized", check)
+    interval = sys.getswitchinterval()
+    # a long interval keeps the failing worker on the GIL until it has
+    # signalled the others
+    sys.setswitchinterval(1.0)
+    try:
+        with pytest.raises(SchemaError, match="planted failure"):
+            null_ensemble(w, mode, 200, seed=0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_rejects_destandardized_panel(monkeypatch, mode):
     w = standardized_panel(4, 20, 5)
     # bypass the panel's own check, as a panel mutated after construction would
     object.__setattr__(w, "values", w.values * 2.0)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    for workers in (1, 2, 3):
+        fixed_workers(monkeypatch, workers)
+        with pytest.raises(SchemaError, match="std off one"):
+            null_ensemble(w, mode, 3, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_ensemble_moment_check_tolerance(mode):
+    # the null's check reads E[x^2] off the Gram diagonal; it must draw the
+    # line where StandardizedPanel does (_STD_TOL = 1e-10)
+    w = standardized_panel(5, 40, 2)
+    good = w.values
+    for off, ok in ((5e-11, True), (2e-10, False)):
+        values = good * (1.0 + off)
+        object.__setattr__(w, "values", values)
+        if ok:
+            StandardizedPanel.from_values(values)
+            null_ensemble(w, mode, 4, seed=1)
+        else:
+            with pytest.raises(SchemaError, match="std off one"):
+                StandardizedPanel.from_values(values)
+            with pytest.raises(SchemaError, match="std off one"):
+                null_ensemble(w, mode, 4, seed=1)
+
+
+def test_moment_check_tests_the_mean_first():
+    w = standardized_panel(3, 30, 4)
+    shifted = w.values * 3.0 + 1e-9  # both moments off: the mean is reported
+    object.__setattr__(w, "values", shifted)
+    with pytest.raises(SchemaError, match="mean off zero"):
+        StandardizedPanel.from_values(shifted)
+    with pytest.raises(SchemaError, match="mean off zero"):
+        null_ensemble(w, "rotational", 2, seed=0)
+
+
+def test_moment_check_rejects_nan():
+    values = standardized_panel(3, 10, 1).values.copy()
+    values[1, 4] = np.nan
     with pytest.raises(SchemaError):
-        null_ensemble(w, mode, 3, seed=0)
+        StandardizedPanel.from_values(values)
 
 
 def test_ensemble_single_sample(iid_panel):

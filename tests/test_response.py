@@ -20,6 +20,7 @@ from panelresponse import (
 from panelresponse.errors import (
     BadBeta,
     BadModeCount,
+    BadParameter,
     LayoutMismatch,
     UnknownSeries,
 )
@@ -79,6 +80,13 @@ def test_ripple_unknown_series(planted_panel):
     no_layout = CorrMatrix(values=np.eye(4), kind="raw")
     with pytest.raises(UnknownSeries):
         ripple(no_layout, SeriesId(Variable.PRODUCTION, 1), 1.0)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_ripple_rejects_non_finite_shift(shift):
+    cg = CorrMatrix(values=np.eye(3), kind="raw", n_goods=1)
+    with pytest.raises(BadParameter, match="shift must be finite"):
+        ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift)
 
 
 def test_ripple_matches_gaussian_regression(rng):
@@ -189,3 +197,10 @@ def test_reduced_argument_errors(planted_panel):
         reduced_susceptibility(c, basis, k=64)
     with pytest.raises(BadBeta):
         reduced_susceptibility(c, basis, k=2, beta=0.0)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_reduced_rejects_non_finite_beta(planted_panel, beta):
+    c = correlation_matrix(planted_panel)
+    with pytest.raises(BadBeta, match="positive and finite"):
+        reduced_susceptibility(c, eigendecompose(c), k=2, beta=beta)

@@ -25,6 +25,7 @@ from panelresponse import (
 from panelresponse.errors import (
     BadModeIndex,
     DimensionMismatch,
+    EigensolverFailure,
     EmptyInput,
     NotSymmetric,
     QOutOfRange,
@@ -106,6 +107,16 @@ def test_eigendecompose_residual_and_ortho(planted_panel):
     assert np.abs(basis.vectors.T @ basis.vectors - np.eye(m)).max() <= 1e-10
     resid = np.abs(c.values @ basis.vectors - basis.vectors * basis.eigenvalues).max()
     assert resid <= 1e-9 * m
+
+
+def test_eigendecompose_residual_failure_is_typed(planted_panel, monkeypatch):
+    c = correlation_matrix(planted_panel)
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a: (np.arange(a.shape[0], dtype=float), np.eye(a.shape[0]))
+    )
+    with pytest.raises(EigensolverFailure, match="eigensolver residual") as info:
+        eigendecompose(c)
+    assert isinstance(info.value, RuntimeError)  # the type it raised before
 
 
 def test_trace_constraint(iid_panel, ar1_panel, planted_panel):
