@@ -23,6 +23,18 @@ def open_text(target: str | Path | TextIO, mode: str = "r") -> Iterator[TextIO]:
             yield fh
 
 
+def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
+    """Write ``doc`` as JSON with one ``json.dumps`` and one write.
+
+    ``fmt`` is passed to ``json.dumps``.  The text equals what ``json.dump``
+    streams, but without ``indent`` it comes from the C encoder, where
+    ``json.dump`` always walks the document in Python.
+    """
+    text = json.dumps(doc, **fmt)
+    with open_text(target, "w") as fh:
+        fh.write(text)
+
+
 def read_json(source: str | Path | TextIO | dict) -> dict:
     """A JSON document from a path or stream; a dict is returned as is."""
     if isinstance(source, dict):

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from ._files import open_text
+from ._files import open_text, write_json
 from .cycles import (
     KSET_BUSINESS_CYCLES,
     KSET_LONG_PERIODS,
@@ -133,8 +133,7 @@ def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
     """A JSON artifact whose first key is its config."""
-    with open_text(path, "w") as fh:
-        json.dump({"config": config, **doc}, fh)
+    write_json(path, {"config": config, **doc})
 
 
 def _input(args) -> TextIO | str:
@@ -186,14 +185,13 @@ def _cmd_analyze(args, outdir: Path, config: dict) -> None:
         [[n + 1, repr(float(v))] for n, v in enumerate(lam)],
     )
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
-    _write_csv(
-        outdir / "eigenvectors.csv", config, ["mode", "series", "component"],
-        [
-            [n + 1, labels[i], repr(float(basis.vectors[i, n]))]
-            for n in range(basis.m)
-            for i in range(basis.m)
-        ],
-    )
+    with _artifact(outdir / "eigenvectors.csv", config) as fh:
+        # M^2 rows: one string, formatted from Python floats
+        fh.write("mode,series,component\n" + "".join(
+            f"{n},{label},{x!r}\n"
+            for n, vector in enumerate(basis.vectors.T.tolist(), 1)
+            for label, x in zip(labels, vector)
+        ))
     top = float(lam[0]) * 1.05
     hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
     _write_csv(
@@ -456,8 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "numpy": np.__version__,
             },
         }
-        with open_text(outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        write_json(outdir / "manifest.json", manifest, indent=2, sort_keys=True)
     except (PanelResponseError, OSError) as exc:
         print(f"panelresponse: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ threshold for retained eigenmodes.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._files import open_text, read_json
+from ._files import open_text, read_json, write_json
 from .errors import (
     BadConfidence,
     BadParameter,
@@ -198,8 +197,7 @@ class NullEnsemble:
             },
         }
         if target is not None:
-            with open_text(target, "w") as fh:
-                json.dump(doc, fh)
+            write_json(target, doc)
         return doc
 
     @classmethod
@@ -284,11 +282,13 @@ def null_ensemble(
 
         def gather(rngs):
             # flat indices into v, filled in place: stacking the permutations
-            # and take_along_axis measured ~20% slower at 300 x 1200
+            # and take_along_axis measured ~20% slower at 300 x 1200.
+            # permuted() shuffles row after row with the draws M calls of
+            # permutation(n) make, in one call that holds the GIL once
             flat = np.empty((len(rngs), m, n), dtype=np.intp)
+            flat[:] = np.arange(n)
             for k, rng in enumerate(rngs):
-                for i in range(m):
-                    flat[k, i] = rng.permutation(n)
+                rng.permuted(flat[k], axis=1, out=flat[k])
             flat += row_starts
             return v.take(flat)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO, Union
+from typing import Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -129,9 +130,13 @@ class SeriesId:
     @classmethod
     def parse(cls, text: str) -> "SeriesId":
         m = _SERIES_RE.match(text.strip())
-        if m is None:
+        try:
+            goods = int(m.group(2)) if m is not None else None
+        except ValueError:  # more digits than int() converts
+            goods = None
+        if goods is None:
             raise SchemaError(f"bad series id {text!r} (expected P.g, S.g, or I.g)")
-        return cls(Variable.from_code(m.group(1)), int(m.group(2)))
+        return cls(Variable.from_code(m.group(1)), goods)
 
 
 def canonical_ids(n_goods: int) -> tuple[SeriesId, ...]:
@@ -149,11 +154,17 @@ MonthLike = Union[str, np.datetime64]
 
 
 def parse_month(text: MonthLike) -> np.datetime64:
-    """Parse 'YYYY-MM' (or a full date, truncated) to month granularity."""
+    """Parse 'YYYY-MM' (or a full date, truncated) to month granularity.
+
+    An empty string or 'NaT', which numpy reads as not-a-time, is a bad date.
+    """
     try:
-        return np.datetime64(text, "M")
+        month = np.datetime64(text, "M")
     except ValueError as exc:
         raise SchemaError(f"bad date {text!r}: {exc}") from None
+    if np.isnat(month):
+        raise SchemaError(f"bad date {text!r}: not a month")
+    return month
 
 
 def parse_window(text: str) -> tuple[np.datetime64, np.datetime64]:
@@ -419,7 +430,7 @@ def load_panel(
     3 x G grid.  Lines starting with ``#`` are ignored.  Cells may be empty
     outside ``window``; inside the window an empty cell raises
     :class:`MissingData` and a non-positive level raises
-    :class:`NonPositiveLevel`.
+    :class:`NonPositiveLevel`.  Values are read with Python's ``float``.
 
     Parameters
     ----------
@@ -433,8 +444,11 @@ def load_panel(
         weights = load_weights(weights)
 
     with open_text(source) as fh:
-        rows = list(csv.reader(fh))
         name = str(getattr(fh, "name", "<stream>"))
+        try:
+            rows = list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{name}: unreadable CSV: {exc}") from None
     rows = [r for r in rows if not (r and r[0].startswith("#"))]
     if not rows:
         raise SchemaError(f"{name}: empty file")
@@ -453,70 +467,127 @@ def load_panel(
     if not col_ids:
         raise SchemaError(f"{name}: no series columns")
 
+    # distinct ids with goods in [1, G]: the grid is complete iff there are 3G
     n_goods = max(sid.goods for sid in col_ids)
-    expected = set(canonical_ids(n_goods))
-    if seen != expected:
-        missing = sorted(s.label for s in expected - seen)
-        raise SchemaError(f"{name}: incomplete series grid, missing {missing}")
+    if len(col_ids) != 3 * n_goods:
+        absent = 3 * n_goods - len(col_ids)
+        missing = list(itertools.islice(_missing_labels(seen, n_goods), _MISSING_SHOWN))
+        more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
+        raise SchemaError(f"{name}: incomplete series grid, missing {missing}{more}")
 
-    records: list[tuple[np.datetime64, list[float | None]]] = []
-    for raw in rows[1:]:
-        if not raw or not "".join(raw).strip():
-            continue
-        if len(raw) != len(header):
-            raise SchemaError(f"{name}: row has {len(raw)} cells, expected {len(header)}")
+    body = [r for r in rows[1:] if r and "".join(r).strip()]
+    if not body:
+        raise SchemaError(f"{name}: no data rows")
+    empty = None
+    try:
+        if any(len(r) != len(header) for r in body):
+            raise ValueError("ragged rows")
+        months = np.array([parse_month(r[0].strip()) for r in body], dtype="datetime64[M]")
+        cells = np.array([r[1:] for r in body], dtype=float)
+    except (SchemaError, ValueError):
+        # a ragged row, a bad date, a bad value or an empty cell: read cell
+        # by cell, which raises at the first bad one in file order
+        months, cells, empty = _read_cells(name, body, len(header), col_ids)
+
+    order = np.argsort(months)
+    months = months[order]
+    if window is not None:
+        lo, hi = parse_month(window[0]), parse_month(window[1])
+        keep = (months >= lo) & (months <= hi)
+        order, months = order[keep], months[keep]
+    if months.size < 3:
+        raise SchemaError(f"{name}: fewer than 3 months in window")
+    steps = np.diff(months.astype("int64"))
+    if np.any(steps == 0):
+        raise IrregularTimeAxis(f"{name}: duplicate months")
+    if np.any(steps != 1):
+        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
+
+    cells = cells[order]
+    bad = cells <= 0.0
+    if empty is not None:
+        empty = empty[order]
+        bad |= empty
+    if bad.any():
+        j, c = np.unravel_index(np.argmax(bad), bad.shape)
+        sid, month = col_ids[c], str(months[j])
+        if empty is not None and empty[j, c]:
+            raise MissingData(sid.label, month)
+        raise NonPositiveLevel(sid.label, month, float(cells[j, c]))
+
+    values = np.empty((3 * n_goods, months.size))
+    values[[sid.flat(n_goods) - 1 for sid in col_ids]] = cells.T
+    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+
+
+#: Missing series named in an incomplete-grid error; the rest are counted.
+_MISSING_SHOWN = 10
+
+
+def _missing_labels(seen: set[SeriesId], n_goods: int) -> Iterator[str]:
+    """Labels of the 3 x G grid absent from ``seen``, in sorted string order.
+
+    Lazy, so a header naming one huge goods index costs O(len(seen)) per
+    label taken, not O(G).
+    """
+    for alpha in sorted(Variable, key=lambda v: v.code):
+        for g in _decimal_order(n_goods):
+            sid = SeriesId(alpha, g)
+            if sid not in seen:
+                yield sid.label
+
+
+def _decimal_order(n: int) -> Iterator[int]:
+    """1..n in the sorted order of their decimal strings: 1, 10, 100, ..., 2, 20, ..."""
+    x = 1
+    for _ in range(n):
+        yield x
+        if x * 10 <= n:
+            x *= 10
+        else:
+            while x % 10 == 9 or x >= n:
+                x //= 10
+            x += 1
+
+
+def _read_cells(
+    name: str, body: list[list[str]], width: int, col_ids: Sequence[SeriesId]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Months, values and empty-cell mask of the data rows, read one cell at a time.
+
+    Raises at the first ragged row, bad date or bad value in file order;
+    an empty cell reads as NaN and is marked in the mask.
+    """
+    months = []
+    cells = np.empty((len(body), len(col_ids)))
+    empty = np.zeros(cells.shape, dtype=bool)
+    for j, raw in enumerate(body):
+        if len(raw) != width:
+            raise SchemaError(f"{name}: row has {len(raw)} cells, expected {width}")
         month = parse_month(raw[0].strip())
-        cells: list[float | None] = []
-        for sid, cell in zip(col_ids, raw[1:]):
+        for c, (sid, cell) in enumerate(zip(col_ids, raw[1:])):
             text = cell.strip()
             if not text:
-                cells.append(None)
+                empty[j, c] = True
+                cells[j, c] = np.nan
                 continue
             try:
-                cells.append(float(text))
+                cells[j, c] = float(text)
             except ValueError:
                 raise SchemaError(
                     f"{name}: bad value {cell!r} for {sid.label} at {month}"
                 ) from None
-        records.append((month, cells))
-
-    if not records:
-        raise SchemaError(f"{name}: no data rows")
-    records.sort(key=lambda r: r[0])
-    months = np.array([r[0] for r in records], dtype="datetime64[M]")
-    if window is not None:
-        lo, hi = parse_month(window[0]), parse_month(window[1])
-        keep = (months >= lo) & (months <= hi)
-        records = [r for r, k in zip(records, keep) if k]
-        months = months[keep]
-    if len(records) < 3:
-        raise SchemaError(f"{name}: fewer than 3 months in window")
-    if np.unique(months).size != months.size:
-        raise IrregularTimeAxis(f"{name}: duplicate months")
-    if np.any(np.diff(months.astype("int64")) != 1):
-        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
-
-    m = 3 * n_goods
-    values = np.empty((m, len(records)))
-    order = [sid.flat(n_goods) - 1 for sid in col_ids]
-    for j, (month, cells) in enumerate(records):
-        for row, sid, cell in zip(order, col_ids, cells):
-            if cell is None:
-                raise MissingData(sid.label, str(month))
-            if cell <= 0.0:
-                raise NonPositiveLevel(sid.label, str(month), cell)
-            values[row, j] = cell
-
-    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+        months.append(month)
+    return np.array(months, dtype="datetime64[M]"), cells, empty
 
 
 def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:
     """Write a panel back out in the `date,P.1,...` schema."""
     with open_text(target, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + [sid.label for sid in panel.ids])
-        for j, month in enumerate(panel.months):
-            writer.writerow([str(month)] + [repr(float(v)) for v in panel.values[:, j]])
+        fh.write("date," + ",".join(sid.label for sid in panel.ids) + "\n")
+        # one month per write: the whole text would be held on top of the panel
+        for month, column in zip(panel.months, panel.values.T):
+            fh.write(f"{month}," + ",".join(map(repr, column.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------

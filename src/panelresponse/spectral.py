@@ -15,7 +15,6 @@ are candidates for genuine correlation structure.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._files import open_text, read_json
+from ._files import open_text, read_json, write_json
 from .errors import (
     BadModeIndex,
     DimensionMismatch,
@@ -320,15 +319,13 @@ def eigenvalue_histogram(
 
 def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     """Row-major CSV with a two-line header carrying kind and dimensions."""
+    goods = "" if c.n_goods is None else c.n_goods
+    k = "" if c.n_modes is None else c.n_modes
+    text = f"kind,m,goods,k\n{c.kind},{c.m},{goods},{k}\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in c.values.tolist()
+    )
     with open_text(target, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "m", "goods", "k"])
-        writer.writerow(
-            [c.kind, c.m, "" if c.n_goods is None else c.n_goods,
-             "" if c.n_modes is None else c.n_modes]
-        )
-        for row in c.values:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(text)
 
 
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
@@ -338,14 +335,20 @@ def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
     if len(rows) < 3 or rows[0][:2] != ["kind", "m"]:
         raise SchemaError("not a correlation-matrix CSV")
     head = dict(zip(rows[0], rows[1]))
-    m = int(head["m"])
-    values = np.array([[float(x) for x in row] for row in rows[2: 2 + m]])
-    return CorrMatrix(
-        values=values,
-        kind=head["kind"],
-        n_goods=int(head["goods"]) if head.get("goods") else None,
-        n_modes=int(head["k"]) if head.get("k") else None,
-    )
+    try:
+        m = int(head["m"])
+        n_goods = int(head["goods"]) if head.get("goods") else None
+        n_modes = int(head["k"]) if head.get("k") else None
+    except (KeyError, ValueError):
+        raise SchemaError(f"bad correlation-matrix header {rows[1]!r}") from None
+    body = rows[2: 2 + m]
+    if len(body) != m or any(len(row) != m for row in body):
+        raise SchemaError(f"correlation-matrix body is not {m} x {m}")
+    try:
+        values = np.array(body, dtype=float)
+    except ValueError as exc:
+        raise SchemaError(f"bad correlation-matrix cell: {exc}") from None
+    return CorrMatrix(values=values, kind=head["kind"], n_goods=n_goods, n_modes=n_modes)
 
 
 def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> dict:
@@ -357,8 +360,7 @@ def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> di
         "values": c.values.tolist(),
     }
     if target is not None:
-        with open_text(target, "w") as fh:
-            json.dump(doc, fh)
+        write_json(target, doc)
     return doc
 
 
@@ -382,8 +384,7 @@ def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> di
         "eigenvectors": b.vectors.tolist(),
     }
     if target is not None:
-        with open_text(target, "w") as fh:
-            json.dump(doc, fh)
+        write_json(target, doc)
     return doc
 
 

@@ -14,14 +14,13 @@ re-standardized after generation, so targets are approximate by design.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from ._files import open_text, read_json
+from ._files import read_json, write_json
 from .errors import BadParameter, DegenerateSeries, InfeasibleSpec, PanelResponseError
 from .panel import Panel, StandardizedPanel, canonical_ids, parse_month
 
@@ -260,8 +259,7 @@ def spec_to_json(spec: SynthSpec, target: str | Path | TextIO | None = None) -> 
         "modes": modes,
     }
     if target is not None:
-        with open_text(target, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        write_json(target, doc, indent=2)
     return doc
 
 

@@ -7,9 +7,30 @@ package against itself.
 
 from __future__ import annotations
 
+import csv
 from decimal import Decimal, getcontext
+from pathlib import Path
+from typing import Mapping, TextIO
 
 import numpy as np
+
+from panelresponse._files import open_text
+from panelresponse.errors import (
+    DuplicateSeries,
+    IrregularTimeAxis,
+    MissingData,
+    NonPositiveLevel,
+    SchemaError,
+)
+from panelresponse.panel import (
+    MonthLike,
+    Panel,
+    SeriesId,
+    canonical_ids,
+    load_weights,
+    parse_month,
+    parse_window,
+)
 
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur reference (high-precision closed form + numeric CDF)
@@ -172,6 +193,105 @@ def explicit_null_ensemble(w, mode: str, samples: int, seed: int):
         lambda_max[s] = eigs[-1]
         pooled[s] = eigs[::-1]
     return lambda_max, pooled, upper_edge_values(lambda_max, 0.95)
+
+
+# ---------------------------------------------------------------------------
+# panel-ingest oracle
+# ---------------------------------------------------------------------------
+
+
+def explicit_load_panel(
+    source: str | Path | TextIO,
+    window: tuple[MonthLike, MonthLike] | str | None = None,
+    weights: Mapping[int, float] | str | Path | None = None,
+) -> Panel:
+    """The per-cell loader the vectorised ``load_panel`` replaces, verbatim.
+
+    Two loops over the cells: one converts each with ``float`` (empty ->
+    None), one checks each in (sorted month, header column) order.
+    """
+    if isinstance(window, str):
+        window = parse_window(window)
+    if isinstance(weights, (str, Path)):
+        weights = load_weights(weights)
+
+    with open_text(source) as fh:
+        rows = list(csv.reader(fh))
+        name = str(getattr(fh, "name", "<stream>"))
+    rows = [r for r in rows if not (r and r[0].startswith("#"))]
+    if not rows:
+        raise SchemaError(f"{name}: empty file")
+
+    header = [c.strip() for c in rows[0]]
+    if not header or header[0].lower() != "date":
+        raise SchemaError(f"{name}: first column must be 'date'")
+    col_ids = []
+    seen: set[SeriesId] = set()
+    for cell in header[1:]:
+        sid = SeriesId.parse(cell)
+        if sid in seen:
+            raise DuplicateSeries(f"duplicate series {sid.label}")
+        seen.add(sid)
+        col_ids.append(sid)
+    if not col_ids:
+        raise SchemaError(f"{name}: no series columns")
+
+    n_goods = max(sid.goods for sid in col_ids)
+    expected = set(canonical_ids(n_goods))
+    if seen != expected:
+        missing = sorted(s.label for s in expected - seen)
+        raise SchemaError(f"{name}: incomplete series grid, missing {missing}")
+
+    records: list[tuple[np.datetime64, list[float | None]]] = []
+    for raw in rows[1:]:
+        if not raw or not "".join(raw).strip():
+            continue
+        if len(raw) != len(header):
+            raise SchemaError(f"{name}: row has {len(raw)} cells, expected {len(header)}")
+        month = parse_month(raw[0].strip())
+        cells: list[float | None] = []
+        for sid, cell in zip(col_ids, raw[1:]):
+            text = cell.strip()
+            if not text:
+                cells.append(None)
+                continue
+            try:
+                cells.append(float(text))
+            except ValueError:
+                raise SchemaError(
+                    f"{name}: bad value {cell!r} for {sid.label} at {month}"
+                ) from None
+        records.append((month, cells))
+
+    if not records:
+        raise SchemaError(f"{name}: no data rows")
+    records.sort(key=lambda r: r[0])
+    months = np.array([r[0] for r in records], dtype="datetime64[M]")
+    if window is not None:
+        lo, hi = parse_month(window[0]), parse_month(window[1])
+        keep = (months >= lo) & (months <= hi)
+        records = [r for r, k in zip(records, keep) if k]
+        months = months[keep]
+    if len(records) < 3:
+        raise SchemaError(f"{name}: fewer than 3 months in window")
+    if np.unique(months).size != months.size:
+        raise IrregularTimeAxis(f"{name}: duplicate months")
+    if np.any(np.diff(months.astype("int64")) != 1):
+        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
+
+    m = 3 * n_goods
+    values = np.empty((m, len(records)))
+    order = [sid.flat(n_goods) - 1 for sid in col_ids]
+    for j, (month, cells) in enumerate(records):
+        for row, sid, cell in zip(order, col_ids, cells):
+            if cell is None:
+                raise MissingData(sid.label, str(month))
+            if cell <= 0.0:
+                raise NonPositiveLevel(sid.label, str(month), cell)
+            values[row, j] = cell
+
+    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+
 
 
 # ---------------------------------------------------------------------------

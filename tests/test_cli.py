@@ -171,6 +171,25 @@ def test_import_loads_neither_scipy_nor_an_executor():
     assert res.stdout.strip() == "[]"
 
 
+def test_analyze_never_imports_numpy_ma(planted_csv, tmp_path):
+    # numpy.ma costs 15-21 ms of import in a fresh process, and np.unique
+    # imports it on first use
+    panel_path, _ = planted_csv
+    code = (
+        "import sys; from panelresponse.cli import main; "
+        f"main(['analyze', '--input', {str(panel_path)!r}, '--outdir', 'o']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_analyze_artifacts(planted_csv, tmp_path):
     panel_path, _ = planted_csv
     res = run_cli("analyze", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)

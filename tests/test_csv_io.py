@@ -1,0 +1,283 @@
+"""Panel ingest against its per-cell oracle, CSV fuzzing, and exact round trips."""
+
+import csv
+import io
+import itertools
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from panelresponse import (
+    Panel,
+    canonical_ids,
+    corr_from_csv,
+    corr_to_csv,
+    correlation_matrix,
+    eigendecompose,
+    genuine_matrix,
+    load_panel,
+    parse_month,
+    write_panel_csv,
+)
+from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
+from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
+
+from oracles import explicit_load_panel, month_list
+
+
+def csv_writer_text(rows) -> str:
+    """Rows rendered by ``csv.writer``, the form every CSV artifact has kept."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def outcome(loader, text, window):
+    """('ok', months, values, ids) or ('error', type, message)."""
+    try:
+        panel = loader(io.StringIO(text), window=window)
+    except PanelResponseError as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", panel.months.tolist(), panel.values.tolist(), panel.ids)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised loader against the per-cell oracle
+# ---------------------------------------------------------------------------
+
+GOOD_CELLS = ["1.5", "2", "100.25", "7e2", "1_0", "١٢", "\xa03\xa0", " 2 ", '"4.5"']
+# cells that convert but are missing, non-positive or not finite
+ODD_CELLS = ["", " ", "0", "-1.5", "-0", "-inf", "nan", "inf", "1e400"]
+DATE_CELLS = ["", "NaT", "1988-13", "x", "1988-01-15", " 1988-02 "]
+DEFECTS = ["bad token", "bad date", "ragged row", "duplicate month", "gap"]
+
+
+@st.composite
+def panel_texts(draw):
+    """Small panel CSVs: valid, with odd cells, or broken in up to two ways."""
+    g = draw(st.integers(1, 2))
+    labels = draw(st.permutations([sid.label for sid in canonical_ids(g)]))
+    edit = draw(st.sampled_from([None] * 6 + ["drop", "duplicate", "bad id"]))
+    if edit == "drop":
+        labels = labels[:-1]
+    elif edit == "duplicate":
+        labels = labels + labels[:1]
+    elif edit == "bad id":
+        labels = labels[:-1] + ["X.1"]
+    n = draw(st.integers(1, 7))
+    months = month_list(draw(st.sampled_from(["1987-11", "1999-12"])), n)
+    odd = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+    table = [
+        [draw(st.sampled_from(ODD_CELLS if draw(st.floats(0, 1)) < odd else GOOD_CELLS))
+         for _ in labels]
+        for _ in months
+    ]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        j = draw(st.integers(0, n - 1))
+        if defect == "bad token":
+            table[j][draw(st.integers(0, len(labels) - 1))] = draw(
+                st.sampled_from(["x", "1__0", "0x1"]))
+        elif defect == "bad date":
+            months[j] = draw(st.sampled_from(DATE_CELLS))
+        elif defect == "ragged row":
+            table[j] = table[j][:-1] if draw(st.booleans()) else table[j] + ["1"]
+        else:
+            months[j] = months[max(j - 1, 0)] if defect == "duplicate month" else "2003-05"
+    rows = draw(st.permutations([",".join([m] + cells) for m, cells in zip(months, table)]))
+    for extra in draw(st.lists(st.sampled_from(["# note", "", ",,", "  "]), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    header = draw(st.sampled_from(["date", "Date", " date "]))
+    return "\n".join([",".join([header] + labels)] + rows) + "\n"
+
+
+windows = st.one_of(
+    st.none(),
+    st.sampled_from(["1987-12:1988-04", "1988-01:1988-03", "1999-12:2000-06"]),
+    st.just(("1987-11", "1988-02")),
+)
+
+
+def test_load_panel_matches_per_cell_oracle():
+    reached = set()
+
+    @settings(max_examples=400)
+    @given(panel_texts(), windows)
+    def check(text, window):
+        new = outcome(load_panel, text, window)
+        assert new == outcome(explicit_load_panel, text, window)
+        reached.add("ok" if new[0] == "ok" else new[1].__name__)
+        if new[0] == "error" and new[1] is SchemaError:
+            reached.update(k for k in ("bad value", "bad date", "row has") if k in new[2])
+
+    check()
+    # the comparison means little unless panels load and fail in every way
+    assert reached >= {
+        "ok", "MissingData", "NonPositiveLevel", "IrregularTimeAxis", "DuplicateSeries",
+        "SchemaError", "bad value", "bad date", "row has",
+    }
+
+
+def test_first_bad_cell_is_first_in_month_then_column_order():
+    # I.1 in February comes before S.1 in March, though S.1 is the earlier
+    # series and column
+    text = "date,P.1,S.1,I.1\n1988-03,1,,1\n1988-01,1,1,1\n1988-02,1,1,0\n"
+    with pytest.raises(NonPositiveLevel) as exc:
+        load_panel(io.StringIO(text))
+    assert (exc.value.series, exc.value.date, exc.value.value) == ("I.1", "1988-02", 0.0)
+    with pytest.raises(MissingData, match="S.1 at 1988-03"):
+        load_panel(io.StringIO(text.replace(",0\n", ",1\n")))
+
+
+def test_empty_date_cell_is_a_bad_date():
+    text = "date,P.1,S.1,I.1\n1988-01,1,1,1\n,1,1,1\n1988-02,1,1,1\n1988-03,1,1,1\n"
+    with pytest.raises(SchemaError, match="bad date ''"):
+        load_panel(io.StringIO(text), window="1988-01:1988-03")
+    with pytest.raises(SchemaError, match="bad date 'NaT'"):
+        parse_month("NaT")
+
+
+# ---------------------------------------------------------------------------
+# the header check is bounded by the header, not by the goods index it names
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("header, goods", [("date,P.12", 12), ("date,S.3,P.1", 3)])
+def test_incomplete_grid_names_the_first_ten_sorted_labels(header, goods):
+    text = header + "\n1988-01,1\n"
+    columns = header.count(",")
+    expected = sorted(sid.label for sid in canonical_ids(goods))
+    expected = [label for label in expected if label not in header.split(",")]
+    with pytest.raises(SchemaError) as exc:
+        load_panel(io.StringIO(text))
+    more = 3 * goods - columns - 10
+    tail = f" and {more} more" if more > 0 else ""
+    assert str(exc.value) == f"<stream>: incomplete series grid, missing {expected[:10]}{tail}"
+
+
+def test_huge_goods_index_fails_fast():
+    # a loader that builds the whole grid takes seconds on this header and
+    # lists all 299,999 missing labels; a larger index grows both without bound
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as exc:
+        load_panel(io.StringIO("date,P.100000\n1988-01,1\n"))
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value).endswith(" and 299989 more")
+    assert len(str(exc.value)) < 300
+
+
+def test_decimal_order_is_sorted_string_order():
+    for n in range(1, 300):
+        assert list(_decimal_order(n)) == sorted(range(1, n + 1), key=str)
+    huge = 100_000_000
+    assert list(itertools.islice(_missing_labels({SeriesId(1, huge)}, huge), 3)) == [
+        "I.1", "I.10", "I.100"]
+
+
+def test_series_id_with_too_many_digits_is_a_schema_error():
+    with pytest.raises(SchemaError, match="bad series id"):
+        load_panel(io.StringIO("date,P." + "9" * 5000 + "\n"))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every failure is a PanelResponseError
+# ---------------------------------------------------------------------------
+
+FUZZ_ALPHABET = list('date,PSI.0123456789-#\n\r" e+nai_x\x00\xa0١\t')
+
+
+@given(
+    st.one_of(
+        st.text(FUZZ_ALPHABET, max_size=120),
+        st.text(FUZZ_ALPHABET, max_size=120).map(lambda t: "date,P.1,S.1,I.1\n" + t),
+        st.text(FUZZ_ALPHABET, max_size=120).map(
+            lambda t: "date,P.1,S.1,I.1\n1988-01,1,2,3\n1988-02,2,3,4\n" + t),
+    ),
+    windows,
+)
+def test_load_panel_raises_only_panelresponse_errors(text, window):
+    try:
+        panel = load_panel(io.StringIO(text), window=window)
+    except PanelResponseError:
+        return
+    assert isinstance(panel, Panel)
+
+
+def test_undecodable_file_is_a_schema_error(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"date,P.1,S.1,I.1\n1988-01,\xff\xfe,1,1\n")
+    with pytest.raises(SchemaError, match="unreadable CSV"):
+        load_panel(path)
+
+
+# ---------------------------------------------------------------------------
+# exact round trips, in the bytes csv.writer gave
+# ---------------------------------------------------------------------------
+
+levels = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(3, 12),
+    st.sampled_from(["1988-01", "1999-11", "0001-01", "9999-10"]),
+    st.data(),
+)
+def test_write_panel_csv_load_panel_round_trip(g, n, start, data):
+    values = np.array(data.draw(st.lists(levels, min_size=3 * g * n, max_size=3 * g * n)))
+    panel = Panel(
+        months=parse_month(start) + np.arange(n),
+        values=values.reshape(3 * g, n),
+        ids=canonical_ids(g),
+    )
+    buf = io.StringIO()
+    write_panel_csv(panel, buf)
+    assert buf.getvalue() == csv_writer_text(
+        [["date"] + [sid.label for sid in panel.ids]]
+        + [[str(m)] + [repr(float(v)) for v in panel.values[:, j]]
+           for j, m in enumerate(panel.months)]
+    )
+    back = load_panel(io.StringIO(buf.getvalue()))
+    assert np.array_equal(back.values, panel.values)
+    assert np.array_equal(back.months, panel.months)
+    assert back.ids == panel.ids
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_corr_to_csv_corr_from_csv_round_trip(g, seed, data):
+    m = 3 * g
+    x = np.random.default_rng(seed).standard_normal((m, 4 * m))
+    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    raw = correlation_matrix(StandardizedPanel.from_values(x))
+    c = raw if data.draw(st.booleans()) else genuine_matrix(
+        eigendecompose(raw), data.draw(st.integers(0, m)))
+    buf = io.StringIO()
+    corr_to_csv(c, buf)
+    assert buf.getvalue() == csv_writer_text(
+        [["kind", "m", "goods", "k"],
+         [c.kind, c.m, "" if c.n_goods is None else c.n_goods,
+          "" if c.n_modes is None else c.n_modes]]
+        + [[repr(float(v)) for v in row] for row in c.values]
+    )
+    back = corr_from_csv(io.StringIO(buf.getvalue()))
+    assert np.array_equal(back.values, c.values)
+    assert (back.kind, back.n_goods, back.n_modes) == (c.kind, c.n_goods, c.n_modes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind,m,goods,k\nraw,2,,\n1.0,0.5\n0.5\n",  # ragged row
+        "kind,m,goods,k\nraw,2,,\n1.0,0.5\n0.5,one\n",  # non-numeric cell
+        "kind,m,goods,k\nraw,2.0,,\n1.0,0.5\n0.5,1.0\n",  # non-integer m
+        "kind,m,goods,k\nraw,x,,\n1.0,0.5\n0.5,1.0\n",  # non-numeric m
+        "kind,m,goods,k\nraw\n1.0,0.5\n0.5,1.0\n",  # header row without m
+        "kind,m,goods,k\nraw,3,,\n1.0,0.5\n0.5,1.0\n",  # fewer rows than m
+        "kind,m,goods,k\nraw,2,one,\n1.0,0.5\n0.5,1.0\n",  # non-integer goods
+    ],
+)
+def test_corr_from_csv_malformed_is_a_schema_error(text):
+    with pytest.raises(SchemaError):
+        corr_from_csv(io.StringIO(text))
