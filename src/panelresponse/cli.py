@@ -186,12 +186,12 @@ def _cmd_analyze(args, outdir: Path, config: dict) -> None:
     )
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
     with _artifact(outdir / "eigenvectors.csv", config) as fh:
-        # M^2 rows: one string, formatted from Python floats
-        fh.write("mode,series,component\n" + "".join(
-            f"{n},{label},{x!r}\n"
-            for n, vector in enumerate(basis.vectors.T.tolist(), 1)
-            for label, x in zip(labels, vector)
-        ))
+        fh.write("mode,series,component\n")
+        # M^2 rows: one string per mode, not the whole file's text at once
+        for n, vector in enumerate(basis.vectors.T, 1):
+            fh.write("".join(
+                f"{n},{label},{x!r}\n" for label, x in zip(labels, vector.tolist())
+            ))
     top = float(lam[0]) * 1.05
     hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
     _write_csv(

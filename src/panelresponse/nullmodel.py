@@ -212,14 +212,6 @@ class NullEnsemble:
             edge=edge,
         )
 
-    def histogram(self, bins: int = 50, value_range: tuple[float, float] | None = None):
-        """Normalized histogram of the pooled eigenvalue spectrum."""
-        from .spectral import eigenvalue_histogram
-
-        if self.pooled is None:
-            raise EmptyEnsemble("ensemble carries no pooled eigenvalues")
-        return eigenvalue_histogram(self.pooled.ravel(), bins, value_range)
-
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
@@ -278,19 +270,14 @@ def null_ensemble(
             taus = np.stack([rng.integers(0, n, size=m) for rng in rngs])
             return windows[rows, (n - taus) % n]
     else:
-        row_starts = np.arange(0, m * n, n)[:, np.newaxis]
-
         def gather(rngs):
-            # flat indices into v, filled in place: stacking the permutations
-            # and take_along_axis measured ~20% slower at 300 x 1200.
-            # permuted() shuffles row after row with the draws M calls of
-            # permutation(n) make, in one call that holds the GIL once
-            flat = np.empty((len(rngs), m, n), dtype=np.intp)
-            flat[:] = np.arange(n)
+            # permuted() copies v into x[k] and shuffles each row there, with
+            # the draws M calls of permutation(n) make, in one call that holds
+            # the GIL once; it swaps the values as it would swap arange(n)
+            x = np.empty((len(rngs), m, n))
             for k, rng in enumerate(rngs):
-                rng.permuted(flat[k], axis=1, out=flat[k])
-            flat += row_starts
-            return v.take(flat)
+                rng.permuted(v, axis=1, out=x[k])
+            return x
 
     pooled = np.empty((samples, m)) if keep_pooled else None
     lambda_max = np.empty(samples)

@@ -34,6 +34,7 @@ from .errors import (
     MissingData,
     MissingWeight,
     NonPositiveLevel,
+    PanelResponseError,
     SchemaError,
 )
 
@@ -152,18 +153,30 @@ def canonical_ids(n_goods: int) -> tuple[SeriesId, ...]:
 
 MonthLike = Union[str, np.datetime64]
 
+_MONTH_RE = re.compile(r"[0-9]{4,}-[0-9]{2}")
+
 
 def parse_month(text: MonthLike) -> np.datetime64:
-    """Parse 'YYYY-MM' (or a full date, truncated) to month granularity.
+    """Parse a 'YYYY-MM' string, or a datetime64 truncated, to month granularity.
 
-    An empty string or 'NaT', which numpy reads as not-a-time, is a bad date.
+    Surrounding whitespace is ignored.  Any other string is a bad date,
+    including the 'today', 'now' and 'NaT' numpy would read, and a year
+    too large for numpy to hold (it would wrap).  Years past 9999 keep
+    their extra digits, as ``str`` of such a month writes them.
     """
+    value = text
+    if isinstance(text, str):
+        value = text.strip()
+        if not _MONTH_RE.fullmatch(value):
+            raise SchemaError(f"bad date {text!r}: expected YYYY-MM")
     try:
-        month = np.datetime64(text, "M")
+        month = np.datetime64(value, "M")
     except ValueError as exc:
         raise SchemaError(f"bad date {text!r}: {exc}") from None
     if np.isnat(month):
         raise SchemaError(f"bad date {text!r}: not a month")
+    if isinstance(value, str) and str(month) != value:
+        raise SchemaError(f"bad date {text!r}: year out of range")
     return month
 
 
@@ -397,23 +410,26 @@ class StandardizedPanel:
 def load_weights(path: str | Path) -> dict[int, float]:
     """Read a `goods,weight` CSV into a dict keyed by goods index."""
     weights: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["goods", "weight"]:
-            raise SchemaError(f"{path}: expected header 'goods,weight'")
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                g, w = int(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise SchemaError(f"{path}: bad weights row {row!r}") from None
-            if g in weights:
-                raise SchemaError(f"{path}: duplicate weight for goods {g}")
-            if w < 0:
-                raise SchemaError(f"{path}: negative weight for goods {g}")
-            weights[g] = w
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header[:2]] != ["goods", "weight"]:
+                raise SchemaError(f"{path}: expected header 'goods,weight'")
+            for row in reader:
+                if not row or not "".join(row).strip():
+                    continue
+                try:
+                    g, w = int(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    raise SchemaError(f"{path}: bad weights row {row!r}") from None
+                if g in weights:
+                    raise SchemaError(f"{path}: duplicate weight for goods {g}")
+                if w < 0:
+                    raise SchemaError(f"{path}: negative weight for goods {g}")
+                weights[g] = w
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
     return weights
 
 
@@ -432,6 +448,9 @@ def load_panel(
     :class:`MissingData` and a non-positive level raises
     :class:`NonPositiveLevel`.  Values are read with Python's ``float``.
 
+    The file is read one row at a time, and only rows inside the window are
+    kept, so besides the result only one row of text is held at once.
+
     Parameters
     ----------
     source : path or open text file
@@ -440,20 +459,97 @@ def load_panel(
     """
     if isinstance(window, str):
         window = parse_window(window)
+    elif window is not None:
+        window = parse_month(window[0]), parse_month(window[1])
     if isinstance(weights, (str, Path)):
         weights = load_weights(weights)
 
     with open_text(source) as fh:
         name = str(getattr(fh, "name", "<stream>"))
+        rows = _csv_rows(fh, name)
         try:
-            rows = list(csv.reader(fh))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{name}: unreadable CSV: {exc}") from None
-    rows = [r for r in rows if not (r and r[0].startswith("#"))]
-    if not rows:
-        raise SchemaError(f"{name}: empty file")
+            col_ids, months, cells, blanks = _read_rows(name, rows, window)
+        except PanelResponseError:
+            # an unreadable byte anywhere in the file is reported first, as
+            # when the whole file was read before any check
+            for _ in rows:
+                pass
+            raise
 
-    header = [c.strip() for c in rows[0]]
+    n_goods = len(col_ids) // 3
+    order = np.argsort(months)
+    months = months[order]
+    if window is not None:
+        keep = (months >= window[0]) & (months <= window[1])
+        order, months = order[keep], months[keep]
+    if months.size < 3:
+        raise SchemaError(f"{name}: fewer than 3 months in window")
+    steps = np.diff(months.astype("int64"))
+    if np.any(steps == 0):
+        raise IrregularTimeAxis(f"{name}: duplicate months")
+    if np.any(steps != 1):
+        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
+
+    # one row per header column; the file's rows are freed here, so at most
+    # two copies of the values are alive at once
+    values = np.stack([cells[i] for i in order], axis=1)
+    del cells
+    bad = values <= 0.0
+    blank = None
+    if blanks:
+        blank = np.zeros(values.shape, dtype=bool)
+        for j, i in enumerate(order.tolist()):
+            if i in blanks:
+                blank[:, j] = blanks[i]
+        bad |= blank
+    if bad.any():
+        # the first bad cell in (month, header column) order
+        j, c = np.unravel_index(np.argmax(bad.T), bad.T.shape)
+        sid, month = col_ids[c], str(months[j])
+        if blank is not None and blank[c, j]:
+            raise MissingData(sid.label, month)
+        raise NonPositiveLevel(sid.label, month, float(values[c, j]))
+    canonical = np.argsort([sid.flat(n_goods) for sid in col_ids])
+    if np.any(canonical != np.arange(canonical.size)):
+        values = values[canonical]
+    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+
+
+#: Missing series named in an incomplete-grid error; the rest are counted.
+_MISSING_SHOWN = 10
+
+
+def _csv_rows(fh: TextIO, name: str) -> Iterator[list[str]]:
+    """The rows of a CSV stream that are not ``#`` comments, one at a time.
+
+    A stream that does not decode or parse raises :class:`SchemaError`.
+    """
+    try:
+        for row in csv.reader(fh):
+            if not (row and row[0].startswith("#")):
+                yield row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{name}: unreadable CSV: {exc}") from None
+
+
+def _read_rows(
+    name: str,
+    rows: Iterator[list[str]],
+    window: tuple[np.datetime64, np.datetime64] | None,
+) -> tuple[list[SeriesId], np.ndarray, list[np.ndarray | None], dict[int, np.ndarray]]:
+    """Header ids, months, cells and blank-cell masks of a panel's rows.
+
+    ``cells`` holds one float array per data row in file order (None for a
+    row outside ``window``), and ``blanks`` the empty-cell mask of each
+    kept row that has an empty cell; both are in header column order.
+    Every row is checked.  Each is converted with one numpy call; a row
+    that call rejects is read cell by cell, which raises at its first bad
+    cell, so the first error in file order is raised.
+    """
+    header = next(rows, None)
+    if header is None:
+        raise SchemaError(f"{name}: empty file")
+    header = [c.strip() for c in header]
     if not header or header[0].lower() != "date":
         raise SchemaError(f"{name}: first column must be 'date'")
     col_ids = []
@@ -475,53 +571,31 @@ def load_panel(
         more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
         raise SchemaError(f"{name}: incomplete series grid, missing {missing}{more}")
 
-    body = [r for r in rows[1:] if r and "".join(r).strip()]
-    if not body:
+    width = len(header)
+    months: list[np.datetime64] = []
+    cells: list[np.ndarray | None] = []
+    blanks: dict[int, np.ndarray] = {}
+    for raw in rows:
+        if not raw or not "".join(raw).strip():
+            continue
+        if len(raw) != width:
+            raise SchemaError(f"{name}: row has {len(raw)} cells, expected {width}")
+        month = parse_month(raw[0].strip())
+        try:
+            row, blank = np.array(raw[1:], dtype=float), None
+        except ValueError:
+            # a bad value or an empty cell
+            row, blank = _read_cells(name, raw[1:], month, col_ids)
+        months.append(month)
+        if window is not None and not window[0] <= month <= window[1]:
+            cells.append(None)
+            continue
+        if blank is not None and blank.any():
+            blanks[len(cells)] = blank
+        cells.append(row)
+    if not cells:
         raise SchemaError(f"{name}: no data rows")
-    empty = None
-    try:
-        if any(len(r) != len(header) for r in body):
-            raise ValueError("ragged rows")
-        months = np.array([parse_month(r[0].strip()) for r in body], dtype="datetime64[M]")
-        cells = np.array([r[1:] for r in body], dtype=float)
-    except (SchemaError, ValueError):
-        # a ragged row, a bad date, a bad value or an empty cell: read cell
-        # by cell, which raises at the first bad one in file order
-        months, cells, empty = _read_cells(name, body, len(header), col_ids)
-
-    order = np.argsort(months)
-    months = months[order]
-    if window is not None:
-        lo, hi = parse_month(window[0]), parse_month(window[1])
-        keep = (months >= lo) & (months <= hi)
-        order, months = order[keep], months[keep]
-    if months.size < 3:
-        raise SchemaError(f"{name}: fewer than 3 months in window")
-    steps = np.diff(months.astype("int64"))
-    if np.any(steps == 0):
-        raise IrregularTimeAxis(f"{name}: duplicate months")
-    if np.any(steps != 1):
-        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
-
-    cells = cells[order]
-    bad = cells <= 0.0
-    if empty is not None:
-        empty = empty[order]
-        bad |= empty
-    if bad.any():
-        j, c = np.unravel_index(np.argmax(bad), bad.shape)
-        sid, month = col_ids[c], str(months[j])
-        if empty is not None and empty[j, c]:
-            raise MissingData(sid.label, month)
-        raise NonPositiveLevel(sid.label, month, float(cells[j, c]))
-
-    values = np.empty((3 * n_goods, months.size))
-    values[[sid.flat(n_goods) - 1 for sid in col_ids]] = cells.T
-    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
-
-
-#: Missing series named in an incomplete-grid error; the rest are counted.
-_MISSING_SHOWN = 10
+    return col_ids, np.array(months, dtype="datetime64[M]"), cells, blanks
 
 
 def _missing_labels(seen: set[SeriesId], n_goods: int) -> Iterator[str]:
@@ -551,34 +625,28 @@ def _decimal_order(n: int) -> Iterator[int]:
 
 
 def _read_cells(
-    name: str, body: list[list[str]], width: int, col_ids: Sequence[SeriesId]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Months, values and empty-cell mask of the data rows, read one cell at a time.
+    name: str, raw: list[str], month: np.datetime64, col_ids: Sequence[SeriesId]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and empty-cell mask of one data row, read one cell at a time.
 
-    Raises at the first ragged row, bad date or bad value in file order;
-    an empty cell reads as NaN and is marked in the mask.
+    Raises at the row's first bad value; an empty cell reads as NaN and is
+    marked in the mask.
     """
-    months = []
-    cells = np.empty((len(body), len(col_ids)))
+    cells = np.empty(len(col_ids))
     empty = np.zeros(cells.shape, dtype=bool)
-    for j, raw in enumerate(body):
-        if len(raw) != width:
-            raise SchemaError(f"{name}: row has {len(raw)} cells, expected {width}")
-        month = parse_month(raw[0].strip())
-        for c, (sid, cell) in enumerate(zip(col_ids, raw[1:])):
-            text = cell.strip()
-            if not text:
-                empty[j, c] = True
-                cells[j, c] = np.nan
-                continue
-            try:
-                cells[j, c] = float(text)
-            except ValueError:
-                raise SchemaError(
-                    f"{name}: bad value {cell!r} for {sid.label} at {month}"
-                ) from None
-        months.append(month)
-    return np.array(months, dtype="datetime64[M]"), cells, empty
+    for c, (sid, cell) in enumerate(zip(col_ids, raw)):
+        text = cell.strip()
+        if not text:
+            empty[c] = True
+            cells[c] = np.nan
+            continue
+        try:
+            cells[c] = float(text)
+        except ValueError:
+            raise SchemaError(
+                f"{name}: bad value {cell!r} for {sid.label} at {month}"
+            ) from None
+    return cells, empty
 
 
 def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:

@@ -321,11 +321,11 @@ def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     """Row-major CSV with a two-line header carrying kind and dimensions."""
     goods = "" if c.n_goods is None else c.n_goods
     k = "" if c.n_modes is None else c.n_modes
-    text = f"kind,m,goods,k\n{c.kind},{c.m},{goods},{k}\n" + "".join(
-        ",".join(map(repr, row)) + "\n" for row in c.values.tolist()
-    )
     with open_text(target, "w") as fh:
-        fh.write(text)
+        fh.write(f"kind,m,goods,k\n{c.kind},{c.m},{goods},{k}\n")
+        # one matrix row per write: the whole text would be held on top of the matrix
+        for row in c.values:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:

@@ -132,6 +132,16 @@ def test_bad_spec_file_is_one_line_error(tmp_path, text):
     assert_one_line_error(run_cli("synth", "--spec", str(spec), "--outdir", "o", cwd=tmp_path))
 
 
+def test_undecodable_weights_file_is_one_line_error(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    weights = tmp_path / "weights.csv"
+    weights.write_bytes(b"goods,weight\n1,\xff\n")
+    res = run_cli("validate", "--input", str(panel_path), "--weights", str(weights),
+                  "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert "unreadable CSV" in res.stderr
+
+
 def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
     panel_path, _ = planted_csv
     res = run_cli("ripple", "--input", str(panel_path), "--k", "2", "--source", "S.99",

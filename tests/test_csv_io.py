@@ -3,7 +3,10 @@
 import csv
 import io
 import itertools
+import tempfile
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +22,12 @@ from panelresponse import (
     eigendecompose,
     genuine_matrix,
     load_panel,
+    load_weights,
     parse_month,
+    parse_window,
     write_panel_csv,
 )
+from panelresponse import panel as panel_module
 from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
 from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
 
@@ -120,6 +126,103 @@ def test_load_panel_matches_per_cell_oracle():
     }
 
 
+@st.composite
+def late_start_panels(draw):
+    """Valid panels whose series start late, with a window inside or across the blanks.
+
+    Each series is blank before its own first month, as in IIP files where
+    a series begins after the panel does.
+    """
+    g = draw(st.integers(1, 2))
+    labels = draw(st.permutations([sid.label for sid in canonical_ids(g)]))
+    n = draw(st.integers(3, 9))
+    months = month_list("1987-11", n)
+    starts = [draw(st.integers(0, n - 1)) for _ in labels]
+    table = [
+        [draw(st.sampled_from(["", " "])) if j < s else draw(st.sampled_from(GOOD_CELLS))
+         for s in starts]
+        for j in range(n)
+    ]
+    rows = [",".join([m] + cells) for m, cells in zip(months, table)]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    window = draw(st.sampled_from([None, (months[lo], months[hi]), f"{months[lo]}:{months[hi]}"]))
+    return "\n".join([",".join(["date"] + labels)] + rows) + "\n", window
+
+
+def test_load_panel_matches_per_cell_oracle_on_late_starting_series():
+    reached = set()
+
+    @settings(max_examples=200)
+    @given(late_start_panels())
+    def check(case):
+        text, window = case
+        new = outcome(load_panel, text, window)
+        assert new == outcome(explicit_load_panel, text, window)
+        reached.add("ok" if new[0] == "ok" else new[1].__name__)
+
+    check()
+    # windows after every series' start load; windows over a blank do not
+    assert reached >= {"ok", "MissingData"}
+
+
+def test_blank_outside_the_window_reads_only_its_own_row_cell_by_cell(monkeypatch):
+    read_cells = panel_module._read_cells
+    rows_read = []
+
+    def counting(name, raw, month, col_ids):
+        rows_read.append(str(month))
+        return read_cells(name, raw, month, col_ids)
+
+    monkeypatch.setattr(panel_module, "_read_cells", counting)
+    labels = [sid.label for sid in canonical_ids(2)]
+    rows = [[m] + ["1.5"] * len(labels) for m in month_list("1987-12", 25)]
+    rows[0][3] = ""
+    panel = load_panel(io.StringIO(csv_writer_text([["date"] + labels] + rows)),
+                       window="1988-01:1989-12")
+    assert rows_read == ["1987-12"]
+    assert panel.n_months == 24 and np.all(panel.values == 1.5)
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocated at its peak, above what was live before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_panel_peak_memory_is_a_few_panels(tmp_path):
+    # the 300 x 1200 shape: holding every cell's text at once peaks near
+    # 12x the panel's bytes, a row-at-a-time reader near 2x
+    g, n = 100, 1200
+    values = np.random.default_rng(3).uniform(50.0, 150.0, (3 * g, n))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(
+        Panel(months=parse_month("1900-01") + np.arange(n), values=values, ids=canonical_ids(g)),
+        path,
+    )
+    panel, peak = traced_peak(lambda: load_panel(path))
+    assert np.array_equal(panel.values, values)
+    assert peak < 4 * panel.values.nbytes + (1 << 20)
+
+
+def test_corr_to_csv_peak_memory_is_below_its_text(tmp_path):
+    x = np.random.default_rng(4).standard_normal((300, 400))
+    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    c = correlation_matrix(StandardizedPanel.from_values(x))
+    _, peak = traced_peak(lambda: corr_to_csv(c, tmp_path / "corr.csv"))
+    # the file holds ~1.8 MB of text
+    assert peak < 1 << 20
+    assert np.array_equal(corr_from_csv(tmp_path / "corr.csv").values, c.values)
+
+
 def test_first_bad_cell_is_first_in_month_then_column_order():
     # I.1 in February comes before S.1 in March, though S.1 is the earlier
     # series and column
@@ -137,6 +240,20 @@ def test_empty_date_cell_is_a_bad_date():
         load_panel(io.StringIO(text), window="1988-01:1988-03")
     with pytest.raises(SchemaError, match="bad date 'NaT'"):
         parse_month("NaT")
+
+
+@pytest.mark.parametrize("date", ["today", "now", "99999999999999999999-01"])
+def test_only_yyyy_mm_strings_are_months(date):
+    text = f"date,P.1,S.1,I.1\n1988-01,1,1,1\n1988-02,1,1,1\n{date},1,1,1\n"
+    with pytest.raises(SchemaError, match=f"bad date '{date}'"):
+        load_panel(io.StringIO(text))
+    with pytest.raises(SchemaError, match="bad date"):
+        parse_month(date)
+
+
+def test_window_and_long_years_still_parse():
+    assert parse_window("1988-01:2007-12") == (np.datetime64("1988-01"), np.datetime64("2007-12"))
+    assert parse_month(" 10000-03 ") == np.datetime64("10000-03")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +322,41 @@ def test_load_panel_raises_only_panelresponse_errors(text, window):
     assert isinstance(panel, Panel)
 
 
+WEIGHTS_TOKENS = [b"goods", b"weight", b",", b"\n", b"\r", b"1", b"2.5", b"-", b"e", b" ",
+                  b'"', b"#", b"\x00", b"\xff", b"\xc3", b"\xa0"]
+
+
+@given(
+    st.lists(st.sampled_from(WEIGHTS_TOKENS), max_size=30).map(b"".join),
+    st.booleans(),
+)
+def test_load_weights_raises_only_panelresponse_errors(body, with_header):
+    data = (b"goods,weight\n" if with_header else b"") + body
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.csv"
+        path.write_bytes(data)
+        try:
+            weights = load_weights(path)
+        except PanelResponseError:
+            return
+    assert isinstance(weights, dict)
+
+
 def test_undecodable_file_is_a_schema_error(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_bytes(b"date,P.1,S.1,I.1\n1988-01,\xff\xfe,1,1\n")
+    with pytest.raises(SchemaError, match="unreadable CSV"):
+        load_panel(path)
+    weights = tmp_path / "weights.csv"
+    weights.write_bytes(b"goods,weight\n1,\xff\n")
+    with pytest.raises(SchemaError, match="unreadable CSV"):
+        load_weights(weights)
+
+
+def test_unreadable_byte_outranks_an_earlier_bad_cell(tmp_path):
+    # the whole file is still read before a cell error is raised
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"date,P.1,S.1,I.1\n1988-01,x,1,1\n1988-02,1,1,1\n1988-03,\xff,1,1\n")
     with pytest.raises(SchemaError, match="unreadable CSV"):
         load_panel(path)
 

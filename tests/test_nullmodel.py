@@ -145,6 +145,18 @@ def test_rotational_shuffle_preserves_cyclic_autocorr(ar1_panel, rng):
             assert abs(before - after) <= 1e-12
 
 
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+    st.integers(-100, 100),
+)
+def test_rotation_preserves_cyclic_autocorrelation_at_every_lag(values, shift):
+    x = np.array(values)
+    rotated = np.roll(x, shift)
+    for lag in range(x.size):
+        # the same products, summed in another order
+        assert abs(cyclic_autocorrelation(rotated, lag) - cyclic_autocorrelation(x, lag)) <= 1e-12
+
+
 def test_rotational_shuffle_matches_shift_definition(rng):
     w = alternating_panel(8)
     rng_a = np.random.default_rng(33)
@@ -421,13 +433,6 @@ def test_pooled_csv_rows(iid_panel, monkeypatch, tmp_path):
     monkeypatch.setattr(nullmodel, "_CSV_BLOCK_SAMPLES", 2)  # blocks 2 + 2 + 1
     e.pooled_to_csv(tmp_path / "pooled.csv")
     assert (tmp_path / "pooled.csv").read_text() == expected.getvalue()
-
-
-def test_ensemble_histogram(iid_panel):
-    e = null_ensemble(iid_panel, "complete", 30, seed=19)
-    hist = e.histogram(bins=40)
-    widths = np.diff(hist.bin_edges)
-    assert float(np.sum(hist.density * widths)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_real_panel_lag_one_autocorrelations(real_panel_path):

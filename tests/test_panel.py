@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelresponse import (
     DEFAULT_GOODS_WEIGHTS,
@@ -53,6 +55,16 @@ def test_flat_index_bijection():
             assert SeriesId.from_flat(sid.flat(21), 21) == sid
     flats = [sid.flat(21) for sid in canonical_ids(21)]
     assert flats == list(range(1, 64))
+
+
+@given(st.integers(1, 10**9), st.data())
+def test_flat_index_round_trips(n_goods, data):
+    sid = SeriesId(data.draw(st.sampled_from(list(Variable))), data.draw(st.integers(1, n_goods)))
+    flat = sid.flat(n_goods)
+    assert 1 <= flat <= 3 * n_goods
+    assert SeriesId.from_flat(flat, n_goods) == sid
+    flat = data.draw(st.integers(1, 3 * n_goods))
+    assert SeriesId.from_flat(flat, n_goods).flat(n_goods) == flat
 
 
 def test_series_id_parse_and_label():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from panelresponse import (
@@ -320,6 +322,19 @@ def test_basis_json_round_trip(planted_panel, tmp_path):
     assert np.array_equal(back.eigenvalues, basis.eigenvalues)
     assert np.array_equal(back.vectors, basis.vectors)
     assert back.n_goods == basis.n_goods
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_basis_json_round_trip_is_exact(m, seed):
+    x = np.random.default_rng(seed).standard_normal((m, 2 * m + 3))
+    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    basis = eigendecompose(correlation_matrix(StandardizedPanel.from_values(x)))
+    buf = io.StringIO()
+    basis_to_json(basis, buf)
+    back = basis_from_json(io.StringIO(buf.getvalue()))
+    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
+    assert np.array_equal(back.vectors, basis.vectors)
+    assert (back.n_goods, back.sign_convention) == (basis.n_goods, basis.sign_convention)
 
 
 def test_corr_csv_in_memory():
