@@ -2,15 +2,23 @@
 
 Each accepts either a path or an already-open text stream.  A path is opened
 with ``newline=""`` (so the csv module controls line endings) and closed on
-exit; a stream is used as given and left open for its owner.
+exit; a stream is used as given and left open for its owner.  Every CSV row
+passes through :func:`read_rows` or :func:`write_rows`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import itertools
 import json
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
+
+from .errors import PanelResponseError, SchemaError
+
+#: Cells per write of :func:`write_rows`: few writes, never a whole artifact's text.
+_BLOCK_CELLS = 4096
 
 
 @contextlib.contextmanager
@@ -21,6 +29,32 @@ def open_text(target: str | Path | TextIO, mode: str = "r") -> Iterator[TextIO]:
     else:
         with open(target, mode, newline="") as fh:
             yield fh
+
+
+def read_rows(fh: TextIO) -> Iterator[list[str]]:
+    """The non-``#`` rows of a CSV stream, one at a time; unreadable text is a SchemaError."""
+    try:
+        for row in csv.reader(fh):
+            if not (row and row[0].startswith("#")):
+                yield row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{getattr(fh, 'name', '<stream>')}: unreadable CSV: {exc}") from None
+
+
+def write_rows(target: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` lazily as CSV lines, in blocks of at most :data:`_BLOCK_CELLS` cells.
+
+    A wider row is a block of its own.  Each cell is rendered with ``str`` (a
+    Python float's repr) and never quoted: the package writes only numbers,
+    ``YYYY-MM`` months and fixed labels.
+    """
+    with open_text(target, "w") as fh:
+        for width, run in itertools.groupby(rows, len):
+            # one %-format call renders a block of equal-width rows; %s is str
+            line = ",".join(["%s"] * width) + "\n"
+            step = max(1, _BLOCK_CELLS // max(width, 1))
+            while block := list(itertools.islice(run, step)):
+                fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
@@ -36,8 +70,25 @@ def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
 
 
 def read_json(source: str | Path | TextIO | dict) -> dict:
-    """A JSON document from a path or stream; a dict is returned as is."""
+    """A JSON document from a path or stream (a dict is returned as is), else SchemaError."""
     if isinstance(source, dict):
         return source
     with open_text(source) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            name = getattr(fh, "name", "<stream>")
+            raise SchemaError(f"{name}: unreadable JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def json_fields(what: str, error: type[PanelResponseError] = SchemaError) -> Iterator[None]:
+    """Raise a missing (named) or malformed field of a ``what`` document as ``error``."""
+    try:
+        yield
+    except PanelResponseError:
+        raise
+    except KeyError as exc:
+        raise error(f"{what} lacks field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what}: {exc}") from None

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
+import itertools
 import json
 import os
 import platform
@@ -26,7 +26,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from ._files import open_text, write_json
+from ._files import open_text, write_json, write_rows
 from .cycles import (
     KSET_BUSINESS_CYCLES,
     KSET_LONG_PERIODS,
@@ -126,9 +126,15 @@ def _artifact(target: Path | TextIO, config: dict) -> Iterator[TextIO]:
 
 def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
     with _artifact(path, config) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_rows(fh, itertools.chain([header], rows))
+
+
+def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
+    """``mode,series,component`` rows, one mode's M rows at a time (M^2 in all)."""
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(str(n)), labels, vector.tolist())
+        for n, vector in enumerate(basis.vectors.T, 1)
+    )
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
@@ -180,33 +186,25 @@ def _cmd_validate(args, outdir: Path, config: dict) -> None:
 def _cmd_analyze(args, outdir: Path, config: dict) -> None:
     w, _, basis = _spectrum(args)
     lam = basis.eigenvalues
-    _write_csv(
-        outdir / "eigenvalues.csv", config, ["n", "eigenvalue"],
-        [[n + 1, repr(float(v))] for n, v in enumerate(lam)],
-    )
+    _write_csv(outdir / "eigenvalues.csv", config, ["n", "eigenvalue"], enumerate(lam.tolist(), 1))
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
-    with _artifact(outdir / "eigenvectors.csv", config) as fh:
-        fh.write("mode,series,component\n")
-        # M^2 rows: one string per mode, not the whole file's text at once
-        for n, vector in enumerate(basis.vectors.T, 1):
-            fh.write("".join(
-                f"{n},{label},{x!r}\n" for label, x in zip(labels, vector.tolist())
-            ))
+    _write_csv(
+        outdir / "eigenvectors.csv", config, ["mode", "series", "component"],
+        _eigenvector_rows(basis, labels),
+    )
     top = float(lam[0]) * 1.05
     hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
+    edges = hist.bin_edges.tolist()
     _write_csv(
         outdir / "spectrum_histogram.csv", config, ["lambda_lo", "lambda_hi", "density"],
-        [
-            [repr(float(lo)), repr(float(hi)), repr(float(d))]
-            for lo, hi, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.density)
-        ],
+        zip(edges[:-1], edges[1:], hist.density.tolist()),
     )
     q = w.n_obs / w.n_series
     grid = np.linspace(0.0, top, 512)
     dens = mp_density(grid, q)
     _write_csv(
         outdir / "mp_density.csv", config, ["lambda", "density"],
-        [[repr(float(x)), repr(float(d))] for x, d in zip(grid, dens)],
+        zip(grid.tolist(), dens.tolist()),
     )
     lo, hi = mp_bounds(q)
     print(json.dumps({
@@ -247,28 +245,22 @@ def _cmd_ripple(args, outdir: Path, config: dict) -> None:
         report = ripple(cg, SeriesId.parse(args.source), args.shift)
         _write_csv(
             outdir / "ripple_source.csv", config, ["series", "response"],
-            [[sid.label, repr(float(r))] for sid, r in zip(w.ids, report.responses)],
+            zip([sid.label for sid in w.ids], report.responses.tolist()),
         )
 
 
 def _cmd_reduced_chi(args, outdir: Path, config: dict) -> None:
     _, _, basis = _spectrum(args)
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
-    _write_json(outdir / "reduced_chi.json", config, {
-        "beta": red.beta,
-        "k": args.k,
-        "values": red.values.tolist(),
-        "normalized": red.normalized.tolist(),
-    })
+    values, normalized = red.values.tolist(), red.normalized.tolist()
+    _write_json(outdir / "reduced_chi.json", config,
+                {"beta": red.beta, "k": args.k, "values": values, "normalized": normalized})
     _write_csv(
         outdir / "reduced_chi.csv", config, ["row", "col", "value", "normalized"],
-        [
-            [i + 1, j + 1, repr(float(red.values[i, j])), repr(float(red.normalized[i, j]))]
-            for i in range(args.k)
-            for j in range(args.k)
-        ],
+        [(i + 1, j + 1, values[i][j], normalized[i][j])
+         for i in range(args.k) for j in range(args.k)],
     )
-    print(json.dumps({"normalized": red.normalized.tolist()}))
+    print(json.dumps({"normalized": normalized}))
 
 
 def _cmd_cycles(args, outdir: Path, config: dict) -> None:
@@ -280,15 +272,11 @@ def _cmd_cycles(args, outdir: Path, config: dict) -> None:
     _write_csv(
         outdir / "mode_series.csv", config,
         ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
-        [
-            [str(m), repr(float(a1[j])), repr(float(a2[j])),
-             repr(float(s1[j])), repr(float(s2[j]))]
-            for j, m in enumerate(ms.months)
-        ],
+        zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()),
     )
     _write_csv(
         outdir / "lag_correlation.csv", config, ["lag", "correlation"],
-        [[lag, repr(lag_correlation(a1, a2, lag, args.xi))]
+        [(lag, lag_correlation(a1, a2, lag, args.xi))
          for lag in range(-args.max_lag, args.max_lag + 1)],
     )
 

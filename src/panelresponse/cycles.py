@@ -19,14 +19,13 @@ and k <= 9, all periods over two years) are tuned to ~240-month panels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._files import open_text
+from ._files import write_rows
 from .errors import (
     BadFrequencyIndex,
     BadModeCount,
@@ -245,11 +244,8 @@ class StimulusSeries:
         return self.values[1]
 
     def to_csv(self, target: str | Path | TextIO) -> None:
-        with open_text(target, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["date", "eta1", "eta2"])
-            for j, month in enumerate(self.months):
-                writer.writerow([str(month), repr(float(self.values[0, j])), repr(float(self.values[1, j]))])
+        eta1, eta2 = self.values.tolist()
+        write_rows(target, [("date", "eta1", "eta2"), *zip(self.months, eta1, eta2)])
 
 
 def external_stimuli(
@@ -316,18 +312,12 @@ class PhaseTable:
 
     def to_csv(self, target: str | Path | TextIO) -> None:
         """Goods rows with P/S/I columns, one decimal, plus a class-average row."""
-        with open_text(target, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["goods", "P", "S", "I"])
-            g_count = self.n_goods
-            for g in range(1, g_count + 1):
-                row = [g] + [
-                    f"{self.phases[(a - 1) * g_count + g - 1]:.1f}" for a in (1, 2, 3)
-                ]
-                writer.writerow(row)
-            writer.writerow(
-                ["average"] + [f"{self.class_average(a):.1f}" for a in (1, 2, 3)]
-            )
+        by_class = self.phases.reshape(3, self.n_goods).tolist()
+        write_rows(target, [
+            ("goods", "P", "S", "I"),
+            *([g] + [f"{p:.1f}" for p in row] for g, row in enumerate(zip(*by_class), 1)),
+            ["average"] + [f"{self.class_average(a):.1f}" for a in (1, 2, 3)],
+        ])
 
 
 def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, k: int) -> np.ndarray:

@@ -17,6 +17,7 @@ threshold for retained eigenmodes.
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._files import open_text, read_json, write_json
+from ._files import json_fields, read_json, write_json, write_rows
 from .errors import (
     BadConfidence,
     BadParameter,
@@ -129,9 +130,6 @@ def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standa
 #: tensor.
 _CHUNK_BYTES = 1 << 20
 
-#: Samples formatted per write by :meth:`NullEnsemble.pooled_to_csv`.
-_CSV_BLOCK_SAMPLES = 100
-
 
 def _worker_count(sample_bytes: int, chunks: int) -> int:
     """Threads to spread a null's chunks over: the usable CPUs, or one.
@@ -203,28 +201,24 @@ class NullEnsemble:
     @classmethod
     def from_json(cls, source: str | Path | TextIO | dict) -> "NullEnsemble":
         doc = read_json(source)
-        edge = EdgeEstimate(**doc["edge"])
-        return cls(
-            mode=ShuffleMode(doc["mode"]),
-            samples=doc["samples"],
-            seed=doc["seed"],
-            lambda_max=np.asarray(doc["lambda_max"], dtype=float),
-            edge=edge,
-        )
+        with json_fields("null-ensemble document"):
+            return cls(
+                mode=ShuffleMode(doc["mode"]),
+                samples=doc["samples"],
+                seed=doc["seed"],
+                lambda_max=np.asarray(doc["lambda_max"], dtype=float),
+                edge=EdgeEstimate(**doc["edge"]),
+            )
 
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
             raise EmptyEnsemble("ensemble carries no pooled eigenvalues")
-        with open_text(target, "w") as fh:
-            fh.write("sample,eigenvalue\n")
-            # one string per block of samples: far fewer writes than one per
-            # row, without holding the whole file's text in memory at once
-            for lo in range(0, self.pooled.shape[0], _CSV_BLOCK_SAMPLES):
-                block = self.pooled[lo:lo + _CSV_BLOCK_SAMPLES].tolist()
-                fh.write("".join(
-                    f"{s},{lam!r}\n" for s, row in enumerate(block, lo) for lam in row
-                ))
+        # one sample at a time, its index rendered once for its M rows
+        rows = itertools.chain.from_iterable(
+            zip(itertools.repeat(str(s)), row.tolist()) for s, row in enumerate(self.pooled)
+        )
+        write_rows(target, itertools.chain([("sample", "eigenvalue")], rows))
 
 
 def null_ensemble(

@@ -16,7 +16,6 @@ has an exactly unit diagonal).
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
 import re
@@ -26,7 +25,7 @@ from typing import Iterator, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 
-from ._files import open_text
+from ._files import open_text, read_rows, write_rows
 from .errors import (
     DegenerateSeries,
     DuplicateSeries,
@@ -162,13 +161,16 @@ def parse_month(text: MonthLike) -> np.datetime64:
     Surrounding whitespace is ignored.  Any other string is a bad date,
     including the 'today', 'now' and 'NaT' numpy would read, and a year
     too large for numpy to hold (it would wrap).  Years past 9999 keep
-    their extra digits, as ``str`` of such a month writes them.
+    their extra digits, as ``str`` of such a month writes them.  A number or
+    a bool is a bad date too (numpy would read 5 as 1970-06).
     """
     value = text
     if isinstance(text, str):
         value = text.strip()
         if not _MONTH_RE.fullmatch(value):
             raise SchemaError(f"bad date {text!r}: expected YYYY-MM")
+    elif not isinstance(text, np.datetime64):
+        raise SchemaError(f"bad date {text!r}: expected a YYYY-MM string")
     try:
         month = np.datetime64(value, "M")
     except ValueError as exc:
@@ -408,28 +410,25 @@ class StandardizedPanel:
 
 
 def load_weights(path: str | Path) -> dict[int, float]:
-    """Read a `goods,weight` CSV into a dict keyed by goods index."""
+    """Read a `goods,weight` CSV (``#`` lines ignored) into a dict keyed by goods index."""
     weights: dict[int, float] = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header[:2]] != ["goods", "weight"]:
-                raise SchemaError(f"{path}: expected header 'goods,weight'")
-            for row in reader:
-                if not row or not "".join(row).strip():
-                    continue
-                try:
-                    g, w = int(row[0]), float(row[1])
-                except (ValueError, IndexError):
-                    raise SchemaError(f"{path}: bad weights row {row!r}") from None
-                if g in weights:
-                    raise SchemaError(f"{path}: duplicate weight for goods {g}")
-                if w < 0:
-                    raise SchemaError(f"{path}: negative weight for goods {g}")
-                weights[g] = w
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{path}: unreadable CSV: {exc}") from None
+    with open_text(path) as fh:
+        rows = read_rows(fh)
+        header = next(rows, None)
+        if header is None or [c.strip().lower() for c in header[:2]] != ["goods", "weight"]:
+            raise SchemaError(f"{path}: expected header 'goods,weight'")
+        for row in rows:
+            if not row or not "".join(row).strip():
+                continue
+            try:
+                g, w = int(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                raise SchemaError(f"{path}: bad weights row {row!r}") from None
+            if g in weights:
+                raise SchemaError(f"{path}: duplicate weight for goods {g}")
+            if w < 0:
+                raise SchemaError(f"{path}: negative weight for goods {g}")
+            weights[g] = w
     return weights
 
 
@@ -466,7 +465,7 @@ def load_panel(
 
     with open_text(source) as fh:
         name = str(getattr(fh, "name", "<stream>"))
-        rows = _csv_rows(fh, name)
+        rows = read_rows(fh)
         try:
             col_ids, months, cells, blanks = _read_rows(name, rows, window)
         except PanelResponseError:
@@ -517,19 +516,6 @@ def load_panel(
 
 #: Missing series named in an incomplete-grid error; the rest are counted.
 _MISSING_SHOWN = 10
-
-
-def _csv_rows(fh: TextIO, name: str) -> Iterator[list[str]]:
-    """The rows of a CSV stream that are not ``#`` comments, one at a time.
-
-    A stream that does not decode or parse raises :class:`SchemaError`.
-    """
-    try:
-        for row in csv.reader(fh):
-            if not (row and row[0].startswith("#")):
-                yield row
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise SchemaError(f"{name}: unreadable CSV: {exc}") from None
 
 
 def _read_rows(
@@ -651,11 +637,10 @@ def _read_cells(
 
 def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:
     """Write a panel back out in the `date,P.1,...` schema."""
-    with open_text(target, "w") as fh:
-        fh.write("date," + ",".join(sid.label for sid in panel.ids) + "\n")
-        # one month per write: the whole text would be held on top of the panel
-        for month, column in zip(panel.months, panel.values.T):
-            fh.write(f"{month}," + ",".join(map(repr, column.tolist())) + "\n")
+    write_rows(target, itertools.chain(
+        [["date"] + [sid.label for sid in panel.ids]],
+        ([month] + column.tolist() for month, column in zip(panel.months, panel.values.T)),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ off interindustrial ripple effects directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from ._files import open_text
+from ._files import write_rows
 from .errors import BadBeta, BadModeCount, BadParameter, LayoutMismatch, UnknownSeries
 from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable
 from .spectral import CorrMatrix, ModeBasis
@@ -110,20 +109,15 @@ def final_to_intermediate_csv(
     Columns g20/g21 appear for the noise-filtered matrix and, when a raw
     matrix is supplied, for the raw one alongside.
     """
-    table_g = final_to_intermediate(genuine)
-    table_r = final_to_intermediate(raw) if raw is not None else None
-    with open_text(target, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["goods", "label", "g20_genuine", "g21_genuine"]
-        if table_r is not None:
-            header += ["g20_raw", "g21_raw"]
-        writer.writerow(header)
-        for g in range(1, 20):
-            row = [g, DEFAULT_GOODS_LABELS[g],
-                   repr(float(table_g[g - 1, 0])), repr(float(table_g[g - 1, 1]))]
-            if table_r is not None:
-                row += [repr(float(table_r[g - 1, 0])), repr(float(table_r[g - 1, 1]))]
-            writer.writerow(row)
+    header = ["goods", "label", "g20_genuine", "g21_genuine"]
+    table = final_to_intermediate(genuine)
+    if raw is not None:
+        header += ["g20_raw", "g21_raw"]
+        table = np.hstack([table, final_to_intermediate(raw)])
+    write_rows(target, [
+        header,
+        *([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)),
+    ])
 
 
 def reduced_susceptibility(

@@ -14,7 +14,7 @@ are candidates for genuine correlation structure.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._files import open_text, read_json, write_json
+from ._files import json_fields, open_text, read_json, read_rows, write_json, write_rows
 from .errors import (
     BadModeIndex,
     DimensionMismatch,
@@ -321,17 +321,15 @@ def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     """Row-major CSV with a two-line header carrying kind and dimensions."""
     goods = "" if c.n_goods is None else c.n_goods
     k = "" if c.n_modes is None else c.n_modes
-    with open_text(target, "w") as fh:
-        fh.write(f"kind,m,goods,k\n{c.kind},{c.m},{goods},{k}\n")
-        # one matrix row per write: the whole text would be held on top of the matrix
-        for row in c.values:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    write_rows(target, itertools.chain(
+        [("kind", "m", "goods", "k"), (c.kind, c.m, goods, k)],
+        map(np.ndarray.tolist, c.values),
+    ))
 
 
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
     with open_text(source) as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if not (r and r[0].startswith("#"))]
+        rows = list(read_rows(fh))
     if len(rows) < 3 or rows[0][:2] != ["kind", "m"]:
         raise SchemaError("not a correlation-matrix CSV")
     head = dict(zip(rows[0], rows[1]))
@@ -366,12 +364,13 @@ def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> di
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
     doc = read_json(source)
-    return CorrMatrix(
-        values=np.asarray(doc["values"], dtype=float),
-        kind=doc["kind"],
-        n_goods=doc.get("goods"),
-        n_modes=doc.get("k"),
-    )
+    with json_fields("correlation-matrix document"):
+        return CorrMatrix(
+            values=np.asarray(doc["values"], dtype=float),
+            kind=doc["kind"],
+            n_goods=doc.get("goods"),
+            n_modes=doc.get("k"),
+        )
 
 
 def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> dict:
@@ -390,11 +389,12 @@ def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> di
 
 def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
     doc = read_json(source)
-    if doc.get("kind") != "mode-basis":
-        raise SchemaError("not a mode-basis document")
-    return ModeBasis(
-        eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-        vectors=np.asarray(doc["eigenvectors"], dtype=float),
-        n_goods=doc.get("goods"),
-        sign_convention=doc.get("sign_convention", "production-sum"),
-    )
+    with json_fields("mode-basis document"):
+        if doc.get("kind") != "mode-basis":
+            raise SchemaError(f"not a mode-basis document: field 'kind' is {doc.get('kind')!r}")
+        return ModeBasis(
+            eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
+            vectors=np.asarray(doc["eigenvectors"], dtype=float),
+            n_goods=doc.get("goods"),
+            sign_convention=doc.get("sign_convention", "production-sum"),
+        )

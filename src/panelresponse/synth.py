@@ -20,8 +20,8 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from ._files import read_json, write_json
-from .errors import BadParameter, DegenerateSeries, InfeasibleSpec, PanelResponseError
+from ._files import json_fields, read_json, write_json
+from .errors import BadParameter, DegenerateSeries, InfeasibleSpec
 from .panel import Panel, StandardizedPanel, canonical_ids, parse_month
 
 _ORTHO_TOL = 1e-10
@@ -264,21 +264,15 @@ def spec_to_json(spec: SynthSpec, target: str | Path | TextIO | None = None) -> 
 
 
 def spec_from_json(source: str | Path | TextIO | dict) -> SynthSpec:
-    """Spec from a JSON document; a malformed one raises InfeasibleSpec."""
-    try:
+    """Spec from a JSON document; bad JSON raises SchemaError, a bad spec InfeasibleSpec."""
+    with json_fields("spec", InfeasibleSpec):
         return _spec_from_doc(read_json(source))
-    except PanelResponseError:
-        raise
-    except KeyError as exc:
-        raise InfeasibleSpec(f"spec lacks field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InfeasibleSpec(f"malformed spec: {exc}") from None
 
 
-def _number(value, key: str, kind: type | tuple = (int, float)):
-    """A spec field's value, checked to be a JSON number (an integer if kind is int)."""
+def _field(value, key: str, kind: type | tuple = (int, float)):
+    """A spec field's value, checked to be a JSON number, integer or string (kind)."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is int else "a number"
+        what = {int: "an integer", str: "a string"}.get(kind, "a number")
         raise InfeasibleSpec(f"spec field {key!r} must be {what}, got {value!r}")
     return value
 
@@ -289,27 +283,27 @@ def _spec_from_doc(doc: dict) -> SynthSpec:
         dspec = entry["driver"]
         if dspec["kind"] == "sinusoid":
             driver: Driver = Sinusoid(
-                period=_number(dspec["period"], "period"),
-                phase=_number(dspec.get("phase", 0.0), "phase"),
+                period=_field(dspec["period"], "period"),
+                phase=_field(dspec.get("phase", 0.0), "phase"),
             )
         elif dspec["kind"] == "ar1":
-            driver = Ar1(coefficient=_number(dspec["coefficient"], "coefficient"))
+            driver = Ar1(coefficient=_field(dspec["coefficient"], "coefficient"))
         else:
             raise InfeasibleSpec(f"unknown driver kind {dspec['kind']!r}")
         loading = entry.get("loading", "random")
         modes.append(PlantedMode(
-            eigenvalue=_number(entry["eigenvalue"], "eigenvalue"),
+            eigenvalue=_field(entry["eigenvalue"], "eigenvalue"),
             driver=driver,
             loading=None if loading == "random" else np.asarray(loading, dtype=float),
         ))
     noise = doc.get("noise_ar1", 0.0)
     for value in [] if noise is None else noise if isinstance(noise, list) else [noise]:
-        _number(value, "noise_ar1")
+        _field(value, "noise_ar1")
     return SynthSpec(
-        n_series=_number(doc["n_series"], "n_series", int),
-        n_obs=_number(doc["n_obs"], "n_obs", int),
+        n_series=_field(doc["n_series"], "n_series", int),
+        n_obs=_field(doc["n_obs"], "n_obs", int),
         modes=tuple(modes),
         noise_ar1=noise,
-        seed=_number(doc.get("seed", 0), "seed", int),
-        start=doc.get("start", "1988-01"),
+        seed=_field(doc.get("seed", 0), "seed", int),
+        start=_field(doc.get("start", "1988-01"), "start", str),
     )

@@ -8,6 +8,7 @@ package against itself.
 from __future__ import annotations
 
 import csv
+import io
 from decimal import Decimal, getcontext
 from pathlib import Path
 from typing import Mapping, TextIO
@@ -314,6 +315,14 @@ def gaussian_regression_slope(
 # ---------------------------------------------------------------------------
 # panel construction helpers (plain string CSV, independent of the writer)
 # ---------------------------------------------------------------------------
+
+
+def csv_writer_text(rows) -> str:
+    """Rows rendered by ``csv.writer``, the form every CSV artifact has kept."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
 
 
 def panel_csv_text(

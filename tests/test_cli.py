@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from panelresponse import corr_from_csv, synth, to_level_panel, write_panel_csv
+
+from oracles import csv_writer_text
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -324,3 +328,46 @@ def test_synth_deterministic_output(planted_csv, tmp_path):
         assert res.returncode == 0, res.stderr
         outs.append((tmp_path / "s" / "panel.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+CSV_OPS = {
+    "an": ("analyze",),
+    "nu": ("null", "--samples", "20"),
+    "ge": ("genuine", "--k", "2"),
+    "ri": ("ripple", "--k", "2", "--source", "S.15"),
+    "rc": ("reduced-chi",),
+    "cy": ("cycles",),
+    "p4": ("phases", "--k", "4"),
+    "pf": ("phases", "--freq-avg"),
+    "st": ("stimuli",),
+}
+
+
+def test_every_csv_artifact_is_csv_writer_text_with_repr_floats(planted_csv, tmp_path):
+    panel_path, spec_path = planted_csv
+    runs = [(out, (*args, "--input", str(panel_path))) for out, args in CSV_OPS.items()]
+    runs.append(("sy", ("synth", "--spec", str(spec_path))))
+    seen = set()
+    for out, args in runs:
+        res = run_cli(*args, "--outdir", out, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        for path in sorted((tmp_path / out).glob("*.csv")):
+            seen.add(path.name)
+            config, text = path.read_text().split("\n", 1)
+            assert config.startswith("# config: ")
+            rows = list(csv.reader(io.StringIO(text)))
+            # nothing needed quoting: the rows read back render to the same text
+            assert text == csv_writer_text(rows), path
+            # every row but a matrix's two-line header is as wide as the first
+            body = rows[2:] if path.name == "genuine_matrix.csv" else rows
+            assert {len(row) for row in body} == {len(body[0])}, path
+            for cell in (cell for row in rows for cell in row):
+                try:
+                    int(cell)
+                except ValueError:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a label, a month or a header
+                    assert repr(value) == cell, (path, cell)
+    assert len(seen) == 14

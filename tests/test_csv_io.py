@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelresponse import (
+    NullEnsemble,
     Panel,
     canonical_ids,
     corr_from_csv,
@@ -27,18 +28,13 @@ from panelresponse import (
     parse_window,
     write_panel_csv,
 )
+from panelresponse import _files, cli
 from panelresponse import panel as panel_module
 from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
+from panelresponse.nullmodel import EdgeEstimate
 from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
 
-from oracles import explicit_load_panel, month_list
-
-
-def csv_writer_text(rows) -> str:
-    """Rows rendered by ``csv.writer``, the form every CSV artifact has kept."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+from oracles import csv_writer_text, explicit_load_panel, month_list
 
 
 def outcome(loader, text, window):
@@ -223,6 +219,31 @@ def test_corr_to_csv_peak_memory_is_below_its_text(tmp_path):
     assert np.array_equal(corr_from_csv(tmp_path / "corr.csv").values, c.values)
 
 
+def test_pooled_to_csv_peak_memory_is_below_its_text(tmp_path):
+    pooled = np.random.default_rng(5).uniform(0.2, 3.0, (10_000, 63))
+    e = NullEnsemble(mode="rotational", samples=10_000, seed=0, lambda_max=pooled.max(axis=1),
+                     edge=EdgeEstimate(2.0, 1.9, 2.1, 0.95), pooled=pooled)
+    _, peak = traced_peak(lambda: e.pooled_to_csv(tmp_path / "pooled.csv"))
+    # the file holds ~15 MB of text; rows taken all at once peak near 24 MB
+    assert peak < 1 << 20
+    assert (tmp_path / "pooled.csv").read_text().count("\n") == 1 + pooled.size
+
+
+def test_eigenvector_rows_peak_memory_is_below_their_text(tmp_path):
+    x = np.random.default_rng(4).standard_normal((300, 400))
+    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+    basis = eigendecompose(correlation_matrix(StandardizedPanel.from_values(x)))
+    labels = [str(i + 1) for i in range(300)]
+    path = tmp_path / "eigenvectors.csv"
+    _, peak = traced_peak(lambda: cli._write_csv(
+        path, {}, ["mode", "series", "component"], cli._eigenvector_rows(basis, labels)))
+    # the file holds ~2.5 MB of text; rows taken all at once peak near 3 MB
+    assert peak < 1 << 20
+    rows = list(csv.reader(path.read_text().splitlines()[2:]))
+    assert len(rows) == 300 * 300
+    assert [float(r[2]) for r in rows[300:600]] == basis.vectors[:, 1].tolist()
+
+
 def test_first_bad_cell_is_first_in_month_then_column_order():
     # I.1 in February comes before S.1 in March, though S.1 is the earlier
     # series and column
@@ -254,6 +275,17 @@ def test_only_yyyy_mm_strings_are_months(date):
 def test_window_and_long_years_still_parse():
     assert parse_window("1988-01:2007-12") == (np.datetime64("1988-01"), np.datetime64("2007-12"))
     assert parse_month(" 10000-03 ") == np.datetime64("10000-03")
+
+
+@pytest.mark.parametrize("month", [5, True, 1988.0, None])
+def test_a_month_is_a_string_or_a_datetime64(month):
+    # numpy reads 5 as 1970-06 and True as 1970-02
+    with pytest.raises(SchemaError, match="bad date"):
+        parse_month(month)
+    text = "date,P.1,S.1,I.1\n1988-01,1,1,1\n1988-02,1,1,1\n1988-03,1,1,1\n"
+    with pytest.raises(SchemaError, match="bad date"):
+        load_panel(io.StringIO(text), window=(month, "1988-03"))
+    assert parse_month(np.datetime64("1988-02-17")) == np.datetime64("1988-02")
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +383,10 @@ def test_undecodable_file_is_a_schema_error(tmp_path):
     weights.write_bytes(b"goods,weight\n1,\xff\n")
     with pytest.raises(SchemaError, match="unreadable CSV"):
         load_weights(weights)
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_bytes(b"kind,m,goods,k\nraw,1,,\n\xff\n")
+    with pytest.raises(SchemaError, match="unreadable CSV"):
+        corr_from_csv(matrix)
 
 
 def test_unreadable_byte_outranks_an_earlier_bad_cell(tmp_path):
@@ -430,3 +466,38 @@ def test_corr_to_csv_corr_from_csv_round_trip(g, seed, data):
 def test_corr_from_csv_malformed_is_a_schema_error(text):
     with pytest.raises(SchemaError):
         corr_from_csv(io.StringIO(text))
+
+
+def test_corr_from_csv_field_past_the_csv_limit_is_a_schema_error():
+    text = "kind,m,goods,k\nraw,1,,\n" + "1" * (1 << 18) + "\n"
+    with pytest.raises(SchemaError, match="unreadable CSV"):
+        corr_from_csv(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# the one CSV writer renders what csv.writer does, in blocks of any size
+# ---------------------------------------------------------------------------
+
+ODD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2e-308,
+              1e16, 1e-5, 0.1, -1.5e300]
+cells = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.sampled_from(ODD_FLOATS),
+    st.floats(),
+    # labels the package writes need no quoting: no comma, quote or line break
+    st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)),
+            min_size=1, max_size=8),
+)
+
+
+@pytest.mark.parametrize("block_cells", [1, 3, _files._BLOCK_CELLS])
+def test_write_rows_matches_csv_writer(monkeypatch, block_cells):
+    monkeypatch.setattr(_files, "_BLOCK_CELLS", block_cells)
+
+    @given(st.lists(st.lists(cells, max_size=6).map(tuple), max_size=40))
+    def check(rows):
+        buf = io.StringIO()
+        _files.write_rows(buf, iter(rows))
+        assert buf.getvalue() == csv_writer_text(rows)
+
+    check()

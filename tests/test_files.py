@@ -28,6 +28,7 @@ from panelresponse import (
     to_level_panel,
     write_panel_csv,
 )
+from panelresponse.errors import SchemaError
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +107,31 @@ def test_reader_path_stream_and_dict_agree(objects, tmp_path, name):
         assert not fh.closed
     if reads_dict:
         assert form(read(json.loads(path.read_text()))) == want
+
+
+JSON_READERS = {
+    "corr_from_json": corr_from_json,
+    "basis_from_json": basis_from_json,
+    "NullEnsemble.from_json": NullEnsemble.from_json,
+}
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"{", "unreadable JSON"),
+    (b"\xff", "unreadable JSON"),
+    (b"{}", "field '(values|kind|mode)'"),
+    (b"[]", "malformed"),
+])
+@pytest.mark.parametrize("name", sorted(JSON_READERS))
+def test_json_reader_errors_are_schema_errors(tmp_path, name, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=message):
+        JSON_READERS[name](path)
+
+
+def test_spec_file_that_is_not_json_is_a_schema_error(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text("n_series = 6")
+    with pytest.raises(SchemaError, match="unreadable JSON"):
+        synth.spec_from_json(path)

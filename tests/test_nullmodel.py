@@ -430,7 +430,7 @@ def test_pooled_csv_rows(iid_panel, monkeypatch, tmp_path):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["sample", "eigenvalue"])
     writer.writerows([s, repr(float(lam))] for s in range(5) for lam in e.pooled[s])
-    monkeypatch.setattr(nullmodel, "_CSV_BLOCK_SAMPLES", 2)  # blocks 2 + 2 + 1
+    monkeypatch.setattr("panelresponse._files._BLOCK_CELLS", 4 * 63)  # blocks 126 + 126 + 64 rows
     e.pooled_to_csv(tmp_path / "pooled.csv")
     assert (tmp_path / "pooled.csv").read_text() == expected.getvalue()
 

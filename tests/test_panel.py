@@ -187,6 +187,9 @@ def test_load_weights(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("goods,weight\n1,530.7\n2,148.1\n")
     assert load_weights(path) == {1: 530.7, 2: 148.1}
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# value-added weights\ngoods,weight\n1,530.7\n# 2: estimate\n2,148.1\n")
+    assert load_weights(commented) == {1: 530.7, 2: 148.1}
     bad = tmp_path / "bad.csv"
     bad.write_text("goods,weight\n1,-3\n")
     with pytest.raises(SchemaError):

@@ -142,6 +142,8 @@ def test_negative_seed_rejected():
         {"n_series": 6, "n_obs": 20, "modes": [{"driver": {"kind": "ar1"}}]},
         {"n_series": 6, "n_obs": 20, "noise_ar1": "x"},
         {"n_series": 6, "n_obs": 20, "noise_ar1": [0.1] * 5 + [None]},
+        {"n_series": 6, "n_obs": 20, "start": 5},
+        {"n_series": 6, "n_obs": 20, "start": True},
         {"n_series": 6, "n_obs": 20, "modes": [
             {"eigenvalue": 2.0, "driver": {"kind": "sinusoid", "period": "60"}}]},
         [6, 20],
