@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .errors import PanelResponseError, SchemaError
 
 #: Cells per write of :func:`write_rows`: few writes, never a whole artifact's text.
@@ -58,15 +60,33 @@ def write_rows(target: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
 
 
 def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
-    """Write ``doc`` as JSON with one ``json.dumps`` and one write.
+    """Write ``doc`` as the text of ``json.dumps(doc, **fmt)``.
 
-    ``fmt`` is passed to ``json.dumps``.  The text equals what ``json.dump``
-    streams, but without ``indent`` it comes from the C encoder, where
-    ``json.dump`` always walks the document in Python.
+    A top-level value may be a NumPy array; it is written as its nested
+    lists would be, a 2-D array one row per write, so neither the whole
+    array as lists nor the whole document as one string is ever built.
+    Every piece comes from the C encoder (``json.dump`` would walk the
+    document in Python).  ``fmt`` is for documents without arrays.
     """
-    text = json.dumps(doc, **fmt)
     with open_text(target, "w") as fh:
-        fh.write(text)
+        if not any(isinstance(value, np.ndarray) for value in doc.values()):
+            fh.write(json.dumps(doc, **fmt))
+            return
+        if fmt:
+            raise TypeError("write_json formats only documents without arrays")
+        # json.dumps's default separators: ", " between items, ": " after a key
+        sep = "{"
+        for key, value in doc.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ", "
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                fh.write("[")
+                for i, row in enumerate(value):
+                    fh.write((", " if i else "") + json.dumps(row.tolist()))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+        fh.write("}")
 
 
 def read_json(source: str | Path | TextIO | dict) -> dict:

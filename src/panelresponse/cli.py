@@ -36,7 +36,7 @@ from .cycles import (
     mode_phases,
     moving_average,
 )
-from .errors import PanelResponseError
+from .errors import BadModeCount, PanelResponseError
 from .genuine import default_mode_count, genuine_matrix
 from .nullmodel import null_ensemble
 from .panel import (
@@ -53,8 +53,8 @@ from .spectral import (
     CorrMatrix,
     ModeBasis,
     correlation_matrix,
+    _corr_document,
     corr_to_csv,
-    corr_to_json,
     eigendecompose,
     eigenvalue_histogram,
     mode_series,
@@ -147,8 +147,9 @@ def _input(args) -> TextIO | str:
 
 
 def _standardized(args) -> StandardizedPanel:
-    panel = load_panel(_input(args), window=args.window)
-    return standardize(log_growth(panel) if args.method == "log10" else simple_growth(panel))
+    # no name holds the level panel, so it is freed once its growth rates exist
+    growth = log_growth if args.method == "log10" else simple_growth
+    return standardize(growth(load_panel(_input(args), window=args.window)))
 
 
 def _spectrum(args) -> tuple[StandardizedPanel, CorrMatrix, ModeBasis]:
@@ -231,7 +232,7 @@ def _cmd_genuine(args, outdir: Path, config: dict) -> None:
     cg = genuine_matrix(basis, k)
     with _artifact(outdir / "genuine_matrix.csv", config) as fh:
         corr_to_csv(cg, fh)
-    _write_json(outdir / "genuine_matrix.json", config, corr_to_json(cg))
+    _write_json(outdir / "genuine_matrix.json", config, _corr_document(cg))
     print(json.dumps({"k": k, "m": cg.m}, sort_keys=True))
 
 
@@ -251,6 +252,9 @@ def _cmd_ripple(args, outdir: Path, config: dict) -> None:
 
 def _cmd_reduced_chi(args, outdir: Path, config: dict) -> None:
     _, _, basis = _spectrum(args)
+    if args.k > basis.m:
+        # reduced_susceptibility's range, named before genuine_matrix names its own
+        raise BadModeCount(f"mode count {args.k} outside [1, {basis.m}]")
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
     values, normalized = red.values.tolist(), red.normalized.tolist()
     _write_json(outdir / "reduced_chi.json", config,
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="eigenvalues, eigenvectors, spectrum vs MP law")
     _add_common(p)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_int_at_least(1), default=50)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("null", help="shuffling null ensemble and significance edge")
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genuine", help="noise-filtered correlation matrix")
     _add_common(p)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_int_at_least(0), default=None,
                    help="modes to keep (default: count above the rotational edge)")
     p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ripple", help="final-demand to producer-goods response table")
     _add_common(p)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_at_least(0), default=None)
     p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--source", default=None, help="optional source series, e.g. S.15")
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduced-chi", help="two-mode reduced susceptibility")
     _add_common(p)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--beta", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_reduced_chi)
 
@@ -402,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phases", help="per-goods oscillation phase table")
     _add_common(p)
-    p.add_argument("--k", type=int, default=4, help="frequency index (single-tone table)")
+    p.add_argument("--k", type=_int_at_least(1), default=4,
+                   help="frequency index (single-tone table)")
     p.add_argument("--freq-avg", action="store_true",
                    help="amplitude-weighted average over --kset instead of one tone")
     p.add_argument("--kset", type=_parse_kset, default=KSET_LONG_PERIODS)
@@ -426,6 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MiB (None where unknown)."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     outdir = Path(args.outdir)
@@ -442,6 +458,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "numpy": np.__version__,
             },
         }
+        peak = _peak_rss_mb()
+        if peak is not None:
+            manifest["peak_rss_mb"] = peak
         write_json(outdir / "manifest.json", manifest, indent=2, sort_keys=True)
     except (PanelResponseError, OSError) as exc:
         print(f"panelresponse: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import BadModeCount
 from .nullmodel import NullEnsemble, count_significant, upper_edge
+from .panel import _frozen
 from .spectral import CorrMatrix, ModeBasis, reconstruct
 
 
@@ -28,7 +29,9 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     values = reconstruct(basis, range(1, k + 1))
     np.fill_diagonal(values, 1.0)
     values = (values + values.T) / 2.0
-    return CorrMatrix(values=values, kind="genuine", n_goods=basis.n_goods, n_modes=k)
+    return CorrMatrix(
+        values=_frozen(values), kind="genuine", n_goods=basis.n_goods, n_modes=k
+    )
 
 
 def default_mode_count(

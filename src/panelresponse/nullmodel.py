@@ -290,12 +290,15 @@ def null_ensemble(
                     np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
                     for i in range(lo, hi)
                 ])
-                gram = x @ x.transpose(0, 2, 1) / n
+                gram = x @ x.transpose(0, 2, 1)
+                gram /= n
                 check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
                 eigs = np.linalg.eigvalsh(gram)
                 lambda_max[lo:hi] = eigs[:, -1]
                 if pooled is not None:
                     pooled[lo:hi] = eigs[:, ::-1]
+                # freed before the next chunk is gathered, so chunks never overlap
+                del x, gram, eigs
         except BaseException:
             stop.set()
             raise

@@ -194,9 +194,17 @@ def parse_window(text: str) -> tuple[np.datetime64, np.datetime64]:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=a.dtype if a.dtype.kind == "M" else float, copy=True)
-    out.setflags(write=False)
-    return out
+    """``a`` read-only for a container: adopted if frozen and owning its data, else copied."""
+    dtype = a.dtype if a.dtype.kind == "M" else np.dtype(float)
+    if a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
+        return a
+    return _frozen(np.array(a, dtype=dtype, copy=True))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Make a fresh array read-only, so a container adopts it without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +519,10 @@ def load_panel(
     canonical = np.argsort([sid.flat(n_goods) for sid in col_ids])
     if np.any(canonical != np.arange(canonical.size)):
         values = values[canonical]
-    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+    return Panel(
+        months=_frozen(months), values=_frozen(values), ids=canonical_ids(n_goods),
+        weights=weights,
+    )
 
 
 #: Missing series named in an incomplete-grid error; the rest are counted.
@@ -650,9 +661,10 @@ def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:
 
 def log_growth(panel: Panel) -> GrowthPanel:
     """Base-10 logarithmic growth rate log10(S(t_{j+1}) / S(t_j))."""
-    rates = np.log10(panel.values[:, 1:] / panel.values[:, :-1])
+    rates = panel.values[:, 1:] / panel.values[:, :-1]
+    np.log10(rates, out=rates)
     return GrowthPanel(
-        months=panel.months[:-1], rates=rates, ids=panel.ids, method="log10"
+        months=panel.months[:-1], rates=_frozen(rates), ids=panel.ids, method="log10"
     )
 
 
@@ -664,9 +676,10 @@ def simple_growth(panel: Panel) -> GrowthPanel:
     standardized panel up to that scale.
     """
     v = panel.values
-    rates = (v[:, 1:] - v[:, :-1]) / v[:, :-1]
+    rates = v[:, 1:] - v[:, :-1]
+    rates /= v[:, :-1]
     return GrowthPanel(
-        months=panel.months[:-1], rates=rates, ids=panel.ids, method="simple"
+        months=panel.months[:-1], rates=_frozen(rates), ids=panel.ids, method="simple"
     )
 
 
@@ -678,9 +691,11 @@ def standardize(growth: GrowthPanel) -> StandardizedPanel:
     for i, s in enumerate(sigma):
         if s == 0.0 or not np.isfinite(s):
             raise DegenerateSeries(growth.ids[i].label if growth.ids else i + 1)
-    w = (rates - mu[:, None]) / sigma[:, None]
+    w = rates - mu[:, None]
+    w /= sigma[:, None]
     return StandardizedPanel(
-        months=growth.months, values=w, ids=growth.ids, mean=mu, std=sigma
+        months=growth.months, values=_frozen(w), ids=growth.ids,
+        mean=_frozen(mu), std=_frozen(sigma),
     )
 
 

@@ -32,7 +32,7 @@ from .errors import (
     QOutOfRange,
     SchemaError,
 )
-from .panel import StandardizedPanel
+from .panel import StandardizedPanel, _freeze, _frozen
 
 _SYM_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -63,18 +63,21 @@ class CorrMatrix:
     n_modes: int | None = None
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _freeze(np.asarray(self.values, dtype=float))
         if self.kind not in ("raw", "genuine"):
             raise SchemaError(f"unknown matrix kind {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise SchemaError("correlation matrix must be square")
-        if np.abs(v - v.T).max() > _SYM_TOL:
-            raise NotSymmetric(f"asymmetry {np.abs(v - v.T).max():.3e} exceeds {_SYM_TOL}")
-        if np.abs(np.diag(v) - 1.0).max() > _DIAG_TOL:
+        # every tolerance test is written "not x <= tol", so a NaN fails it
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN, and fails
+            asymmetry = np.abs(v - v.T).max()
+        if not asymmetry <= _SYM_TOL:
+            raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {_SYM_TOL}")
+        if not np.abs(np.diag(v) - 1.0).max() <= _DIAG_TOL:
             raise SchemaError("diagonal entries must equal 1")
         limit = _RAW_ENTRY_TOL if self.kind == "raw" else _GENUINE_ENTRY_TOL
         over = np.abs(v).max() - 1.0
-        if over > limit:
+        if not over <= limit:
             raise SchemaError(f"entries exceed [-1, 1] by {over:.3e}")
         if self.kind == "genuine" and over > 0.0:
             warnings.warn(
@@ -83,11 +86,10 @@ class CorrMatrix:
             )
         if self.kind == "raw":
             min_eig = float(np.linalg.eigvalsh(v)[0])
-            if min_eig < -_PSD_TOL:
+            if not min_eig >= -_PSD_TOL:
                 raise SchemaError(f"raw matrix not positive semidefinite ({min_eig:.3e})")
         if self.n_goods is not None and v.shape[0] != 3 * self.n_goods:
             raise SchemaError("n_goods inconsistent with matrix dimension")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -109,18 +111,18 @@ class ModeBasis:
     sign_convention: str = "production-sum"
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float)
-        vec = np.array(self.vectors, dtype=float)
+        lam = _freeze(np.asarray(self.eigenvalues, dtype=float))
+        vec = _freeze(np.asarray(self.vectors, dtype=float))
         m = lam.size
         if vec.shape != (m, m):
             raise DimensionMismatch("eigenvector matrix must be M x M")
-        if np.any(np.diff(lam) > 1e-10):
+        if not np.isfinite(lam).all():
+            raise SchemaError("eigenvalues must be finite")
+        if not np.all(np.diff(lam) <= 1e-10):
             raise SchemaError("eigenvalues must be sorted in descending order")
         gram = vec.T @ vec
-        if np.abs(gram - np.eye(m)).max() > _ORTHO_TOL:
+        if not np.abs(gram - np.eye(m)).max() <= _ORTHO_TOL:
             raise SchemaError("eigenvectors are not orthonormal")
-        lam.setflags(write=False)
-        vec.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", vec)
 
@@ -144,10 +146,9 @@ class ModeSeries:
 
     def __post_init__(self):
         months = np.asarray(self.months, dtype="datetime64[M]")
-        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs = _freeze(np.asarray(self.coeffs, dtype=float))
         if coeffs.ndim != 2 or months.shape != (coeffs.shape[1],):
             raise DimensionMismatch("mode coefficients and months are inconsistent")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "months", months)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -165,11 +166,13 @@ class ModeSeries:
 
 def correlation_matrix(w: StandardizedPanel) -> CorrMatrix:
     """Equal-time correlation matrix C_lm = <w_l(t) w_m(t)>_t."""
-    values = w.values @ w.values.T / w.n_obs
-    values = (values + values.T) / 2.0
+    gram = w.values @ w.values.T
+    gram /= w.n_obs
+    values = gram + gram.T
+    values /= 2.0
     # unit by construction for standardized input; drop the rounding dust
     np.fill_diagonal(values, 1.0)
-    return CorrMatrix(values=values, kind="raw", n_goods=w.n_goods)
+    return CorrMatrix(values=_frozen(values), kind="raw", n_goods=w.n_goods)
 
 
 def _fix_signs(vectors: np.ndarray, n_goods: int | None) -> np.ndarray:
@@ -217,7 +220,7 @@ def eigendecompose(c: CorrMatrix | np.ndarray) -> ModeBasis:
         values = np.asarray(c, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise NotSymmetric("input must be a square matrix")
-        if np.abs(values - values.T).max() > _SYM_TOL:
+        if not np.abs(values - values.T).max() <= _SYM_TOL:
             raise NotSymmetric("matrix is not symmetric")
         n_goods = None
     lam, vec = np.linalg.eigh(values)
@@ -225,11 +228,12 @@ def eigendecompose(c: CorrMatrix | np.ndarray) -> ModeBasis:
     vec = _fix_signs(vec, n_goods)
     lam, vec = _break_ties(lam, vec)
     resid = np.abs(values @ vec - vec * lam).max()
-    if resid > _EIG_RESID_FACTOR * lam.size:
+    if not resid <= _EIG_RESID_FACTOR * lam.size:
         raise EigensolverFailure(f"eigensolver residual {resid:.3e} too large")
     convention = "production-sum" if n_goods is not None else "component-sum"
     return ModeBasis(
-        eigenvalues=lam, vectors=vec, n_goods=n_goods, sign_convention=convention
+        eigenvalues=_frozen(lam), vectors=_frozen(vec), n_goods=n_goods,
+        sign_convention=convention,
     )
 
 
@@ -242,7 +246,7 @@ def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
         raise DimensionMismatch(
             f"basis dimension {basis.m} does not match panel {w.n_series}"
         )
-    return ModeSeries(months=w.months, coeffs=basis.vectors.T @ w.values)
+    return ModeSeries(months=w.months, coeffs=_frozen(basis.vectors.T @ w.values))
 
 
 def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
@@ -343,30 +347,38 @@ def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
     if len(body) != m or any(len(row) != m for row in body):
         raise SchemaError(f"correlation-matrix body is not {m} x {m}")
     try:
-        values = np.array(body, dtype=float)
+        values = _frozen(np.array(body, dtype=float))
     except ValueError as exc:
         raise SchemaError(f"bad correlation-matrix cell: {exc}") from None
     return CorrMatrix(values=values, kind=head["kind"], n_goods=n_goods, n_modes=n_modes)
 
 
+def _corr_document(c: CorrMatrix) -> dict:
+    """The JSON document of a matrix, holding the matrix itself (not lists).
+
+    :func:`~panelresponse._files.write_json` writes it one matrix row at a
+    time; :func:`corr_to_json` returns the same document as plain JSON data.
+    """
+    return {"kind": c.kind, "m": c.m, "goods": c.n_goods, "k": c.n_modes, "values": c.values}
+
+
 def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> dict:
-    doc = {
-        "kind": c.kind,
-        "m": c.m,
-        "goods": c.n_goods,
-        "k": c.n_modes,
-        "values": c.values.tolist(),
-    }
+    """The matrix's JSON document as plain data, written first to ``target`` if given.
+
+    The file is written one matrix row per write, before the returned lists
+    are built, so the two are never held at once.
+    """
+    doc = _corr_document(c)
     if target is not None:
         write_json(target, doc)
-    return doc
+    return {**doc, "values": c.values.tolist()}
 
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
     doc = read_json(source)
     with json_fields("correlation-matrix document"):
         return CorrMatrix(
-            values=np.asarray(doc["values"], dtype=float),
+            values=_frozen(np.array(doc["values"], dtype=float)),
             kind=doc["kind"],
             n_goods=doc.get("goods"),
             n_modes=doc.get("k"),
@@ -374,17 +386,21 @@ def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
 
 
 def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> dict:
+    """The basis's JSON document as plain data, written first to ``target`` if given.
+
+    As in :func:`corr_to_json`, the eigenvectors are written one row per write.
+    """
     doc = {
         "kind": "mode-basis",
         "m": b.m,
         "goods": b.n_goods,
         "sign_convention": b.sign_convention,
-        "eigenvalues": b.eigenvalues.tolist(),
-        "eigenvectors": b.vectors.tolist(),
+        "eigenvalues": b.eigenvalues,
+        "eigenvectors": b.vectors,
     }
     if target is not None:
         write_json(target, doc)
-    return doc
+    return {**doc, "eigenvalues": b.eigenvalues.tolist(), "eigenvectors": b.vectors.tolist()}
 
 
 def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
@@ -393,8 +409,8 @@ def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
         if doc.get("kind") != "mode-basis":
             raise SchemaError(f"not a mode-basis document: field 'kind' is {doc.get('kind')!r}")
         return ModeBasis(
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-            vectors=np.asarray(doc["eigenvectors"], dtype=float),
+            eigenvalues=_frozen(np.array(doc["eigenvalues"], dtype=float)),
+            vectors=_frozen(np.array(doc["eigenvectors"], dtype=float)),
             n_goods=doc.get("goods"),
             sign_convention=doc.get("sign_convention", "production-sum"),
         )

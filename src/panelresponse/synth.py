@@ -22,7 +22,7 @@ import numpy as np
 
 from ._files import json_fields, read_json, write_json
 from .errors import BadParameter, DegenerateSeries, InfeasibleSpec
-from .panel import Panel, StandardizedPanel, canonical_ids, parse_month
+from .panel import Panel, StandardizedPanel, _frozen, canonical_ids, parse_month
 
 _ORTHO_TOL = 1e-10
 
@@ -203,7 +203,7 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
     months = parse_month(spec.start) + np.arange(n)
     ids = canonical_ids(m // 3) if m % 3 == 0 else None
     return StandardizedPanel(
-        months=months, values=w, ids=ids, mean=np.zeros(m), std=np.ones(m)
+        months=months, values=_frozen(w), ids=ids, mean=np.zeros(m), std=np.ones(m)
     )
 
 
@@ -226,7 +226,7 @@ def to_level_panel(
     levels[:, 0] = base
     levels[:, 1:] = base * np.power(10.0, scale * np.cumsum(w.values, axis=1))
     months = np.concatenate([w.months, [w.months[-1] + 1]])
-    return Panel(months=months, values=levels, ids=w.ids, weights=weights)
+    return Panel(months=months, values=_frozen(levels), ids=w.ids, weights=weights)
 
 
 # ---------------------------------------------------------------------------

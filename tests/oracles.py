@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 from decimal import Decimal, getcontext
 from pathlib import Path
 from typing import Mapping, TextIO
@@ -350,3 +351,15 @@ def month_list(start: str, count: int) -> list[str]:
             month = 1
             year += 1
     return out
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocated at its peak, above what was live before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

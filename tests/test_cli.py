@@ -103,6 +103,11 @@ def test_usage_error_exit_2(tmp_path):
         ("stimuli", "--beta", "inf"),
         ("ripple", "--shift", "nan"),
         ("ripple", "--shift", "-inf"),
+        ("genuine", "--k", "-1"),
+        ("ripple", "--k", "-1"),
+        ("reduced-chi", "--k", "0"),
+        ("phases", "--k", "0"),
+        ("analyze", "--bins", "0"),
     ],
 )
 def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
@@ -112,6 +117,23 @@ def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
     assert "Traceback" not in res.stderr
     assert f"argument {args[1]}" in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_reduced_chi_names_its_own_mode_range(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    res = run_cli("reduced-chi", "--k", "100", "--input", str(panel_path), "--outdir", "o",
+                  cwd=tmp_path)
+    assert_one_line_error(res)
+    assert "mode count 100 outside [1, 63]" in res.stderr
+
+
+def test_manifest_records_peak_rss(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    res = run_cli("analyze", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    # ru_maxrss, in MiB: numpy alone takes more than 10
+    assert 10.0 < manifest["peak_rss_mb"] < 10_000.0
 
 
 def assert_one_line_error(res):

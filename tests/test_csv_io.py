@@ -5,7 +5,6 @@ import io
 import itertools
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseErr
 from panelresponse.nullmodel import EdgeEstimate
 from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
 
-from oracles import csv_writer_text, explicit_load_panel, month_list
+from oracles import csv_writer_text, explicit_load_panel, month_list, traced_peak
 
 
 def outcome(loader, text, window):
@@ -180,18 +179,6 @@ def test_blank_outside_the_window_reads_only_its_own_row_cell_by_cell(monkeypatc
                        window="1988-01:1989-12")
     assert rows_read == ["1987-12"]
     assert panel.n_months == 24 and np.all(panel.values == 1.5)
-
-
-def traced_peak(fn):
-    """Bytes ``fn()`` allocated at its peak, above what was live before it ran."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def test_load_panel_peak_memory_is_a_few_panels(tmp_path):

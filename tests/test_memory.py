@@ -1,0 +1,187 @@
+"""One live copy of the panel: ownership of container arrays and peak memory.
+
+Containers adopt a read-only array that owns its data and copy anything
+else; producers hand over fresh frozen arrays, growth and standardization run
+in place, a null's chunks never overlap and JSON matrices are streamed.  The
+peaks are traced with ``tracemalloc`` at the scaled 300 x 1200 shape.
+"""
+
+import argparse
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from panelresponse import (
+    GrowthPanel,
+    Panel,
+    StandardizedPanel,
+    canonical_ids,
+    correlation_matrix,
+    corr_to_json,
+    eigendecompose,
+    genuine_matrix,
+    load_panel,
+    log_growth,
+    null_ensemble,
+    parse_month,
+    simple_growth,
+    standardize,
+    write_panel_csv,
+)
+from panelresponse import _files, cli
+from panelresponse.spectral import _corr_document
+
+from oracles import traced_peak
+
+MIB = 1 << 20
+
+
+def level_values(g=2, n=12, seed=0):
+    return np.random.default_rng(seed).uniform(50.0, 150.0, (3 * g, n))
+
+
+def months(n):
+    return parse_month("1990-01") + np.arange(n)
+
+
+def standardized_values(m, n, seed):
+    x = np.random.default_rng(seed).standard_normal((m, n))
+    return (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# ownership
+# ---------------------------------------------------------------------------
+
+
+def test_containers_copy_a_callers_writeable_array():
+    values = level_values()
+    panel = Panel(months=months(12), values=values, ids=canonical_ids(2))
+    rates = values[:, 1:] / values[:, :-1]
+    growth = GrowthPanel(months=months(11), rates=rates, ids=canonical_ids(2), method="simple")
+    w_values = standardized_values(6, 12, 1)
+    w = StandardizedPanel.from_values(w_values)
+    kept = panel.values.copy(), growth.rates.copy(), w.values.copy()
+    values[:] = 1.0
+    rates[:] = 2.0
+    w_values[:] = 3.0
+    for container, before in zip((panel.values, growth.rates, w.values), kept):
+        assert np.array_equal(container, before)
+        assert not container.flags.writeable
+
+
+def test_containers_adopt_a_frozen_array_that_owns_its_data():
+    values = level_values()
+    values.setflags(write=False)
+    assert Panel(months=months(12), values=values, ids=canonical_ids(2)).values is values
+    # a read-only view does not own its data, so it is copied
+    view = values[:, 1:]
+    panel = Panel(months=months(11), values=view, ids=canonical_ids(2))
+    assert panel.values is not view and np.array_equal(panel.values, view)
+    # so is a frozen array of another dtype
+    ints = np.arange(1, 13).reshape(6, 2)
+    ints.setflags(write=False)
+    growth = GrowthPanel(months=months(2), rates=ints, ids=canonical_ids(2), method="log10")
+    assert growth.rates.dtype == float and growth.rates is not ints
+
+
+@pytest.mark.parametrize("growth", [log_growth, simple_growth])
+def test_producers_hand_over_fresh_frozen_arrays(growth):
+    panel = Panel(months=months(12), values=level_values(), ids=canonical_ids(2))
+    g = growth(panel)
+    w = standardize(g)
+    c = correlation_matrix(w)
+    basis = eigendecompose(c)
+    for a in (g.rates, w.values, w.mean, w.std, c.values, basis.eigenvalues,
+              basis.vectors, genuine_matrix(basis, 2).values):
+        assert a.flags.owndata and not a.flags.writeable
+    # the in-place arithmetic gives the values of the plain expressions
+    v = panel.values
+    want = np.log10(v[:, 1:] / v[:, :-1]) if growth is log_growth else (
+        (v[:, 1:] - v[:, :-1]) / v[:, :-1])
+    assert np.array_equal(g.rates, want)
+    mu, sigma = want.mean(axis=1), want.std(axis=1)
+    assert np.array_equal(w.values, (want - mu[:, None]) / sigma[:, None])
+
+
+# ---------------------------------------------------------------------------
+# peak memory at 300 x 1200
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["log10", "simple"])
+def test_standardized_peaks_near_two_panels(tmp_path, method):
+    g, n = 100, 1200
+    values = level_values(g, n, seed=3)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(Panel(months=months(n), values=values, ids=canonical_ids(g)), path)
+    args = argparse.Namespace(input=str(path), window=None, method=method)
+    w, peak = traced_peak(lambda: cli._standardized(args))
+    # the level panel, the growth rates and the standardized copy used to
+    # overlap (4.0x); now at most two panels are alive at once
+    assert peak < 2.5 * values.nbytes + MIB
+    growth = log_growth if method == "log10" else simple_growth
+    assert np.array_equal(w.values, standardize(growth(load_panel(path))).values)
+
+
+@pytest.mark.parametrize("mode, panels", [("complete", 0), ("rotational", 2)])
+def test_null_chunks_never_overlap(mode, panels):
+    w = StandardizedPanel.from_values(standardized_values(300, 1200, 5))
+    # one 2.9 MB sample per chunk; the old chunk used to live until the next
+    # one was gathered (2.3x a sample).  A rotational null also holds the
+    # panel twice over, [v v], for its sliding windows.
+    _, peak = traced_peak(lambda: null_ensemble(w, mode, 4, seed=1))
+    assert peak < (panels + 1.75) * w.values.nbytes + MIB
+
+
+def genuine_300():
+    w = StandardizedPanel.from_values(standardized_values(300, 400, 4))
+    return genuine_matrix(eigendecompose(correlation_matrix(w)), 2)
+
+
+def test_genuine_matrix_json_peaks_below_its_text(tmp_path):
+    c = genuine_300()
+    config = {"command": "genuine", "k": 2}
+    path = tmp_path / "genuine_matrix.json"
+    _, peak = traced_peak(lambda: cli._write_json(path, config, _corr_document(c)))
+    text = path.read_text()
+    # ~1.9 MB of text; its lists and one string of it peaked near 8 MB
+    assert peak < len(text)
+    assert text == json.dumps({"config": config, **corr_to_json(c)})
+
+
+# ---------------------------------------------------------------------------
+# the streamed JSON writer
+# ---------------------------------------------------------------------------
+
+
+def test_streamed_json_equals_json_dumps():
+    matrix = np.array([[1.0, math.nan, -0.0], [math.inf, -math.inf, 1e-300], [5e-324, 0.1, 2.0]])
+    doc = {
+        "config": {"window": None, "method": "log10", "k": 2, "ok": True},
+        "name": "café \"quoted\"",
+        "values": matrix,
+        "row": np.array([math.nan, 1.5]),
+        "empty": np.empty((0, 0)),
+        "scalar": np.float64(0.25),
+        "tail": [1, 2.5, None],
+    }
+    buf = io.StringIO()
+    _files.write_json(buf, doc)
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    assert buf.getvalue() == json.dumps(plain)
+    assert "NaN" in buf.getvalue()
+    # a document without arrays keeps json.dumps's formatting options
+    buf = io.StringIO()
+    _files.write_json(buf, plain, indent=2, sort_keys=True)
+    assert buf.getvalue() == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_corr_to_json_writes_what_it_returns(tmp_path):
+    c = genuine_300()
+    doc = corr_to_json(c, tmp_path / "c.json")
+    assert json.dumps(doc) == (tmp_path / "c.json").read_text()
+    assert doc["values"] == c.values.tolist()

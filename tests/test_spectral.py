@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import integrate
 
 from panelresponse import (
     CorrMatrix,
+    ModeBasis,
     StandardizedPanel,
     basis_from_json,
     basis_to_json,
@@ -31,6 +33,7 @@ from panelresponse.errors import (
     EmptyInput,
     NotSymmetric,
     QOutOfRange,
+    SchemaError,
 )
 
 from oracles import MpReference, explicit_reconstruct, mp_bounds_decimal, mp_density_decimal
@@ -345,3 +348,60 @@ def test_corr_csv_in_memory():
     buf.seek(0)
     back = corr_from_csv(buf)
     assert np.array_equal(back.values, c.values)
+
+
+# every matrix check is written "not x <= tol", so NaN never passes
+
+NAN_MATRICES = {
+    "off-diagonal": [[1.0, np.nan], [np.nan, 1.0]],
+    "one-sided": [[1.0, np.nan], [0.5, 1.0]],
+    "diagonal": [[np.nan, 0.5], [0.5, 1.0]],
+    "infinite": [[1.0, np.inf], [np.inf, 1.0]],
+}
+
+
+@pytest.mark.parametrize("kind", ["raw", "genuine"])
+@pytest.mark.parametrize("name", sorted(NAN_MATRICES))
+def test_corr_matrix_rejects_nan(kind, name):
+    with pytest.raises((SchemaError, NotSymmetric)):
+        CorrMatrix(values=np.array(NAN_MATRICES[name]), kind=kind)
+
+
+@pytest.mark.parametrize("name", sorted(NAN_MATRICES))
+def test_corr_readers_reject_nan(tmp_path, name):
+    values = NAN_MATRICES[name]
+    cells = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
+    path = tmp_path / "c.csv"
+    path.write_text(f"kind,m,goods,k\ngenuine,2,,\n{cells}\n")
+    with pytest.raises((SchemaError, NotSymmetric)):
+        corr_from_csv(path)
+    doc = {"kind": "genuine", "m": 2, "goods": None, "k": None, "values": values}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for source in (doc, path):
+        with pytest.raises((SchemaError, NotSymmetric)):
+            corr_from_json(source)
+
+
+@pytest.mark.parametrize("field, index", [
+    ("eigenvalues", (0,)), ("eigenvalues", (1,)), ("eigenvectors", (0, 1)),
+    ("eigenvectors", (1, 1)),
+])
+def test_mode_basis_and_its_reader_reject_nan(tmp_path, field, index):
+    basis = eigendecompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    doc = basis_to_json(basis)
+    target = doc[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = float("nan")
+    with pytest.raises(SchemaError):
+        ModeBasis(eigenvalues=np.array(doc["eigenvalues"]), vectors=np.array(doc["eigenvectors"]))
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        basis_from_json(path)
+
+
+def test_one_nan_eigenvalue_is_rejected():
+    with pytest.raises(SchemaError, match="finite"):
+        ModeBasis(eigenvalues=np.array([np.nan]), vectors=np.eye(1))
