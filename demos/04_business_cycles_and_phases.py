@@ -47,7 +47,7 @@ basis = eigendecompose(correlation_matrix(w))
 ms = mode_series(w, basis)
 
 a1, a2 = ms.coeffs[0], ms.coeffs[1]
-s1 = moving_average(a1, 6).values
+s1 = moving_average(a1, 6)
 print("smoothing the leading mode (half-width 6 months):")
 print(f"  raw std {a1.std():.2f} -> smoothed std {s1.std():.2f}")
 

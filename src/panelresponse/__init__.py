@@ -16,8 +16,6 @@ from .cycles import (
     KSET_BUSINESS_CYCLES,
     KSET_LONG_PERIODS,
     PhaseTable,
-    SmoothedSeries,
-    SpectralCoefficients,
     StimulusSeries,
     dft,
     external_stimuli,
@@ -127,11 +125,10 @@ __all__ = [
     "RippleReport", "ReducedSusceptibility", "ripple", "final_to_intermediate",
     "final_to_intermediate_csv", "reduced_susceptibility",
     # cycles
-    "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "SmoothedSeries",
-    "SpectralCoefficients", "PhaseTable", "StimulusSeries", "moving_average",
-    "lag_correlation", "dft", "inverse_dft", "long_period",
-    "residual_disturbance", "external_stimuli", "mode_phases",
-    "freq_avg_phases",
+    "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "PhaseTable",
+    "StimulusSeries", "moving_average", "lag_correlation", "dft",
+    "inverse_dft", "long_period", "residual_disturbance", "external_stimuli",
+    "mode_phases", "freq_avg_phases",
     # synth
     "SynthSpec", "PlantedMode", "Sinusoid", "Ar1", "generate",
     "to_level_panel", "spec_to_json", "spec_from_json",

@@ -74,14 +74,20 @@ _KSET_PRESETS = {
 
 
 def _parse_kset(text: str) -> tuple[int, ...]:
+    """argparse type: a preset name or a non-empty set of frequency indices >= 1."""
     if text in _KSET_PRESETS:
         return _KSET_PRESETS[text]
     try:
-        return tuple(sorted({int(p) for p in text.split(",") if p.strip()}))
+        ks = tuple(sorted({int(p) for p in text.split(",") if p.strip()}))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad kset {text!r}: use 'cycles', 'two-years', or comma-separated integers"
         ) from None
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty frequency set {text!r}")
+    if ks[0] < 1:
+        raise argparse.ArgumentTypeError(f"frequency indices must be >= 1, got {ks[0]}")
+    return ks
 
 
 def _int_at_least(low: int):
@@ -107,6 +113,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -271,17 +285,17 @@ def _cmd_cycles(args, outdir: Path, config: dict) -> None:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     a1, a2 = ms.coeffs[0], ms.coeffs[1]
-    s1 = moving_average(a1, args.xi).values
-    s2 = moving_average(a2, args.xi).values
+    s1 = moving_average(a1, args.xi)
+    s2 = moving_average(a2, args.xi)
     _write_csv(
         outdir / "mode_series.csv", config,
         ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
         zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()),
     )
+    # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
     _write_csv(
         outdir / "lag_correlation.csv", config, ["lag", "correlation"],
-        [(lag, lag_correlation(a1, a2, lag, args.xi))
-         for lag in range(-args.max_lag, args.max_lag + 1)],
+        [(lag, lag_correlation(s1, s2, lag)) for lag in range(-args.max_lag, args.max_lag + 1)],
     )
 
 
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduced-chi", help="two-mode reduced susceptibility")
     _add_common(p)
     p.add_argument("--k", type=_int_at_least(1), default=2)
-    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--beta", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_reduced_chi)
 
     p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
@@ -418,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--xi", type=_int_at_least(0), default=6)
     p.add_argument("--kset", type=_parse_kset, default=KSET_BUSINESS_CYCLES)
-    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--beta", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_stimuli)
 
     p = sub.add_parser("synth", help="generate a synthetic panel CSV from a spec")

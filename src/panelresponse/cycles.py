@@ -9,8 +9,10 @@ residual recovers the external stimulus series driving the economy beyond
 its inherent cycles.
 
 Fourier convention: coefficients are (1/sqrt(N')) sum_j x(t_j) e^{+i w_k t_j}
-with w_k = 2 pi k / N' per month, and series are reconstructed with
-e^{-i w_k t_j}.  Under that convention a positive relative phase means the
+with w_k = 2 pi k / N' per month and t_j = j = 1..N', and series are
+reconstructed with e^{-i w_k t_j}.  Only :func:`dft` and :func:`inverse_dft`
+spell it out; the band filter and the phase tables read their bins from
+:func:`dft`.  Under that convention a positive relative phase means the
 series peaks earlier than (is ahead of) the reference.
 
 Frequency presets below (k = {1,2,4,6}, roughly 240/120/60/40-month periods,
@@ -55,20 +57,12 @@ KSET_LONG_PERIODS: tuple[int, ...] = tuple(range(1, 10))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothedSeries:
-    """Centered moving average; the window shrinks at the boundaries."""
-
-    values: np.ndarray
-    half_width: int
-    edge_policy: str = "shrink"
-
-
-def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> SmoothedSeries:
+def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarray:
     """Mean over the window [j - half_width, j + half_width], clipped to the series.
 
-    half_width = 0 returns the input unchanged; constants and (at interior
-    points) linear ramps are preserved for any width.
+    The window shrinks at the boundaries.  half_width = 0 returns a copy of
+    the input; constants and (at interior points) linear ramps are preserved
+    for any width.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
@@ -77,13 +71,12 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> Smoothed
     if half_width >= n:
         raise WindowTooWide(f"half-width {half_width} >= series length {n}")
     if half_width == 0:
-        return SmoothedSeries(values=arr.copy(), half_width=0)
+        return arr.copy()
     csum = np.concatenate([[0.0], np.cumsum(arr)])
     j = np.arange(n)
     lo = np.maximum(j - half_width, 0)
     hi = np.minimum(j + half_width + 1, n)
-    values = (csum[hi] - csum[lo]) / (hi - lo)
-    return SmoothedSeries(values=values, half_width=half_width)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def lag_correlation(
@@ -98,8 +91,8 @@ def lag_correlation(
     normalization uses each smoothed series' full-sample root mean square,
     so the value is a correlation coefficient comparable across lags.
     """
-    xs = moving_average(x, half_width).values
-    ys = moving_average(y, half_width).values
+    xs = moving_average(x, half_width)
+    ys = moving_average(y, half_width)
     if xs.size != ys.size:
         raise DimensionMismatch("series lengths differ")
     n = xs.size
@@ -120,27 +113,8 @@ def lag_correlation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Complex coefficients at w_k = 2 pi k / N' per month, k = 0 .. N'-1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_obs(self) -> int:
-        return self.coeffs.size
-
-    def omega(self, k: int) -> float:
-        return 2.0 * np.pi * k / self.n_obs
-
-
-def dft(x: Sequence[float] | np.ndarray) -> SpectralCoefficients:
-    """Forward transform (1/sqrt(N')) sum_j x(t_j) e^{+i w_k t_j}, t_j = j months."""
+def dft(x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Coefficients (1/sqrt(N')) sum_j x(t_j) e^{+i w_k t_j}, t_j = j months, k = 0 .. N'-1."""
     arr = np.asarray(x, dtype=float)
     n = arr.size
     if n < 2:
@@ -148,16 +122,16 @@ def dft(x: Sequence[float] | np.ndarray) -> SpectralCoefficients:
     k = np.arange(n)
     # t_j = j with j = 1..N', so the array origin carries one extra phase step
     phase = np.exp(2j * np.pi * k / n)
-    return SpectralCoefficients(coeffs=np.sqrt(n) * phase * np.fft.ifft(arr))
+    return np.sqrt(n) * phase * np.fft.ifft(arr)
 
 
-def inverse_dft(sc: SpectralCoefficients) -> np.ndarray:
+def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Reconstruct x(t_j) = (1/sqrt(N')) sum_k coeffs_k e^{-i w_k t_j}."""
-    n = sc.n_obs
+    c = np.asarray(coeffs, dtype=complex)
+    n = c.size
     k = np.arange(n)
-    b = sc.coeffs * np.exp(-2j * np.pi * k / n)
-    out = np.fft.fft(b) / np.sqrt(n)
-    scale = np.abs(sc.coeffs).max() if sc.coeffs.size else 0.0
+    out = np.fft.fft(c * np.exp(-2j * np.pi * k / n)) / np.sqrt(n)
+    scale = np.abs(c).max() if n else 0.0
     if np.abs(out.imag).max() > 1e-9 * max(scale, 1.0):
         raise BadParameter("coefficients are not conjugate-symmetric; result not real")
     return out.real
@@ -182,12 +156,10 @@ def long_period(x: Sequence[float] | np.ndarray, kset: Iterable[int]) -> np.ndar
     arr = np.asarray(x, dtype=float)
     n = arr.size
     ks = _check_kset(kset, n)
-    keep = set(ks) | {n - k for k in ks}
-    sc = dft(arr)
+    keep = np.concatenate([ks, n - np.array(ks)])
     masked = np.zeros(n, dtype=complex)
-    for k in keep:
-        masked[k] = sc.coeffs[k]
-    return inverse_dft(SpectralCoefficients(coeffs=masked))
+    masked[keep] = dft(arr)[keep]
+    return inverse_dft(masked)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +173,9 @@ def _mode_residuals(
     """Smoothed-minus-long-period residual of the two leading mode series (2 x N')."""
     if ms.coeffs.shape[0] < 2:
         raise BadModeCount("need the two leading mode series")
-    out = np.empty((2, ms.coeffs.shape[1]))
-    for i in range(2):
-        a = ms.coeffs[i]
-        out[i] = moving_average(a, half_width).values - long_period(a, kset)
-    return out
+    return np.stack(
+        [moving_average(a, half_width) - long_period(a, kset) for a in ms.coeffs[:2]]
+    )
 
 
 def residual_disturbance(
@@ -273,7 +243,7 @@ def external_stimuli(
         values=eta,
         beta=chi.beta,
         half_width=half_width,
-        kset=tuple(sorted(set(int(k) for k in kset))),
+        kset=tuple(_check_kset(kset, ms.coeffs.shape[1])),
     )
 
 
@@ -320,17 +290,12 @@ class PhaseTable:
         ])
 
 
-def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, k: int) -> np.ndarray:
-    """Complex amplitude of each series at frequency k in the two-mode picture."""
-    n = ms.coeffs.shape[1]
-    if not 1 <= k <= n - 1:
-        raise BadFrequencyIndex(f"frequency index {k} outside [1, {n - 1}]")
+def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, ks: list[int]) -> np.ndarray:
+    """Complex amplitude of each series at each frequency of ks in the two-mode picture (M x K)."""
     if ms.coeffs.shape[0] < 2 or basis.m < 2:
         raise BadModeCount("need the two leading modes")
-    j = np.arange(1, n + 1)
-    bin_vec = np.exp(2j * np.pi * k * j / n) / np.sqrt(n)
-    a_tilde = ms.coeffs[:2] @ bin_vec
-    return basis.vectors[:, :2] @ a_tilde
+    bins = np.stack([dft(a)[ks] for a in ms.coeffs[:2]])
+    return basis.vectors[:, :2] @ bins
 
 
 def _ref_index(basis: ModeBasis, ref: SeriesId) -> int:
@@ -349,12 +314,12 @@ def mode_phases(
     entry peaks ahead of the reference.
     """
     ref_idx = _ref_index(basis, ref)
-    amp = _two_mode_amplitudes(ms, basis, k)
+    n = ms.coeffs.shape[1]
+    amp = _two_mode_amplitudes(ms, basis, _check_kset([k], n))[:, 0]
     if np.abs(amp[ref_idx]) < 1e-12:
         raise ReferenceAmplitudeZero(f"reference {ref.label} has no amplitude at k={k}")
     rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
     rel[ref_idx] = 0.0
-    n = ms.coeffs.shape[1]
     label = f"T={round((n + 1) / k)}"
     return PhaseTable(
         phases=rel, reference=ref, period_label=label, kset=(k,), n_goods=basis.n_goods
@@ -378,18 +343,13 @@ def freq_avg_phases(
     ref_idx = _ref_index(basis, ref)
     n = ms.coeffs.shape[1]
     ks = _check_kset(kset, n)
-    m = basis.m
-    resultant = np.zeros(m, dtype=complex)
-    total = np.zeros(m)
-    for k in ks:
-        amp = _two_mode_amplitudes(ms, basis, k)
-        weight = np.abs(amp) ** 2
-        rel = np.angle(amp[ref_idx]) - np.angle(amp)
-        resultant += weight * np.exp(1j * rel)
-        total += weight
-    for i in range(m):
-        if total[i] < 1e-12:
-            raise DegenerateWeights(i + 1)
+    amp = _two_mode_amplitudes(ms, basis, ks)
+    weight = np.abs(amp) ** 2
+    rel = np.angle(amp[ref_idx]) - np.angle(amp)
+    resultant = np.sum(weight * np.exp(1j * rel), axis=1)
+    degenerate = np.flatnonzero(weight.sum(axis=1) < 1e-12)
+    if degenerate.size:
+        raise DegenerateWeights(int(degenerate[0]) + 1)
     phases = _wrap_degrees(np.degrees(np.angle(resultant)))
     phases[ref_idx] = 0.0
     return PhaseTable(

@@ -35,7 +35,7 @@ from .errors import (
     EmptyEnsemble,
     LagOutOfRange,
 )
-from .panel import StandardizedPanel, check_standardized
+from .panel import StandardizedPanel, _freeze, _frozen, check_standardized
 from .spectral import ModeBasis
 
 
@@ -175,10 +175,12 @@ class NullEnsemble:
     pooled: np.ndarray | None = None
 
     def __post_init__(self):
-        lmax = np.asarray(self.lambda_max, dtype=float)
+        lmax = _freeze(np.asarray(self.lambda_max, dtype=float))
         if lmax.shape != (self.samples,):
             raise EmptyEnsemble(f"{lmax.size} largest eigenvalues for {self.samples} samples")
         object.__setattr__(self, "lambda_max", lmax)
+        if self.pooled is not None:
+            object.__setattr__(self, "pooled", _freeze(np.asarray(self.pooled, dtype=float)))
         object.__setattr__(self, "mode", ShuffleMode(self.mode))
 
     def to_json(self, target: str | Path | TextIO | None = None) -> dict:
@@ -206,7 +208,7 @@ class NullEnsemble:
                 mode=ShuffleMode(doc["mode"]),
                 samples=doc["samples"],
                 seed=doc["seed"],
-                lambda_max=np.asarray(doc["lambda_max"], dtype=float),
+                lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
                 edge=EdgeEstimate(**doc["edge"]),
             )
 
@@ -323,9 +325,9 @@ def null_ensemble(
         mode=mode,
         samples=samples,
         seed=seed,
-        lambda_max=lambda_max,
+        lambda_max=_frozen(lambda_max),
         edge=EdgeEstimate(*edge_vals, 0.95),
-        pooled=pooled,
+        pooled=None if pooled is None else _frozen(pooled),
     )
 
 

@@ -90,13 +90,9 @@ def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
     """
     if cg.n_goods != 21:
         raise LayoutMismatch(f"expected the 21-goods layout, got {cg.n_goods}")
-    out = np.empty((19, 2))
-    for g in range(1, 20):
-        ship = SeriesId(Variable.SHIPMENTS, g).flat(21) - 1
-        for col, target_goods in enumerate((20, 21)):
-            prod = SeriesId(Variable.PRODUCTION, target_goods).flat(21) - 1
-            out[g - 1, col] = cg.values[prod, ship]
-    return out
+    prod = SeriesId(Variable.PRODUCTION, 20).flat(21) - 1  # P.20 and P.21
+    ship = SeriesId(Variable.SHIPMENTS, 1).flat(21) - 1  # S.1 .. S.19
+    return cg.values[prod:prod + 2, ship:ship + 19].T.copy()
 
 
 def final_to_intermediate_csv(

@@ -145,7 +145,7 @@ class ModeSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        months = np.asarray(self.months, dtype="datetime64[M]")
+        months = _freeze(np.asarray(self.months, dtype="datetime64[M]"))
         coeffs = _freeze(np.asarray(self.coeffs, dtype=float))
         if coeffs.ndim != 2 or months.shape != (coeffs.shape[1],):
             raise DimensionMismatch("mode coefficients and months are inconsistent")

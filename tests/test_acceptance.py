@@ -218,7 +218,7 @@ def test_c10_fourier_suite():
     sc = dft(x)
     assert np.abs(inverse_dft(sc) - x).max() <= 1e-10
     energy = float(np.sum(x**2))
-    assert abs(float(np.sum(np.abs(sc.coeffs) ** 2)) - energy) <= 1e-8 * energy
+    assert abs(float(np.sum(np.abs(sc) ** 2)) - energy) <= 1e-8 * energy
 
     n = 240
     t = np.arange(1, n + 1)

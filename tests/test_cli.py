@@ -101,6 +101,16 @@ def test_usage_error_exit_2(tmp_path):
         ("reduced-chi", "--beta", "nan"),
         ("stimuli", "--beta", "nan"),
         ("stimuli", "--beta", "inf"),
+        ("reduced-chi", "--beta", "0"),
+        ("reduced-chi", "--beta", "-1"),
+        ("stimuli", "--beta", "0"),
+        ("stimuli", "--beta", "-1"),
+        ("phases", "--kset", "0,1"),
+        ("phases", "--kset", "-3"),
+        ("phases", "--kset", ","),
+        ("stimuli", "--kset", "0,1"),
+        ("stimuli", "--kset", "-3"),
+        ("stimuli", "--kset", ","),
         ("ripple", "--shift", "nan"),
         ("ripple", "--shift", "-inf"),
         ("genuine", "--k", "-1"),

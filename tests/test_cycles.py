@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from panelresponse import (
     KSET_BUSINESS_CYCLES,
+    KSET_LONG_PERIODS,
     ModeSeries,
     ReducedSusceptibility,
     SeriesId,
-    SpectralCoefficients,
     StandardizedPanel,
     Variable,
     correlation_matrix,
@@ -66,16 +66,16 @@ def rank2_pipeline(rows):
 
 def test_moving_average_identity_and_constants():
     x = np.random.default_rng(1).standard_normal(50)
-    assert np.array_equal(moving_average(x, 0).values, x)
+    assert np.array_equal(moving_average(x, 0), x)
     const = np.full(30, 3.25)
     for xi in (1, 5, 12):
-        assert np.allclose(moving_average(const, xi).values, 3.25, atol=1e-14)
+        assert np.allclose(moving_average(const, xi), 3.25, atol=1e-14)
 
 
 def test_moving_average_linear_ramp_interior():
     ramp = np.arange(40, dtype=float)
     xi = 6
-    smooth = moving_average(ramp, xi).values
+    smooth = moving_average(ramp, xi)
     assert np.allclose(smooth[xi:-xi], ramp[xi:-xi], atol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_moving_average_matches_brute_force():
     x = rng.standard_normal(73)
     for xi in (1, 3, 10, 36, 72):
         assert np.allclose(
-            moving_average(x, xi).values, brute_moving_average(x, xi), atol=1e-12
+            moving_average(x, xi), brute_moving_average(x, xi), atol=1e-12
         )
 
 
@@ -92,8 +92,8 @@ def test_moving_average_linearity():
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((2, 40))
     a, b = 2.5, -1.25
-    combined = moving_average(a * x + b * y, 4).values
-    separate = a * moving_average(x, 4).values + b * moving_average(y, 4).values
+    combined = moving_average(a * x + b * y, 4)
+    separate = a * moving_average(x, 4) + b * moving_average(y, 4)
     assert np.allclose(combined, separate, atol=1e-12)
 
 
@@ -143,18 +143,18 @@ def test_lag_correlation_insufficient_overlap():
 
 
 def test_dft_zero_series():
-    assert np.allclose(dft(np.zeros(32)).coeffs, 0.0, atol=0)
+    assert np.allclose(dft(np.zeros(32)), 0.0, atol=0)
 
 
 def test_dft_matches_direct_sum():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(64)
-    assert np.abs(dft(x).coeffs - direct_dft(x)).max() <= 1e-10
+    assert np.abs(dft(x) - direct_dft(x)).max() <= 1e-10
 
 
 def test_dft_single_tone_support():
     x = np.cos(2 * np.pi * 4 * T_INDEX / N)
-    power = np.abs(dft(x).coeffs) ** 2
+    power = np.abs(dft(x)) ** 2
     on = power[[4, N - 4]].sum()
     assert on / power.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -165,7 +165,7 @@ def test_dft_round_trip_and_parseval():
     sc = dft(x)
     assert np.abs(inverse_dft(sc) - x).max() <= 1e-10
     energy_x = float(np.sum(x**2))
-    energy_c = float(np.sum(np.abs(sc.coeffs) ** 2))
+    energy_c = float(np.sum(np.abs(sc) ** 2))
     assert abs(energy_c - energy_x) <= 1e-8 * energy_x
 
 
@@ -173,12 +173,12 @@ def test_inverse_dft_rejects_non_real_result():
     coeffs = np.zeros(8, dtype=complex)
     coeffs[1] = 1.0  # no conjugate partner at k = 7
     with pytest.raises(BadParameter, match="conjugate-symmetric"):
-        inverse_dft(SpectralCoefficients(coeffs=coeffs))
+        inverse_dft(coeffs)
 
 
 def test_dft_conjugate_symmetry():
     x = np.random.default_rng(8).standard_normal(100)
-    c = dft(x).coeffs
+    c = dft(x)
     for k in range(1, 50):
         assert abs(c[100 - k] - np.conj(c[k])) <= 1e-10
 
@@ -271,7 +271,7 @@ def test_residual_orthonormal_shortcut(planted_panel):
     back = basis.vectors[:, :2].T @ resid
     for i in range(2):
         a = ms.coeffs[i]
-        direct = moving_average(a, 6).values - long_period(a, KSET_BUSINESS_CYCLES)
+        direct = moving_average(a, 6) - long_period(a, KSET_BUSINESS_CYCLES)
         assert np.abs(back[i] - direct).max() <= 1e-10
 
 
@@ -429,6 +429,32 @@ def test_phase_table_csv(planted_panel):
     assert p20_row[0] == "20" and float(p20_row[1]) == 0.0
 
 
+def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest circular distance between two arrays of angles in degrees."""
+    return float(np.abs((a - b + 180.0) % 360.0 - 180.0).max())
+
+
+def test_phases_match_brute_force_dft_amplitudes(planted_panel):
+    # the phase tables read their bins from dft; the oracle sums the DFT directly
+    basis = eigendecompose(correlation_matrix(planted_panel))
+    ms = mode_series(planted_panel, basis)
+    ref = SeriesId(Variable.PRODUCTION, 20)
+    r = ref.flat(basis.n_goods) - 1
+    bins = np.stack([direct_dft(ms.coeffs[0]), direct_dft(ms.coeffs[1])])
+    amp = basis.vectors[:, :2] @ bins  # M x N', every series at every bin
+    rel = np.degrees(np.angle(amp[r]) - np.angle(amp))  # M x N'
+    for k in (1, 4, 9):
+        table = mode_phases(ms, basis, k, ref)
+        assert _wrapped_gap(table.phases, rel[:, k]) <= 1e-9
+    ks = list(KSET_LONG_PERIODS)
+    expected = np.array([
+        circular_mean_degrees(rel[i, ks], np.abs(amp[i, ks]) ** 2) for i in range(basis.m)
+    ])
+    expected[r] = 0.0
+    table = freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref)
+    assert _wrapped_gap(table.phases, expected) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -447,5 +473,5 @@ def test_dft_round_trip_property(n, scale, seed):
     value=st.floats(-1e6, 1e6, allow_subnormal=False),
 )
 def test_moving_average_keeps_constants_property(n, width, value):
-    smoothed = moving_average(np.full(n, value), width % n).values
+    smoothed = moving_average(np.full(n, value), width % n)
     assert np.abs(smoothed - value).max() <= 1e-12 * abs(value)

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from panelresponse import (
+    EdgeEstimate,
     GrowthPanel,
+    ModeSeries,
+    NullEnsemble,
     Panel,
     StandardizedPanel,
     canonical_ids,
@@ -64,11 +67,22 @@ def test_containers_copy_a_callers_writeable_array():
     growth = GrowthPanel(months=months(11), rates=rates, ids=canonical_ids(2), method="simple")
     w_values = standardized_values(6, 12, 1)
     w = StandardizedPanel.from_values(w_values)
-    kept = panel.values.copy(), growth.rates.copy(), w.values.copy()
+    ms_months, coeffs = months(12), np.ones((2, 12))
+    ms = ModeSeries(months=ms_months, coeffs=coeffs)
+    lambda_max, pooled = np.linspace(2.0, 3.0, 4), np.ones((4, 6))
+    e = NullEnsemble(mode="rotational", samples=4, seed=0, lambda_max=lambda_max,
+                     edge=EdgeEstimate(2.5, 2.4, 2.6, 0.95), pooled=pooled)
+    arrays = (panel.values, growth.rates, w.values, ms.months, ms.coeffs,
+              e.lambda_max, e.pooled)
+    kept = [a.copy() for a in arrays]
     values[:] = 1.0
     rates[:] = 2.0
     w_values[:] = 3.0
-    for container, before in zip((panel.values, growth.rates, w.values), kept):
+    ms_months[:] = ms_months[0]
+    coeffs[:] = 4.0
+    lambda_max[:] = 5.0
+    pooled[:] = 6.0
+    for container, before in zip(arrays, kept):
         assert np.array_equal(container, before)
         assert not container.flags.writeable
 
@@ -95,8 +109,9 @@ def test_producers_hand_over_fresh_frozen_arrays(growth):
     w = standardize(g)
     c = correlation_matrix(w)
     basis = eigendecompose(c)
+    e = null_ensemble(w, "rotational", 3, seed=0)
     for a in (g.rates, w.values, w.mean, w.std, c.values, basis.eigenvalues,
-              basis.vectors, genuine_matrix(basis, 2).values):
+              basis.vectors, genuine_matrix(basis, 2).values, e.lambda_max, e.pooled):
         assert a.flags.owndata and not a.flags.writeable
     # the in-place arithmetic gives the values of the plain expressions
     v = panel.values
