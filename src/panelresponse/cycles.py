@@ -129,9 +129,11 @@ def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Reconstruct x(t_j) = (1/sqrt(N')) sum_k coeffs_k e^{-i w_k t_j}."""
     c = np.asarray(coeffs, dtype=complex)
     n = c.size
+    if n < 2:
+        raise EmptyInput(f"need at least 2 coefficients, got {n}")
     k = np.arange(n)
     out = np.fft.fft(c * np.exp(-2j * np.pi * k / n)) / np.sqrt(n)
-    scale = np.abs(c).max() if n else 0.0
+    scale = np.abs(c).max()
     if np.abs(out.imag).max() > 1e-9 * max(scale, 1.0):
         raise BadParameter("coefficients are not conjugate-symmetric; result not real")
     return out.real
@@ -168,7 +170,7 @@ def long_period(x: Sequence[float] | np.ndarray, kset: Iterable[int]) -> np.ndar
 
 
 def _mode_residuals(
-    ms: ModeSeries, half_width: int, kset: Iterable[int]
+    ms: ModeSeries, half_width: int, kset: tuple[int, ...]
 ) -> np.ndarray:
     """Smoothed-minus-long-period residual of the two leading mode series (2 x N')."""
     if ms.coeffs.shape[0] < 2:
@@ -191,7 +193,8 @@ def residual_disturbance(
     """
     if basis.m < 2:
         raise BadModeCount("need at least two modes in the basis")
-    resid = _mode_residuals(ms, half_width, kset)
+    # read once, so a one-shot iterable serves both modes
+    resid = _mode_residuals(ms, half_width, tuple(kset))
     return basis.vectors[:, :2] @ resid
 
 
@@ -236,6 +239,8 @@ def external_stimuli(
     det = abs(float(np.linalg.det(chi.values)))
     if det <= 1e-12 * float(np.sum(chi.values**2)):
         raise SingularSusceptibility(f"determinant {det:.3e} too small")
+    # read once, so a one-shot iterable serves both modes and the record
+    kset = tuple(kset)
     resid = _mode_residuals(ms, half_width, kset)
     eta = np.linalg.solve(chi.values, resid)
     return StimulusSeries(

@@ -244,9 +244,14 @@ def null_ensemble(
     :func:`complete_shuffle`, and the shuffled rows are gathered without
     arithmetic, so each sample's panel, correlation matrix and eigenvalues
     are bit-identical to the one-sample loop over those shufflers, at any
-    chunk size and worker count.  Each chunk's moments are checked from its
-    row sums and the diagonal of its X X^T / N'.  Memory is O(M N') per
-    worker, so it grows with the number of usable CPUs.
+    chunk size and worker count.  The rotational offsets are drawn by the
+    calling thread, every sample's before any worker starts; the complete
+    shuffles are drawn by the workers.  Each chunk's moments are checked
+    from its row sums and the diagonal of its X X^T / N'.  Memory is
+    O(M N') per worker, so it grows with the number of usable CPUs, plus
+    for a rotational null one table of samples x M window starts in the
+    smallest unsigned type that holds N' - 1 (one byte each up to
+    N' = 256).
     """
     mode = ShuffleMode(mode)
     if samples < 1:
@@ -257,22 +262,32 @@ def null_ensemble(
     m, n = v.shape
     sample_bytes = m * n * v.itemsize
     chunk = max(1, _CHUNK_BYTES // sample_bytes)
+
+    def stream(i):
+        # the i-th child SeedSequence(seed).spawn(samples) would make, built
+        # when needed instead of all of them held at once
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+
     if mode is ShuffleMode.ROTATIONAL:
         # windows[i, s] = [v v][i, s:s+n]; start (n - tau) % n is np.roll(v[i], tau)
         windows = sliding_window_view(np.concatenate([v, v], axis=1), n, axis=1)
         rows = np.arange(m)
+        # every sample's starts, drawn here in sample order before any worker
+        # runs, so the workers make only numpy calls that release the GIL
+        starts = np.empty((samples, m), dtype=np.min_scalar_type(n - 1))
+        for i in range(samples):
+            starts[i] = (n - stream(i).integers(0, n, size=m)) % n
 
-        def gather(rngs):
-            taus = np.stack([rng.integers(0, n, size=m) for rng in rngs])
-            return windows[rows, (n - taus) % n]
+        def gather(lo, hi):
+            return windows[rows, starts[lo:hi]]
     else:
-        def gather(rngs):
+        def gather(lo, hi):
             # permuted() copies v into x[k] and shuffles each row there, with
             # the draws M calls of permutation(n) make, in one call that holds
             # the GIL once; it swaps the values as it would swap arange(n)
-            x = np.empty((len(rngs), m, n))
-            for k, rng in enumerate(rngs):
-                rng.permuted(v, axis=1, out=x[k])
+            x = np.empty((hi - lo, m, n))
+            for k, i in enumerate(range(lo, hi)):
+                stream(i).permuted(v, axis=1, out=x[k])
             return x
 
     pooled = np.empty((samples, m)) if keep_pooled else None
@@ -280,18 +295,13 @@ def null_ensemble(
 
     stop = threading.Event()
 
-    def run(starts):
+    def run(chunks):
         try:
-            for lo in starts:
+            for lo in chunks:
                 if stop.is_set():
                     return
                 hi = min(lo + chunk, samples)
-                # the children SeedSequence(seed).spawn(samples) would make,
-                # one chunk at a time instead of all of them held at once
-                x = gather([
-                    np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-                    for i in range(lo, hi)
-                ])
+                x = gather(lo, hi)
                 gram = x @ x.transpose(0, 2, 1)
                 gram /= n
                 check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
@@ -305,17 +315,17 @@ def null_ensemble(
             stop.set()
             raise
 
-    starts = range(0, samples, chunk)
-    workers = _worker_count(sample_bytes, len(starts))
+    chunks = range(0, samples, chunk)
+    workers = _worker_count(sample_bytes, len(chunks))
     if workers == 1:
-        run(starts)
+        run(chunks)
     else:
         # the gather, matmul, reductions and eigvalsh release the GIL
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
             try:
-                for done in [pool.submit(run, starts[k::workers]) for k in range(workers)]:
+                for done in [pool.submit(run, chunks[k::workers]) for k in range(workers)]:
                     done.result()
             finally:
                 # an interrupt while waiting stops the workers too

@@ -169,6 +169,13 @@ def test_dft_round_trip_and_parseval():
     assert abs(energy_c - energy_x) <= 1e-8 * energy_x
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_inverse_dft_needs_two_coefficients(size):
+    # the lengths dft accepts; numpy's own ValueError used to escape at 0
+    with pytest.raises(EmptyInput, match="at least 2"):
+        inverse_dft(np.ones(size, dtype=complex))
+
+
 def test_inverse_dft_rejects_non_real_result():
     coeffs = np.zeros(8, dtype=complex)
     coeffs[1] = 1.0  # no conjugate partner at k = 7
@@ -275,6 +282,16 @@ def test_residual_orthonormal_shortcut(planted_panel):
         assert np.abs(back[i] - direct).max() <= 1e-10
 
 
+def test_residual_reads_a_one_shot_kset_once():
+    _, basis, ms = band_limited_setup()
+    want = residual_disturbance(ms, basis, 6, (1, 2, 4, 6))
+    # the second mode used to find the iterator exhausted (EmptyInput)
+    assert np.array_equal(residual_disturbance(ms, basis, 6, iter([1, 2, 4, 6])), want)
+    # a bad half-width is still reported before a bad frequency set
+    with pytest.raises(WindowTooWide):
+        residual_disturbance(ms, basis, N, iter([]))
+
+
 # ---------------------------------------------------------------------------
 # external stimuli
 # ---------------------------------------------------------------------------
@@ -310,6 +327,17 @@ def test_stimuli_linear_in_residual():
     s1 = external_stimuli(noisy, basis, chi, half_width=3, kset=(4, 6))
     s2 = external_stimuli(doubled, basis, chi, half_width=3, kset=(4, 6))
     assert np.abs(s2.values - 2.0 * s1.values).max() <= 1e-10
+
+
+def test_stimuli_read_a_one_shot_kset_once():
+    _, basis, ms = band_limited_setup()
+    chi = ReducedSusceptibility(values=np.array([[1.0, 0.1], [0.1, 0.5]]), beta=1.0)
+    want = external_stimuli(ms, basis, chi, 6, (1, 2, 4, 6))
+    s = external_stimuli(ms, basis, chi, 6, iter([6, 4, 2, 1]))
+    assert np.array_equal(s.values, want.values)
+    assert s.kset == want.kset == (1, 2, 4, 6)
+    with pytest.raises(BadParameter):
+        external_stimuli(ms, basis, chi, -1, iter([0]))
 
 
 def test_stimuli_singular_chi():

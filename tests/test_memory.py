@@ -34,7 +34,7 @@ from panelresponse import (
     standardize,
     write_panel_csv,
 )
-from panelresponse import _files, cli
+from panelresponse import _files, cli, nullmodel
 from panelresponse.spectral import _corr_document
 
 from oracles import traced_peak
@@ -150,6 +150,25 @@ def test_null_chunks_never_overlap(mode, panels):
     # panel twice over, [v v], for its sliding windows.
     _, peak = traced_peak(lambda: null_ensemble(w, mode, 4, seed=1))
     assert peak < (panels + 1.75) * w.values.nbytes + MIB
+
+
+@pytest.mark.parametrize("n", [239, 257])
+def test_rotational_offsets_cost_their_table(monkeypatch, n):
+    # every sample's window starts are drawn up front into one samples x M
+    # table of the smallest unsigned type holding N' - 1; a table of intp
+    # (8 bytes a start) would exceed the bound several times over
+    m, samples = 63, 2000
+    w = StandardizedPanel.from_values(standardized_values(m, n, 6))
+    monkeypatch.setattr(nullmodel, "_worker_count", lambda sample_bytes, chunks: 1)
+    two_chunks = 2 * (nullmodel._CHUNK_BYTES // w.values.nbytes)
+
+    def peak(count):
+        return traced_peak(lambda: null_ensemble(w, "rotational", count, seed=2,
+                                                 keep_pooled=False))[1]
+
+    itemsize = np.min_scalar_type(n - 1).itemsize
+    # the table plus lambda_max's 8 bytes a sample, with some slack
+    assert peak(samples) - peak(two_chunks) <= samples * (m * itemsize + 24) + 64 * 1024
 
 
 def genuine_300():

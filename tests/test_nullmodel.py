@@ -258,6 +258,45 @@ def test_ensemble_independent_of_worker_count(monkeypatch, mode, workers, per_ch
     assert_matches_oracle(w, mode, 11, seed=42)
 
 
+@pytest.mark.parametrize("n", [256, 257])
+def test_rotational_starts_at_the_dtype_boundary(monkeypatch, n):
+    # the window starts are held as uint8 up to N' = 256 and uint16 above;
+    # the largest start, N' - 1, must be drawn and gathered from its window
+    w = standardized_panel(40, n, n)
+    starts = np.concatenate([
+        (n - np.random.Generator(np.random.Philox(s)).integers(0, n, size=40)) % n
+        for s in np.random.SeedSequence(3).spawn(12)
+    ])
+    assert starts.max() == n - 1
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", 5 * w.values.nbytes)
+    fixed_workers(monkeypatch, 2)
+    assert_matches_oracle(w, "rotational", 12, seed=3)
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_where_each_sample_is_drawn(monkeypatch, mode):
+    # the rotational offsets are drawn on the calling thread, in sample
+    # order, before any worker starts; the complete shuffles in the workers
+    w = standardized_panel(6, 30, 3)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", 2 * w.values.nbytes)
+    fixed_workers(monkeypatch, 2)
+    generator, lock, draws = np.random.Generator, threading.Lock(), []
+
+    def recording(bit_generator):
+        with lock:
+            draws.append((threading.get_ident(), bit_generator.seed_seq.spawn_key))
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", recording)
+    null_ensemble(w, mode, 11, seed=42)
+    caller = threading.get_ident()
+    if mode == "rotational":
+        assert draws == [(caller, (i,)) for i in range(11)]
+    else:
+        assert sorted(key for _, key in draws) == [(i,) for i in range(11)]
+        assert caller not in {thread for thread, _ in draws}
+
+
 @pytest.mark.parametrize("mode", ["rotational", "complete"])
 def test_ensemble_threads_under_contention(monkeypatch, mode):
     # more workers than cores, one sample per chunk and a short switch
