@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -130,6 +131,150 @@ def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standa
 #: tensor.
 _CHUNK_BYTES = 1 << 20
 
+#: Budget, in arrays of one block's Philox4x64 outputs, for the temporaries
+#: of one block of rotational offsets (traced at about 9), so that a block
+#: stays below one chunk's working set.
+_DRAW_ARRAYS = 16
+
+_M32 = 0xFFFFFFFF
+_SHIFT32 = np.uint64(32)
+_LOW32 = np.uint64(_M32)
+_SHIFT16 = np.uint32(16)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """Sample i's generator: the i-th child SeedSequence(seed).spawn() makes."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def _hasher(const: int, mult: int):
+    """numpy's SeedSequence word hash, whose multiplier advances per call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> _SHIFT16)
+
+    return hashmix
+
+
+def _philox_keys(seed: int, spawn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Philox key of ``SeedSequence(seed, spawn_key=(i,))`` for each i < 2**32.
+
+    The entropy is the seed's uint32 words, low first, zero-padded to the
+    four-word pool, then the spawn word i.  Every word but i mixes alike
+    for all samples, as one-element arrays that broadcast against ``spawn``.
+    """
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    entropy = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(spawn.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> _SHIFT16)
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    # generate_state(2, np.uint64): four hashed pool words, paired low first
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(p).astype(np.uint64) for p in pool]
+    return state[0] | state[1] << _SHIFT32, state[2] | state[3] << _SHIFT32
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & _M32), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    low_cross = b_hi * a_lo
+    low_cross += b_lo * a_lo >> _SHIFT32
+    high_cross = b_lo * a_hi
+    high_cross += low_cross & _LOW32
+    hi = b_hi * a_hi
+    hi += low_cross >> _SHIFT32
+    hi += high_cross >> _SHIFT32
+    return hi, b * np.uint64(a)
+
+
+def _philox4x64(keys: tuple[np.ndarray, np.ndarray], counters: int) -> np.ndarray:
+    """Philox4x64-10 of counters 1..``counters`` under each sample's key.
+
+    Row r holds sample r's first 4 * ``counters`` outputs in stream order,
+    the order numpy's Philox, which bumps its counter before each block,
+    returns them.
+    """
+    k0, k1 = (k[:, None] for k in keys)
+    zero = np.zeros((k0.size, counters), np.uint64)
+    x0, x1, x2, x3 = zero + np.arange(1, counters + 1, dtype=np.uint64), zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        hi1 ^= x1
+        hi1 ^= k0
+        hi0 ^= x3
+        hi0 ^= k1
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(k0.size, -1)
+
+
+def _lemire_threshold(n: int) -> int:
+    """numpy redraws a bounded 32-bit word whose low product word is below this."""
+    return (1 << 32) % n
+
+
+def _rotational_starts(seed: int, samples: int, m: int, n: int) -> np.ndarray:
+    """Every sample's window starts (n - tau) % n, as ``rotational_shuffle`` draws tau.
+
+    Sample i's ``integers(0, n, size=m)`` is Lemire's bounded draw,
+    tau = (u n) >> 32, over the uint32 words u of its Philox stream, the
+    low half of each output first.  That is computed here for a block of
+    samples at a time, sized so that its temporaries stay below one
+    chunk's working set.  A sample with a Lemire rejection is redrawn
+    through its own generator instead, and so is every sample i >= 2**32
+    (a two-word spawn key) and every sample when N' >= 2**32 (numpy's
+    64-bit draw), so the table equals the per-sample loop bit for bit.
+    """
+    starts = np.empty((samples, m), dtype=np.min_scalar_type(n - 1))
+
+    def redraw(i):
+        starts[i] = (n - _stream(seed, int(i)).integers(0, n, size=m)) % n
+
+    outputs = (m + 1) // 2
+    counters = -(-outputs // 4)
+    block = max(1, _CHUNK_BYTES // (_DRAW_ARRAYS * 32 * counters))
+    threshold, n64 = np.uint64(_lemire_threshold(n)), np.uint64(n)
+    fast = min(samples, 1 << 32) if n <= _M32 else 0
+    for lo in range(0, fast, block):
+        hi = min(lo + block, fast)
+        words = _philox4x64(_philox_keys(seed, np.arange(lo, hi)), counters)[:, :outputs]
+        u = np.stack((words & _LOW32, words >> _SHIFT32), axis=-1).reshape(hi - lo, -1)
+        product = u[:, :m] * n64
+        starts[lo:hi] = (n64 - (product >> _SHIFT32)) % n64
+        for i in lo + np.flatnonzero(((product & _LOW32) < threshold).any(axis=1)):
+            redraw(i)
+    for i in range(fast, samples):
+        redraw(i)
+    return starts
+
 
 def _worker_count(sample_bytes: int, chunks: int) -> int:
     """Threads to spread a null's chunks over: the usable CPUs, or one.
@@ -223,6 +368,16 @@ class NullEnsemble:
         write_rows(target, itertools.chain([("sample", "eigenvalue")], rows))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a bool, float or string is a BadParameter."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise BadParameter(f"{name} must be an integer, got {value!r}")
+
+
 def null_ensemble(
     w: StandardizedPanel,
     mode: ShuffleMode | str,
@@ -244,16 +399,28 @@ def null_ensemble(
     :func:`complete_shuffle`, and the shuffled rows are gathered without
     arithmetic, so each sample's panel, correlation matrix and eigenvalues
     are bit-identical to the one-sample loop over those shufflers, at any
-    chunk size and worker count.  The rotational offsets are drawn by the
-    calling thread, every sample's before any worker starts; the complete
-    shuffles are drawn by the workers.  Each chunk's moments are checked
-    from its row sums and the diagonal of its X X^T / N'.  Memory is
-    O(M N') per worker, so it grows with the number of usable CPUs, plus
-    for a rotational null one table of samples x M window starts in the
-    smallest unsigned type that holds N' - 1 (one byte each up to
-    N' = 256).
+    chunk size and worker count.  The rotational offsets are computed by
+    the calling thread before any worker starts, without building a
+    generator per sample: numpy's SeedSequence key mixing, Philox4x64-10
+    and Lemire's bounded draw are evaluated in numpy integer arithmetic for
+    a block of samples at a time, bit-identical to each sample's
+    ``integers`` call.  A sample whose draw numpy would reject and redraw
+    (probability below M N' / 2**32) is drawn through its own generator
+    instead.  A block's temporaries stay below one chunk's working set
+    (about 0.6 MB at 63 x 239).  The complete shuffles are drawn by the
+    workers.  Each chunk's moments are checked from its row sums and the
+    diagonal of its X X^T / N'.  Memory is O(M N') per worker, so it grows
+    with the number of usable CPUs, plus for a rotational null one table of
+    samples x M window starts in the smallest unsigned type that holds
+    N' - 1 (one byte each up to N' = 256).
+
+    ``samples`` and ``seed`` are integers; a numpy integer is taken as the
+    Python int it holds, and a bool, float or string is a
+    :class:`~panelresponse.errors.BadParameter`.
     """
     mode = ShuffleMode(mode)
+    samples = _integer("samples", samples)
+    seed = _integer("seed", seed)
     if samples < 1:
         raise EmptyEnsemble(f"need at least 1 sample, got {samples}")
     if seed < 0:
@@ -263,20 +430,13 @@ def null_ensemble(
     sample_bytes = m * n * v.itemsize
     chunk = max(1, _CHUNK_BYTES // sample_bytes)
 
-    def stream(i):
-        # the i-th child SeedSequence(seed).spawn(samples) would make, built
-        # when needed instead of all of them held at once
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-
     if mode is ShuffleMode.ROTATIONAL:
         # windows[i, s] = [v v][i, s:s+n]; start (n - tau) % n is np.roll(v[i], tau)
         windows = sliding_window_view(np.concatenate([v, v], axis=1), n, axis=1)
         rows = np.arange(m)
-        # every sample's starts, drawn here in sample order before any worker
-        # runs, so the workers make only numpy calls that release the GIL
-        starts = np.empty((samples, m), dtype=np.min_scalar_type(n - 1))
-        for i in range(samples):
-            starts[i] = (n - stream(i).integers(0, n, size=m)) % n
+        # every sample's starts, drawn here before any worker runs, so the
+        # workers make only numpy calls that release the GIL
+        starts = _rotational_starts(seed, samples, m, n)
 
         def gather(lo, hi):
             return windows[rows, starts[lo:hi]]
@@ -287,7 +447,7 @@ def null_ensemble(
             # the GIL once; it swaps the values as it would swap arange(n)
             x = np.empty((hi - lo, m, n))
             for k, i in enumerate(range(lo, hi)):
-                stream(i).permuted(v, axis=1, out=x[k])
+                _stream(seed, i).permuted(v, axis=1, out=x[k])
             return x
 
     pooled = np.empty((samples, m)) if keep_pooled else None

@@ -197,6 +197,47 @@ def explicit_null_ensemble(w, mode: str, samples: int, seed: int):
     return lambda_max, pooled, upper_edge_values(lambda_max, 0.95)
 
 
+def complete_null_trace_c2(m: int, n: int) -> float:
+    """Exact E[tr C^2] = E[sum of lambda^2] under complete shuffling.
+
+    The correlation of two standardized series, one randomly permuted, has
+    mean 0 and variance 1/(N'-1); the M diagonal entries are 1.
+    """
+    return m + m * (m - 1) / (n - 1)
+
+
+def rotational_null_trace_c2(values: np.ndarray) -> float:
+    """Exact E[tr C^2] under rotational shuffling of a standardized panel.
+
+    C_ij is the cyclic cross-correlation of rows i and j at a uniform lag,
+    so by Parseval E[C_ij^2] = sum_k P_i(k) P_j(k) / N'^4 with
+    P = |FFT(w)|^2; the M diagonal entries are 1.
+    """
+    values = np.asarray(values, dtype=float)
+    m, n = values.shape
+    power = np.abs(np.fft.fft(values, axis=1)) ** 2
+    pairs = power @ power.T
+    return m + (pairs.sum() - np.trace(pairs)) / n**4
+
+
+def lagged_trace_c2(values: np.ndarray) -> float:
+    """E[tr C^2] under rotational shuffling by direct sums over every lag.
+
+    The slow form of :func:`rotational_null_trace_c2`: the mean over all N'
+    relative shifts d of each off-diagonal pair's squared cyclic
+    cross-correlation.
+    """
+    values = np.asarray(values, dtype=float)
+    m, n = values.shape
+    total = float(m)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                for d in range(n):
+                    total += float(values[i] @ np.roll(values[j], d) / n) ** 2 / n
+    return total
+
+
 # ---------------------------------------------------------------------------
 # panel-ingest oracle
 # ---------------------------------------------------------------------------
