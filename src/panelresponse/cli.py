@@ -1,10 +1,11 @@
 """Command-line front end: orchestrates the pipeline, emits CSV/JSON artifacts.
 
-Every subcommand writes its artifacts plus a ``manifest.json`` into the
-output directory (flag ``--outdir``, env ``PANELRESPONSE_OUTDIR``, default
-``out``) and embeds its full effective configuration in each file, so any
-output can be reproduced bit-for-bit from the recorded configuration.  No
-plotting: artifacts are plot-ready CSV for external tools.
+Every subcommand computes its artifacts without writing anything; once the
+computation succeeds, :func:`main` writes them plus a ``manifest.json`` into
+the output directory (flag ``--outdir``, env ``PANELRESPONSE_OUTDIR``,
+default ``out``) and embeds the full effective configuration in each file, so
+any output can be reproduced bit-for-bit from the recorded configuration.
+No plotting: artifacts are plot-ready CSV for external tools.
 
 Exit status: 0 on success, 1 on data or validation errors (one-line
 diagnostic on stderr), 2 on usage errors.
@@ -13,7 +14,6 @@ diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -21,7 +21,7 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -130,17 +130,9 @@ def _effective_config(args) -> dict:
     return config
 
 
-@contextlib.contextmanager
-def _artifact(target: Path | TextIO, config: dict) -> Iterator[TextIO]:
-    """Open a CSV artifact (a path, or a stream such as stdout) under its config line."""
-    with open_text(target, "w") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        yield fh
-
-
-def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
-    with _artifact(path, config) as fh:
-        write_rows(fh, itertools.chain([header], rows))
+def _table(header: list[str], rows: Iterable[Sequence]) -> Callable[[TextIO], None]:
+    """A CSV writer of ``header`` then ``rows``, taking the rows only as it writes them."""
+    return lambda fh: write_rows(fh, itertools.chain([header], rows))
 
 
 def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
@@ -151,9 +143,22 @@ def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
     )
 
 
-def _write_json(path: Path, config: dict, doc: dict) -> None:
-    """A JSON artifact whose first key is its config."""
-    write_json(path, {"config": config, **doc})
+def _write_artifact(
+    outdir: Path, name: str, content: dict | Callable[[TextIO], None], config: dict
+) -> None:
+    """Write one artifact of a subcommand, framed by its config.
+
+    ``content`` is the document of a ``.json`` name, written with ``config``
+    as its first key, and otherwise a writer that takes the open file, called
+    after the ``# config:`` line.  The name ``-`` is stdout.
+    """
+    target = sys.stdout if name == "-" else outdir / name
+    if name.endswith(".json"):
+        write_json(target, {"config": config, **content})
+        return
+    with open_text(target, "w") as fh:
+        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        content(fh)
 
 
 def _input(args) -> TextIO | str:
@@ -182,124 +187,112 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifacts, summary) and writes nothing itself
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, outdir: Path, config: dict) -> None:
+def _cmd_validate(args, config: dict) -> tuple[dict, dict]:
     panel = load_panel(_input(args), window=args.window, weights=args.weights)
-    print(json.dumps({
-        "series": panel.n_series,
-        "goods": panel.n_goods,
-        "months": panel.n_months,
-        "start": str(panel.months[0]),
-        "end": str(panel.months[-1]),
+    return {}, {
+        "series": panel.n_series, "goods": panel.n_goods, "months": panel.n_months,
+        "start": str(panel.months[0]), "end": str(panel.months[-1]),
         "weight_sum": panel.weight_sum,
-    }, sort_keys=True))
+    }
 
 
-def _cmd_analyze(args, outdir: Path, config: dict) -> None:
+def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
     w, _, basis = _spectrum(args)
     lam = basis.eigenvalues
-    _write_csv(outdir / "eigenvalues.csv", config, ["n", "eigenvalue"], enumerate(lam.tolist(), 1))
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
-    _write_csv(
-        outdir / "eigenvectors.csv", config, ["mode", "series", "component"],
-        _eigenvector_rows(basis, labels),
-    )
     top = float(lam[0]) * 1.05
     hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
     edges = hist.bin_edges.tolist()
-    _write_csv(
-        outdir / "spectrum_histogram.csv", config, ["lambda_lo", "lambda_hi", "density"],
-        zip(edges[:-1], edges[1:], hist.density.tolist()),
-    )
     q = w.n_obs / w.n_series
     grid = np.linspace(0.0, top, 512)
     dens = mp_density(grid, q)
-    _write_csv(
-        outdir / "mp_density.csv", config, ["lambda", "density"],
-        zip(grid.tolist(), dens.tolist()),
-    )
     lo, hi = mp_bounds(q)
-    print(json.dumps({
+    return {
+        "eigenvalues.csv": _table(["n", "eigenvalue"], enumerate(lam.tolist(), 1)),
+        "eigenvectors.csv": _table(["mode", "series", "component"],
+                                   _eigenvector_rows(basis, labels)),
+        "spectrum_histogram.csv": _table(["lambda_lo", "lambda_hi", "density"],
+                                         zip(edges[:-1], edges[1:], hist.density.tolist())),
+        "mp_density.csv": _table(["lambda", "density"], zip(grid.tolist(), dens.tolist())),
+    }, {
         "m": w.n_series, "n_obs": w.n_obs, "q": q,
         "mp_lower": lo, "mp_upper": hi,
         "top_eigenvalues": [float(v) for v in lam[:3]],
-    }, sort_keys=True))
+    }
 
 
-def _cmd_null(args, outdir: Path, config: dict) -> None:
+def _cmd_null(args, config: dict) -> tuple[dict, dict]:
     ensemble = null_ensemble(_standardized(args), args.mode, args.samples, args.seed)
-    _write_json(outdir / "ensemble.json", config, ensemble.to_json())
-    with _artifact(outdir / "pooled_eigenvalues.csv", config) as fh:
-        ensemble.pooled_to_csv(fh)
-    print(json.dumps({
-        "mode": ensemble.mode.value,
-        "edge": dataclasses.asdict(ensemble.edge),
-    }, sort_keys=True))
+    return {
+        "ensemble.json": ensemble.to_json(), "pooled_eigenvalues.csv": ensemble.pooled_to_csv,
+    }, {"mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
 
 
-def _cmd_genuine(args, outdir: Path, config: dict) -> None:
+def _cmd_genuine(args, config: dict) -> tuple[dict, dict]:
     w, _, basis = _spectrum(args)
     k = config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with _artifact(outdir / "genuine_matrix.csv", config) as fh:
-        corr_to_csv(cg, fh)
-    _write_json(outdir / "genuine_matrix.json", config, _corr_document(cg))
-    print(json.dumps({"k": k, "m": cg.m}, sort_keys=True))
+    return {
+        "genuine_matrix.csv": lambda fh: corr_to_csv(cg, fh),
+        "genuine_matrix.json": _corr_document(cg),
+    }, {"k": k, "m": cg.m}
 
 
-def _cmd_ripple(args, outdir: Path, config: dict) -> None:
+def _cmd_ripple(args, config: dict) -> tuple[dict, None]:
     w, raw, basis = _spectrum(args)
     k = config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with _artifact(outdir / "intermediate_response.csv", config) as fh:
-        final_to_intermediate_csv(cg, raw, fh)
+    artifacts = {"intermediate_response.csv": lambda fh: final_to_intermediate_csv(cg, raw, fh)}
     if args.source is not None:
         report = ripple(cg, SeriesId.parse(args.source), args.shift)
-        _write_csv(
-            outdir / "ripple_source.csv", config, ["series", "response"],
-            zip([sid.label for sid in w.ids], report.responses.tolist()),
-        )
+        artifacts["ripple_source.csv"] = _table(
+            ["series", "response"], zip([sid.label for sid in w.ids], report.responses.tolist()))
+    return artifacts, None
 
 
-def _cmd_reduced_chi(args, outdir: Path, config: dict) -> None:
+def _cmd_reduced_chi(args, config: dict) -> tuple[dict, dict]:
     _, _, basis = _spectrum(args)
     if args.k > basis.m:
         # reduced_susceptibility's range, named before genuine_matrix names its own
         raise BadModeCount(f"mode count {args.k} outside [1, {basis.m}]")
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
     values, normalized = red.values.tolist(), red.normalized.tolist()
-    _write_json(outdir / "reduced_chi.json", config,
-                {"beta": red.beta, "k": args.k, "values": values, "normalized": normalized})
-    _write_csv(
-        outdir / "reduced_chi.csv", config, ["row", "col", "value", "normalized"],
-        [(i + 1, j + 1, values[i][j], normalized[i][j])
-         for i in range(args.k) for j in range(args.k)],
-    )
-    print(json.dumps({"normalized": normalized}))
+    return {
+        "reduced_chi.json": {"beta": red.beta, "k": args.k, "values": values,
+                             "normalized": normalized},
+        "reduced_chi.csv": _table(
+            ["row", "col", "value", "normalized"],
+            [(i + 1, j + 1, values[i][j], normalized[i][j])
+             for i in range(args.k) for j in range(args.k)],
+        ),
+    }, {"normalized": normalized}
 
 
-def _cmd_cycles(args, outdir: Path, config: dict) -> None:
+def _cmd_cycles(args, config: dict) -> tuple[dict, None]:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     a1, a2 = ms.coeffs[0], ms.coeffs[1]
     s1 = moving_average(a1, args.xi)
     s2 = moving_average(a2, args.xi)
-    _write_csv(
-        outdir / "mode_series.csv", config,
-        ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
-        zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()),
-    )
-    # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
-    _write_csv(
-        outdir / "lag_correlation.csv", config, ["lag", "correlation"],
-        [(lag, lag_correlation(s1, s2, lag)) for lag in range(-args.max_lag, args.max_lag + 1)],
-    )
+    return {
+        "mode_series.csv": _table(
+            ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
+            zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()),
+        ),
+        # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
+        "lag_correlation.csv": _table(
+            ["lag", "correlation"],
+            [(lag, lag_correlation(s1, s2, lag))
+             for lag in range(-args.max_lag, args.max_lag + 1)],
+        ),
+    }, None
 
 
-def _cmd_phases(args, outdir: Path, config: dict) -> None:
+def _cmd_phases(args, config: dict) -> tuple[dict, dict]:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     ref = SeriesId.parse(args.ref)
@@ -307,37 +300,29 @@ def _cmd_phases(args, outdir: Path, config: dict) -> None:
         table = freq_avg_phases(ms, basis, args.kset, ref)
     else:
         table = mode_phases(ms, basis, args.k, ref)
-    with _artifact(outdir / "phases.csv", config) as fh:
-        table.to_csv(fh)
-    print(json.dumps({
+    return {"phases.csv": table.to_csv}, {
         "period": table.period_label,
-        "average": {
-            "P": table.class_average(1), "S": table.class_average(2),
-            "I": table.class_average(3),
-        },
-    }, sort_keys=True))
+        "average": {c: table.class_average(v) for v, c in enumerate("PSI", 1)},
+    }
 
 
-def _cmd_stimuli(args, outdir: Path, config: dict) -> None:
+def _cmd_stimuli(args, config: dict) -> tuple[dict, dict]:
     w, _, basis = _spectrum(args)
     chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2, args.beta)
     series = external_stimuli(mode_series(w, basis), basis, chi, args.xi, args.kset)
-    with _artifact(outdir / "stimuli.csv", config) as fh:
-        series.to_csv(fh)
-    print(json.dumps({
+    return {"stimuli.csv": series.to_csv}, {
         "max_abs_eta1": float(np.abs(series.eta1).max()),
         "max_abs_eta2": float(np.abs(series.eta2).max()),
-    }, sort_keys=True))
+    }
 
 
-def _cmd_synth(args, outdir: Path, config: dict) -> None:
+def _cmd_synth(args, config: dict) -> tuple[dict, None]:
     spec = spec_from_json(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     config["effective_spec"] = spec_to_json(spec)
     panel = to_level_panel(generate(spec))
-    with _artifact(sys.stdout if args.stdout else outdir / "panel.csv", config) as fh:
-        write_panel_csv(panel, fh)
+    return {"-" if args.stdout else "panel.csv": lambda fh: write_panel_csv(panel, fh)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +447,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = _effective_config(args)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        args.func(args, outdir, config)
+        artifacts, summary = args.func(args, config)
+        for name in list(artifacts):
+            # popped, so each artifact's content is freed once it is written
+            _write_artifact(outdir, name, artifacts.pop(name), config)
+        if summary is not None:
+            print(json.dumps(summary, sort_keys=True))
         manifest = {
             "subcommand": args.command,
             "config": config,

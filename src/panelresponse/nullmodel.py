@@ -23,7 +23,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import NormalDist
 from typing import TextIO
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import (
     BadParameter,
     EmptyEnsemble,
     LagOutOfRange,
+    SchemaError,
 )
 from .panel import StandardizedPanel, _freeze, _frozen, check_standardized
 from .spectral import ModeBasis
@@ -89,6 +89,9 @@ def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
         raise BadConfidence(f"confidence must be in (0, 1), got {confidence}")
     if n_obs < 2:
         raise BadParameter(f"sample length must be >= 2, got {n_obs}")
+    # imported here, as statistics imports decimal and fractions: no CLI start pays for them
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     return z / np.sqrt(n_obs)
 
@@ -309,7 +312,10 @@ class NullEnsemble:
 
     ``lambda_max`` holds the largest eigenvalue of every sample in sample
     order; ``pooled`` all M eigenvalues per sample (samples x M), kept for
-    density comparisons and omitted from the compact JSON form.
+    density comparisons and omitted from the compact JSON form.  ``samples``
+    (at least 1, else :class:`~panelresponse.errors.EmptyEnsemble`) and
+    ``seed`` (at least 0) are kept as Python ints, under the rules of
+    :func:`null_ensemble`.
     """
 
     mode: ShuffleMode
@@ -320,6 +326,9 @@ class NullEnsemble:
     pooled: np.ndarray | None = None
 
     def __post_init__(self):
+        samples, seed = _sample_count_and_seed(self.samples, self.seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
         lmax = _freeze(np.asarray(self.lambda_max, dtype=float))
         if lmax.shape != (self.samples,):
             raise EmptyEnsemble(f"{lmax.size} largest eigenvalues for {self.samples} samples")
@@ -349,13 +358,17 @@ class NullEnsemble:
     def from_json(cls, source: str | Path | TextIO | dict) -> "NullEnsemble":
         doc = read_json(source)
         with json_fields("null-ensemble document"):
-            return cls(
-                mode=ShuffleMode(doc["mode"]),
-                samples=doc["samples"],
-                seed=doc["seed"],
-                lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
-                edge=EdgeEstimate(**doc["edge"]),
-            )
+            try:
+                return cls(
+                    mode=ShuffleMode(doc["mode"]),
+                    samples=doc["samples"],
+                    seed=doc["seed"],
+                    lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
+                    edge=EdgeEstimate(**doc["edge"]),
+                )
+            except (BadParameter, EmptyEnsemble) as exc:
+                # a value the constructor refuses makes the document malformed
+                raise SchemaError(f"null-ensemble document: {exc}") from None
 
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
@@ -376,6 +389,16 @@ def _integer(name: str, value) -> int:
     except TypeError:
         pass
     raise BadParameter(f"{name} must be an integer, got {value!r}")
+
+
+def _sample_count_and_seed(samples, seed) -> tuple[int, int]:
+    """``samples`` (>= 1, else EmptyEnsemble) and ``seed`` (>= 0) as Python ints."""
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if samples < 1:
+        raise EmptyEnsemble(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
+    return samples, seed
 
 
 def null_ensemble(
@@ -419,12 +442,7 @@ def null_ensemble(
     :class:`~panelresponse.errors.BadParameter`.
     """
     mode = ShuffleMode(mode)
-    samples = _integer("samples", samples)
-    seed = _integer("seed", seed)
-    if samples < 1:
-        raise EmptyEnsemble(f"need at least 1 sample, got {samples}")
-    if seed < 0:
-        raise BadParameter(f"seed must be >= 0, got {seed}")
+    samples, seed = _sample_count_and_seed(samples, seed)
     v = w.values
     m, n = v.shape
     sample_bytes = m * n * v.itemsize

@@ -186,6 +186,16 @@ def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
     assert "series S.99 not in a 21-goods layout" in res.stderr
 
 
+def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
+    # the source is resolved after the intermediate-response table is computed,
+    # so a run that wrote as it went would leave that table behind
+    panel_path, _ = planted_csv
+    res = run_cli("ripple", "--input", str(panel_path), "--k", "2", "--source", "S.99",
+                  "--outdir", "fresh", cwd=tmp_path)
+    assert res.returncode == 1
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+
 def test_eigensolver_failure_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):
     from panelresponse import cli
 
@@ -203,10 +213,11 @@ def test_eigensolver_failure_is_one_line_error(planted_csv, tmp_path, monkeypatc
 
 def test_import_loads_neither_scipy_nor_an_executor():
     # import time is paid by every CLI call: the null imports its thread pool
-    # only when it runs, and nothing at run time needs scipy
+    # only when it runs, nothing at run time needs scipy, and statistics
+    # (with decimal and fractions) serves one quantile
     code = (
         "import sys, panelresponse; "
-        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('scipy', 'concurrent.futures', 'statistics') if m in sys.modules])"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")

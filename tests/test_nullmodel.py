@@ -588,6 +588,28 @@ def test_ensemble_json_round_trip(iid_panel, tmp_path):
         back.pooled_to_csv(tmp_path / "pooled.csv")  # JSON form drops pooled spectrum
 
 
+ENSEMBLE_DOC = {"mode": "complete", "samples": 2, "seed": 0, "lambda_max": [2.0, 2.5],
+                "edge": {"center": 2.25, "low": 2.0, "high": 2.5, "confidence": 0.95}}
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, True, -4])
+@pytest.mark.parametrize("field", ["samples", "seed"])
+def test_ensemble_document_with_a_bad_count_is_a_schema_error(field, value):
+    doc = {**ENSEMBLE_DOC, field: value}
+    with pytest.raises(SchemaError, match=f"null-ensemble document: {field} must be"):
+        NullEnsemble.from_json(doc)
+    kwargs = {**doc, "edge": EdgeEstimate(**doc["edge"])}
+    with pytest.raises(EmptyEnsemble if (field, value) == ("samples", -4) else BadParameter,
+                       match=f"{field} must be"):
+        NullEnsemble(**kwargs)
+
+
+def test_ensemble_document_counts_load_as_python_ints():
+    e = NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": np.int64(2), "seed": np.uint8(7)})
+    assert (e.samples, e.seed) == (2, 7)
+    assert type(e.samples) is int and type(e.seed) is int
+
+
 def test_count_significant(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     identity_basis = eigendecompose(np.eye(10))
