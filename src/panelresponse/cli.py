@@ -7,14 +7,15 @@ default ``out``) and embeds the full effective configuration in each file, so
 any output can be reproduced bit-for-bit from the recorded configuration.
 No plotting: artifacts are plot-ready CSV for external tools.
 
-Exit status: 0 on success, 1 on data or validation errors (one-line
-diagnostic on stderr), 2 on usage errors.
+Exit status: 0 on success, 1 on data or validation errors or a refused
+memory allocation (one-line diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -246,7 +247,11 @@ def _cmd_ripple(args, config: dict) -> tuple[dict, None]:
     w, raw, basis = _spectrum(args)
     k = config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    artifacts = {"intermediate_response.csv": lambda fh: final_to_intermediate_csv(cg, raw, fh)}
+    # rendered here (19 rows), so a panel without the 21-goods layout fails
+    # before anything is written
+    table = io.StringIO()
+    final_to_intermediate_csv(cg, raw, table)
+    artifacts = {"intermediate_response.csv": lambda fh: fh.write(table.getvalue())}
     if args.source is not None:
         report = ripple(cg, SeriesId.parse(args.source), args.shift)
         artifacts["ripple_source.csv"] = _table(
@@ -466,8 +471,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if peak is not None:
             manifest["peak_rss_mb"] = peak
         write_json(outdir / "manifest.json", manifest, indent=2, sort_keys=True)
-    except (PanelResponseError, OSError) as exc:
-        print(f"panelresponse: {exc}", file=sys.stderr)
+    except (PanelResponseError, OSError, MemoryError) as exc:
+        # numpy's refused allocation names its size; a bare MemoryError has no message
+        print(f"panelresponse: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

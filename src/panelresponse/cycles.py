@@ -267,14 +267,18 @@ class PhaseTable:
     """Per-series oscillation phases in degrees, relative to a reference series.
 
     Values lie in (-180, 180]; positive means the series peaks earlier than
-    the reference.  The reference entry is exactly zero.
+    the reference.  The reference entry is exactly zero.  ``n_goods`` is
+    derived: a third of the number of phases.
     """
 
     phases: np.ndarray
     reference: SeriesId
     period_label: str
     kset: tuple[int, ...]
-    n_goods: int
+
+    @property
+    def n_goods(self) -> int:
+        return self.phases.size // 3
 
     def phase(self, sid: SeriesId) -> float:
         return float(self.phases[sid.flat(self.n_goods) - 1])
@@ -326,9 +330,7 @@ def mode_phases(
     rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
     rel[ref_idx] = 0.0
     label = f"T={round((n + 1) / k)}"
-    return PhaseTable(
-        phases=rel, reference=ref, period_label=label, kset=(k,), n_goods=basis.n_goods
-    )
+    return PhaseTable(phases=rel, reference=ref, period_label=label, kset=(k,))
 
 
 def freq_avg_phases(
@@ -362,5 +364,4 @@ def freq_avg_phases(
         reference=ref,
         period_label="frequency-averaged",
         kset=tuple(ks),
-        n_goods=basis.n_goods,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadModeCount
-from .nullmodel import NullEnsemble, count_significant, upper_edge
+from .nullmodel import NullEnsemble, count_significant
 from .panel import _frozen
 from .spectral import CorrMatrix, ModeBasis, reconstruct
 
@@ -34,14 +34,12 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     )
 
 
-def default_mode_count(
-    basis: ModeBasis, ensemble: NullEnsemble, confidence: float = 0.95
-) -> int:
+def default_mode_count(basis: ModeBasis, ensemble: NullEnsemble) -> int:
     """Significant-mode count against the upper end of a null-model edge.
 
-    The threshold is the high end of the rotational-shuffle (or other null)
-    largest-eigenvalue interval, so a mode counts only when it clears the
-    null edge including its Monte Carlo uncertainty.
+    The threshold is ``ensemble.edge.high``, the high end of the
+    rotational-shuffle (or other null) largest-eigenvalue interval at 95%,
+    so a mode counts only when it clears the null edge including its Monte
+    Carlo uncertainty.
     """
-    _, _, high = upper_edge(ensemble, confidence)
-    return count_significant(basis, high)
+    return count_significant(basis, ensemble.edge.high)

@@ -21,7 +21,7 @@ import itertools
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -315,14 +315,14 @@ class NullEnsemble:
     density comparisons and omitted from the compact JSON form.  ``samples``
     (at least 1, else :class:`~panelresponse.errors.EmptyEnsemble`) and
     ``seed`` (at least 0) are kept as Python ints, under the rules of
-    :func:`null_ensemble`.
+    :func:`null_ensemble`.  ``edge`` is derived from ``lambda_max``: the
+    :func:`upper_edge` interval at 95% confidence.
     """
 
     mode: ShuffleMode
     samples: int
     seed: int
     lambda_max: np.ndarray
-    edge: EdgeEstimate
     pooled: np.ndarray | None = None
 
     def __post_init__(self):
@@ -337,18 +337,17 @@ class NullEnsemble:
             object.__setattr__(self, "pooled", _freeze(np.asarray(self.pooled, dtype=float)))
         object.__setattr__(self, "mode", ShuffleMode(self.mode))
 
+    @property
+    def edge(self) -> EdgeEstimate:
+        return EdgeEstimate(*upper_edge(self, 0.95), 0.95)
+
     def to_json(self, target: str | Path | TextIO | None = None) -> dict:
         doc = {
             "mode": self.mode.value,
             "samples": self.samples,
             "seed": self.seed,
             "lambda_max": self.lambda_max.tolist(),
-            "edge": {
-                "center": self.edge.center,
-                "low": self.edge.low,
-                "high": self.edge.high,
-                "confidence": self.edge.confidence,
-            },
+            "edge": asdict(self.edge),
         }
         if target is not None:
             write_json(target, doc)
@@ -356,19 +355,28 @@ class NullEnsemble:
 
     @classmethod
     def from_json(cls, source: str | Path | TextIO | dict) -> "NullEnsemble":
+        """Load a :meth:`to_json` document.
+
+        Its ``edge`` must be the one its ``lambda_max`` gives, to 1e-12
+        relative, else the document is a :class:`SchemaError`.
+        """
         doc = read_json(source)
         with json_fields("null-ensemble document"):
             try:
-                return cls(
+                ensemble = cls(
                     mode=ShuffleMode(doc["mode"]),
                     samples=doc["samples"],
                     seed=doc["seed"],
                     lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
-                    edge=EdgeEstimate(**doc["edge"]),
                 )
             except (BadParameter, EmptyEnsemble) as exc:
                 # a value the constructor refuses makes the document malformed
                 raise SchemaError(f"null-ensemble document: {exc}") from None
+            recorded = astuple(EdgeEstimate(**doc["edge"]))
+            if not np.allclose(recorded, astuple(ensemble.edge), rtol=1e-12, atol=0.0):
+                raise SchemaError(f"null-ensemble document: edge {doc['edge']} disagrees with "
+                                  f"{asdict(ensemble.edge)}, the edge its lambda_max gives")
+        return ensemble
 
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
@@ -508,35 +516,25 @@ def null_ensemble(
             finally:
                 # an interrupt while waiting stops the workers too
                 stop.set()
-    edge_vals = upper_edge_values(lambda_max, 0.95)
     return NullEnsemble(
         mode=mode,
         samples=samples,
         seed=seed,
         lambda_max=_frozen(lambda_max),
-        edge=EdgeEstimate(*edge_vals, 0.95),
         pooled=None if pooled is None else _frozen(pooled),
     )
-
-
-def upper_edge_values(
-    lambda_max: np.ndarray, confidence: float
-) -> tuple[float, float, float]:
-    if lambda_max.size == 0:
-        raise EmptyEnsemble("no samples")
-    if not 0.0 <= confidence < 1.0:
-        raise BadConfidence(f"confidence must be in [0, 1), got {confidence}")
-    center = float(lambda_max.mean())
-    half = 50.0 * confidence
-    low, high = np.percentile(lambda_max, [50.0 - half, 50.0 + half])
-    return center, float(low), float(high)
 
 
 def upper_edge(
     ensemble: NullEnsemble, confidence: float = 0.95
 ) -> tuple[float, float, float]:
     """(center, low, high): mean largest eigenvalue with percentile interval."""
-    return upper_edge_values(ensemble.lambda_max, confidence)
+    if not 0.0 <= confidence < 1.0:
+        raise BadConfidence(f"confidence must be in [0, 1), got {confidence}")
+    center = float(ensemble.lambda_max.mean())
+    half = 50.0 * confidence
+    low, high = np.percentile(ensemble.lambda_max, [50.0 - half, 50.0 + half])
+    return center, float(low), float(high)
 
 
 def count_significant(basis: ModeBasis, threshold: float) -> int:

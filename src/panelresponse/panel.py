@@ -222,15 +222,15 @@ class Panel:
         datetime64[M], strictly increasing, one-month spacing, length N >= 3.
     values : np.ndarray
         M x N positive levels, rows in canonical flat order.
-    ids : tuple[SeriesId, ...]
-        Flat-order identifiers, length M = 3G.
     weights : dict[int, float] or None
         Optional per-goods aggregation weights.
+
+    ``ids`` (the M = 3G flat-order identifiers, :func:`canonical_ids`),
+    ``n_goods``, ``n_series`` and ``n_months`` are derived from ``values``.
     """
 
     months: np.ndarray
     values: np.ndarray
-    ids: tuple[SeriesId, ...]
     weights: Mapping[int, float] | None = None
 
     def __post_init__(self):
@@ -239,27 +239,23 @@ class Panel:
         if values.ndim != 2:
             raise SchemaError("panel values must be a 2-D array")
         m, n = values.shape
-        if len(self.ids) != m:
-            raise SchemaError(f"{len(self.ids)} ids for {m} rows")
         if months.shape != (n,):
             raise SchemaError(f"{months.size} months for {n} columns")
         if n < 3:
             raise SchemaError(f"panel needs at least 3 months, got {n}")
         if m % 3 != 0:
             raise SchemaError(f"series count {m} is not 3 x G")
-        g = m // 3
-        if tuple(self.ids) != canonical_ids(g):
-            raise SchemaError("series ids are not the complete canonical grid")
         steps = np.diff(months.astype("int64"))
         if np.any(steps != 1):
             raise IrregularTimeAxis("months are not consecutive")
         if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise MissingData(self.ids[bad[0]].label, str(months[bad[1]]))
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise MissingData(SeriesId.from_flat(int(row) + 1, m // 3).label, str(months[col]))
         if np.any(values <= 0.0):
-            bad = np.argwhere(values <= 0.0)[0]
+            row, col = np.argwhere(values <= 0.0)[0]
             raise NonPositiveLevel(
-                self.ids[bad[0]].label, str(months[bad[1]]), float(values[bad[0], bad[1]])
+                SeriesId.from_flat(int(row) + 1, m // 3).label, str(months[col]),
+                float(values[row, col]),
             )
         if self.weights is not None:
             w = dict(self.weights)
@@ -269,7 +265,10 @@ class Panel:
             object.__setattr__(self, "weights", w)
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "ids", tuple(self.ids))
+
+    @property
+    def ids(self) -> tuple[SeriesId, ...]:
+        return canonical_ids(self.n_goods)
 
     @property
     def n_goods(self) -> int:
@@ -519,10 +518,7 @@ def load_panel(
     canonical = np.argsort([sid.flat(n_goods) for sid in col_ids])
     if np.any(canonical != np.arange(canonical.size)):
         values = values[canonical]
-    return Panel(
-        months=_frozen(months), values=_frozen(values), ids=canonical_ids(n_goods),
-        weights=weights,
-    )
+    return Panel(months=_frozen(months), values=_frozen(values), weights=weights)
 
 
 #: Missing series named in an incomplete-grid error; the rest are counted.

@@ -28,12 +28,18 @@ from .spectral import CorrMatrix, ModeBasis
 
 @dataclass(frozen=True)
 class RippleReport:
-    """Responses of all series to a shift applied at one source series."""
+    """Responses of all series to a shift applied at one source series.
+
+    ``n_goods`` is derived: a third of the number of responses.
+    """
 
     source: SeriesId
     shift: float
     responses: np.ndarray
-    n_goods: int
+
+    @property
+    def n_goods(self) -> int:
+        return self.responses.size // 3
 
     def response(self, sid: SeriesId) -> float:
         return float(self.responses[sid.flat(self.n_goods) - 1])
@@ -77,7 +83,7 @@ def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport
         raise UnknownSeries(f"series {source.label} not in a {cg.n_goods}-goods layout") from None
     responses = cg.values[:, idx] * shift
     responses[idx] = shift  # unit diagonal, kept exact
-    return RippleReport(source=source, shift=shift, responses=responses, n_goods=cg.n_goods)
+    return RippleReport(source=source, shift=shift, responses=responses)
 
 
 def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:

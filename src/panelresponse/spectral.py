@@ -103,12 +103,14 @@ class ModeBasis:
 
     ``vectors[:, n]`` is the unit-norm vector of mode n (0-based column for
     the 1-based mode n+1); eigenvalues are in descending order.
+    ``n_goods``, when the 3-variable-class layout is known, is M / 3.
+    ``sign_convention`` follows ``n_goods``: "production-sum" when the
+    layout is known, else "component-sum" (see :func:`eigendecompose`).
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     n_goods: int | None = None
-    sign_convention: str = "production-sum"
 
     def __post_init__(self):
         lam = _freeze(np.asarray(self.eigenvalues, dtype=float))
@@ -123,12 +125,18 @@ class ModeBasis:
         gram = vec.T @ vec
         if not np.abs(gram - np.eye(m)).max() <= _ORTHO_TOL:
             raise SchemaError("eigenvectors are not orthonormal")
+        if self.n_goods is not None and m != 3 * self.n_goods:
+            raise SchemaError("n_goods inconsistent with basis dimension")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", vec)
 
     @property
     def m(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def sign_convention(self) -> str:
+        return "component-sum" if self.n_goods is None else "production-sum"
 
     def vector(self, n: int) -> np.ndarray:
         """Eigenvector of 1-based mode index n."""
@@ -230,11 +238,7 @@ def eigendecompose(c: CorrMatrix | np.ndarray) -> ModeBasis:
     resid = np.abs(values @ vec - vec * lam).max()
     if not resid <= _EIG_RESID_FACTOR * lam.size:
         raise EigensolverFailure(f"eigensolver residual {resid:.3e} too large")
-    convention = "production-sum" if n_goods is not None else "component-sum"
-    return ModeBasis(
-        eigenvalues=_frozen(lam), vectors=_frozen(vec), n_goods=n_goods,
-        sign_convention=convention,
-    )
+    return ModeBasis(eigenvalues=_frozen(lam), vectors=_frozen(vec), n_goods=n_goods)
 
 
 def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
@@ -404,13 +408,21 @@ def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> di
 
 
 def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
+    """Load a :func:`basis_to_json` document.
+
+    A recorded ``sign_convention`` must be the one ``goods`` gives, else the
+    document is a :class:`SchemaError`; an absent one is derived.
+    """
     doc = read_json(source)
     with json_fields("mode-basis document"):
         if doc.get("kind") != "mode-basis":
             raise SchemaError(f"not a mode-basis document: field 'kind' is {doc.get('kind')!r}")
-        return ModeBasis(
+        basis = ModeBasis(
             eigenvalues=_frozen(np.array(doc["eigenvalues"], dtype=float)),
             vectors=_frozen(np.array(doc["eigenvectors"], dtype=float)),
             n_goods=doc.get("goods"),
-            sign_convention=doc.get("sign_convention", "production-sum"),
         )
+    if doc.get("sign_convention", basis.sign_convention) != basis.sign_convention:
+        raise SchemaError(f"mode-basis document: sign_convention {doc['sign_convention']!r} "
+                          f"disagrees with {basis.sign_convention!r}, which its goods gives")
+    return basis

@@ -226,7 +226,7 @@ def to_level_panel(
     levels[:, 0] = base
     levels[:, 1:] = base * np.power(10.0, scale * np.cumsum(w.values, axis=1))
     months = np.concatenate([w.months, [w.months[-1] + 1]])
-    return Panel(months=months, values=_frozen(levels), ids=w.ids, weights=weights)
+    return Panel(months=months, values=_frozen(levels), weights=weights)
 
 
 # ---------------------------------------------------------------------------

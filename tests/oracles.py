@@ -180,11 +180,7 @@ def explicit_null_ensemble(w, mode: str, samples: int, seed: int):
     stream per sample, shuffle with ``rotational_shuffle`` or
     ``complete_shuffle``, form X X^T / N' and take ``eigvalsh``.
     """
-    from panelresponse.nullmodel import (
-        complete_shuffle,
-        rotational_shuffle,
-        upper_edge_values,
-    )
+    from panelresponse.nullmodel import complete_shuffle, rotational_shuffle
 
     shuffle = {"rotational": rotational_shuffle, "complete": complete_shuffle}[mode]
     lambda_max = np.empty(samples)
@@ -194,7 +190,8 @@ def explicit_null_ensemble(w, mode: str, samples: int, seed: int):
         eigs = np.linalg.eigvalsh(x @ x.T / w.n_obs)
         lambda_max[s] = eigs[-1]
         pooled[s] = eigs[::-1]
-    return lambda_max, pooled, upper_edge_values(lambda_max, 0.95)
+    low, high = np.percentile(lambda_max, [2.5, 97.5])
+    return lambda_max, pooled, (float(lambda_max.mean()), float(low), float(high))
 
 
 def complete_null_trace_c2(m: int, n: int) -> float:
@@ -333,7 +330,7 @@ def explicit_load_panel(
                 raise NonPositiveLevel(sid.label, str(month), cell)
             values[row, j] = cell
 
-    return Panel(months=months, values=values, ids=canonical_ids(n_goods), weights=weights)
+    return Panel(months=months, values=values, weights=weights)
 
 
 

@@ -194,6 +194,35 @@ def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
                   "--outdir", "fresh", cwd=tmp_path)
     assert res.returncode == 1
     assert list((tmp_path / "fresh").iterdir()) == []
+    # a 2-goods panel has no final-demand -> producer-goods table: the run
+    # fails before that table's file is opened
+    small = tmp_path / "small.csv"
+    write_panel_csv(
+        to_level_panel(synth.generate(synth.SynthSpec(n_series=6, n_obs=60, modes=(), seed=1))),
+        small,
+    )
+    res = run_cli("ripple", "--input", str(small), "--k", "1", "--outdir", "small", cwd=tmp_path)
+    assert res.returncode == 1
+    assert "21-goods layout" in res.stderr
+    assert list((tmp_path / "small").iterdir()) == []
+
+
+def test_refused_allocation_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):
+    from panelresponse import cli
+
+    # what numpy raises for an absurd --bins or --samples; allocating for real
+    # would be an OOM kill, not an error, on a host that overcommits memory
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "eigenvalue_histogram", refuse)
+    panel_path, _ = planted_csv
+    code = cli.main(["analyze", "--input", str(panel_path), "--outdir", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"panelresponse: {message}\n"
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_eigensolver_failure_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from panelresponse import (
 from panelresponse import _files, cli
 from panelresponse import panel as panel_module
 from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
-from panelresponse.nullmodel import EdgeEstimate
 from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
 
 from oracles import csv_writer_text, explicit_load_panel, month_list, traced_peak
@@ -188,7 +187,7 @@ def test_load_panel_peak_memory_is_a_few_panels(tmp_path):
     values = np.random.default_rng(3).uniform(50.0, 150.0, (3 * g, n))
     path = tmp_path / "panel.csv"
     write_panel_csv(
-        Panel(months=parse_month("1900-01") + np.arange(n), values=values, ids=canonical_ids(g)),
+        Panel(months=parse_month("1900-01") + np.arange(n), values=values),
         path,
     )
     panel, peak = traced_peak(lambda: load_panel(path))
@@ -209,7 +208,7 @@ def test_corr_to_csv_peak_memory_is_below_its_text(tmp_path):
 def test_pooled_to_csv_peak_memory_is_below_its_text(tmp_path):
     pooled = np.random.default_rng(5).uniform(0.2, 3.0, (10_000, 63))
     e = NullEnsemble(mode="rotational", samples=10_000, seed=0, lambda_max=pooled.max(axis=1),
-                     edge=EdgeEstimate(2.0, 1.9, 2.1, 0.95), pooled=pooled)
+                     pooled=pooled)
     _, peak = traced_peak(lambda: e.pooled_to_csv(tmp_path / "pooled.csv"))
     # the file holds ~15 MB of text; rows taken all at once peak near 24 MB
     assert peak < 1 << 20
@@ -403,7 +402,6 @@ def test_write_panel_csv_load_panel_round_trip(g, n, start, data):
     panel = Panel(
         months=parse_month(start) + np.arange(n),
         values=values.reshape(3 * g, n),
-        ids=canonical_ids(g),
     )
     buf = io.StringIO()
     write_panel_csv(panel, buf)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from panelresponse import (
-    EdgeEstimate,
     GrowthPanel,
     ModeSeries,
     NullEnsemble,
@@ -62,7 +61,7 @@ def standardized_values(m, n, seed):
 
 def test_containers_copy_a_callers_writeable_array():
     values = level_values()
-    panel = Panel(months=months(12), values=values, ids=canonical_ids(2))
+    panel = Panel(months=months(12), values=values)
     rates = values[:, 1:] / values[:, :-1]
     growth = GrowthPanel(months=months(11), rates=rates, ids=canonical_ids(2), method="simple")
     w_values = standardized_values(6, 12, 1)
@@ -71,7 +70,7 @@ def test_containers_copy_a_callers_writeable_array():
     ms = ModeSeries(months=ms_months, coeffs=coeffs)
     lambda_max, pooled = np.linspace(2.0, 3.0, 4), np.ones((4, 6))
     e = NullEnsemble(mode="rotational", samples=4, seed=0, lambda_max=lambda_max,
-                     edge=EdgeEstimate(2.5, 2.4, 2.6, 0.95), pooled=pooled)
+                     pooled=pooled)
     arrays = (panel.values, growth.rates, w.values, ms.months, ms.coeffs,
               e.lambda_max, e.pooled)
     kept = [a.copy() for a in arrays]
@@ -90,10 +89,10 @@ def test_containers_copy_a_callers_writeable_array():
 def test_containers_adopt_a_frozen_array_that_owns_its_data():
     values = level_values()
     values.setflags(write=False)
-    assert Panel(months=months(12), values=values, ids=canonical_ids(2)).values is values
+    assert Panel(months=months(12), values=values).values is values
     # a read-only view does not own its data, so it is copied
     view = values[:, 1:]
-    panel = Panel(months=months(11), values=view, ids=canonical_ids(2))
+    panel = Panel(months=months(11), values=view)
     assert panel.values is not view and np.array_equal(panel.values, view)
     # so is a frozen array of another dtype
     ints = np.arange(1, 13).reshape(6, 2)
@@ -104,7 +103,7 @@ def test_containers_adopt_a_frozen_array_that_owns_its_data():
 
 @pytest.mark.parametrize("growth", [log_growth, simple_growth])
 def test_producers_hand_over_fresh_frozen_arrays(growth):
-    panel = Panel(months=months(12), values=level_values(), ids=canonical_ids(2))
+    panel = Panel(months=months(12), values=level_values())
     g = growth(panel)
     w = standardize(g)
     c = correlation_matrix(w)
@@ -132,7 +131,7 @@ def test_standardized_peaks_near_two_panels(tmp_path, method):
     g, n = 100, 1200
     values = level_values(g, n, seed=3)
     path = tmp_path / "panel.csv"
-    write_panel_csv(Panel(months=months(n), values=values, ids=canonical_ids(g)), path)
+    write_panel_csv(Panel(months=months(n), values=values), path)
     args = argparse.Namespace(input=str(path), window=None, method=method)
     w, peak = traced_peak(lambda: cli._standardized(args))
     # the level panel, the growth rates and the standardized copy used to

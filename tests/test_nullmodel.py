@@ -562,7 +562,6 @@ def test_upper_edge_degenerate_ensemble():
         samples=4,
         seed=0,
         lambda_max=np.full(4, 2.5),
-        edge=EdgeEstimate(2.5, 2.5, 2.5, 0.95),
     )
     center, low, high = upper_edge(e, 0.95)
     assert center == low == high == 2.5
@@ -583,13 +582,33 @@ def test_ensemble_json_round_trip(iid_panel, tmp_path):
     back = NullEnsemble.from_json(path)
     assert back.mode is ShuffleMode.ROTATIONAL
     assert np.array_equal(back.lambda_max, e.lambda_max)
-    assert back.edge == e.edge
+    # the edge is the one lambda_max gives, before and after the round trip
+    assert back.edge == e.edge == EdgeEstimate(*upper_edge(e, 0.95), 0.95)
     with pytest.raises(EmptyEnsemble):
         back.pooled_to_csv(tmp_path / "pooled.csv")  # JSON form drops pooled spectrum
 
 
 ENSEMBLE_DOC = {"mode": "complete", "samples": 2, "seed": 0, "lambda_max": [2.0, 2.5],
-                "edge": {"center": 2.25, "low": 2.0, "high": 2.5, "confidence": 0.95}}
+                "edge": {"center": 2.25, "low": 2.0125, "high": 2.4875, "confidence": 0.95}}
+
+
+def test_ensemble_document_edge_is_derived_from_lambda_max():
+    e = NullEnsemble.from_json(ENSEMBLE_DOC)
+    assert e.edge == EdgeEstimate(2.25, 2.0125, 2.4875, 0.95)
+    assert e.to_json()["edge"] == ENSEMBLE_DOC["edge"]
+    # a recorded edge within 1e-12 relative of the derived one loads
+    near = {**ENSEMBLE_DOC["edge"], "high": 2.4875 * (1 + 1e-13)}
+    assert NullEnsemble.from_json({**ENSEMBLE_DOC, "edge": near}).edge == e.edge
+
+
+@pytest.mark.parametrize("field, value", [
+    ("high", 100.0), ("low", 2.0), ("center", 2.25 * (1 + 1e-11)), ("confidence", 0.9),
+    ("high", float("nan")),
+])
+def test_ensemble_document_with_another_edge_is_a_schema_error(field, value):
+    doc = {**ENSEMBLE_DOC, "edge": {**ENSEMBLE_DOC["edge"], field: value}}
+    with pytest.raises(SchemaError, match="null-ensemble document: edge"):
+        NullEnsemble.from_json(doc)
 
 
 @pytest.mark.parametrize("value", ["3", 3.0, True, -4])
@@ -598,7 +617,7 @@ def test_ensemble_document_with_a_bad_count_is_a_schema_error(field, value):
     doc = {**ENSEMBLE_DOC, field: value}
     with pytest.raises(SchemaError, match=f"null-ensemble document: {field} must be"):
         NullEnsemble.from_json(doc)
-    kwargs = {**doc, "edge": EdgeEstimate(**doc["edge"])}
+    kwargs = {key: val for key, val in doc.items() if key != "edge"}
     with pytest.raises(EmptyEnsemble if (field, value) == ("samples", -4) else BadParameter,
                        match=f"{field} must be"):
         NullEnsemble(**kwargs)

@@ -38,9 +38,8 @@ from oracles import month_list, panel_csv_text
 def make_panel(rows, start="1988-01", weights=None):
     """Panel from a list of per-series level lists (must be 3*G rows)."""
     rows = np.asarray(rows, dtype=float)
-    g = rows.shape[0] // 3
     months = parse_month(start) + np.arange(rows.shape[1])
-    return Panel(months=months, values=rows, ids=canonical_ids(g), weights=weights)
+    return Panel(months=months, values=rows, weights=weights)
 
 
 # ---------------------------------------------------------------------------

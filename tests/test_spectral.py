@@ -140,6 +140,14 @@ def test_sign_convention_production_sum(planted_panel):
             assert block > 0
 
 
+def test_sign_convention_follows_the_layout():
+    vectors = np.eye(3)
+    eigenvalues = np.array([1.5, 1.0, 0.5])
+    assert ModeBasis(eigenvalues, vectors).sign_convention == "component-sum"
+    assert ModeBasis(eigenvalues, vectors, n_goods=1).sign_convention == "production-sum"
+    assert eigendecompose(np.eye(3)).sign_convention == "component-sum"
+
+
 def test_mode_series_single_mode():
     s = np.array([1.0, -1.0, 1.0, -1.0])
     w = panel_from_rows([s, s])  # rank one, aligned with (1,1)/sqrt(2)
@@ -340,6 +348,18 @@ def test_basis_json_round_trip_is_exact(m, seed):
     assert (back.n_goods, back.sign_convention) == (basis.n_goods, basis.sign_convention)
 
 
+@pytest.mark.parametrize("goods, recorded", [
+    (None, "production-sum"), (1, "component-sum"), (1, "other"),
+])
+def test_basis_document_sign_convention_must_follow_goods(goods, recorded):
+    doc = basis_to_json(eigendecompose(CorrMatrix(np.eye(3), n_goods=goods)))
+    del doc["sign_convention"]
+    # an absent convention is derived from goods
+    assert basis_from_json(doc).sign_convention == ("production-sum" if goods else "component-sum")
+    with pytest.raises(SchemaError, match="mode-basis document: sign_convention"):
+        basis_from_json({**doc, "sign_convention": recorded})
+
+
 def test_corr_csv_in_memory():
     w = panel_from_rows([[1, -1, 1, -1], [1, 1, -1, -1]])
     c = correlation_matrix(w)
@@ -400,6 +420,14 @@ def test_mode_basis_and_its_reader_reject_nan(tmp_path, field, index):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         basis_from_json(path)
+
+
+def test_mode_basis_layout_must_match_its_size():
+    doc = basis_to_json(eigendecompose(CorrMatrix(np.eye(9), n_goods=3)))
+    with pytest.raises(SchemaError, match="n_goods inconsistent"):
+        basis_from_json({**doc, "goods": 2, "sign_convention": "production-sum"})
+    with pytest.raises(SchemaError, match="n_goods inconsistent"):
+        ModeBasis(np.ones(2), np.eye(2), n_goods=1)
 
 
 def test_one_nan_eigenvalue_is_rejected():
