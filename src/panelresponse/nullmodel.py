@@ -21,7 +21,7 @@ import itertools
 import operator
 import os
 import threading
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -107,7 +107,7 @@ def complete_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standard
     n = w.n_obs
     for i in range(w.n_series):
         values[i] = w.values[i, rng.permutation(n)]
-    return w.replace_values(values)
+    return replace(w, values=values)
 
 
 def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> StandardizedPanel:
@@ -120,7 +120,7 @@ def rotational_shuffle(w: StandardizedPanel, rng: np.random.Generator) -> Standa
     values = np.empty_like(w.values)
     for i, tau in enumerate(taus):
         values[i] = np.roll(w.values[i], int(tau))
-    return w.replace_values(values)
+    return replace(w, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +312,33 @@ class NullEnsemble:
 
     ``lambda_max`` holds the largest eigenvalue of every sample in sample
     order; ``pooled`` all M eigenvalues per sample (samples x M), kept for
-    density comparisons and omitted from the compact JSON form.  ``samples``
-    (at least 1, else :class:`~panelresponse.errors.EmptyEnsemble`) and
-    ``seed`` (at least 0) are kept as Python ints, under the rules of
-    :func:`null_ensemble`.  ``edge`` is derived from ``lambda_max``: the
+    density comparisons and omitted from the compact JSON form.  ``seed``
+    (at least 0) is kept as a Python int, under the rules of
+    :func:`null_ensemble`.  ``samples`` and ``edge`` are derived from
+    ``lambda_max``: its length (at least 1, else
+    :class:`~panelresponse.errors.EmptyEnsemble`) and the
     :func:`upper_edge` interval at 95% confidence.
     """
 
     mode: ShuffleMode
-    samples: int
     seed: int
     lambda_max: np.ndarray
     pooled: np.ndarray | None = None
 
     def __post_init__(self):
-        samples, seed = _sample_count_and_seed(self.samples, self.seed)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
         lmax = _freeze(np.asarray(self.lambda_max, dtype=float))
-        if lmax.shape != (self.samples,):
-            raise EmptyEnsemble(f"{lmax.size} largest eigenvalues for {self.samples} samples")
+        if lmax.ndim != 1:
+            raise EmptyEnsemble(f"lambda_max must be 1-D, got shape {lmax.shape}")
+        _, seed = _sample_count_and_seed(lmax.size, self.seed)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "lambda_max", lmax)
         if self.pooled is not None:
             object.__setattr__(self, "pooled", _freeze(np.asarray(self.pooled, dtype=float)))
         object.__setattr__(self, "mode", ShuffleMode(self.mode))
+
+    @property
+    def samples(self) -> int:
+        return self.lambda_max.size
 
     @property
     def edge(self) -> EdgeEstimate:
@@ -357,21 +360,25 @@ class NullEnsemble:
     def from_json(cls, source: str | Path | TextIO | dict) -> "NullEnsemble":
         """Load a :meth:`to_json` document.
 
-        Its ``edge`` must be the one its ``lambda_max`` gives, to 1e-12
-        relative, else the document is a :class:`SchemaError`.
+        Its ``samples`` must be the length of its ``lambda_max``, and its
+        ``edge`` the one its ``lambda_max`` gives, to 1e-12 relative, else
+        the document is a :class:`SchemaError`.
         """
         doc = read_json(source)
         with json_fields("null-ensemble document"):
             try:
                 ensemble = cls(
                     mode=ShuffleMode(doc["mode"]),
-                    samples=doc["samples"],
                     seed=doc["seed"],
                     lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
                 )
+                samples = _integer("samples", doc["samples"])
             except (BadParameter, EmptyEnsemble) as exc:
                 # a value the constructor refuses makes the document malformed
                 raise SchemaError(f"null-ensemble document: {exc}") from None
+            if samples != ensemble.samples:
+                raise SchemaError(f"null-ensemble document: samples must be {ensemble.samples}, "
+                                  f"the length of its lambda_max, got {samples}")
             recorded = astuple(EdgeEstimate(**doc["edge"]))
             if not np.allclose(recorded, astuple(ensemble.edge), rtol=1e-12, atol=0.0):
                 raise SchemaError(f"null-ensemble document: edge {doc['edge']} disagrees with "
@@ -518,7 +525,6 @@ def null_ensemble(
                 stop.set()
     return NullEnsemble(
         mode=mode,
-        samples=samples,
         seed=seed,
         lambda_max=_frozen(lambda_max),
         pooled=None if pooled is None else _frozen(pooled),

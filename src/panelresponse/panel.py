@@ -39,7 +39,12 @@ from .errors import (
 
 
 class Variable(enum.IntEnum):
-    """Variable class of a series: production, shipments, or inventory."""
+    """Variable class of a series: production, shipments, or inventory.
+
+    ``Variable(x)`` takes the class number 1, 2 or 3, or a code: ``P``,
+    ``S`` or ``I``, or the class name, in any case.  Anything else is a
+    :class:`SchemaError`.
+    """
 
     PRODUCTION = 1
     SHIPMENTS = 2
@@ -50,13 +55,13 @@ class Variable(enum.IntEnum):
         return {1: "P", 2: "S", 3: "I"}[int(self)]
 
     @classmethod
-    def from_code(cls, code: str) -> "Variable":
-        table = {"P": 1, "S": 2, "I": 3,
-                 "production": 1, "shipments": 2, "inventory": 3}
-        key = code if code in table else code.upper() if code.upper() in table else code.lower()
-        if key not in table:
-            raise SchemaError(f"unknown variable class {code!r}")
-        return cls(table[key])
+    def _missing_(cls, value) -> "Variable":
+        # Enum raises this in place of its own ValueError
+        if isinstance(value, str):
+            for member in cls:
+                if value.upper() == member.code or value.lower() == member.name.lower():
+                    return member
+        raise SchemaError(f"unknown variable class {value!r}")
 
 
 #: Standard 21-category classification of the Japanese Indices of Industrial
@@ -136,7 +141,7 @@ class SeriesId:
             goods = None
         if goods is None:
             raise SchemaError(f"bad series id {text!r} (expected P.g, S.g, or I.g)")
-        return cls(Variable.from_code(m.group(1)), goods)
+        return cls(Variable(m.group(1)), goods)
 
 
 def canonical_ids(n_goods: int) -> tuple[SeriesId, ...]:
@@ -144,6 +149,11 @@ def canonical_ids(n_goods: int) -> tuple[SeriesId, ...]:
     return tuple(
         SeriesId(Variable(a), g) for a in (1, 2, 3) for g in range(1, n_goods + 1)
     )
+
+
+def _series_ids(m: int) -> tuple[SeriesId, ...] | None:
+    """Flat-order ids of an M-row panel: ``canonical_ids(M // 3)`` if M = 3G, else None."""
+    return canonical_ids(m // 3) if m % 3 == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +302,16 @@ class Panel:
 
 @dataclass(frozen=True)
 class GrowthPanel:
-    """Month-over-month growth rates, one column per transition t_j -> t_{j+1}."""
+    """Month-over-month growth rates, one column per transition t_j -> t_{j+1}.
+
+    ``ids`` and ``n_goods`` are derived from the row count M: the
+    :func:`canonical_ids` of the 3 x G layout when M = 3G, else None.
+    """
 
     months: np.ndarray
     rates: np.ndarray
-    ids: tuple[SeriesId, ...]
-    method: str  # "log10" or "simple"
 
     def __post_init__(self):
-        if self.method not in ("log10", "simple"):
-            raise SchemaError(f"unknown growth method {self.method!r}")
         months = np.asarray(self.months, dtype="datetime64[M]")
         rates = np.asarray(self.rates, dtype=float)
         if rates.ndim != 2 or months.shape != (rates.shape[1],):
@@ -310,8 +320,12 @@ class GrowthPanel:
         object.__setattr__(self, "rates", _freeze(rates))
 
     @property
-    def n_goods(self) -> int:
-        return self.rates.shape[0] // 3
+    def ids(self) -> tuple[SeriesId, ...] | None:
+        return _series_ids(self.rates.shape[0])
+
+    @property
+    def n_goods(self) -> int | None:
+        return None if (ids := self.ids) is None else len(ids) // 3
 
 
 _MEAN_TOL = 1e-10
@@ -341,12 +355,13 @@ class StandardizedPanel:
     """Zero-mean, unit-variance growth-rate series w_l(t_j).
 
     ``mean`` and ``std`` record the per-series statistics removed by the
-    transform (population normalization: divide by N', not N'-1).
+    transform (population normalization: divide by N', not N'-1).  ``ids``
+    and ``n_goods`` are derived from the row count, as for
+    :class:`GrowthPanel`.
     """
 
     months: np.ndarray
     values: np.ndarray
-    ids: tuple[SeriesId, ...] | None
     mean: np.ndarray
     std: np.ndarray
 
@@ -355,8 +370,6 @@ class StandardizedPanel:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or months.shape != (values.shape[1],):
             raise SchemaError("standardized values and months are inconsistent")
-        if self.ids is not None and len(self.ids) != values.shape[0]:
-            raise SchemaError("ids do not match value rows")
         if values.size:
             n = values.shape[1]
             check_standardized(
@@ -377,38 +390,31 @@ class StandardizedPanel:
         return self.values.shape[1]
 
     @property
+    def ids(self) -> tuple[SeriesId, ...] | None:
+        return _series_ids(self.values.shape[0])
+
+    @property
     def n_goods(self) -> int | None:
-        m = self.values.shape[0]
-        return m // 3 if (self.ids is not None and m % 3 == 0) else None
+        return None if (ids := self.ids) is None else len(ids) // 3
 
     @classmethod
     def from_values(
         cls,
         values: np.ndarray,
         months: np.ndarray | None = None,
-        ids: Sequence[SeriesId] | None = None,
         start: MonthLike = "1988-01",
     ) -> "StandardizedPanel":
-        """Wrap an already-standardized M x N' array (used by generators and tests)."""
+        """Wrap an already-standardized M x N' array (used by tests and demos).
+
+        ``months`` defaults to N' consecutive months from ``start``.  The
+        values are checked as every :class:`StandardizedPanel`'s are, and
+        ``mean`` and ``std`` record zeros and ones, as nothing was removed.
+        """
         values = np.asarray(values, dtype=float)
         m, n = values.shape
         if months is None:
             months = parse_month(start) + np.arange(n)
-        if ids is None and m % 3 == 0:
-            ids = canonical_ids(m // 3)
-        return cls(
-            months=months,
-            values=values,
-            ids=tuple(ids) if ids is not None else None,
-            mean=np.zeros(m),
-            std=np.ones(m),
-        )
-
-    def replace_values(self, values: np.ndarray) -> "StandardizedPanel":
-        """New panel with the same axes and identical metadata (used by shuffles)."""
-        return StandardizedPanel(
-            months=self.months, values=values, ids=self.ids, mean=self.mean, std=self.std
-        )
+        return cls(months=months, values=values, mean=np.zeros(m), std=np.ones(m))
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +665,7 @@ def log_growth(panel: Panel) -> GrowthPanel:
     """Base-10 logarithmic growth rate log10(S(t_{j+1}) / S(t_j))."""
     rates = panel.values[:, 1:] / panel.values[:, :-1]
     np.log10(rates, out=rates)
-    return GrowthPanel(
-        months=panel.months[:-1], rates=_frozen(rates), ids=panel.ids, method="log10"
-    )
+    return GrowthPanel(months=panel.months[:-1], rates=_frozen(rates))
 
 
 def simple_growth(panel: Panel) -> GrowthPanel:
@@ -674,9 +678,7 @@ def simple_growth(panel: Panel) -> GrowthPanel:
     v = panel.values
     rates = v[:, 1:] - v[:, :-1]
     rates /= v[:, :-1]
-    return GrowthPanel(
-        months=panel.months[:-1], rates=_frozen(rates), ids=panel.ids, method="simple"
-    )
+    return GrowthPanel(months=panel.months[:-1], rates=_frozen(rates))
 
 
 def standardize(growth: GrowthPanel) -> StandardizedPanel:
@@ -690,15 +692,12 @@ def standardize(growth: GrowthPanel) -> StandardizedPanel:
     w = rates - mu[:, None]
     w /= sigma[:, None]
     return StandardizedPanel(
-        months=growth.months, values=_frozen(w), ids=growth.ids,
-        mean=_frozen(mu), std=_frozen(sigma),
+        months=growth.months, values=_frozen(w), mean=_frozen(mu), std=_frozen(sigma)
     )
 
 
 def weighted_aggregate(panel: Panel, alpha: Variable | int | str) -> np.ndarray:
     """Weighted mean level of one variable class across goods, per month."""
-    if isinstance(alpha, str):
-        alpha = Variable.from_code(alpha)
     alpha = Variable(alpha)
     if panel.weights is None:
         raise MissingWeight(1)

@@ -21,8 +21,8 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from ._files import json_fields, read_json, write_json
-from .errors import BadParameter, DegenerateSeries, InfeasibleSpec
-from .panel import Panel, StandardizedPanel, _frozen, canonical_ids, parse_month
+from .errors import BadParameter, InfeasibleSpec
+from .panel import GrowthPanel, Panel, StandardizedPanel, _frozen, parse_month, standardize
 
 _ORTHO_TOL = 1e-10
 
@@ -145,7 +145,11 @@ def _resolve_loadings(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate(spec: SynthSpec) -> StandardizedPanel:
-    """Generate the panel described by the spec (deterministic given its seed)."""
+    """Generate the panel described by the spec (deterministic given its seed).
+
+    The generated series are standardized by :func:`standardize`, so
+    ``mean`` and ``std`` record what it removed.
+    """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.n_series, spec.n_obs
     phi = _noise_coeffs(spec)
@@ -194,17 +198,8 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
         sigma = np.sqrt(np.clip(1.0 - mode_var, 0.0, None))
         values = values + sigma[:, None] * _ar1_rows(rng, phi, n)
 
-    mu = values.mean(axis=1)
-    sd = values.std(axis=1)
-    if np.any(sd == 0.0):
-        raise DegenerateSeries(int(np.argmin(sd)) + 1)
-    w = (values - mu[:, None]) / sd[:, None]
-
     months = parse_month(spec.start) + np.arange(n)
-    ids = canonical_ids(m // 3) if m % 3 == 0 else None
-    return StandardizedPanel(
-        months=months, values=_frozen(w), ids=ids, mean=np.zeros(m), std=np.ones(m)
-    )
+    return standardize(GrowthPanel(months=months, rates=_frozen(values)))
 
 
 def to_level_panel(

@@ -20,7 +20,6 @@ from panelresponse import (
     NullEnsemble,
     Panel,
     StandardizedPanel,
-    canonical_ids,
     correlation_matrix,
     corr_to_json,
     eigendecompose,
@@ -63,14 +62,13 @@ def test_containers_copy_a_callers_writeable_array():
     values = level_values()
     panel = Panel(months=months(12), values=values)
     rates = values[:, 1:] / values[:, :-1]
-    growth = GrowthPanel(months=months(11), rates=rates, ids=canonical_ids(2), method="simple")
+    growth = GrowthPanel(months=months(11), rates=rates)
     w_values = standardized_values(6, 12, 1)
     w = StandardizedPanel.from_values(w_values)
     ms_months, coeffs = months(12), np.ones((2, 12))
     ms = ModeSeries(months=ms_months, coeffs=coeffs)
     lambda_max, pooled = np.linspace(2.0, 3.0, 4), np.ones((4, 6))
-    e = NullEnsemble(mode="rotational", samples=4, seed=0, lambda_max=lambda_max,
-                     pooled=pooled)
+    e = NullEnsemble(mode="rotational", seed=0, lambda_max=lambda_max, pooled=pooled)
     arrays = (panel.values, growth.rates, w.values, ms.months, ms.coeffs,
               e.lambda_max, e.pooled)
     kept = [a.copy() for a in arrays]
@@ -97,7 +95,7 @@ def test_containers_adopt_a_frozen_array_that_owns_its_data():
     # so is a frozen array of another dtype
     ints = np.arange(1, 13).reshape(6, 2)
     ints.setflags(write=False)
-    growth = GrowthPanel(months=months(2), rates=ints, ids=canonical_ids(2), method="log10")
+    growth = GrowthPanel(months=months(2), rates=ints)
     assert growth.rates.dtype == float and growth.rates is not ints
 
 

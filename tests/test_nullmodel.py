@@ -559,7 +559,6 @@ def test_upper_edge_confidence_handling(iid_panel):
 def test_upper_edge_degenerate_ensemble():
     e = NullEnsemble(
         mode="complete",
-        samples=4,
         seed=0,
         lambda_max=np.full(4, 2.5),
     )
@@ -617,16 +616,27 @@ def test_ensemble_document_with_a_bad_count_is_a_schema_error(field, value):
     doc = {**ENSEMBLE_DOC, field: value}
     with pytest.raises(SchemaError, match=f"null-ensemble document: {field} must be"):
         NullEnsemble.from_json(doc)
-    kwargs = {key: val for key, val in doc.items() if key != "edge"}
-    with pytest.raises(EmptyEnsemble if (field, value) == ("samples", -4) else BadParameter,
-                       match=f"{field} must be"):
-        NullEnsemble(**kwargs)
+    if field == "seed":  # no constructor takes samples: it is the length of lambda_max
+        kwargs = {key: val for key, val in doc.items() if key not in ("edge", "samples")}
+        with pytest.raises(BadParameter, match="seed must be"):
+            NullEnsemble(**kwargs)
 
 
 def test_ensemble_document_counts_load_as_python_ints():
     e = NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": np.int64(2), "seed": np.uint8(7)})
     assert (e.samples, e.seed) == (2, 7)
     assert type(e.samples) is int and type(e.seed) is int
+
+
+def test_ensemble_samples_is_the_length_of_lambda_max():
+    e = NullEnsemble(mode="complete", seed=0, lambda_max=[2.0, 2.5, 3.0])
+    assert e.samples == 3 and type(e.samples) is int
+    assert e.to_json()["samples"] == 3
+    with pytest.raises(EmptyEnsemble):
+        NullEnsemble(mode="complete", seed=0, lambda_max=[])
+    for samples in (1, 3):
+        with pytest.raises(SchemaError, match="null-ensemble document: samples must be 2, "):
+            NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": samples})
 
 
 def test_count_significant(planted_panel):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from panelresponse import (
     DEFAULT_GOODS_WEIGHTS,
+    GrowthPanel,
     Panel,
+    PhaseTable,
     SeriesId,
     Variable,
     canonical_ids,
@@ -75,6 +77,30 @@ def test_series_id_parse_and_label():
         SeriesId.parse("X.1")
     with pytest.raises(SchemaError):
         SeriesId.parse("P20")
+
+
+@pytest.mark.parametrize("value, member", [
+    (1, Variable.PRODUCTION), ("S", Variable.SHIPMENTS), ("i", Variable.INVENTORY),
+    ("production", Variable.PRODUCTION), ("Inventory", Variable.INVENTORY),
+])
+def test_variable_from_number_or_code(value, member):
+    assert Variable(value) is member
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Variable(4),
+    lambda: Variable(0),
+    lambda: Variable("X"),
+    lambda: Variable(None),
+    lambda: SeriesId(4, 1),
+    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), 4),
+    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), "X"),
+    lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average(0),
+], ids=["Variable(4)", "Variable(0)", "Variable('X')", "Variable(None)", "SeriesId(4, 1)",
+        "weighted_aggregate(4)", "weighted_aggregate('X')", "class_average(0)"])
+def test_unknown_variable_class_is_a_schema_error(call):
+    with pytest.raises(SchemaError, match="unknown variable class"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +289,9 @@ def test_standardize_affine_invariance():
 def test_standardize_affine_rates_invariance():
     rng = np.random.default_rng(6)
     rates = rng.normal(0, 0.01, size=(3, 40))
-    from panelresponse import GrowthPanel
-
     months = parse_month("1988-01") + np.arange(40)
-    g1 = GrowthPanel(months=months, rates=rates, ids=canonical_ids(1), method="simple")
-    g2 = GrowthPanel(
-        months=months, rates=3.7 * rates + 0.42, ids=canonical_ids(1), method="simple"
-    )
+    g1 = GrowthPanel(months=months, rates=rates)
+    g2 = GrowthPanel(months=months, rates=3.7 * rates + 0.42)
     assert np.allclose(standardize(g1).values, standardize(g2).values, atol=1e-10)
 
 
@@ -277,6 +299,25 @@ def test_standardize_degenerate_series():
     panel = make_panel([[3, 3, 3], [1, 2, 3], [1, 2, 3]])
     with pytest.raises(DegenerateSeries):
         standardize(log_growth(panel))
+
+
+def test_growth_panel_ids_follow_its_rows():
+    months = parse_month("1988-01") + np.arange(10)
+    rates = np.random.default_rng(3).normal(0, 0.01, size=(6, 10))
+    g = GrowthPanel(months=months, rates=rates)
+    assert g.ids == canonical_ids(2) and g.n_goods == 2
+    w = standardize(g)
+    assert w.ids == canonical_ids(2) and w.n_goods == 2
+    # a constant series is named by its label in the 3 x G layout
+    rates[4] = 0.25
+    with pytest.raises(DegenerateSeries, match=r"series I\.1 has zero variance"):
+        standardize(GrowthPanel(months=months, rates=rates))
+    # and by its 1-based index without one
+    four = GrowthPanel(months=months, rates=rates[:4])
+    assert four.ids is None and four.n_goods is None
+    with pytest.raises(DegenerateSeries) as exc:
+        standardize(GrowthPanel(months=months, rates=rates[[0, 1, 4, 2]]))
+    assert exc.value.series == 3
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
