@@ -75,12 +75,9 @@ from .spectral import (
     EigenvalueHistogram,
     ModeBasis,
     ModeSeries,
-    basis_from_json,
-    basis_to_json,
     corr_from_csv,
     corr_from_json,
     corr_to_csv,
-    corr_to_json,
     correlation_matrix,
     eigendecompose,
     eigenvalue_histogram,
@@ -112,8 +109,7 @@ __all__ = [
     "CorrMatrix", "ModeBasis", "ModeSeries", "EigenvalueHistogram",
     "correlation_matrix", "eigendecompose", "mode_series", "reconstruct",
     "mp_bounds", "mp_density", "eigenvalue_histogram",
-    "corr_to_csv", "corr_from_csv", "corr_to_json", "corr_from_json",
-    "basis_to_json", "basis_from_json",
+    "corr_to_csv", "corr_from_csv", "corr_from_json",
     # nullmodel
     "ShuffleMode", "NullEnsemble", "EdgeEstimate", "autocorrelation",
     "autocorrelations", "cyclic_autocorrelation", "no_autocorr_band",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import operator
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass, replace
@@ -36,7 +35,7 @@ from .errors import (
     LagOutOfRange,
     SchemaError,
 )
-from .panel import StandardizedPanel, _freeze, _frozen, check_standardized
+from .panel import StandardizedPanel, _freeze, _frozen, _integer, check_standardized
 from .spectral import ModeBasis
 
 
@@ -311,8 +310,9 @@ class NullEnsemble:
     """Eigenvalue samples from repeated shuffling of one panel.
 
     ``lambda_max`` holds the largest eigenvalue of every sample in sample
-    order; ``pooled`` all M eigenvalues per sample (samples x M), kept for
-    density comparisons and omitted from the compact JSON form.  ``seed``
+    order; ``pooled`` all M eigenvalues per sample (samples x M, descending,
+    so its first column is ``lambda_max`` bit for bit), kept for density
+    comparisons and omitted from the compact JSON form.  ``seed``
     (at least 0) is kept as a Python int, under the rules of
     :func:`null_ensemble`.  ``samples`` and ``edge`` are derived from
     ``lambda_max``: its length (at least 1, else
@@ -333,7 +333,13 @@ class NullEnsemble:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "lambda_max", lmax)
         if self.pooled is not None:
-            object.__setattr__(self, "pooled", _freeze(np.asarray(self.pooled, dtype=float)))
+            pooled = _freeze(np.asarray(self.pooled, dtype=float))
+            if pooled.ndim != 2 or pooled.shape[0] != lmax.size or pooled.shape[1] < 1:
+                raise SchemaError(f"pooled must be {lmax.size} x M, one row per lambda_max, "
+                                  f"got shape {pooled.shape}")
+            if pooled[:, 0].tobytes() != lmax.tobytes():
+                raise SchemaError("pooled's first column must equal lambda_max")
+            object.__setattr__(self, "pooled", pooled)
         object.__setattr__(self, "mode", ShuffleMode(self.mode))
 
     @property
@@ -394,16 +400,6 @@ class NullEnsemble:
             zip(itertools.repeat(str(s)), row.tolist()) for s, row in enumerate(self.pooled)
         )
         write_rows(target, itertools.chain([("sample", "eigenvalue")], rows))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a bool, float or string is a BadParameter."""
-    try:
-        if not isinstance(value, (bool, np.bool_)):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise BadParameter(f"{name} must be an integer, got {value!r}")
 
 
 def _sample_count_and_seed(samples, seed) -> tuple[int, int]:

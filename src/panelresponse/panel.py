@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ import numpy as np
 
 from ._files import open_text, read_rows, write_rows
 from .errors import (
+    BadParameter,
     DegenerateSeries,
     DuplicateSeries,
     IrregularTimeAxis,
@@ -217,6 +219,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(name: str, value, error: type[PanelResponseError] = BadParameter) -> int:
+    """``value`` as a Python int; a bool, float or string is an ``error`` naming ``name``."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # panel containers
 # ---------------------------------------------------------------------------
@@ -295,9 +307,6 @@ class Panel:
     @property
     def weight_sum(self) -> float | None:
         return None if self.weights is None else float(sum(self.weights.values()))
-
-    def series(self, sid: SeriesId) -> np.ndarray:
-        return self.values[sid.flat(self.n_goods) - 1]
 
 
 @dataclass(frozen=True)

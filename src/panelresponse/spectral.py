@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from ._files import json_fields, open_text, read_json, read_rows, write_json, write_rows
+from ._files import json_fields, open_text, read_json, read_rows, write_rows
 from .errors import (
     BadModeIndex,
     DimensionMismatch,
@@ -32,7 +32,7 @@ from .errors import (
     QOutOfRange,
     SchemaError,
 )
-from .panel import StandardizedPanel, _freeze, _frozen
+from .panel import StandardizedPanel, _freeze, _frozen, _integer
 
 _SYM_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -45,6 +45,16 @@ _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
+def _layout(n_goods, m: int, what: str) -> int | None:
+    """``n_goods`` as a Python int with 3 * n_goods = m (so at least 1), or None."""
+    if n_goods is None:
+        return None
+    n_goods = _integer("n_goods", n_goods, SchemaError)
+    if m != 3 * n_goods:
+        raise SchemaError(f"n_goods inconsistent with {what} dimension")
+    return n_goods
+
+
 @dataclass(frozen=True)
 class CorrMatrix:
     """Symmetric unit-diagonal correlation matrix.
@@ -53,8 +63,9 @@ class CorrMatrix:
     or "genuine" for a noise-filtered reconstruction, which keeps the unit
     diagonal but is not guaranteed positive semidefinite and may carry
     off-diagonal entries slightly outside [-1, 1] (warned, tolerated up to
-    +-0.05).  ``n_goods`` tags the 3-variable-class layout when known;
-    ``n_modes`` records how many modes built a genuine matrix.
+    +-0.05).  ``n_goods`` tags the 3-variable-class layout when known (an
+    integer with M = 3 * n_goods); ``n_modes`` records how many modes built
+    a genuine matrix (an integer in [0, M]).  Either is kept as a Python int.
     """
 
     values: np.ndarray
@@ -88,8 +99,12 @@ class CorrMatrix:
             min_eig = float(np.linalg.eigvalsh(v)[0])
             if not min_eig >= -_PSD_TOL:
                 raise SchemaError(f"raw matrix not positive semidefinite ({min_eig:.3e})")
-        if self.n_goods is not None and v.shape[0] != 3 * self.n_goods:
-            raise SchemaError("n_goods inconsistent with matrix dimension")
+        object.__setattr__(self, "n_goods", _layout(self.n_goods, v.shape[0], "matrix"))
+        if self.n_modes is not None:
+            k = _integer("n_modes", self.n_modes, SchemaError)
+            if not 0 <= k <= v.shape[0]:
+                raise SchemaError(f"n_modes {k} outside [0, {v.shape[0]}]")
+            object.__setattr__(self, "n_modes", k)
         object.__setattr__(self, "values", v)
 
     @property
@@ -103,9 +118,9 @@ class ModeBasis:
 
     ``vectors[:, n]`` is the unit-norm vector of mode n (0-based column for
     the 1-based mode n+1); eigenvalues are in descending order.
-    ``n_goods``, when the 3-variable-class layout is known, is M / 3.
-    ``sign_convention`` follows ``n_goods``: "production-sum" when the
-    layout is known, else "component-sum" (see :func:`eigendecompose`).
+    ``n_goods``, when the 3-variable-class layout is known, is the integer
+    M / 3 (kept as a Python int); it chooses the sign rule of
+    :func:`eigendecompose`.
     """
 
     eigenvalues: np.ndarray
@@ -125,24 +140,13 @@ class ModeBasis:
         gram = vec.T @ vec
         if not np.abs(gram - np.eye(m)).max() <= _ORTHO_TOL:
             raise SchemaError("eigenvectors are not orthonormal")
-        if self.n_goods is not None and m != 3 * self.n_goods:
-            raise SchemaError("n_goods inconsistent with basis dimension")
+        object.__setattr__(self, "n_goods", _layout(self.n_goods, m, "basis"))
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", vec)
 
     @property
     def m(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def sign_convention(self) -> str:
-        return "component-sum" if self.n_goods is None else "production-sum"
-
-    def vector(self, n: int) -> np.ndarray:
-        """Eigenvector of 1-based mode index n."""
-        if not 1 <= n <= self.m:
-            raise BadModeIndex(f"mode {n} outside [1, {self.m}]")
-        return self.vectors[:, n - 1]
 
 
 @dataclass(frozen=True)
@@ -361,21 +365,9 @@ def _corr_document(c: CorrMatrix) -> dict:
     """The JSON document of a matrix, holding the matrix itself (not lists).
 
     :func:`~panelresponse._files.write_json` writes it one matrix row at a
-    time; :func:`corr_to_json` returns the same document as plain JSON data.
+    time; :func:`corr_from_json` reads it back.
     """
     return {"kind": c.kind, "m": c.m, "goods": c.n_goods, "k": c.n_modes, "values": c.values}
-
-
-def corr_to_json(c: CorrMatrix, target: str | Path | TextIO | None = None) -> dict:
-    """The matrix's JSON document as plain data, written first to ``target`` if given.
-
-    The file is written one matrix row per write, before the returned lists
-    are built, so the two are never held at once.
-    """
-    doc = _corr_document(c)
-    if target is not None:
-        write_json(target, doc)
-    return {**doc, "values": c.values.tolist()}
 
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
@@ -387,42 +379,3 @@ def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
             n_goods=doc.get("goods"),
             n_modes=doc.get("k"),
         )
-
-
-def basis_to_json(b: ModeBasis, target: str | Path | TextIO | None = None) -> dict:
-    """The basis's JSON document as plain data, written first to ``target`` if given.
-
-    As in :func:`corr_to_json`, the eigenvectors are written one row per write.
-    """
-    doc = {
-        "kind": "mode-basis",
-        "m": b.m,
-        "goods": b.n_goods,
-        "sign_convention": b.sign_convention,
-        "eigenvalues": b.eigenvalues,
-        "eigenvectors": b.vectors,
-    }
-    if target is not None:
-        write_json(target, doc)
-    return {**doc, "eigenvalues": b.eigenvalues.tolist(), "eigenvectors": b.vectors.tolist()}
-
-
-def basis_from_json(source: str | Path | TextIO | dict) -> ModeBasis:
-    """Load a :func:`basis_to_json` document.
-
-    A recorded ``sign_convention`` must be the one ``goods`` gives, else the
-    document is a :class:`SchemaError`; an absent one is derived.
-    """
-    doc = read_json(source)
-    with json_fields("mode-basis document"):
-        if doc.get("kind") != "mode-basis":
-            raise SchemaError(f"not a mode-basis document: field 'kind' is {doc.get('kind')!r}")
-        basis = ModeBasis(
-            eigenvalues=_frozen(np.array(doc["eigenvalues"], dtype=float)),
-            vectors=_frozen(np.array(doc["eigenvectors"], dtype=float)),
-            n_goods=doc.get("goods"),
-        )
-    if doc.get("sign_convention", basis.sign_convention) != basis.sign_convention:
-        raise SchemaError(f"mode-basis document: sign_convention {doc['sign_convention']!r} "
-                          f"disagrees with {basis.sign_convention!r}, which its goods gives")
-    return basis

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelresponse import corr_from_csv, synth, to_level_panel, write_panel_csv
+from panelresponse import corr_from_csv, corr_from_json, synth, to_level_panel, write_panel_csv
 
 from oracles import csv_writer_text
 
@@ -322,6 +322,20 @@ def test_genuine_artifact(planted_csv, tmp_path):
     assert cg.kind == "genuine"
     assert cg.n_modes == 2
     assert np.all(np.diag(cg.values) == 1.0)
+
+
+def test_genuine_matrix_json_reads_back_as_its_csv(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    res = run_cli(
+        "genuine", "--input", str(panel_path), "--k", "2", "--outdir", "o", cwd=tmp_path
+    )
+    assert res.returncode == 0, res.stderr
+    # the document's "config" key is not a matrix field, and is ignored
+    from_json = corr_from_json(tmp_path / "o" / "genuine_matrix.json")
+    from_csv = corr_from_csv(tmp_path / "o" / "genuine_matrix.csv")
+    assert from_json.values.tobytes() == from_csv.values.tobytes()
+    assert (from_json.kind, from_json.n_goods, from_json.n_modes) == ("genuine", 21, 2)
+    assert (from_csv.kind, from_csv.n_goods, from_csv.n_modes) == ("genuine", 21, 2)
 
 
 def test_ripple_reduced_chi_phases_cycles_stimuli(planted_csv, tmp_path):

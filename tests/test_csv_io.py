@@ -206,8 +206,9 @@ def test_corr_to_csv_peak_memory_is_below_its_text(tmp_path):
 
 
 def test_pooled_to_csv_peak_memory_is_below_its_text(tmp_path):
-    pooled = np.random.default_rng(5).uniform(0.2, 3.0, (10_000, 63))
-    e = NullEnsemble(mode="rotational", seed=0, lambda_max=pooled.max(axis=1), pooled=pooled)
+    # each sample's spectrum in descending order, as null_ensemble keeps it
+    pooled = -np.sort(-np.random.default_rng(5).uniform(0.2, 3.0, (10_000, 63)), axis=1)
+    e = NullEnsemble(mode="rotational", seed=0, lambda_max=pooled[:, 0], pooled=pooled)
     _, peak = traced_peak(lambda: e.pooled_to_csv(tmp_path / "pooled.csv"))
     # the file holds ~15 MB of text; rows taken all at once peak near 24 MB
     assert peak < 1 << 20

@@ -8,12 +8,9 @@ import pytest
 from panelresponse import (
     NullEnsemble,
     SeriesId,
-    basis_from_json,
-    basis_to_json,
     corr_from_csv,
     corr_from_json,
     corr_to_csv,
-    corr_to_json,
     correlation_matrix,
     eigendecompose,
     external_stimuli,
@@ -28,7 +25,9 @@ from panelresponse import (
     to_level_panel,
     write_panel_csv,
 )
+from panelresponse._files import write_json
 from panelresponse.errors import SchemaError
+from panelresponse.spectral import _corr_document
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,6 @@ def objects(planted_panel):
     chi = reduced_susceptibility(cg, basis, 2)
     return {
         "raw": raw,
-        "basis": basis,
         "cg": cg,
         "ensemble": null_ensemble(w, "rotational", 5, 0),
         "stimuli": external_stimuli(ms, basis, chi),
@@ -56,8 +54,7 @@ def objects(planted_panel):
 
 WRITERS = {
     "corr_to_csv": lambda o, t: corr_to_csv(o["cg"], t),
-    "corr_to_json": lambda o, t: corr_to_json(o["cg"], t),
-    "basis_to_json": lambda o, t: basis_to_json(o["basis"], t),
+    "write_json(_corr_document)": lambda o, t: write_json(t, _corr_document(o["cg"])),
     "NullEnsemble.to_json": lambda o, t: o["ensemble"].to_json(t),
     "NullEnsemble.pooled_to_csv": lambda o, t: o["ensemble"].pooled_to_csv(t),
     "StimulusSeries.to_csv": lambda o, t: o["stimuli"].to_csv(t),
@@ -79,15 +76,18 @@ def test_writer_path_and_stream_get_same_text(objects, tmp_path, name):
         assert fh.read() == buf.getvalue() != ""
 
 
+def _corr_form(c):
+    return c.kind, c.n_goods, c.n_modes, c.values.tolist()
+
+
 def _panel_form(p):
     return p.months.tolist(), p.values.tolist(), p.ids
 
 
 # reader -> (object key, writer name, reader, comparable form, reads a dict too)
 READERS = {
-    "corr_from_csv": ("cg", "corr_to_csv", corr_from_csv, corr_to_json, False),
-    "corr_from_json": ("cg", "corr_to_json", corr_from_json, corr_to_json, True),
-    "basis_from_json": ("basis", "basis_to_json", basis_from_json, basis_to_json, True),
+    "corr_from_csv": ("cg", "corr_to_csv", corr_from_csv, _corr_form, False),
+    "corr_from_json": ("cg", "write_json(_corr_document)", corr_from_json, _corr_form, True),
     "NullEnsemble.from_json": ("ensemble", "NullEnsemble.to_json", NullEnsemble.from_json,
                                NullEnsemble.to_json, True),
     "spec_from_json": ("spec", "spec_to_json", synth.spec_from_json, synth.spec_to_json, True),
@@ -111,7 +111,6 @@ def test_reader_path_stream_and_dict_agree(objects, tmp_path, name):
 
 JSON_READERS = {
     "corr_from_json": corr_from_json,
-    "basis_from_json": basis_from_json,
     "NullEnsemble.from_json": NullEnsemble.from_json,
 }
 

@@ -21,7 +21,6 @@ from panelresponse import (
     Panel,
     StandardizedPanel,
     correlation_matrix,
-    corr_to_json,
     eigendecompose,
     genuine_matrix,
     load_panel,
@@ -68,6 +67,7 @@ def test_containers_copy_a_callers_writeable_array():
     ms_months, coeffs = months(12), np.ones((2, 12))
     ms = ModeSeries(months=ms_months, coeffs=coeffs)
     lambda_max, pooled = np.linspace(2.0, 3.0, 4), np.ones((4, 6))
+    pooled[:, 0] = lambda_max  # a pooled spectrum holds lambda_max first
     e = NullEnsemble(mode="rotational", seed=0, lambda_max=lambda_max, pooled=pooled)
     arrays = (panel.values, growth.rates, w.values, ms.months, ms.coeffs,
               e.lambda_max, e.pooled)
@@ -182,7 +182,7 @@ def test_genuine_matrix_json_peaks_below_its_text(tmp_path):
     text = path.read_text()
     # ~1.9 MB of text; its lists and one string of it peaked near 8 MB
     assert peak < len(text)
-    assert text == json.dumps({"config": config, **corr_to_json(c)})
+    assert text == json.dumps({"config": config, **_corr_document(c), "values": c.values.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,3 @@ def test_streamed_json_equals_json_dumps():
     buf = io.StringIO()
     _files.write_json(buf, plain, indent=2, sort_keys=True)
     assert buf.getvalue() == json.dumps(plain, indent=2, sort_keys=True)
-
-
-def test_corr_to_json_writes_what_it_returns(tmp_path):
-    c = genuine_300()
-    doc = corr_to_json(c, tmp_path / "c.json")
-    assert json.dumps(doc) == (tmp_path / "c.json").read_text()
-    assert doc["values"] == c.values.tolist()

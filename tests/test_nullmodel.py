@@ -639,6 +639,19 @@ def test_ensemble_samples_is_the_length_of_lambda_max():
             NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": samples})
 
 
+@pytest.mark.parametrize("lambda_max, pooled, message", [
+    ([2.0, 2.5], np.ones((5, 3)), r"pooled must be 2 x M, .* got shape \(5, 3\)"),
+    ([2.0, 2.5], np.ones(5), r"pooled must be 2 x M, .* got shape \(5,\)"),
+    ([2.0, 2.5], np.ones((2, 0)), r"pooled must be 2 x M, .* got shape \(2, 0\)"),
+    ([2.0, 2.5], [[2.5, 1.0], [2.0, 1.0]], "pooled's first column must equal lambda_max"),
+    ([2.0, 2.5], [[2.0, 1.0], [np.nextafter(2.5, 3.0), 1.0]], "pooled's first column"),
+    ([0.0, 2.5], [[-0.0, 1.0], [2.5, 1.0]], "pooled's first column"),  # bit for bit
+])
+def test_ensemble_pooled_must_agree_with_lambda_max(lambda_max, pooled, message):
+    with pytest.raises(SchemaError, match=message):
+        NullEnsemble(mode="complete", seed=0, lambda_max=lambda_max, pooled=pooled)
+
+
 def test_count_significant(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     identity_basis = eigendecompose(np.eye(10))

@@ -3,20 +3,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import integrate
 
 from panelresponse import (
     CorrMatrix,
     ModeBasis,
     StandardizedPanel,
-    basis_from_json,
-    basis_to_json,
     corr_from_csv,
     corr_from_json,
     corr_to_csv,
-    corr_to_json,
     correlation_matrix,
     eigendecompose,
     eigenvalue_histogram,
@@ -35,6 +30,7 @@ from panelresponse.errors import (
     QOutOfRange,
     SchemaError,
 )
+from panelresponse.spectral import _corr_document
 
 from oracles import MpReference, explicit_reconstruct, mp_bounds_decimal, mp_density_decimal
 
@@ -130,9 +126,8 @@ def test_trace_constraint(iid_panel, ar1_panel, planted_panel):
         assert abs(basis.eigenvalues.sum() - w.n_series) <= 1e-8
 
 
-def test_sign_convention_production_sum(planted_panel):
+def test_signs_follow_the_production_block_sum(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
-    assert basis.sign_convention == "production-sum"
     g = planted_panel.n_goods
     for n in range(basis.m):
         block = basis.vectors[:g, n].sum()
@@ -140,12 +135,20 @@ def test_sign_convention_production_sum(planted_panel):
             assert block > 0
 
 
-def test_sign_convention_follows_the_layout():
-    vectors = np.eye(3)
-    eigenvalues = np.array([1.5, 1.0, 0.5])
-    assert ModeBasis(eigenvalues, vectors).sign_convention == "component-sum"
-    assert ModeBasis(eigenvalues, vectors, n_goods=1).sign_convention == "production-sum"
-    assert eigendecompose(np.eye(3)).sign_convention == "component-sum"
+def test_sign_rule_follows_the_layout():
+    # the leading vector is ~(1, -0.7, -0.7): its production block (the first
+    # component) and its component sum have opposite signs
+    values = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, 0.3], [-0.5, 0.3, 1.0]])
+    by_block = eigendecompose(CorrMatrix(values, n_goods=1)).vectors
+    by_sum = eigendecompose(CorrMatrix(values)).vectors
+    assert eigendecompose(values).vectors.tolist() == by_sum.tolist()
+    for n in range(3):
+        if abs(by_block[0, n]) > 1e-12:
+            assert by_block[0, n] > 0
+        if abs(by_sum[:, n].sum()) > 1e-12:
+            assert by_sum[:, n].sum() > 0
+    assert by_block[0, 0] > 0 > by_sum[0, 0]
+    assert np.array_equal(by_block[:, 0], -by_sum[:, 0])
 
 
 def test_mode_series_single_mode():
@@ -320,44 +323,9 @@ def test_corr_csv_round_trip(planted_panel, tmp_path):
 
 def test_corr_json_round_trip(planted_panel):
     c = correlation_matrix(planted_panel)
-    doc = corr_to_json(c)
+    doc = json.loads(json.dumps({**_corr_document(c), "values": c.values.tolist()}))
     back = corr_from_json(doc)
     assert np.array_equal(back.values, c.values)
-
-
-def test_basis_json_round_trip(planted_panel, tmp_path):
-    basis = eigendecompose(correlation_matrix(planted_panel))
-    path = tmp_path / "basis.json"
-    basis_to_json(basis, path)
-    back = basis_from_json(path)
-    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-    assert np.array_equal(back.vectors, basis.vectors)
-    assert back.n_goods == basis.n_goods
-
-
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_basis_json_round_trip_is_exact(m, seed):
-    x = np.random.default_rng(seed).standard_normal((m, 2 * m + 3))
-    x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-    basis = eigendecompose(correlation_matrix(StandardizedPanel.from_values(x)))
-    buf = io.StringIO()
-    basis_to_json(basis, buf)
-    back = basis_from_json(io.StringIO(buf.getvalue()))
-    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-    assert np.array_equal(back.vectors, basis.vectors)
-    assert (back.n_goods, back.sign_convention) == (basis.n_goods, basis.sign_convention)
-
-
-@pytest.mark.parametrize("goods, recorded", [
-    (None, "production-sum"), (1, "component-sum"), (1, "other"),
-])
-def test_basis_document_sign_convention_must_follow_goods(goods, recorded):
-    doc = basis_to_json(eigendecompose(CorrMatrix(np.eye(3), n_goods=goods)))
-    del doc["sign_convention"]
-    # an absent convention is derived from goods
-    assert basis_from_json(doc).sign_convention == ("production-sum" if goods else "component-sum")
-    with pytest.raises(SchemaError, match="mode-basis document: sign_convention"):
-        basis_from_json({**doc, "sign_convention": recorded})
 
 
 def test_corr_csv_in_memory():
@@ -404,30 +372,70 @@ def test_corr_readers_reject_nan(tmp_path, name):
 
 
 @pytest.mark.parametrize("field, index", [
-    ("eigenvalues", (0,)), ("eigenvalues", (1,)), ("eigenvectors", (0, 1)),
-    ("eigenvectors", (1, 1)),
+    ("eigenvalues", (0,)), ("eigenvalues", (1,)), ("vectors", (0, 1)), ("vectors", (1, 1)),
 ])
-def test_mode_basis_and_its_reader_reject_nan(tmp_path, field, index):
+def test_mode_basis_rejects_nan(field, index):
     basis = eigendecompose(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    doc = basis_to_json(basis)
-    target = doc[field]
-    for i in index[:-1]:
-        target = target[i]
-    target[index[-1]] = float("nan")
+    arrays = {"eigenvalues": basis.eigenvalues.copy(), "vectors": basis.vectors.copy()}
+    arrays[field][index] = np.nan
     with pytest.raises(SchemaError):
-        ModeBasis(eigenvalues=np.array(doc["eigenvalues"]), vectors=np.array(doc["eigenvectors"]))
-    path = tmp_path / "basis.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
-        basis_from_json(path)
+        ModeBasis(**arrays)
 
 
 def test_mode_basis_layout_must_match_its_size():
-    doc = basis_to_json(eigendecompose(CorrMatrix(np.eye(9), n_goods=3)))
+    basis = eigendecompose(CorrMatrix(np.eye(9), n_goods=3))
     with pytest.raises(SchemaError, match="n_goods inconsistent"):
-        basis_from_json({**doc, "goods": 2, "sign_convention": "production-sum"})
+        ModeBasis(basis.eigenvalues, basis.vectors, n_goods=2)
     with pytest.raises(SchemaError, match="n_goods inconsistent"):
         ModeBasis(np.ones(2), np.eye(2), n_goods=1)
+
+
+# the constructor field, its document/CSV header field, a refused value and the message
+BAD_COUNTS = [
+    ("n_goods", "goods", 2.0, "n_goods must be an integer, got 2.0"),
+    ("n_goods", "goods", True, "n_goods must be an integer, got True"),
+    ("n_goods", "goods", "2", "n_goods must be an integer, got '2'"),
+    ("n_goods", "goods", -2, "n_goods inconsistent"),
+    ("n_goods", "goods", 0, "n_goods inconsistent"),
+    ("n_modes", "k", 2.0, "n_modes must be an integer, got 2.0"),
+    ("n_modes", "k", True, "n_modes must be an integer, got True"),
+    ("n_modes", "k", np.bool_(False), "n_modes must be an integer, got "),
+    ("n_modes", "k", -3, r"n_modes -3 outside \[0, 6\]"),
+    ("n_modes", "k", 99, r"n_modes 99 outside \[0, 6\]"),
+    ("n_modes", "k", 7, r"n_modes 7 outside \[0, 6\]"),
+]
+
+
+@pytest.mark.parametrize("field, key, value, message", BAD_COUNTS)
+def test_corr_matrix_counts_must_be_integers_in_range(tmp_path, field, key, value, message):
+    with pytest.raises(SchemaError, match=message):
+        CorrMatrix(np.eye(6), kind="genuine", **{field: value})
+    doc = {"kind": "genuine", "m": 6, "goods": None, "k": None, "values": np.eye(6).tolist()}
+    if not isinstance(value, np.bool_):  # JSON has no NumPy scalars
+        with pytest.raises(SchemaError, match=message):
+            corr_from_json({**doc, key: value})
+    if type(value) is int:  # the CSV reader parses its header cells as ints
+        head = {"goods": "", "k": "", key: value}
+        cells = "\n".join(",".join(map(repr, row)) for row in np.eye(6).tolist())
+        path = tmp_path / "c.csv"
+        path.write_text(f"kind,m,goods,k\ngenuine,6,{head['goods']},{head['k']}\n{cells}\n")
+        with pytest.raises(SchemaError, match=message):
+            corr_from_csv(path)
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.True_, "2", -2, 0])
+def test_mode_basis_goods_must_be_an_integer_matching_its_size(value):
+    with pytest.raises(SchemaError, match="n_goods"):
+        ModeBasis(np.ones(6), np.eye(6), n_goods=value)
+
+
+def test_counts_are_kept_as_python_ints():
+    c = CorrMatrix(np.eye(6), kind="genuine", n_goods=np.int64(2), n_modes=np.uint8(0))
+    assert (c.n_goods, c.n_modes) == (2, 0) and type(c.n_goods) is type(c.n_modes) is int
+    for k in (0, 6):
+        assert corr_from_json({"kind": "genuine", "values": np.eye(6).tolist(), "k": k}).n_modes == k
+    basis = ModeBasis(np.ones(6), np.eye(6), n_goods=np.int32(2))
+    assert basis.n_goods == 2 and type(basis.n_goods) is int
 
 
 def test_one_nan_eigenvalue_is_rejected():
