@@ -13,7 +13,6 @@ from panelresponse import (
     SynthSpec,
     correlation_matrix,
     eigendecompose,
-    eigenvalue_histogram,
     generate,
     mp_bounds,
     mp_density,
@@ -36,9 +35,10 @@ print(f"eigenvalues outside the asymptotic band: {outside} of {M} "
       f"(finite-size leakage)")
 
 # crude text histogram against the limiting density
-hist = eigenvalue_histogram(lam, bins=12, value_range=(0.0, hi * 1.1))
+density, edges = np.histogram(lam, bins=12, range=(0.0, hi * 1.1), density=True)
+centers = (edges[:-1] + edges[1:]) / 2.0
 print("\n  bin center   empirical   MP law")
-for center, d in zip(hist.centers, hist.density):
+for center, d in zip(centers, density):
     ref = mp_density(float(center), Q)
     bar = "#" * int(round(d * 25))
     print(f"  {center:10.3f}   {d:9.3f}   {ref:6.3f}  {bar}")

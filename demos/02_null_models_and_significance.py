@@ -16,7 +16,7 @@ from panelresponse import (
     SynthSpec,
     autocorrelations,
     correlation_matrix,
-    count_significant,
+    default_mode_count,
     eigendecompose,
     generate,
     mp_bounds,
@@ -55,6 +55,6 @@ basis = eigendecompose(correlation_matrix(w))
 print(f"\ntop eigenvalues of the panel: "
       + ", ".join(f"{v:.2f}" for v in basis.eigenvalues[:4]))
 for name, e in (("complete", complete), ("rotational", rotational)):
-    k = count_significant(basis, e.edge.high)
+    k = default_mode_count(basis, e)
     print(f"modes above the {name} edge high end: {k}")
 print("(two modes were planted; the rotational null is the stricter gate)")

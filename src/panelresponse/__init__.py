@@ -33,10 +33,8 @@ from .nullmodel import (
     EdgeEstimate,
     NullEnsemble,
     ShuffleMode,
-    autocorrelation,
     autocorrelations,
     complete_shuffle,
-    count_significant,
     cyclic_autocorrelation,
     no_autocorr_band,
     null_ensemble,
@@ -72,7 +70,6 @@ from .response import (
 )
 from .spectral import (
     CorrMatrix,
-    EigenvalueHistogram,
     ModeBasis,
     ModeSeries,
     corr_from_csv,
@@ -80,7 +77,6 @@ from .spectral import (
     corr_to_csv,
     correlation_matrix,
     eigendecompose,
-    eigenvalue_histogram,
     mode_series,
     mp_bounds,
     mp_density,
@@ -106,15 +102,13 @@ __all__ = [
     "simple_growth", "standardize", "weighted_aggregate", "parse_month",
     "parse_window",
     # spectral
-    "CorrMatrix", "ModeBasis", "ModeSeries", "EigenvalueHistogram",
-    "correlation_matrix", "eigendecompose", "mode_series", "reconstruct",
-    "mp_bounds", "mp_density", "eigenvalue_histogram",
+    "CorrMatrix", "ModeBasis", "ModeSeries", "correlation_matrix",
+    "eigendecompose", "mode_series", "reconstruct", "mp_bounds", "mp_density",
     "corr_to_csv", "corr_from_csv", "corr_from_json",
     # nullmodel
-    "ShuffleMode", "NullEnsemble", "EdgeEstimate", "autocorrelation",
-    "autocorrelations", "cyclic_autocorrelation", "no_autocorr_band",
-    "complete_shuffle", "rotational_shuffle", "null_ensemble", "upper_edge",
-    "count_significant",
+    "ShuffleMode", "NullEnsemble", "EdgeEstimate", "autocorrelations",
+    "cyclic_autocorrelation", "no_autocorr_band", "complete_shuffle",
+    "rotational_shuffle", "null_ensemble", "upper_edge",
     # genuine
     "genuine_matrix", "default_mode_count",
     # response

@@ -44,6 +44,7 @@ from .panel import (
     SeriesId,
     StandardizedPanel,
     load_panel,
+    load_weights,
     log_growth,
     simple_growth,
     standardize,
@@ -57,7 +58,6 @@ from .spectral import (
     _corr_document,
     corr_to_csv,
     eigendecompose,
-    eigenvalue_histogram,
     mode_series,
     mp_bounds,
     mp_density,
@@ -193,11 +193,12 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
 
 
 def _cmd_validate(args, config: dict) -> tuple[dict, dict]:
-    panel = load_panel(_input(args), window=args.window, weights=args.weights)
+    weights = None if args.weights is None else load_weights(args.weights)
+    panel = load_panel(_input(args), window=args.window)
     return {}, {
         "series": panel.n_series, "goods": panel.n_goods, "months": panel.n_months,
         "start": str(panel.months[0]), "end": str(panel.months[-1]),
-        "weight_sum": panel.weight_sum,
+        "weight_sum": None if weights is None else float(sum(weights.values())),
     }
 
 
@@ -206,8 +207,8 @@ def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
     lam = basis.eigenvalues
     labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
     top = float(lam[0]) * 1.05
-    hist = eigenvalue_histogram(lam, bins=args.bins, value_range=(0.0, top))
-    edges = hist.bin_edges.tolist()
+    density, edges = np.histogram(lam, bins=args.bins, range=(0.0, top), density=True)
+    edges = edges.tolist()
     q = w.n_obs / w.n_series
     grid = np.linspace(0.0, top, 512)
     dens = mp_density(grid, q)
@@ -217,7 +218,7 @@ def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
         "eigenvectors.csv": _table(["mode", "series", "component"],
                                    _eigenvector_rows(basis, labels)),
         "spectrum_histogram.csv": _table(["lambda_lo", "lambda_hi", "density"],
-                                         zip(edges[:-1], edges[1:], hist.density.tolist())),
+                                         zip(edges[:-1], edges[1:], density.tolist())),
         "mp_density.csv": _table(["lambda", "density"], zip(grid.tolist(), dens.tolist())),
     }, {
         "m": w.n_series, "n_obs": w.n_obs, "q": q,

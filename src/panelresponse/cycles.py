@@ -198,7 +198,7 @@ def residual_disturbance(
     return basis.vectors[:, :2] @ resid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StimulusSeries:
     """Inferred external fields acting on the two leading modes."""
 
@@ -262,7 +262,7 @@ def _wrap_degrees(d: np.ndarray) -> np.ndarray:
     return np.where(out == -180.0, 180.0, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseTable:
     """Per-series oscillation phases in degrees, relative to a reference series.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadModeCount
-from .nullmodel import NullEnsemble, count_significant
+from .nullmodel import NullEnsemble
 from .panel import _frozen
 from .spectral import CorrMatrix, ModeBasis, reconstruct
 
@@ -35,11 +35,11 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
 
 
 def default_mode_count(basis: ModeBasis, ensemble: NullEnsemble) -> int:
-    """Significant-mode count against the upper end of a null-model edge.
+    """Significant-mode count: the eigenvalues strictly above the null edge.
 
     The threshold is ``ensemble.edge.high``, the high end of the
     rotational-shuffle (or other null) largest-eigenvalue interval at 95%,
     so a mode counts only when it clears the null edge including its Monte
     Carlo uncertainty.
     """
-    return count_significant(basis, ensemble.edge.high)
+    return int(np.sum(basis.eigenvalues > ensemble.edge.high))

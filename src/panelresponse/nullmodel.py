@@ -36,7 +36,6 @@ from .errors import (
     SchemaError,
 )
 from .panel import StandardizedPanel, _freeze, _frozen, _integer, check_standardized
-from .spectral import ModeBasis
 
 
 class ShuffleMode(str, enum.Enum):
@@ -49,19 +48,12 @@ class ShuffleMode(str, enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def autocorrelation(w: StandardizedPanel, series: int, lag: int) -> float:
-    """Non-cyclic autocorrelation R(lag) of one series (1-based flat index).
+def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
+    """Non-cyclic autocorrelation R(lag) of every series, in flat order.
 
     R(m) = (1/(N'-m)) * sum_{j=1}^{N'-m} w(t_j) w(t_{j+m}); with the
     population standardization R(0) is exactly 1.
     """
-    if not 1 <= series <= w.n_series:
-        raise LagOutOfRange(f"series index {series} outside [1, {w.n_series}]")
-    return float(autocorrelations(w, lag)[series - 1])
-
-
-def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
-    """Vector of R(lag) across all series."""
     n = w.n_obs
     if not 0 <= lag <= n - 2:
         raise LagOutOfRange(f"lag {lag} outside [0, {n - 2}]")
@@ -305,7 +297,7 @@ class EdgeEstimate:
     confidence: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullEnsemble:
     """Eigenvalue samples from repeated shuffling of one panel.
 
@@ -538,9 +530,3 @@ def upper_edge(
     low, high = np.percentile(ensemble.lambda_max, [50.0 - half, 50.0 + half])
     return center, float(low), float(high)
 
-
-def count_significant(basis: ModeBasis, threshold: float) -> int:
-    """Number of eigenvalues strictly above the significance threshold."""
-    if threshold <= 0:
-        raise BadParameter(f"threshold must be positive, got {threshold}")
-    return int(np.sum(basis.eigenvalues > threshold))

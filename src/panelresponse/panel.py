@@ -234,7 +234,7 @@ def _integer(name: str, value, error: type[PanelResponseError] = BadParameter) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """Validated monthly index levels for a complete 3 x G series grid.
 
@@ -243,9 +243,7 @@ class Panel:
     months : np.ndarray
         datetime64[M], strictly increasing, one-month spacing, length N >= 3.
     values : np.ndarray
-        M x N positive levels, rows in canonical flat order.
-    weights : dict[int, float] or None
-        Optional per-goods aggregation weights.
+        M x N positive levels, rows in canonical flat order, M = 3G >= 3.
 
     ``ids`` (the M = 3G flat-order identifiers, :func:`canonical_ids`),
     ``n_goods``, ``n_series`` and ``n_months`` are derived from ``values``.
@@ -253,7 +251,6 @@ class Panel:
 
     months: np.ndarray
     values: np.ndarray
-    weights: Mapping[int, float] | None = None
 
     def __post_init__(self):
         months = np.asarray(self.months, dtype="datetime64[M]")
@@ -265,6 +262,8 @@ class Panel:
             raise SchemaError(f"{months.size} months for {n} columns")
         if n < 3:
             raise SchemaError(f"panel needs at least 3 months, got {n}")
+        if m < 3:
+            raise SchemaError(f"panel needs at least 3 series, got {m}")
         if m % 3 != 0:
             raise SchemaError(f"series count {m} is not 3 x G")
         steps = np.diff(months.astype("int64"))
@@ -279,12 +278,6 @@ class Panel:
                 SeriesId.from_flat(int(row) + 1, m // 3).label, str(months[col]),
                 float(values[row, col]),
             )
-        if self.weights is not None:
-            w = dict(self.weights)
-            for key, val in w.items():
-                if val < 0 or not np.isfinite(val):
-                    raise SchemaError(f"bad weight {val!r} for goods {key}")
-            object.__setattr__(self, "weights", w)
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
 
@@ -304,12 +297,8 @@ class Panel:
     def n_months(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def weight_sum(self) -> float | None:
-        return None if self.weights is None else float(sum(self.weights.values()))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthPanel:
     """Month-over-month growth rates, one column per transition t_j -> t_{j+1}.
 
@@ -359,7 +348,7 @@ def check_standardized(mean: np.ndarray, mean_square: np.ndarray) -> None:
         raise SchemaError(f"series std off one by {resid_std:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardizedPanel:
     """Zero-mean, unit-variance growth-rate series w_l(t_j).
 
@@ -432,7 +421,10 @@ class StandardizedPanel:
 
 
 def load_weights(path: str | Path) -> dict[int, float]:
-    """Read a `goods,weight` CSV (``#`` lines ignored) into a dict keyed by goods index."""
+    """Read a `goods,weight` CSV (``#`` lines ignored) into a dict keyed by goods index.
+
+    A repeated goods index or a negative or non-finite weight is a :class:`SchemaError`.
+    """
     weights: dict[int, float] = {}
     with open_text(path) as fh:
         rows = read_rows(fh)
@@ -450,6 +442,8 @@ def load_weights(path: str | Path) -> dict[int, float]:
                 raise SchemaError(f"{path}: duplicate weight for goods {g}")
             if w < 0:
                 raise SchemaError(f"{path}: negative weight for goods {g}")
+            if not np.isfinite(w):
+                raise SchemaError(f"{path}: bad weight {w!r} for goods {g}")
             weights[g] = w
     return weights
 
@@ -457,7 +451,6 @@ def load_weights(path: str | Path) -> dict[int, float]:
 def load_panel(
     source: str | Path | TextIO,
     window: tuple[MonthLike, MonthLike] | str | None = None,
-    weights: Mapping[int, float] | str | Path | None = None,
 ) -> Panel:
     """Load and validate a monthly index panel from CSV.
 
@@ -476,14 +469,11 @@ def load_panel(
     ----------
     source : path or open text file
     window : optional (start, end) months, inclusive, or "START:END" string
-    weights : optional mapping goods->weight, or path to a weights CSV
     """
     if isinstance(window, str):
         window = parse_window(window)
     elif window is not None:
         window = parse_month(window[0]), parse_month(window[1])
-    if isinstance(weights, (str, Path)):
-        weights = load_weights(weights)
 
     with open_text(source) as fh:
         name = str(getattr(fh, "name", "<stream>"))
@@ -533,7 +523,7 @@ def load_panel(
     canonical = np.argsort([sid.flat(n_goods) for sid in col_ids])
     if np.any(canonical != np.arange(canonical.size)):
         values = values[canonical]
-    return Panel(months=_frozen(months), values=_frozen(values), weights=weights)
+    return Panel(months=_frozen(months), values=_frozen(values))
 
 
 #: Missing series named in an incomplete-grid error; the rest are counted.
@@ -705,18 +695,24 @@ def standardize(growth: GrowthPanel) -> StandardizedPanel:
     )
 
 
-def weighted_aggregate(panel: Panel, alpha: Variable | int | str) -> np.ndarray:
-    """Weighted mean level of one variable class across goods, per month."""
+def weighted_aggregate(
+    panel: Panel, alpha: Variable | int | str, weights: Mapping[int, float]
+) -> np.ndarray:
+    """Weighted mean level of one variable class across goods, per month.
+
+    ``weights`` maps each goods index of the panel (else :class:`MissingWeight`)
+    to a finite weight >= 0, with a positive sum, as :func:`load_weights` reads it.
+    """
     alpha = Variable(alpha)
-    if panel.weights is None:
-        raise MissingWeight(1)
-    g_indices = range(1, panel.n_goods + 1)
-    weights = []
-    for g in g_indices:
-        if g not in panel.weights:
+    for key, val in weights.items():
+        if val < 0 or not np.isfinite(val):
+            raise SchemaError(f"bad weight {val!r} for goods {key}")
+    chosen = []
+    for g in range(1, panel.n_goods + 1):
+        if g not in weights:
             raise MissingWeight(g)
-        weights.append(panel.weights[g])
-    wvec = np.asarray(weights, dtype=float)
+        chosen.append(weights[g])
+    wvec = np.asarray(chosen, dtype=float)
     total = wvec.sum()
     if total <= 0:
         raise SchemaError("aggregation weights sum to zero")

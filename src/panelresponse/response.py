@@ -26,7 +26,7 @@ from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable
 from .spectral import CorrMatrix, ModeBasis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RippleReport:
     """Responses of all series to a shift applied at one source series.
 
@@ -45,7 +45,7 @@ class RippleReport:
         return float(self.responses[sid.flat(self.n_goods) - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedSusceptibility:
     """Susceptibility projected on the leading eigenmodes (k x k, symmetric)."""
 
@@ -102,20 +102,14 @@ def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
 
 
 def final_to_intermediate_csv(
-    genuine: CorrMatrix,
-    raw: CorrMatrix | None,
-    target: str | Path | TextIO,
+    genuine: CorrMatrix, raw: CorrMatrix, target: str | Path | TextIO
 ) -> None:
     """Write the final-demand -> producer-goods table with goods labels.
 
-    Columns g20/g21 appear for the noise-filtered matrix and, when a raw
-    matrix is supplied, for the raw one alongside.
+    Columns g20/g21 of the noise-filtered matrix come first, then those of the raw one.
     """
-    header = ["goods", "label", "g20_genuine", "g21_genuine"]
-    table = final_to_intermediate(genuine)
-    if raw is not None:
-        header += ["g20_raw", "g21_raw"]
-        table = np.hstack([table, final_to_intermediate(raw)])
+    header = ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"]
+    table = np.hstack([final_to_intermediate(genuine), final_to_intermediate(raw)])
     write_rows(target, [
         header,
         *([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)),

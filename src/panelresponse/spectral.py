@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     BadModeIndex,
     DimensionMismatch,
     EigensolverFailure,
-    EmptyInput,
     NotSymmetric,
     QOutOfRange,
     SchemaError,
@@ -55,7 +54,7 @@ def _layout(n_goods, m: int, what: str) -> int | None:
     return n_goods
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrMatrix:
     """Symmetric unit-diagonal correlation matrix.
 
@@ -79,6 +78,8 @@ class CorrMatrix:
             raise SchemaError(f"unknown matrix kind {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise SchemaError("correlation matrix must be square")
+        if v.size == 0:
+            raise SchemaError("correlation matrix has no series")
         # every tolerance test is written "not x <= tol", so a NaN fails it
         with np.errstate(invalid="ignore"):  # inf - inf is a NaN, and fails
             asymmetry = np.abs(v - v.T).max()
@@ -112,7 +113,7 @@ class CorrMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Sorted eigenvalues and orthonormal, sign-fixed eigenvectors.
 
@@ -131,6 +132,8 @@ class ModeBasis:
         lam = _freeze(np.asarray(self.eigenvalues, dtype=float))
         vec = _freeze(np.asarray(self.vectors, dtype=float))
         m = lam.size
+        if m < 1:
+            raise SchemaError("mode basis has no modes")
         if vec.shape != (m, m):
             raise DimensionMismatch("eigenvector matrix must be M x M")
         if not np.isfinite(lam).all():
@@ -149,9 +152,9 @@ class ModeBasis:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSeries:
-    """Projection coefficients a_n(t_j) of a panel on a mode basis (M x N')."""
+    """Projection coefficients a_n(t_j) of a panel on a mode basis (M x N'; row n-1 is mode n)."""
 
     months: np.ndarray
     coeffs: np.ndarray
@@ -163,12 +166,6 @@ class ModeSeries:
             raise DimensionMismatch("mode coefficients and months are inconsistent")
         object.__setattr__(self, "months", months)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def mode(self, n: int) -> np.ndarray:
-        """Coefficient series of 1-based mode index n."""
-        if not 1 <= n <= self.coeffs.shape[0]:
-            raise BadModeIndex(f"mode {n} outside [1, {self.coeffs.shape[0]}]")
-        return self.coeffs[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +221,9 @@ def _break_ties(lam: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lam[order], vec[:, order]
 
 
-def eigendecompose(c: CorrMatrix | np.ndarray) -> ModeBasis:
+def eigendecompose(c: CorrMatrix) -> ModeBasis:
     """Eigenvalues (descending) and sign-fixed orthonormal eigenvectors."""
-    if isinstance(c, CorrMatrix):
-        values, n_goods = c.values, c.n_goods
-    else:
-        values = np.asarray(c, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise NotSymmetric("input must be a square matrix")
-        if not np.abs(values - values.T).max() <= _SYM_TOL:
-            raise NotSymmetric("matrix is not symmetric")
-        n_goods = None
+    values, n_goods = c.values, c.n_goods
     lam, vec = np.linalg.eigh(values)
     lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
     vec = _fix_signs(vec, n_goods)
@@ -291,37 +280,6 @@ def mp_density(lam: float | np.ndarray, q: float) -> float | np.ndarray:
             inside, q / (2.0 * np.pi) * np.sqrt(radicand) / lam_arr, 0.0
         )
     return float(dens) if np.isscalar(lam) else dens
-
-
-@dataclass(frozen=True)
-class EigenvalueHistogram:
-    """Normalized histogram: density over bins, integrating to one."""
-
-    bin_edges: np.ndarray
-    density: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
-
-
-def eigenvalue_histogram(
-    values: Sequence[float] | np.ndarray,
-    bins: int,
-    value_range: tuple[float, float] | None = None,
-) -> EigenvalueHistogram:
-    """Histogram of eigenvalues, normalized to integrate to one.
-
-    Spans [min, max] of the data unless ``value_range`` is given (the
-    plotting default elsewhere is 50 bins over [0, 1.05 * max]).
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise EmptyInput("no eigenvalues to histogram")
-    if bins < 1:
-        raise SchemaError(f"bins must be >= 1, got {bins}")
-    density, edges = np.histogram(arr, bins=bins, range=value_range, density=True)
-    return EigenvalueHistogram(bin_edges=edges, density=density)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,6 @@ def to_level_panel(
     w: StandardizedPanel,
     base: float = 100.0,
     scale: float = 0.01,
-    weights: dict[int, float] | None = None,
 ) -> Panel:
     """Integrate a standardized panel into positive monthly index levels.
 
@@ -221,7 +220,7 @@ def to_level_panel(
     levels[:, 0] = base
     levels[:, 1:] = base * np.power(10.0, scale * np.cumsum(w.values, axis=1))
     months = np.concatenate([w.months, [w.months[-1] + 1]])
-    return Panel(months=months, values=_frozen(levels), weights=weights)
+    return Panel(months=months, values=_frozen(levels))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import io
 import tracemalloc
 from decimal import Decimal, getcontext
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from panelresponse.panel import (
     Panel,
     SeriesId,
     canonical_ids,
-    load_weights,
     parse_month,
     parse_window,
 )
@@ -243,7 +242,6 @@ def lagged_trace_c2(values: np.ndarray) -> float:
 def explicit_load_panel(
     source: str | Path | TextIO,
     window: tuple[MonthLike, MonthLike] | str | None = None,
-    weights: Mapping[int, float] | str | Path | None = None,
 ) -> Panel:
     """The per-cell loader the vectorised ``load_panel`` replaces, verbatim.
 
@@ -252,8 +250,6 @@ def explicit_load_panel(
     """
     if isinstance(window, str):
         window = parse_window(window)
-    if isinstance(weights, (str, Path)):
-        weights = load_weights(weights)
 
     with open_text(source) as fh:
         rows = list(csv.reader(fh))
@@ -330,7 +326,7 @@ def explicit_load_panel(
                 raise NonPositiveLevel(sid.label, str(month), cell)
             values[row, j] = cell
 
-    return Panel(months=months, values=values, weights=weights)
+    return Panel(months=months, values=values)
 
 
 

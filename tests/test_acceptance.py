@@ -17,7 +17,7 @@ from panelresponse import (
     Variable,
     complete_shuffle,
     correlation_matrix,
-    count_significant,
+    default_mode_count,
     dft,
     eigendecompose,
     external_stimuli,
@@ -37,7 +37,6 @@ from panelresponse import (
     rotational_shuffle,
     standardize,
     synth,
-    upper_edge,
 )
 from panelresponse.spectral import CorrMatrix
 
@@ -266,8 +265,7 @@ def test_c11_top_eigenvalues(real_pipeline):
 def test_c11_two_significant_modes(real_pipeline):
     _, w, basis = real_pipeline
     ensemble = null_ensemble(w, "rotational", 2000, seed=0, keep_pooled=False)
-    _, _, high = upper_edge(ensemble, 0.95)
-    assert count_significant(basis, high) == 2
+    assert default_mode_count(basis, ensemble) == 2
 
 
 def test_c11_reduced_chi_values(real_pipeline):

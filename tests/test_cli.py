@@ -217,7 +217,7 @@ def test_refused_allocation_is_one_line_error(planted_csv, tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "eigenvalue_histogram", refuse)
+    monkeypatch.setattr(cli, "mp_density", refuse)
     panel_path, _ = planted_csv
     code = cli.main(["analyze", "--input", str(panel_path), "--outdir", str(tmp_path / "o")])
     assert code == 1
@@ -289,6 +289,43 @@ def test_analyze_artifacts(planted_csv, tmp_path):
         assert (tmp_path / "o" / name).exists()
     summary = json.loads(res.stdout)
     assert summary["m"] == 63
+
+
+def test_analyze_histogram_spans_its_range_and_integrates_to_one(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    res = run_cli("analyze", "--input", str(panel_path), "--bins", "17", "--outdir", "o",
+                  cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in read_data_lines(tmp_path / "o" / "spectrum_histogram.csv")]
+    assert rows[0] == ["lambda_lo", "lambda_hi", "density"]
+    lo, hi, density = (np.array(column, dtype=float) for column in zip(*rows[1:]))
+    assert lo.size == 17 and np.array_equal(lo[1:], hi[:-1])
+    top = float(read_data_lines(tmp_path / "o" / "eigenvalues.csv")[1].split(",")[1])
+    assert lo[0] == 0.0 and hi[-1] == 1.05 * top
+    assert abs(np.sum(density * (hi - lo)) - 1.0) <= 1e-12
+
+
+def write_weights(path, lines):
+    path.write_text("goods,weight\n" + "".join(f"{g},{w}\n" for g, w in lines))
+    return path
+
+
+def test_validate_weights_prints_their_sum(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    weights = {g: 0.1 * g for g in range(1, 22)}
+    path = write_weights(tmp_path / "w.csv", ((g, repr(w)) for g, w in weights.items()))
+    res = run_cli("validate", "--input", str(panel_path), "--weights", str(path),
+                  "--outdir", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["weight_sum"] == sum(weights.values())
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1.0"])
+def test_bad_weight_is_one_line_error(planted_csv, tmp_path, weight):
+    panel_path, _ = planted_csv
+    path = write_weights(tmp_path / "w.csv", [(1, "2.0"), (2, weight)])
+    assert_one_line_error(run_cli("validate", "--input", str(panel_path), "--weights", str(path),
+                                  "--outdir", "o", cwd=tmp_path))
 
 
 def test_null_byte_identical_reruns(planted_csv, tmp_path):

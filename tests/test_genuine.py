@@ -43,7 +43,7 @@ def test_all_modes_reproduces_raw(planted_panel):
 
 
 def test_rank_one_case_unchanged():
-    basis = eigendecompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    basis = eigendecompose(CorrMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     cg = genuine_matrix(basis, 1)
     assert np.allclose(cg.values, [[1, 1], [1, 1]], atol=1e-12)
 

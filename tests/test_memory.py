@@ -7,6 +7,7 @@ peaks are traced with ``tracemalloc`` at the scaled 300 x 1200 shape.
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -19,16 +20,23 @@ from panelresponse import (
     ModeSeries,
     NullEnsemble,
     Panel,
+    SeriesId,
     StandardizedPanel,
     correlation_matrix,
     eigendecompose,
+    external_stimuli,
     genuine_matrix,
     load_panel,
     log_growth,
+    mode_phases,
+    mode_series,
     null_ensemble,
     parse_month,
+    reduced_susceptibility,
+    ripple,
     simple_growth,
     standardize,
+    to_level_panel,
     write_panel_csv,
 )
 from panelresponse import _files, cli, nullmodel
@@ -97,6 +105,27 @@ def test_containers_adopt_a_frozen_array_that_owns_its_data():
     ints.setflags(write=False)
     growth = GrowthPanel(months=months(2), rates=ints)
     assert growth.rates.dtype == float and growth.rates is not ints
+
+
+def test_containers_compare_and_hash_by_identity(planted_panel):
+    w = planted_panel
+    raw = correlation_matrix(w)
+    basis = eigendecompose(raw)
+    ms = mode_series(w, basis)
+    cg = genuine_matrix(basis, 2)
+    chi = reduced_susceptibility(cg, basis, 2)
+    panel = to_level_panel(w)
+    containers = [
+        panel, log_growth(panel), w, raw, basis, ms, null_ensemble(w, "complete", 2, 0),
+        ripple(cg, SeriesId.parse("S.15")), chi, mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
+        external_stimuli(ms, basis, chi),
+    ]
+    assert len({type(c) for c in containers}) == 11
+    for c in containers:
+        # the same fields, so the same arrays: still another container
+        twin = dataclasses.replace(c)
+        assert c == c and c != twin and hash(c) == hash(c)
+        assert len({c, twin, c}) == 2
 
 
 @pytest.mark.parametrize("growth", [log_growth, simple_growth])

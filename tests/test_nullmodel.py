@@ -13,14 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelresponse import (
+    CorrMatrix,
     NullEnsemble,
     ShuffleMode,
     StandardizedPanel,
-    autocorrelation,
     autocorrelations,
     complete_shuffle,
     correlation_matrix,
-    count_significant,
     cyclic_autocorrelation,
     eigendecompose,
     mp_bounds,
@@ -65,33 +64,33 @@ def alternating_panel(n=240):
 
 def test_autocorrelation_zero_lag_is_one(iid_panel):
     for series in (1, 10, 63):
-        assert autocorrelation(iid_panel, series, 0) == pytest.approx(1.0, abs=1e-12)
+        assert autocorrelations(iid_panel, 0)[series - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_autocorrelation_alternating():
     w = alternating_panel()
-    assert autocorrelation(w, 1, 1) == pytest.approx(-1.0, abs=1e-14)
-    assert autocorrelation(w, 1, 2) == pytest.approx(1.0, abs=1e-14)
+    assert autocorrelations(w, 1)[0] == pytest.approx(-1.0, abs=1e-14)
+    assert autocorrelations(w, 2)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_autocorrelation_matches_brute_force(ar1_panel):
     for series, lag in [(1, 1), (5, 3), (40, 7)]:
         expected = brute_autocorrelation(ar1_panel.values[series - 1], lag)
-        assert autocorrelation(ar1_panel, series, lag) == pytest.approx(expected, abs=1e-12)
+        assert autocorrelations(ar1_panel, lag)[series - 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_autocorrelation_lag_out_of_range(iid_panel):
     n = iid_panel.n_obs
     with pytest.raises(LagOutOfRange):
-        autocorrelation(iid_panel, 1, n - 1)
+        autocorrelations(iid_panel, n - 1)
     with pytest.raises(LagOutOfRange):
-        autocorrelation(iid_panel, 1, -1)
+        autocorrelations(iid_panel, -1)
 
 
 def test_autocorrelations_vectorized(ar1_panel):
     vec = autocorrelations(ar1_panel, 1)
     assert vec.shape == (63,)
-    assert vec[4] == pytest.approx(autocorrelation(ar1_panel, 5, 1), abs=1e-14)
+    assert vec[4] == pytest.approx(brute_autocorrelation(ar1_panel.values[4], 1), abs=1e-14)
     # the AR(1) coefficient -0.35 shows up as a negative lag-1 autocorrelation
     assert -0.5 < vec.mean() < -0.2
 
@@ -652,15 +651,12 @@ def test_ensemble_pooled_must_agree_with_lambda_max(lambda_max, pooled, message)
         NullEnsemble(mode="complete", seed=0, lambda_max=lambda_max, pooled=pooled)
 
 
-def test_count_significant(planted_panel):
+def test_eigenvalues_above_a_threshold(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
-    identity_basis = eigendecompose(np.eye(10))
-    assert count_significant(identity_basis, 1.5) == 0
+    identity_basis = eigendecompose(CorrMatrix(np.eye(10)))
+    assert np.sum(identity_basis.eigenvalues > 1.5) == 0
     # two planted modes clear the threshold
-    assert count_significant(basis, 2.67) == 2
-    for threshold in (0.0, -1.0):
-        with pytest.raises(BadParameter):
-            count_significant(basis, threshold)
+    assert np.sum(basis.eigenvalues > 2.67) == 2
 
 
 def test_pooled_csv_rows(iid_panel, monkeypatch, tmp_path):
@@ -691,7 +687,7 @@ def test_real_panel_lag_one_autocorrelations(real_panel_path):
     assert by_class[Variable.INVENTORY] == pytest.approx(0.007, abs=0.02)
 
 
-def test_count_significant_three_planted_modes():
+def test_three_planted_modes_clear_a_threshold():
     spec = synth.SynthSpec(
         n_series=63,
         n_obs=239,
@@ -704,4 +700,4 @@ def test_count_significant_three_planted_modes():
     )
     w = synth.generate(spec)
     basis = eigendecompose(correlation_matrix(w))
-    assert count_significant(basis, 2.5) == 3
+    assert np.sum(basis.eigenvalues > 2.5) == 3

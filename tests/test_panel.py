@@ -12,6 +12,7 @@ from panelresponse import (
     Panel,
     PhaseTable,
     SeriesId,
+    StandardizedPanel,
     Variable,
     canonical_ids,
     load_panel,
@@ -37,11 +38,11 @@ from panelresponse.errors import (
 from oracles import month_list, panel_csv_text
 
 
-def make_panel(rows, start="1988-01", weights=None):
+def make_panel(rows, start="1988-01"):
     """Panel from a list of per-series level lists (must be 3*G rows)."""
     rows = np.asarray(rows, dtype=float)
     months = parse_month(start) + np.arange(rows.shape[1])
-    return Panel(months=months, values=rows, weights=weights)
+    return Panel(months=months, values=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +94,8 @@ def test_variable_from_number_or_code(value, member):
     lambda: Variable("X"),
     lambda: Variable(None),
     lambda: SeriesId(4, 1),
-    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), 4),
-    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), "X"),
+    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), 4, {1: 1.0}),
+    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), "X", {1: 1.0}),
     lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average(0),
 ], ids=["Variable(4)", "Variable(0)", "Variable('X')", "Variable(None)", "SeriesId(4, 1)",
         "weighted_aggregate(4)", "weighted_aggregate('X')", "class_average(0)"])
@@ -206,6 +207,63 @@ def test_parse_window():
         parse_window("1988-01")
     with pytest.raises(SchemaError):
         parse_window("2000-01:1990-01")
+
+
+MONTHS4 = parse_month("1988-01") + np.arange(4)
+
+
+def weights_csv(tmp_path, body):
+    path = tmp_path / "w.csv"
+    path.write_text("goods,weight\n" + body)
+    return path
+
+
+# a call on bad input (taking a scratch directory), its error type and a message fragment
+REFUSED = {
+    "Panel, no series": (
+        lambda tmp: Panel(MONTHS4, np.zeros((0, 4))), SchemaError, "at least 3 series, got 0"),
+    "Panel, months != columns": (
+        lambda tmp: Panel(MONTHS4[:3], np.ones((3, 4))), SchemaError, "3 months for 4 columns"),
+    "Panel, 2 months": (
+        lambda tmp: Panel(MONTHS4[:2], np.ones((3, 2))), SchemaError, "at least 3 months, got 2"),
+    "Panel, M not 3G": (
+        lambda tmp: Panel(MONTHS4, np.ones((4, 4))), SchemaError, "series count 4 is not 3 x G"),
+    "Panel, gap": (
+        lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, 1]), np.ones((3, 4))),
+        IrregularTimeAxis, "not consecutive"),
+    "Panel, zero level": (
+        lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0, 1.0, 0.0, 1.0], [1.0] * 4])),
+        NonPositiveLevel, "level 0.0 for series S.1 at 1988-03"),
+    "GrowthPanel, months": (
+        lambda tmp: GrowthPanel(MONTHS4, np.ones((3, 3))), SchemaError, "months are inconsistent"),
+    "StandardizedPanel, months": (
+        lambda tmp: StandardizedPanel(MONTHS4, np.zeros((3, 3)), np.zeros(3), np.ones(3)),
+        SchemaError, "months are inconsistent"),
+    "load_weights, duplicate": (
+        lambda tmp: load_weights(weights_csv(tmp, "1,2.0\n1,3.0\n")),
+        SchemaError, "duplicate weight for goods 1"),
+    "load_weights, nan": (
+        lambda tmp: load_weights(weights_csv(tmp, "1,2.0\n2,nan\n")),
+        SchemaError, "bad weight nan for goods 2"),
+    "load_weights, inf": (
+        lambda tmp: load_weights(weights_csv(tmp, "1,inf\n")), SchemaError, "bad weight inf"),
+    "weighted_aggregate, negative": (
+        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 1.0, 2: -1.0}),
+        SchemaError, "bad weight -1.0 for goods 2"),
+    "weighted_aggregate, nan": (
+        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: math.nan}),
+        SchemaError, "bad weight nan for goods 1"),
+    "weighted_aggregate, zero sum": (
+        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 0.0}),
+        SchemaError, "sum to zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_bad_panel_input_is_refused(tmp_path, case):
+    call, error, message = REFUSED[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 def test_load_weights(tmp_path):
@@ -339,23 +397,20 @@ def test_standardize_invariants_across_magnitudes(scale):
 def test_weighted_aggregate_equal_weights():
     rng = np.random.default_rng(8)
     rows = rng.uniform(50, 150, size=(6, 10))  # G = 2
-    panel = make_panel(rows, weights={1: 2.0, 2: 2.0})
-    agg = weighted_aggregate(panel, Variable.PRODUCTION)
+    agg = weighted_aggregate(make_panel(rows), Variable.PRODUCTION, {1: 2.0, 2: 2.0})
     assert np.allclose(agg, rows[:2].mean(axis=0), atol=1e-12)
 
 
 def test_weighted_aggregate_single_weight():
     rows = np.random.default_rng(9).uniform(50, 150, size=(6, 10))
-    panel = make_panel(rows, weights={1: 0.0, 2: 5.0})
-    agg = weighted_aggregate(panel, "S")
+    agg = weighted_aggregate(make_panel(rows), "S", {1: 0.0, 2: 5.0})
     assert np.allclose(agg, rows[3], atol=1e-12)
 
 
 def test_weighted_aggregate_missing_weight():
     rows = np.random.default_rng(10).uniform(50, 150, size=(6, 10))
-    panel = make_panel(rows, weights={1: 1.0})
     with pytest.raises(MissingWeight) as exc:
-        weighted_aggregate(panel, 1)
+        weighted_aggregate(make_panel(rows), 1, {1: 1.0})
     assert exc.value.goods == 2
 
 
@@ -363,6 +418,4 @@ def test_default_weights_sum_to_ten_thousand():
     total = sum(DEFAULT_GOODS_WEIGHTS.values())
     assert total == pytest.approx(10_000.0, abs=1e-9)
     rows = np.random.default_rng(12).uniform(50, 150, size=(63, 5))
-    panel = make_panel(rows, weights=DEFAULT_GOODS_WEIGHTS)
-    assert panel.weight_sum == pytest.approx(10_000.0, abs=1e-9)
-    weighted_aggregate(panel, "I")  # all weights present: no error
+    weighted_aggregate(make_panel(rows), "I", DEFAULT_GOODS_WEIGHTS)  # all present: no error

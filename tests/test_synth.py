@@ -101,6 +101,33 @@ def test_null_edges_agree_without_autocorrelation():
     assert ks_distance(rotational.lambda_max, cdf) <= 0.1
 
 
+def loading(m):
+    return (synth.PlantedMode(eigenvalue=1.0, driver=synth.Ar1(0.0), loading=np.ones(m) / m**0.5),)
+
+
+# a call on an infeasible spec and a message fragment of its InfeasibleSpec
+INFEASIBLE = {
+    "no series": (lambda: synth.SynthSpec(n_series=0, n_obs=10), "at least 1 series"),
+    "loading length": (
+        lambda: synth.SynthSpec(n_series=3, n_obs=10, modes=loading(2)), "loading length differs"),
+    "per-series noise length": (
+        lambda: synth.SynthSpec(n_series=3, n_obs=10, noise_ar1=[0.1, 0.2]),
+        "per-series noise coefficients differ"),
+    "Ar1(1)": (lambda: synth.Ar1(1.0), r"coefficient 1.0 outside \(-1, 1\)"),
+    "Ar1(-1)": (lambda: synth.Ar1(-1.0), r"coefficient -1.0 outside \(-1, 1\)"),
+    "noise |phi| = 1": (
+        lambda: synth.generate(synth.SynthSpec(n_series=3, n_obs=10, noise_ar1=[0.0, 1.0, 0.0])),
+        r"must lie in \(-1, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFEASIBLE))
+def test_infeasible_spec_fields(case):
+    call, message = INFEASIBLE[case]
+    with pytest.raises(InfeasibleSpec, match=message):
+        call()
+
+
 def test_infeasible_specs():
     with pytest.raises(InfeasibleSpec):
         synth.SynthSpec(
