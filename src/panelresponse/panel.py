@@ -243,10 +243,19 @@ class Panel:
     months : np.ndarray
         datetime64[M], strictly increasing, one-month spacing, length N >= 3.
     values : np.ndarray
-        M x N positive levels, rows in canonical flat order, M = 3G >= 3.
+        M x N positive finite levels, rows in canonical flat order, M = 3G >= 3.
 
     ``ids`` (the M = 3G flat-order identifiers, :func:`canonical_ids`),
     ``n_goods``, ``n_series`` and ``n_months`` are derived from ``values``.
+
+    This is the one judge of a level panel; :func:`load_panel` hands it the
+    file's months and values unchecked.  After the shape, it checks, in
+    order: at least 3 months; consecutive months (a repeated month is told
+    apart from a gap, and either error names the month); and the first bad
+    level, month by month and then over series in flat order.  A NaN level
+    (a blank cell) is :class:`MissingData`, a level <= 0 (``-inf``
+    included) :class:`NonPositiveLevel`, and ``+inf`` a :class:`SchemaError`
+    naming the value, the series and the month.
     """
 
     months: np.ndarray
@@ -268,16 +277,23 @@ class Panel:
             raise SchemaError(f"series count {m} is not 3 x G")
         steps = np.diff(months.astype("int64"))
         if np.any(steps != 1):
-            raise IrregularTimeAxis("months are not consecutive")
-        if not np.all(np.isfinite(values)):
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            raise MissingData(SeriesId.from_flat(int(row) + 1, m // 3).label, str(months[col]))
-        if np.any(values <= 0.0):
-            row, col = np.argwhere(values <= 0.0)[0]
-            raise NonPositiveLevel(
-                SeriesId.from_flat(int(row) + 1, m // 3).label, str(months[col]),
-                float(values[row, col]),
+            j = int(np.argmax(steps != 1))
+            if steps[j] == 0:
+                raise IrregularTimeAxis(f"duplicate month {months[j]}")
+            raise IrregularTimeAxis(
+                f"months are not consecutive: {months[j + 1]} follows {months[j]}"
             )
+        good = (values > 0.0) & (values < np.inf)
+        if not good.all():
+            # the first bad level in (month, series) order
+            col, row = divmod(int(np.argmin(good.T)), m)
+            label = SeriesId.from_flat(row + 1, m // 3).label
+            month, level = str(months[col]), float(values[row, col])
+            if np.isnan(level):
+                raise MissingData(label, month)
+            if level <= 0.0:
+                raise NonPositiveLevel(label, month, level)
+            raise SchemaError(f"infinite level {level!r} for series {label} at {month}")
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
 
@@ -298,22 +314,32 @@ class Panel:
         return self.values.shape[1]
 
 
+def _series_by_month(months, values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``months`` and ``values`` as arrays, if they are N' months and a non-empty M x N' grid."""
+    months = np.asarray(months, dtype="datetime64[M]")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or months.shape != (values.shape[1],):
+        raise SchemaError(f"{what} and months are inconsistent")
+    if not values.size:
+        m, n = values.shape
+        raise SchemaError(f"{what} are empty: {m} series, {n} months")
+    return months, values
+
+
 @dataclass(frozen=True, eq=False)
 class GrowthPanel:
     """Month-over-month growth rates, one column per transition t_j -> t_{j+1}.
 
-    ``ids`` and ``n_goods`` are derived from the row count M: the
-    :func:`canonical_ids` of the 3 x G layout when M = 3G, else None.
+    At least one series and one month.  ``ids`` and ``n_goods`` are derived
+    from the row count M: the :func:`canonical_ids` of the 3 x G layout
+    when M = 3G, else None.
     """
 
     months: np.ndarray
     rates: np.ndarray
 
     def __post_init__(self):
-        months = np.asarray(self.months, dtype="datetime64[M]")
-        rates = np.asarray(self.rates, dtype=float)
-        if rates.ndim != 2 or months.shape != (rates.shape[1],):
-            raise SchemaError("growth rates and months are inconsistent")
+        months, rates = _series_by_month(self.months, self.rates, "growth rates")
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "rates", _freeze(rates))
 
@@ -353,9 +379,9 @@ class StandardizedPanel:
     """Zero-mean, unit-variance growth-rate series w_l(t_j).
 
     ``mean`` and ``std`` record the per-series statistics removed by the
-    transform (population normalization: divide by N', not N'-1).  ``ids``
-    and ``n_goods`` are derived from the row count, as for
-    :class:`GrowthPanel`.
+    transform (population normalization: divide by N', not N'-1).  It
+    holds at least one series and one month, and ``ids`` and ``n_goods``
+    are derived from the row count, as for :class:`GrowthPanel`.
     """
 
     months: np.ndarray
@@ -364,15 +390,9 @@ class StandardizedPanel:
     std: np.ndarray
 
     def __post_init__(self):
-        months = np.asarray(self.months, dtype="datetime64[M]")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or months.shape != (values.shape[1],):
-            raise SchemaError("standardized values and months are inconsistent")
-        if values.size:
-            n = values.shape[1]
-            check_standardized(
-                values.sum(axis=1) / n, np.einsum("ij,ij->i", values, values) / n
-            )
+        months, values = _series_by_month(self.months, self.values, "standardized values")
+        n = values.shape[1]
+        check_standardized(values.sum(axis=1) / n, np.einsum("ij,ij->i", values, values) / n)
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "mean", _freeze(np.asarray(self.mean, dtype=float)))
@@ -452,15 +472,20 @@ def load_panel(
     source: str | Path | TextIO,
     window: tuple[MonthLike, MonthLike] | str | None = None,
 ) -> Panel:
-    """Load and validate a monthly index panel from CSV.
+    """Load a monthly index panel from CSV; :class:`Panel` judges its values.
 
     The file must have a header ``date,<id>,...`` where each id is ``P.g``,
     ``S.g``, or ``I.g``, and one row per month with dates formatted
     ``YYYY-MM``.  Together the id columns must cover the complete
-    3 x G grid.  Lines starting with ``#`` are ignored.  Cells may be empty
-    outside ``window``; inside the window an empty cell raises
-    :class:`MissingData` and a non-positive level raises
-    :class:`NonPositiveLevel`.  Values are read with Python's ``float``.
+    3 x G grid.  Lines starting with ``#`` are ignored.  Values are read
+    with Python's ``float``, and an empty cell reads as NaN.
+
+    The loader checks the header, raises the first ragged row, bad date or
+    bad value in file order, and raises on a file with no data rows.  It
+    then keeps the months inside ``window``, sorts them, puts the series in
+    flat order and hands the result to :class:`Panel`, which checks the
+    month count, the time axis and every level: so a cell may be empty
+    outside the window, and inside it is :class:`MissingData`.
 
     The file is read one row at a time, and only rows inside the window are
     kept, so besides the result only one row of text is held at once.
@@ -479,7 +504,7 @@ def load_panel(
         name = str(getattr(fh, "name", "<stream>"))
         rows = read_rows(fh)
         try:
-            col_ids, months, cells, blanks = _read_rows(name, rows, window)
+            col_ids, months, cells = _read_rows(name, rows, window)
         except PanelResponseError:
             # an unreadable byte anywhere in the file is reported first, as
             # when the whole file was read before any check
@@ -487,40 +512,18 @@ def load_panel(
                 pass
             raise
 
-    n_goods = len(col_ids) // 3
     order = np.argsort(months)
     months = months[order]
     if window is not None:
         keep = (months >= window[0]) & (months <= window[1])
         order, months = order[keep], months[keep]
-    if months.size < 3:
-        raise SchemaError(f"{name}: fewer than 3 months in window")
-    steps = np.diff(months.astype("int64"))
-    if np.any(steps == 0):
-        raise IrregularTimeAxis(f"{name}: duplicate months")
-    if np.any(steps != 1):
-        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
-
-    # one row per header column; the file's rows are freed here, so at most
-    # two copies of the values are alive at once
-    values = np.stack([cells[i] for i in order], axis=1)
+    # one column per kept month, rows in header order; the file's rows are
+    # freed here, so at most two copies of the values are alive at once
+    values = np.empty((len(col_ids), months.size))
+    for j, i in enumerate(order.tolist()):
+        values[:, j] = cells[i]
     del cells
-    bad = values <= 0.0
-    blank = None
-    if blanks:
-        blank = np.zeros(values.shape, dtype=bool)
-        for j, i in enumerate(order.tolist()):
-            if i in blanks:
-                blank[:, j] = blanks[i]
-        bad |= blank
-    if bad.any():
-        # the first bad cell in (month, header column) order
-        j, c = np.unravel_index(np.argmax(bad.T), bad.T.shape)
-        sid, month = col_ids[c], str(months[j])
-        if blank is not None and blank[c, j]:
-            raise MissingData(sid.label, month)
-        raise NonPositiveLevel(sid.label, month, float(values[c, j]))
-    canonical = np.argsort([sid.flat(n_goods) for sid in col_ids])
+    canonical = np.argsort([sid.flat(len(col_ids) // 3) for sid in col_ids])
     if np.any(canonical != np.arange(canonical.size)):
         values = values[canonical]
     return Panel(months=_frozen(months), values=_frozen(values))
@@ -534,15 +537,14 @@ def _read_rows(
     name: str,
     rows: Iterator[list[str]],
     window: tuple[np.datetime64, np.datetime64] | None,
-) -> tuple[list[SeriesId], np.ndarray, list[np.ndarray | None], dict[int, np.ndarray]]:
-    """Header ids, months, cells and blank-cell masks of a panel's rows.
+) -> tuple[list[SeriesId], np.ndarray, list[np.ndarray | None]]:
+    """Header ids, months and cells of a panel's rows.
 
     ``cells`` holds one float array per data row in file order (None for a
-    row outside ``window``), and ``blanks`` the empty-cell mask of each
-    kept row that has an empty cell; both are in header column order.
-    Every row is checked.  Each is converted with one numpy call; a row
-    that call rejects is read cell by cell, which raises at its first bad
-    cell, so the first error in file order is raised.
+    row outside ``window``), in header column order, with NaN for an empty
+    cell.  Every row is checked.  Each is converted with one numpy call; a
+    row that call rejects is read cell by cell, which raises at its first
+    bad cell, so the first error in file order is raised.
     """
     header = next(rows, None)
     if header is None:
@@ -572,7 +574,6 @@ def _read_rows(
     width = len(header)
     months: list[np.datetime64] = []
     cells: list[np.ndarray | None] = []
-    blanks: dict[int, np.ndarray] = {}
     for raw in rows:
         if not raw or not "".join(raw).strip():
             continue
@@ -580,20 +581,16 @@ def _read_rows(
             raise SchemaError(f"{name}: row has {len(raw)} cells, expected {width}")
         month = parse_month(raw[0].strip())
         try:
-            row, blank = np.array(raw[1:], dtype=float), None
+            row = np.array(raw[1:], dtype=float)
         except ValueError:
             # a bad value or an empty cell
-            row, blank = _read_cells(name, raw[1:], month, col_ids)
+            row = _read_cells(name, raw[1:], month, col_ids)
         months.append(month)
-        if window is not None and not window[0] <= month <= window[1]:
-            cells.append(None)
-            continue
-        if blank is not None and blank.any():
-            blanks[len(cells)] = blank
-        cells.append(row)
+        in_window = window is None or window[0] <= month <= window[1]
+        cells.append(row if in_window else None)
     if not cells:
         raise SchemaError(f"{name}: no data rows")
-    return col_ids, np.array(months, dtype="datetime64[M]"), cells, blanks
+    return col_ids, np.array(months, dtype="datetime64[M]"), cells
 
 
 def _missing_labels(seen: set[SeriesId], n_goods: int) -> Iterator[str]:
@@ -624,27 +621,21 @@ def _decimal_order(n: int) -> Iterator[int]:
 
 def _read_cells(
     name: str, raw: list[str], month: np.datetime64, col_ids: Sequence[SeriesId]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and empty-cell mask of one data row, read one cell at a time.
+) -> np.ndarray:
+    """Values of one data row, read one cell at a time.
 
-    Raises at the row's first bad value; an empty cell reads as NaN and is
-    marked in the mask.
+    Raises at the row's first bad value; an empty cell reads as NaN.
     """
     cells = np.empty(len(col_ids))
-    empty = np.zeros(cells.shape, dtype=bool)
     for c, (sid, cell) in enumerate(zip(col_ids, raw)):
         text = cell.strip()
-        if not text:
-            empty[c] = True
-            cells[c] = np.nan
-            continue
         try:
-            cells[c] = float(text)
+            cells[c] = float(text) if text else np.nan
         except ValueError:
             raise SchemaError(
                 f"{name}: bad value {cell!r} for {sid.label} at {month}"
             ) from None
-    return cells, empty
+    return cells
 
 
 def write_panel_csv(panel: Panel, target: str | Path | TextIO) -> None:

@@ -117,7 +117,7 @@ def final_to_intermediate_csv(
 
 
 def reduced_susceptibility(
-    c: CorrMatrix | np.ndarray,
+    c: CorrMatrix,
     basis: ModeBasis,
     k: int = 2,
     beta: float = 1.0,
@@ -132,8 +132,7 @@ def reduced_susceptibility(
         raise BadBeta(f"beta must be positive and finite, got {beta}")
     if not 1 <= k <= basis.m:
         raise BadModeCount(f"mode count {k} outside [1, {basis.m}]")
-    values = c.values if isinstance(c, CorrMatrix) else np.asarray(c, dtype=float)
-    if values.shape != (basis.m, basis.m):
+    if c.m != basis.m:
         raise BadModeCount("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    return ReducedSusceptibility(values=beta * (vk.T @ values @ vk), beta=beta)
+    return ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk), beta=beta)

@@ -243,10 +243,12 @@ def explicit_load_panel(
     source: str | Path | TextIO,
     window: tuple[MonthLike, MonthLike] | str | None = None,
 ) -> Panel:
-    """The per-cell loader the vectorised ``load_panel`` replaces, verbatim.
+    """A per-cell loader that checks what ``load_panel`` and ``Panel`` check.
 
     Two loops over the cells: one converts each with ``float`` (empty ->
-    None), one checks each in (sorted month, header column) order.
+    None), one checks each in (sorted month, flat series) order: an empty or
+    NaN cell is missing, a level <= 0 non-positive and +inf a schema error.
+    The month count and the month steps are checked before any cell.
     """
     if isinstance(window, str):
         window = parse_window(window)
@@ -302,30 +304,33 @@ def explicit_load_panel(
     if not records:
         raise SchemaError(f"{name}: no data rows")
     records.sort(key=lambda r: r[0])
-    months = np.array([r[0] for r in records], dtype="datetime64[M]")
     if window is not None:
         lo, hi = parse_month(window[0]), parse_month(window[1])
-        keep = (months >= lo) & (months <= hi)
-        records = [r for r, k in zip(records, keep) if k]
-        months = months[keep]
+        records = [r for r in records if lo <= r[0] <= hi]
     if len(records) < 3:
-        raise SchemaError(f"{name}: fewer than 3 months in window")
-    if np.unique(months).size != months.size:
-        raise IrregularTimeAxis(f"{name}: duplicate months")
-    if np.any(np.diff(months.astype("int64")) != 1):
-        raise IrregularTimeAxis(f"{name}: gaps in the monthly time axis")
+        raise SchemaError(f"panel needs at least 3 months, got {len(records)}")
+    for (before, _), (after, _) in zip(records, records[1:]):
+        if after == before:
+            raise IrregularTimeAxis(f"duplicate month {before}")
+        if after - before != np.timedelta64(1, "M"):
+            raise IrregularTimeAxis(f"months are not consecutive: {after} follows {before}")
 
     m = 3 * n_goods
     values = np.empty((m, len(records)))
-    order = [sid.flat(n_goods) - 1 for sid in col_ids]
+    column = {sid: c for c, sid in enumerate(col_ids)}
+    ids = canonical_ids(n_goods)
     for j, (month, cells) in enumerate(records):
-        for row, sid, cell in zip(order, col_ids, cells):
-            if cell is None:
+        for row, sid in enumerate(ids):
+            cell = cells[column[sid]]
+            if cell is None or cell != cell:
                 raise MissingData(sid.label, str(month))
             if cell <= 0.0:
                 raise NonPositiveLevel(sid.label, str(month), cell)
+            if cell == float("inf"):
+                raise SchemaError(f"infinite level {cell!r} for series {sid.label} at {month}")
             values[row, j] = cell
 
+    months = np.array([r[0] for r in records], dtype="datetime64[M]")
     return Panel(months=months, values=values)
 
 

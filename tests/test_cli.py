@@ -81,6 +81,16 @@ def test_validate_data_error_exit_1(tmp_path):
     assert "non-positive" in res.stderr
 
 
+def test_infinite_level_is_one_line_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,P.1,S.1,I.1\n1987-12,inf,1,1\n1988-01,1,1,1\n"
+                   "1988-02,1,inf,1\n1988-03,1,1,1\n")
+    res = run_cli("validate", "--input", str(bad), "--window", "1988-01:1988-03",
+                  "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert "infinite level inf for series S.1 at 1988-02" in res.stderr
+
+
 def test_usage_error_exit_2(tmp_path):
     res = run_cli("analyze", cwd=tmp_path)  # missing --input
     assert res.returncode == 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panelresponse import (
@@ -29,7 +29,13 @@ from panelresponse import (
 )
 from panelresponse import _files, cli
 from panelresponse import panel as panel_module
-from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
+from panelresponse.errors import (
+    IrregularTimeAxis,
+    MissingData,
+    NonPositiveLevel,
+    PanelResponseError,
+    SchemaError,
+)
 from panelresponse.panel import SeriesId, StandardizedPanel, _decimal_order, _missing_labels
 
 from oracles import csv_writer_text, explicit_load_panel, month_list, traced_peak
@@ -78,7 +84,7 @@ def panel_texts(draw):
     for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
         j = draw(st.integers(0, n - 1))
         if defect == "bad token":
-            table[j][draw(st.integers(0, len(labels) - 1))] = draw(
+            table[j][draw(st.integers(0, len(table[j]) - 1))] = draw(
                 st.sampled_from(["x", "1__0", "0x1"]))
         elif defect == "bad date":
             months[j] = draw(st.sampled_from(DATE_CELLS))
@@ -103,29 +109,38 @@ windows = st.one_of(
 def test_load_panel_matches_per_cell_oracle():
     reached = set()
 
+    # one in-window level per kind of bad level, so each kind is compared
+    # whatever the derandomized draw holds
     @settings(max_examples=400)
     @given(panel_texts(), windows)
+    @example("date,I.1,S.1,P.1\n1988-01,1,2,3\n1988-02,0,1,-1\n1988-03,1,1,1\n", None)
+    @example("date,I.1,S.1,P.1\n1988-01,1,2,3\n1988-02,1e400,1,1\n1988-03,1,1,1\n", None)
+    @example("date,I.1,S.1,P.1\n1988-01,1,2,3\n1988-02,inf,1,nan\n1988-03,1,1,1\n", None)
     def check(text, window):
         new = outcome(load_panel, text, window)
         assert new == outcome(explicit_load_panel, text, window)
         reached.add("ok" if new[0] == "ok" else new[1].__name__)
         if new[0] == "error" and new[1] is SchemaError:
-            reached.update(k for k in ("bad value", "bad date", "row has") if k in new[2])
+            reached.update(k for k in ("bad value", "bad date", "row has", "infinite level")
+                           if k in new[2])
+        if new[0] == "error" and new[1] is IrregularTimeAxis:
+            reached.add("duplicate month" if "duplicate" in new[2] else "gap")
 
     check()
     # the comparison means little unless panels load and fail in every way
     assert reached >= {
-        "ok", "MissingData", "NonPositiveLevel", "IrregularTimeAxis", "DuplicateSeries",
-        "SchemaError", "bad value", "bad date", "row has",
+        "ok", "MissingData", "NonPositiveLevel", "duplicate month", "gap", "DuplicateSeries",
+        "SchemaError", "bad value", "bad date", "row has", "infinite level",
     }
 
 
 @st.composite
 def late_start_panels(draw):
-    """Valid panels whose series start late, with a window inside or across the blanks.
+    """Panels whose series start late, with a window inside or across the blanks.
 
     Each series is blank before its own first month, as in IIP files where
-    a series begins after the panel does.
+    a series begins after the panel does.  One in four panels also holds a
+    level that reads as +inf.
     """
     g = draw(st.integers(1, 2))
     labels = draw(st.permutations([sid.label for sid in canonical_ids(g)]))
@@ -137,6 +152,10 @@ def late_start_panels(draw):
          for s in starts]
         for j in range(n)
     ]
+    if draw(st.integers(0, 3)) == 0:
+        # one level that reads as +inf, after its series' start
+        c = draw(st.integers(0, len(labels) - 1))
+        table[draw(st.integers(starts[c], n - 1))][c] = draw(st.sampled_from(["inf", "1e400"]))
     rows = [",".join([m] + cells) for m, cells in zip(months, table)]
     if draw(st.booleans()):
         rows = draw(st.permutations(rows))
@@ -156,10 +175,13 @@ def test_load_panel_matches_per_cell_oracle_on_late_starting_series():
         new = outcome(load_panel, text, window)
         assert new == outcome(explicit_load_panel, text, window)
         reached.add("ok" if new[0] == "ok" else new[1].__name__)
+        if new[0] == "error" and "infinite level" in new[2]:
+            reached.add("infinite level")
 
     check()
-    # windows after every series' start load; windows over a blank do not
-    assert reached >= {"ok", "MissingData"}
+    # windows after every series' start load; windows over a blank or an
+    # infinite level do not
+    assert reached >= {"ok", "MissingData", "infinite level"}
 
 
 def test_blank_outside_the_window_reads_only_its_own_row_cell_by_cell(monkeypatch):
@@ -231,7 +253,7 @@ def test_eigenvector_rows_peak_memory_is_below_their_text(tmp_path):
     assert [float(r[2]) for r in rows[300:600]] == basis.vectors[:, 1].tolist()
 
 
-def test_first_bad_cell_is_first_in_month_then_column_order():
+def test_first_bad_cell_is_first_in_month_then_series_order():
     # I.1 in February comes before S.1 in March, though S.1 is the earlier
     # series and column
     text = "date,P.1,S.1,I.1\n1988-03,1,,1\n1988-01,1,1,1\n1988-02,1,1,0\n"
@@ -240,6 +262,13 @@ def test_first_bad_cell_is_first_in_month_then_column_order():
     assert (exc.value.series, exc.value.date, exc.value.value) == ("I.1", "1988-02", 0.0)
     with pytest.raises(MissingData, match="S.1 at 1988-03"):
         load_panel(io.StringIO(text.replace(",0\n", ",1\n")))
+    # within a month the series' flat order decides, not the header's:
+    # P.1 is reported though I.1 is the earlier column
+    text = "date,I.1,S.1,P.1\n1988-01,1,1,1\n1988-02,inf,1,nan\n1988-03,1,1,1\n"
+    with pytest.raises(MissingData, match="P.1 at 1988-02"):
+        load_panel(io.StringIO(text))
+    with pytest.raises(SchemaError, match="infinite level inf for series I.1 at 1988-02"):
+        load_panel(io.StringIO(text.replace("nan", "1").replace("inf,", "1e400,")))
 
 
 def test_empty_date_cell_is_a_bad_date():

@@ -165,8 +165,15 @@ def test_load_panel_duplicate_series():
 def test_load_panel_gap_in_months():
     months = ["1988-01", "1988-02", "1988-04"]
     text = panel_csv_text(months, {"P.1": [1, 1, 1], "S.1": [1, 1, 1], "I.1": [1, 1, 1]})
-    with pytest.raises(IrregularTimeAxis):
+    with pytest.raises(IrregularTimeAxis, match="1988-04 follows 1988-02"):
         load_panel(io.StringIO(text))
+
+
+@pytest.mark.parametrize("window", ["1990-01:1990-12", ("1987-01", "1987-12")])
+def test_load_panel_window_without_months_is_the_month_count_error(window):
+    text = csv_for_levels([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(SchemaError, match="at least 3 months, got 0"):
+        load_panel(io.StringIO(text), window=window)
 
 
 def test_load_panel_incomplete_grid():
@@ -230,15 +237,33 @@ REFUSED = {
         lambda tmp: Panel(MONTHS4, np.ones((4, 4))), SchemaError, "series count 4 is not 3 x G"),
     "Panel, gap": (
         lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, 1]), np.ones((3, 4))),
-        IrregularTimeAxis, "not consecutive"),
+        IrregularTimeAxis, "not consecutive: 1988-05 follows 1988-03"),
     "Panel, zero level": (
         lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0, 1.0, 0.0, 1.0], [1.0] * 4])),
         NonPositiveLevel, "level 0.0 for series S.1 at 1988-03"),
+    "Panel, duplicate month": (
+        lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, -1]), np.ones((3, 4))),
+        IrregularTimeAxis, "duplicate month 1988-03"),
+    "Panel, inf level": (
+        lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0] * 4, [1.0, math.inf, 1.0, 1.0]])),
+        SchemaError, "infinite level inf for series I.1 at 1988-02"),
     "GrowthPanel, months": (
         lambda tmp: GrowthPanel(MONTHS4, np.ones((3, 3))), SchemaError, "months are inconsistent"),
+    "GrowthPanel, no series": (
+        lambda tmp: GrowthPanel(MONTHS4, np.zeros((0, 4))),
+        SchemaError, "growth rates are empty: 0 series, 4 months"),
+    "GrowthPanel, no months": (
+        lambda tmp: GrowthPanel(MONTHS4[:0], np.zeros((3, 0))),
+        SchemaError, "growth rates are empty: 3 series, 0 months"),
     "StandardizedPanel, months": (
         lambda tmp: StandardizedPanel(MONTHS4, np.zeros((3, 3)), np.zeros(3), np.ones(3)),
         SchemaError, "months are inconsistent"),
+    "StandardizedPanel, no series": (
+        lambda tmp: StandardizedPanel.from_values(np.zeros((0, 10))),
+        SchemaError, "standardized values are empty: 0 series, 10 months"),
+    "StandardizedPanel, no months": (
+        lambda tmp: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0)), np.zeros(3), np.ones(3)),
+        SchemaError, "standardized values are empty: 3 series, 0 months"),
     "load_weights, duplicate": (
         lambda tmp: load_weights(weights_csv(tmp, "1,2.0\n1,3.0\n")),
         SchemaError, "duplicate weight for goods 1"),

@@ -168,12 +168,16 @@ def test_reduced_on_raw_is_diagonal(planted_panel):
     assert np.abs(red.values - expected).max() <= 1e-10
 
 
-def test_reduced_on_pure_two_mode_reconstruction(planted_panel):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reduced_on_genuine_matrix_is_eigenvalues_plus_diagonal_reset(planted_panel, k):
+    # the genuine matrix is R_k with its diagonal reset to one, and
+    # V_k^T R_k V_k = diag(lambda_1 .. lambda_k), so only the reset adds to it
     basis = eigendecompose(correlation_matrix(planted_panel))
-    pure = reconstruct(basis, [1, 2])  # no diagonal correction
-    red = reduced_susceptibility(pure, basis, k=2, beta=3.0)
-    expected = 3.0 * np.diag(basis.eigenvalues[:2])
-    assert np.abs(red.values - expected).max() <= 1e-10
+    red = reduced_susceptibility(genuine_matrix(basis, k), basis, k=k, beta=3.0)
+    vk = basis.vectors[:, :k]
+    reset = np.eye(basis.m) - np.diag(np.diag(reconstruct(basis, range(1, k + 1))))
+    expected = 3.0 * (np.diag(basis.eigenvalues[:k]) + vk.T @ reset @ vk)
+    assert np.abs(red.values - expected).max() <= 1e-12
 
 
 def test_reduced_symmetry_and_normalization(planted_panel):
