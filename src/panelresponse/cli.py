@@ -205,7 +205,7 @@ def _cmd_validate(args, config: dict) -> tuple[dict, dict]:
 def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
     w, _, basis = _spectrum(args)
     lam = basis.eigenvalues
-    labels = [sid.label for sid in w.ids] if w.ids else [str(i + 1) for i in range(w.n_series)]
+    labels = [sid.label for sid in w.ids]
     top = float(lam[0]) * 1.05
     density, edges = np.histogram(lam, bins=args.bins, range=(0.0, top), density=True)
     edges = edges.tolist()

@@ -38,10 +38,9 @@ from .errors import (
     InsufficientOverlap,
     ReferenceAmplitudeZero,
     SingularSusceptibility,
-    UnknownSeries,
     WindowTooWide,
 )
-from .panel import SeriesId, Variable
+from .panel import SeriesId, Variable, _class_rows, _goods, _row
 from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
 
@@ -268,7 +267,7 @@ class PhaseTable:
 
     Values lie in (-180, 180]; positive means the series peaks earlier than
     the reference.  The reference entry is exactly zero.  ``n_goods`` is
-    derived: a third of the number of phases.
+    derived from the number of phases M: G when M = 3G.
     """
 
     phases: np.ndarray
@@ -277,17 +276,15 @@ class PhaseTable:
     kset: tuple[int, ...]
 
     @property
-    def n_goods(self) -> int:
-        return self.phases.size // 3
+    def n_goods(self) -> int | None:
+        return _goods(self.phases.size)
 
     def phase(self, sid: SeriesId) -> float:
-        return float(self.phases[sid.flat(self.n_goods) - 1])
+        return float(self.phases[_row(sid, self.phases.size)])
 
     def class_average(self, alpha: Variable | int) -> float:
         """Arithmetic mean phase over goods for one variable class."""
-        a = int(Variable(alpha))
-        block = self.phases[(a - 1) * self.n_goods: a * self.n_goods]
-        return float(block.mean())
+        return float(self.phases[_class_rows(alpha, self.phases.size)].mean())
 
     def to_csv(self, target: str | Path | TextIO) -> None:
         """Goods rows with P/S/I columns, one decimal, plus a class-average row."""
@@ -307,12 +304,6 @@ def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, ks: list[int]) -> np.
     return basis.vectors[:, :2] @ bins
 
 
-def _ref_index(basis: ModeBasis, ref: SeriesId) -> int:
-    if basis.n_goods is None:
-        raise UnknownSeries("basis carries no series layout")
-    return ref.flat(basis.n_goods) - 1
-
-
 def mode_phases(
     ms: ModeSeries, basis: ModeBasis, k: int, ref: SeriesId
 ) -> PhaseTable:
@@ -322,7 +313,7 @@ def mode_phases(
     the table lists wrap(arg ref - arg series) in degrees, so a positive
     entry peaks ahead of the reference.
     """
-    ref_idx = _ref_index(basis, ref)
+    ref_idx = _row(ref, basis.m)
     n = ms.coeffs.shape[1]
     amp = _two_mode_amplitudes(ms, basis, _check_kset([k], n))[:, 0]
     if np.abs(amp[ref_idx]) < 1e-12:
@@ -347,7 +338,7 @@ def freq_avg_phases(
     """
     if ref is None:
         ref = SeriesId(Variable.PRODUCTION, 20)
-    ref_idx = _ref_index(basis, ref)
+    ref_idx = _row(ref, basis.m)
     n = ms.coeffs.shape[1]
     ks = _check_kset(kset, n)
     amp = _two_mode_amplitudes(ms, basis, ks)

@@ -29,9 +29,7 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     values = reconstruct(basis, range(1, k + 1))
     np.fill_diagonal(values, 1.0)
     values = (values + values.T) / 2.0
-    return CorrMatrix(
-        values=_frozen(values), kind="genuine", n_goods=basis.n_goods, n_modes=k
-    )
+    return CorrMatrix(values=_frozen(values), n_modes=k)
 
 
 def default_mode_count(basis: ModeBasis, ensemble: NullEnsemble) -> int:

@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveLevel,
     PanelResponseError,
     SchemaError,
+    UnknownSeries,
 )
 
 
@@ -148,14 +149,42 @@ class SeriesId:
 
 def canonical_ids(n_goods: int) -> tuple[SeriesId, ...]:
     """All 3*G series ids in flat order."""
-    return tuple(
-        SeriesId(Variable(a), g) for a in (1, 2, 3) for g in range(1, n_goods + 1)
-    )
+    return tuple(_flat_ids(n_goods))
+
+
+def _flat_ids(n_goods: int) -> Iterator[SeriesId]:
+    """The 3*G series ids in flat order, one at a time."""
+    return (SeriesId(alpha, g) for alpha in Variable for g in range(1, n_goods + 1))
+
+
+# The 3 x G layout of an M-row container (a panel's series, a matrix's rows
+# and columns, a basis's components, a table's entries) is known here alone.
+
+
+def _goods(m: int) -> int | None:
+    """G of an M-row container in the 3 x G layout: M // 3 if M = 3G, else None."""
+    return m // 3 if m % 3 == 0 else None
 
 
 def _series_ids(m: int) -> tuple[SeriesId, ...] | None:
-    """Flat-order ids of an M-row panel: ``canonical_ids(M // 3)`` if M = 3G, else None."""
-    return canonical_ids(m // 3) if m % 3 == 0 else None
+    """Flat-order ids of an M-row container in the 3 x G layout, else None."""
+    return None if (g := _goods(m)) is None else canonical_ids(g)
+
+
+def _class_rows(alpha: Variable | int | str, m: int) -> slice:
+    """The rows of variable class ``alpha`` in an M-row container, M = 3G."""
+    g, a = _goods(m), int(Variable(alpha))
+    return slice((a - 1) * g, a * g)
+
+
+def _row(sid: SeriesId, m: int) -> int:
+    """0-based row of ``sid`` in an M-row container; UnknownSeries unless its layout holds it."""
+    g = _goods(m)
+    if g is None:
+        raise UnknownSeries(f"series {sid.label}: {m} series have no 3 x G layout")
+    if sid.goods > g:
+        raise UnknownSeries(f"series {sid.label} not in a {g}-goods layout")
+    return sid.flat(g) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +302,7 @@ class Panel:
             raise SchemaError(f"panel needs at least 3 months, got {n}")
         if m < 3:
             raise SchemaError(f"panel needs at least 3 series, got {m}")
-        if m % 3 != 0:
+        if _goods(m) is None:
             raise SchemaError(f"series count {m} is not 3 x G")
         steps = np.diff(months.astype("int64"))
         if np.any(steps != 1):
@@ -287,7 +316,7 @@ class Panel:
         if not good.all():
             # the first bad level in (month, series) order
             col, row = divmod(int(np.argmin(good.T)), m)
-            label = SeriesId.from_flat(row + 1, m // 3).label
+            label = SeriesId.from_flat(row + 1, _goods(m)).label
             month, level = str(months[col]), float(values[row, col])
             if np.isnan(level):
                 raise MissingData(label, month)
@@ -303,7 +332,7 @@ class Panel:
 
     @property
     def n_goods(self) -> int:
-        return self.values.shape[0] // 3
+        return _goods(self.values.shape[0])
 
     @property
     def n_series(self) -> int:
@@ -349,7 +378,7 @@ class GrowthPanel:
 
     @property
     def n_goods(self) -> int | None:
-        return None if (ids := self.ids) is None else len(ids) // 3
+        return _goods(self.rates.shape[0])
 
 
 _MEAN_TOL = 1e-10
@@ -413,25 +442,22 @@ class StandardizedPanel:
 
     @property
     def n_goods(self) -> int | None:
-        return None if (ids := self.ids) is None else len(ids) // 3
+        return _goods(self.values.shape[0])
 
     @classmethod
     def from_values(
-        cls,
-        values: np.ndarray,
-        months: np.ndarray | None = None,
-        start: MonthLike = "1988-01",
+        cls, values: np.ndarray, months: np.ndarray | None = None
     ) -> "StandardizedPanel":
         """Wrap an already-standardized M x N' array (used by tests and demos).
 
-        ``months`` defaults to N' consecutive months from ``start``.  The
+        ``months`` defaults to N' consecutive months from 1988-01.  The
         values are checked as every :class:`StandardizedPanel`'s are, and
         ``mean`` and ``std`` record zeros and ones, as nothing was removed.
         """
         values = np.asarray(values, dtype=float)
         m, n = values.shape
         if months is None:
-            months = parse_month(start) + np.arange(n)
+            months = np.datetime64("1988-01") + np.arange(n)
         return cls(months=months, values=values, mean=np.zeros(m), std=np.ones(m))
 
 
@@ -443,7 +469,8 @@ class StandardizedPanel:
 def load_weights(path: str | Path) -> dict[int, float]:
     """Read a `goods,weight` CSV (``#`` lines ignored) into a dict keyed by goods index.
 
-    A repeated goods index or a negative or non-finite weight is a :class:`SchemaError`.
+    A goods index below 1, a repeated one or a negative or non-finite
+    weight is a :class:`SchemaError`.
     """
     weights: dict[int, float] = {}
     with open_text(path) as fh:
@@ -458,6 +485,8 @@ def load_weights(path: str | Path) -> dict[int, float]:
                 g, w = int(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise SchemaError(f"{path}: bad weights row {row!r}") from None
+            if g < 1:
+                raise SchemaError(f"{path}: goods index must be >= 1, got {g}")
             if g in weights:
                 raise SchemaError(f"{path}: duplicate weight for goods {g}")
             if w < 0:
@@ -523,7 +552,7 @@ def load_panel(
     for j, i in enumerate(order.tolist()):
         values[:, j] = cells[i]
     del cells
-    canonical = np.argsort([sid.flat(len(col_ids) // 3) for sid in col_ids])
+    canonical = np.argsort([_row(sid, len(col_ids)) for sid in col_ids])
     if np.any(canonical != np.arange(canonical.size)):
         values = values[canonical]
     return Panel(months=_frozen(months), values=_frozen(values))
@@ -567,7 +596,9 @@ def _read_rows(
     n_goods = max(sid.goods for sid in col_ids)
     if len(col_ids) != 3 * n_goods:
         absent = 3 * n_goods - len(col_ids)
-        missing = list(itertools.islice(_missing_labels(seen, n_goods), _MISSING_SHOWN))
+        # lazy, so a header naming one huge goods index costs O(len(seen)), not O(G)
+        missing = [sid.label for sid in itertools.islice(
+            (sid for sid in _flat_ids(n_goods) if sid not in seen), _MISSING_SHOWN)]
         more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
         raise SchemaError(f"{name}: incomplete series grid, missing {missing}{more}")
 
@@ -591,32 +622,6 @@ def _read_rows(
     if not cells:
         raise SchemaError(f"{name}: no data rows")
     return col_ids, np.array(months, dtype="datetime64[M]"), cells
-
-
-def _missing_labels(seen: set[SeriesId], n_goods: int) -> Iterator[str]:
-    """Labels of the 3 x G grid absent from ``seen``, in sorted string order.
-
-    Lazy, so a header naming one huge goods index costs O(len(seen)) per
-    label taken, not O(G).
-    """
-    for alpha in sorted(Variable, key=lambda v: v.code):
-        for g in _decimal_order(n_goods):
-            sid = SeriesId(alpha, g)
-            if sid not in seen:
-                yield sid.label
-
-
-def _decimal_order(n: int) -> Iterator[int]:
-    """1..n in the sorted order of their decimal strings: 1, 10, 100, ..., 2, 20, ..."""
-    x = 1
-    for _ in range(n):
-        yield x
-        if x * 10 <= n:
-            x *= 10
-        else:
-            while x % 10 == 9 or x >= n:
-                x //= 10
-            x += 1
 
 
 def _read_cells(
@@ -707,5 +712,4 @@ def weighted_aggregate(
     total = wvec.sum()
     if total <= 0:
         raise SchemaError("aggregation weights sum to zero")
-    block = panel.values[(int(alpha) - 1) * panel.n_goods: int(alpha) * panel.n_goods]
-    return wvec @ block / total
+    return wvec @ panel.values[_class_rows(alpha, panel.n_series)] / total

@@ -21,8 +21,8 @@ from typing import TextIO
 import numpy as np
 
 from ._files import write_rows
-from .errors import BadBeta, BadModeCount, BadParameter, LayoutMismatch, UnknownSeries
-from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable
+from .errors import BadBeta, BadModeCount, BadParameter, LayoutMismatch
+from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _goods, _row
 from .spectral import CorrMatrix, ModeBasis
 
 
@@ -30,7 +30,7 @@ from .spectral import CorrMatrix, ModeBasis
 class RippleReport:
     """Responses of all series to a shift applied at one source series.
 
-    ``n_goods`` is derived: a third of the number of responses.
+    ``n_goods`` is derived from the number of responses M: G when M = 3G.
     """
 
     source: SeriesId
@@ -38,11 +38,11 @@ class RippleReport:
     responses: np.ndarray
 
     @property
-    def n_goods(self) -> int:
-        return self.responses.size // 3
+    def n_goods(self) -> int | None:
+        return _goods(self.responses.size)
 
     def response(self, sid: SeriesId) -> float:
-        return float(self.responses[sid.flat(self.n_goods) - 1])
+        return float(self.responses[_row(sid, self.responses.size)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +75,7 @@ def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport
     """
     if not np.isfinite(shift):
         raise BadParameter(f"shift must be finite, got {shift}")
-    if cg.n_goods is None:
-        raise UnknownSeries("matrix carries no series layout")
-    try:
-        idx = source.flat(cg.n_goods) - 1
-    except Exception:
-        raise UnknownSeries(f"series {source.label} not in a {cg.n_goods}-goods layout") from None
+    idx = _row(source, cg.m)
     responses = cg.values[:, idx] * shift
     responses[idx] = shift  # unit diagonal, kept exact
     return RippleReport(source=source, shift=shift, responses=responses)
@@ -96,8 +91,8 @@ def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
     """
     if cg.n_goods != 21:
         raise LayoutMismatch(f"expected the 21-goods layout, got {cg.n_goods}")
-    prod = SeriesId(Variable.PRODUCTION, 20).flat(21) - 1  # P.20 and P.21
-    ship = SeriesId(Variable.SHIPMENTS, 1).flat(21) - 1  # S.1 .. S.19
+    prod = _row(SeriesId(Variable.PRODUCTION, 20), cg.m)  # P.20 and P.21
+    ship = _row(SeriesId(Variable.SHIPMENTS, 1), cg.m)  # S.1 .. S.19
     return cg.values[prod:prod + 2, ship:ship + 19].T.copy()
 
 

@@ -31,7 +31,7 @@ from .errors import (
     QOutOfRange,
     SchemaError,
 )
-from .panel import StandardizedPanel, _freeze, _frozen, _integer
+from .panel import StandardizedPanel, Variable, _class_rows, _freeze, _frozen, _goods, _integer
 
 _SYM_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -44,38 +44,24 @@ _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
-def _layout(n_goods, m: int, what: str) -> int | None:
-    """``n_goods`` as a Python int with 3 * n_goods = m (so at least 1), or None."""
-    if n_goods is None:
-        return None
-    n_goods = _integer("n_goods", n_goods, SchemaError)
-    if m != 3 * n_goods:
-        raise SchemaError(f"n_goods inconsistent with {what} dimension")
-    return n_goods
-
-
 @dataclass(frozen=True, eq=False)
 class CorrMatrix:
     """Symmetric unit-diagonal correlation matrix.
 
-    ``kind`` is "raw" for a directly measured matrix (positive semidefinite)
-    or "genuine" for a noise-filtered reconstruction, which keeps the unit
-    diagonal but is not guaranteed positive semidefinite and may carry
-    off-diagonal entries slightly outside [-1, 1] (warned, tolerated up to
-    +-0.05).  ``n_goods`` tags the 3-variable-class layout when known (an
-    integer with M = 3 * n_goods); ``n_modes`` records how many modes built
-    a genuine matrix (an integer in [0, M]).  Either is kept as a Python int.
+    ``n_modes`` records how many modes built a noise-filtered matrix (an
+    integer in [0, M], kept as a Python int), and is None for a directly
+    measured one.  ``kind`` follows it: "genuine" for a noise-filtered
+    matrix, which keeps the unit diagonal but is not guaranteed positive
+    semidefinite and may carry off-diagonal entries slightly outside
+    [-1, 1] (warned, tolerated up to +-0.05), else "raw" (positive
+    semidefinite).  ``n_goods`` is G when M = 3G, else None.
     """
 
     values: np.ndarray
-    kind: str = "raw"
-    n_goods: int | None = None
     n_modes: int | None = None
 
     def __post_init__(self):
         v = _freeze(np.asarray(self.values, dtype=float))
-        if self.kind not in ("raw", "genuine"):
-            raise SchemaError(f"unknown matrix kind {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise SchemaError("correlation matrix must be square")
         if v.size == 0:
@@ -100,7 +86,6 @@ class CorrMatrix:
             min_eig = float(np.linalg.eigvalsh(v)[0])
             if not min_eig >= -_PSD_TOL:
                 raise SchemaError(f"raw matrix not positive semidefinite ({min_eig:.3e})")
-        object.__setattr__(self, "n_goods", _layout(self.n_goods, v.shape[0], "matrix"))
         if self.n_modes is not None:
             k = _integer("n_modes", self.n_modes, SchemaError)
             if not 0 <= k <= v.shape[0]:
@@ -109,8 +94,16 @@ class CorrMatrix:
         object.__setattr__(self, "values", v)
 
     @property
+    def kind(self) -> str:
+        return "raw" if self.n_modes is None else "genuine"
+
+    @property
     def m(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def n_goods(self) -> int | None:
+        return _goods(self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +112,11 @@ class ModeBasis:
 
     ``vectors[:, n]`` is the unit-norm vector of mode n (0-based column for
     the 1-based mode n+1); eigenvalues are in descending order.
-    ``n_goods``, when the 3-variable-class layout is known, is the integer
-    M / 3 (kept as a Python int); it chooses the sign rule of
-    :func:`eigendecompose`.
+    ``n_goods`` is G when M = 3G, else None.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    n_goods: int | None = None
 
     def __post_init__(self):
         lam = _freeze(np.asarray(self.eigenvalues, dtype=float))
@@ -143,13 +133,16 @@ class ModeBasis:
         gram = vec.T @ vec
         if not np.abs(gram - np.eye(m)).max() <= _ORTHO_TOL:
             raise SchemaError("eigenvectors are not orthonormal")
-        object.__setattr__(self, "n_goods", _layout(self.n_goods, m, "basis"))
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", vec)
 
     @property
     def m(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def n_goods(self) -> int | None:
+        return _goods(self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,18 +174,19 @@ def correlation_matrix(w: StandardizedPanel) -> CorrMatrix:
     values /= 2.0
     # unit by construction for standardized input; drop the rounding dust
     np.fill_diagonal(values, 1.0)
-    return CorrMatrix(values=_frozen(values), kind="raw", n_goods=w.n_goods)
+    return CorrMatrix(values=_frozen(values))
 
 
-def _fix_signs(vectors: np.ndarray, n_goods: int | None) -> np.ndarray:
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Orient each column deterministically.
 
     The orientation sum runs over the production block (first G components)
-    when the layout is known, otherwise over all components; on a vanishing
-    sum the largest-magnitude component is made positive.
+    when M = 3G, otherwise over all components; on a vanishing sum the
+    largest-magnitude component is made positive.
     """
     v = vectors.copy()
-    block = slice(0, n_goods) if n_goods is not None else slice(None)
+    m = v.shape[0]
+    block = slice(None) if _goods(m) is None else _class_rows(Variable.PRODUCTION, m)
     for i in range(v.shape[1]):
         s = v[block, i].sum()
         if abs(s) <= _SIGN_TOL:
@@ -223,15 +217,15 @@ def _break_ties(lam: np.ndarray, vec: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def eigendecompose(c: CorrMatrix) -> ModeBasis:
     """Eigenvalues (descending) and sign-fixed orthonormal eigenvectors."""
-    values, n_goods = c.values, c.n_goods
+    values = c.values
     lam, vec = np.linalg.eigh(values)
     lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
-    vec = _fix_signs(vec, n_goods)
+    vec = _fix_signs(vec)
     lam, vec = _break_ties(lam, vec)
     resid = np.abs(values @ vec - vec * lam).max()
     if not resid <= _EIG_RESID_FACTOR * lam.size:
         raise EigensolverFailure(f"eigensolver residual {resid:.3e} too large")
-    return ModeBasis(eigenvalues=_frozen(lam), vectors=_frozen(vec), n_goods=n_goods)
+    return ModeBasis(eigenvalues=_frozen(lam), vectors=_frozen(vec))
 
 
 def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
@@ -297,14 +291,34 @@ def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     ))
 
 
+def _recorded(what: str, values: np.ndarray, kind, goods, k) -> CorrMatrix:
+    """The matrix a document records, if its ``kind`` and ``goods`` are the derived ones.
+
+    ``kind`` must be "genuine" when ``k`` is present and "raw" otherwise; it
+    is checked before the matrix, so a mislabelled matrix is refused as
+    such.  ``goods`` must be G when M = 3G, and empty (None) otherwise.
+    """
+    expected = "raw" if k is None else "genuine"
+    if kind != expected:
+        raise SchemaError(f"{what}: kind must be {expected!r} when k is {k!r}, got {kind!r}")
+    c = CorrMatrix(values=values, n_modes=k)
+    if goods is not None:
+        goods = _integer(f"{what}: goods", goods, SchemaError)
+    if goods != c.n_goods:
+        derived = "empty" if c.n_goods is None else c.n_goods
+        raise SchemaError(f"{what}: goods must be {derived} for {c.m} series, got {goods!r}")
+    return c
+
+
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
+    """Read a :func:`corr_to_csv` file; its ``kind`` and ``goods`` must be the derived ones."""
     with open_text(source) as fh:
         rows = list(read_rows(fh))
     if len(rows) < 3 or rows[0][:2] != ["kind", "m"]:
         raise SchemaError("not a correlation-matrix CSV")
     head = dict(zip(rows[0], rows[1]))
     try:
-        m = int(head["m"])
+        kind, m = head["kind"], int(head["m"])
         n_goods = int(head["goods"]) if head.get("goods") else None
         n_modes = int(head["k"]) if head.get("k") else None
     except (KeyError, ValueError):
@@ -316,7 +330,7 @@ def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
         values = _frozen(np.array(body, dtype=float))
     except ValueError as exc:
         raise SchemaError(f"bad correlation-matrix cell: {exc}") from None
-    return CorrMatrix(values=values, kind=head["kind"], n_goods=n_goods, n_modes=n_modes)
+    return _recorded("correlation-matrix header", values, kind, n_goods, n_modes)
 
 
 def _corr_document(c: CorrMatrix) -> dict:
@@ -329,11 +343,9 @@ def _corr_document(c: CorrMatrix) -> dict:
 
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
+    """Read a matrix document; its ``kind`` and ``goods`` must be the derived ones."""
     doc = read_json(source)
     with json_fields("correlation-matrix document"):
-        return CorrMatrix(
-            values=_frozen(np.array(doc["values"], dtype=float)),
-            kind=doc["kind"],
-            n_goods=doc.get("goods"),
-            n_modes=doc.get("k"),
-        )
+        values = _frozen(np.array(doc["values"], dtype=float))
+        return _recorded("correlation-matrix document", values,
+                         doc["kind"], doc.get("goods"), doc.get("k"))

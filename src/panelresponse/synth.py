@@ -202,23 +202,24 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
     return standardize(GrowthPanel(months=months, rates=_frozen(values)))
 
 
-def to_level_panel(
-    w: StandardizedPanel,
-    base: float = 100.0,
-    scale: float = 0.01,
-) -> Panel:
+#: First level and log10 step per unit of standardized growth of :func:`to_level_panel`.
+_BASE_LEVEL = 100.0
+_LOG_STEP = 0.01
+
+
+def to_level_panel(w: StandardizedPanel) -> Panel:
     """Integrate a standardized panel into positive monthly index levels.
 
-    Levels start at ``base`` and follow S(t_{j+1}) = S(t_j) 10^(scale * w),
-    so loading the result and taking log growth rates recovers the panel
+    Levels start at 100 and follow S(t_{j+1}) = S(t_j) 10^(0.01 w), so
+    loading the result and taking log growth rates recovers the panel
     exactly up to standardization (which removes the affine scale).
     """
-    if w.ids is None:
+    if w.n_goods is None:
         raise InfeasibleSpec("panel series count is not 3 x G; cannot tag series")
     m, n = w.values.shape
     levels = np.empty((m, n + 1))
-    levels[:, 0] = base
-    levels[:, 1:] = base * np.power(10.0, scale * np.cumsum(w.values, axis=1))
+    levels[:, 0] = _BASE_LEVEL
+    levels[:, 1:] = _BASE_LEVEL * np.power(10.0, _LOG_STEP * np.cumsum(w.values, axis=1))
     months = np.concatenate([w.months, [w.months[-1] + 1]])
     return Panel(months=months, values=_frozen(levels))
 

@@ -277,7 +277,7 @@ def explicit_load_panel(
     n_goods = max(sid.goods for sid in col_ids)
     expected = set(canonical_ids(n_goods))
     if seen != expected:
-        missing = sorted(s.label for s in expected - seen)
+        missing = [s.label for s in canonical_ids(n_goods) if s not in seen]
         raise SchemaError(f"{name}: incomplete series grid, missing {missing}")
 
     records: list[tuple[np.datetime64, list[float | None]]] = []

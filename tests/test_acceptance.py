@@ -160,7 +160,7 @@ def test_c07_linear_response_oracle():
     ]
     rng = np.random.default_rng(77)
     for corr in matrices:
-        cg = CorrMatrix(values=corr, kind="raw", n_goods=1)
+        cg = CorrMatrix(values=corr)
         report = ripple(cg, SeriesId(Variable.PRODUCTION, 1), shift=1.0)
         for target in (1, 2):
             slope = gaussian_regression_slope(corr, 0, target, 1_000_000, rng)

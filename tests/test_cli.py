@@ -196,6 +196,15 @@ def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
     assert "series S.99 not in a 21-goods layout" in res.stderr
 
 
+@pytest.mark.parametrize("args", [("ripple", "--k", "2", "--source", "S.22"),
+                                  ("phases", "--ref", "P.22")])
+def test_series_outside_the_layout_is_one_line_error(planted_csv, tmp_path, args):
+    panel_path, _ = planted_csv
+    res = run_cli(*args, "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert f"series {args[-1]} not in a 21-goods layout" in res.stderr
+
+
 def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
     # the source is resolved after the intermediate-response table is computed,
     # so a run that wrote as it went would leave that table behind
@@ -336,6 +345,15 @@ def test_bad_weight_is_one_line_error(planted_csv, tmp_path, weight):
     path = write_weights(tmp_path / "w.csv", [(1, "2.0"), (2, weight)])
     assert_one_line_error(run_cli("validate", "--input", str(panel_path), "--weights", str(path),
                                   "--outdir", "o", cwd=tmp_path))
+
+
+def test_weights_goods_below_one_is_one_line_error(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    path = write_weights(tmp_path / "w.csv", [(0, "5.0"), (-3, "2.0"), (1, "1.0")])
+    res = run_cli("validate", "--input", str(panel_path), "--weights", str(path),
+                  "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert f"{path}: goods index must be >= 1, got 0" in res.stderr
 
 
 def test_null_byte_identical_reruns(planted_csv, tmp_path):

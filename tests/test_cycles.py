@@ -18,6 +18,7 @@ from panelresponse import (
     eigendecompose,
     external_stimuli,
     freq_avg_phases,
+    genuine_matrix,
     inverse_dft,
     lag_correlation,
     long_period,
@@ -25,6 +26,7 @@ from panelresponse import (
     mode_series,
     moving_average,
     residual_disturbance,
+    ripple,
 )
 from panelresponse.errors import (
     BadFrequencyIndex,
@@ -34,6 +36,7 @@ from panelresponse.errors import (
     InsufficientOverlap,
     ReferenceAmplitudeZero,
     SingularSusceptibility,
+    UnknownSeries,
     WindowTooWide,
 )
 
@@ -481,6 +484,25 @@ def test_phases_match_brute_force_dft_amplitudes(planted_panel):
     expected[r] = 0.0
     table = freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref)
     assert _wrapped_gap(table.phases, expected) <= 1e-9
+
+
+def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
+    # P.22 and S.22 lie outside the 21-goods layout, and each is named
+    basis = eigendecompose(correlation_matrix(planted_panel))
+    ms = mode_series(planted_panel, basis)
+    ref = SeriesId.parse("P.22")
+    for call in (lambda: mode_phases(ms, basis, 4, ref),
+                 lambda: freq_avg_phases(ms, basis, ref=ref),
+                 lambda: mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phase(ref)):
+        with pytest.raises(UnknownSeries, match=r"^series P\.22 not in a 21-goods layout$"):
+            call()
+    with pytest.raises(UnknownSeries, match=r"^series S\.22 not in a 21-goods layout$"):
+        ripple(genuine_matrix(basis, 2), SeriesId.parse("S.22"))
+    # a basis of four series has no layout at all
+    w4 = StandardizedPanel.from_values(planted_panel.values[:4])
+    four = eigendecompose(correlation_matrix(w4))
+    with pytest.raises(UnknownSeries, match=r"^series P\.1: 4 series have no 3 x G layout$"):
+        mode_phases(mode_series(w4, four), four, 4, SeriesId.parse("P.1"))
 
 
 # ---------------------------------------------------------------------------

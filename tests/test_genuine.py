@@ -79,12 +79,12 @@ def test_genuine_kind_tolerates_mild_overshoot_with_warning():
     # genuine matrices are not PSD-constrained; entries slightly past 1 warn
     values = np.array([[1.0, 1.02], [1.02, 1.0]])
     with pytest.warns(UserWarning):
-        cg = CorrMatrix(values=values, kind="genuine")
+        cg = CorrMatrix(values=values, n_modes=1)
     assert np.linalg.eigvalsh(cg.values)[0] < 0  # indefinite is accepted
     with pytest.raises(SchemaError):
-        CorrMatrix(values=np.array([[1.0, 1.2], [1.2, 1.0]]), kind="genuine")
+        CorrMatrix(values=np.array([[1.0, 1.2], [1.2, 1.0]]), n_modes=1)
     with pytest.raises(SchemaError):
-        CorrMatrix(values=values, kind="raw")
+        CorrMatrix(values=values)
 
 
 def test_off_diagonals_within_unit_interval(planted_panel):

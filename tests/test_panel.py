@@ -272,6 +272,12 @@ REFUSED = {
         SchemaError, "bad weight nan for goods 2"),
     "load_weights, inf": (
         lambda tmp: load_weights(weights_csv(tmp, "1,inf\n")), SchemaError, "bad weight inf"),
+    "load_weights, goods 0": (
+        lambda tmp: load_weights(weights_csv(tmp, "0,5.0\n-3,2.0\n1,1.0\n")),
+        SchemaError, "w.csv: goods index must be >= 1, got 0$"),
+    "load_weights, goods -3": (
+        lambda tmp: load_weights(weights_csv(tmp, "1,1.0\n-3,2.0\n")),
+        SchemaError, "w.csv: goods index must be >= 1, got -3$"),
     "weighted_aggregate, negative": (
         lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 1.0, 2: -1.0}),
         SchemaError, "bad weight -1.0 for goods 2"),
@@ -401,6 +407,18 @@ def test_growth_panel_ids_follow_its_rows():
     with pytest.raises(DegenerateSeries) as exc:
         standardize(GrowthPanel(months=months, rates=rates[[0, 1, 4, 2]]))
     assert exc.value.series == 3
+
+
+def test_n_goods_builds_no_series_ids(monkeypatch):
+    # G is read off the row count; only ``ids`` builds the M identifiers
+    built = []
+    post_init = SeriesId.__post_init__
+    monkeypatch.setattr(SeriesId, "__post_init__", lambda sid: (built.append(sid), post_init(sid)))
+    months = parse_month("1988-01") + np.arange(10)
+    g = GrowthPanel(months=months, rates=np.random.default_rng(3).normal(0, 0.01, size=(63, 10)))
+    w = standardize(g)
+    assert (g.n_goods, w.n_goods) == (21, 21) and built == []
+    assert len(w.ids) == 63 and len(built) == 63
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])

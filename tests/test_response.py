@@ -37,7 +37,7 @@ def basis_with_leading_mode(loading: np.ndarray, eigenvalue: float) -> ModeBasis
     if q[:, 0] @ loading < 0:
         q[:, 0] = -q[:, 0]
     lams = np.concatenate([[eigenvalue], np.ones(m - 1)])
-    return ModeBasis(eigenvalues=lams, vectors=q, n_goods=m // 3 if m % 3 == 0 else None)
+    return ModeBasis(eigenvalues=lams, vectors=q)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def basis_with_leading_mode(loading: np.ndarray, eigenvalue: float) -> ModeBasis
 
 
 def test_ripple_identity_matrix():
-    cg = CorrMatrix(values=np.eye(3), kind="raw", n_goods=1)
+    cg = CorrMatrix(values=np.eye(3))
     report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift=0.7)
     assert report.response(SeriesId(Variable.SHIPMENTS, 1)) == 0.7
     assert report.response(SeriesId(Variable.PRODUCTION, 1)) == 0.0
@@ -56,7 +56,7 @@ def test_ripple_identity_matrix():
 def test_ripple_half_correlation():
     values = np.eye(3)
     values[0, 1] = values[1, 0] = 0.5
-    cg = CorrMatrix(values=values, kind="raw", n_goods=1)
+    cg = CorrMatrix(values=values)
     report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift=1.0)
     assert report.response(SeriesId(Variable.PRODUCTION, 1)) == pytest.approx(0.5)
 
@@ -77,14 +77,14 @@ def test_ripple_unknown_series(planted_panel):
     cg = genuine_matrix(basis, 2)
     with pytest.raises(UnknownSeries):
         ripple(cg, SeriesId(Variable.PRODUCTION, 22), 1.0)
-    no_layout = CorrMatrix(values=np.eye(4), kind="raw")
-    with pytest.raises(UnknownSeries):
+    no_layout = CorrMatrix(values=np.eye(4))
+    with pytest.raises(UnknownSeries, match=r"^series P\.1: 4 series have no 3 x G layout$"):
         ripple(no_layout, SeriesId(Variable.PRODUCTION, 1), 1.0)
 
 
 @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
 def test_ripple_rejects_non_finite_shift(shift):
-    cg = CorrMatrix(values=np.eye(3), kind="raw", n_goods=1)
+    cg = CorrMatrix(values=np.eye(3))
     with pytest.raises(BadParameter, match="shift must be finite"):
         ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift)
 
@@ -96,7 +96,7 @@ def test_ripple_matches_gaussian_regression(rng):
         [0.5, 1.0, 0.3],
         [0.2, 0.3, 1.0],
     ])
-    cg = CorrMatrix(values=corr, kind="raw", n_goods=1)
+    cg = CorrMatrix(values=corr)
     report = ripple(cg, SeriesId(Variable.PRODUCTION, 1), shift=1.0)
     for target in (1, 2):
         slope = gaussian_regression_slope(corr, 0, target, 1_000_000, rng)
@@ -109,13 +109,13 @@ def test_ripple_matches_gaussian_regression(rng):
 
 
 def test_ripple_unknown_source_names_its_label():
-    cg = CorrMatrix(values=np.eye(63), kind="raw", n_goods=21)
+    cg = CorrMatrix(values=np.eye(63))
     with pytest.raises(UnknownSeries, match=r"^series S\.99 not in a 21-goods layout$"):
         ripple(cg, SeriesId.parse("S.99"))
 
 
 def test_final_to_intermediate_identity():
-    cg = CorrMatrix(values=np.eye(63), kind="raw", n_goods=21)
+    cg = CorrMatrix(values=np.eye(63))
     assert np.array_equal(final_to_intermediate(cg), np.zeros((19, 2)))
 
 
@@ -135,7 +135,7 @@ def test_final_to_intermediate_planted_closed_form():
 
 
 def test_final_to_intermediate_layout_mismatch():
-    cg = CorrMatrix(values=np.eye(6), kind="raw", n_goods=2)
+    cg = CorrMatrix(values=np.eye(6))
     with pytest.raises(LayoutMismatch):
         final_to_intermediate(cg)
 

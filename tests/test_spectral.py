@@ -137,17 +137,21 @@ def test_signs_follow_the_production_block_sum(planted_panel):
 
 def test_sign_rule_follows_the_layout():
     # the leading vector is ~(1, -0.7, -0.7): its production block (the first
-    # component) and its component sum have opposite signs
+    # component, as M = 3 is the 3 x 1 layout) and its component sum have
+    # opposite signs
     values = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, 0.3], [-0.5, 0.3, 1.0]])
-    by_block = eigendecompose(CorrMatrix(values, n_goods=1)).vectors
-    by_sum = eigendecompose(CorrMatrix(values)).vectors
+    by_block = eigendecompose(CorrMatrix(values)).vectors
+    # beside a fourth, uncorrelated series it has no layout (M = 4)
+    by_sum = eigendecompose(CorrMatrix(np.pad(values, (0, 1)) + np.diag([0, 0, 0, 1.0]))).vectors
     for n in range(3):
         if abs(by_block[0, n]) > 1e-12:
             assert by_block[0, n] > 0
+    for n in range(4):
         if abs(by_sum[:, n].sum()) > 1e-12:
             assert by_sum[:, n].sum() > 0
     assert by_block[0, 0] > 0 > by_sum[0, 0]
-    assert np.array_equal(by_block[:, 0], -by_sum[:, 0])
+    assert np.allclose(by_block[:, 0], -by_sum[:3, 0], rtol=0.0, atol=1e-12)
+    assert abs(by_sum[3, 0]) <= 1e-12
 
 
 def test_mode_series_single_mode():
@@ -328,7 +332,7 @@ NAN_MATRICES = {
 @pytest.mark.parametrize("name", sorted(NAN_MATRICES))
 def test_corr_matrix_rejects_nan(kind, name):
     with pytest.raises((SchemaError, NotSymmetric)):
-        CorrMatrix(values=np.array(NAN_MATRICES[name]), kind=kind)
+        CorrMatrix(values=np.array(NAN_MATRICES[name]), n_modes=None if kind == "raw" else 2)
 
 
 @pytest.mark.parametrize("name", sorted(NAN_MATRICES))
@@ -336,22 +340,20 @@ def test_corr_readers_reject_nan(tmp_path, name):
     values = NAN_MATRICES[name]
     cells = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
     path = tmp_path / "c.csv"
-    path.write_text(f"kind,m,goods,k\ngenuine,2,,\n{cells}\n")
-    with pytest.raises((SchemaError, NotSymmetric)):
+    path.write_text(f"kind,m,goods,k\ngenuine,2,,2\n{cells}\n")
+    with pytest.raises((SchemaError, NotSymmetric), match="symmetr|diagonal|exceed"):
         corr_from_csv(path)
-    doc = {"kind": "genuine", "m": 2, "goods": None, "k": None, "values": values}
+    doc = {"kind": "genuine", "m": 2, "goods": None, "k": 2, "values": values}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     for source in (doc, path):
-        with pytest.raises((SchemaError, NotSymmetric)):
+        with pytest.raises((SchemaError, NotSymmetric), match="symmetr|diagonal|exceed"):
             corr_from_json(source)
 
 
 # a call on bad input, its error type and a message fragment
 REFUSED = {
     "CorrMatrix, empty": (lambda: CorrMatrix(np.zeros((0, 0))), SchemaError, "has no series"),
-    "CorrMatrix, kind": (
-        lambda: CorrMatrix(np.eye(2), kind="partial"), SchemaError, "unknown matrix kind"),
     "CorrMatrix, not square": (
         lambda: CorrMatrix(np.ones((2, 3))), SchemaError, "must be square"),
     "CorrMatrix, diagonal": (
@@ -370,6 +372,9 @@ REFUSED = {
     "corr_from_csv, not a matrix": (
         lambda: corr_from_csv(io.StringIO("a,b\n1,2\n3,4\n")),
         SchemaError, "not a correlation-matrix CSV"),
+    "corr_from_json, kind": (
+        lambda: corr_from_json({"kind": "partial", "values": np.eye(2).tolist()}),
+        SchemaError, "kind must be 'raw' when k is None, got 'partial'"),
 }
 
 
@@ -391,21 +396,14 @@ def test_mode_basis_rejects_nan(field, index):
         ModeBasis(**arrays)
 
 
-def test_mode_basis_layout_must_match_its_size():
-    basis = eigendecompose(CorrMatrix(np.eye(9), n_goods=3))
-    with pytest.raises(SchemaError, match="n_goods inconsistent"):
-        ModeBasis(basis.eigenvalues, basis.vectors, n_goods=2)
-    with pytest.raises(SchemaError, match="n_goods inconsistent"):
-        ModeBasis(np.ones(2), np.eye(2), n_goods=1)
-
-
-# the constructor field, its document/CSV header field, a refused value and the message
+# the constructor field (None for goods, which only a document records), its
+# document/CSV header field, a refused value and the message
 BAD_COUNTS = [
-    ("n_goods", "goods", 2.0, "n_goods must be an integer, got 2.0"),
-    ("n_goods", "goods", True, "n_goods must be an integer, got True"),
-    ("n_goods", "goods", "2", "n_goods must be an integer, got '2'"),
-    ("n_goods", "goods", -2, "n_goods inconsistent"),
-    ("n_goods", "goods", 0, "n_goods inconsistent"),
+    (None, "goods", 2.0, "goods must be an integer, got 2.0"),
+    (None, "goods", True, "goods must be an integer, got True"),
+    (None, "goods", "2", "goods must be an integer, got '2'"),
+    (None, "goods", -2, "goods must be 2 for 6 series, got -2"),
+    (None, "goods", 0, "goods must be 2 for 6 series, got 0"),
     ("n_modes", "k", 2.0, "n_modes must be an integer, got 2.0"),
     ("n_modes", "k", True, "n_modes must be an integer, got True"),
     ("n_modes", "k", np.bool_(False), "n_modes must be an integer, got "),
@@ -417,14 +415,15 @@ BAD_COUNTS = [
 
 @pytest.mark.parametrize("field, key, value, message", BAD_COUNTS)
 def test_corr_matrix_counts_must_be_integers_in_range(tmp_path, field, key, value, message):
-    with pytest.raises(SchemaError, match=message):
-        CorrMatrix(np.eye(6), kind="genuine", **{field: value})
-    doc = {"kind": "genuine", "m": 6, "goods": None, "k": None, "values": np.eye(6).tolist()}
+    if field is not None:
+        with pytest.raises(SchemaError, match=message):
+            CorrMatrix(np.eye(6), **{field: value})
+    doc = {"kind": "genuine", "m": 6, "goods": 2, "k": 0, "values": np.eye(6).tolist()}
     if not isinstance(value, np.bool_):  # JSON has no NumPy scalars
         with pytest.raises(SchemaError, match=message):
             corr_from_json({**doc, key: value})
     if type(value) is int:  # the CSV reader parses its header cells as ints
-        head = {"goods": "", "k": "", key: value}
+        head = {"goods": 2, "k": 0, key: value}
         cells = "\n".join(",".join(map(repr, row)) for row in np.eye(6).tolist())
         path = tmp_path / "c.csv"
         path.write_text(f"kind,m,goods,k\ngenuine,6,{head['goods']},{head['k']}\n{cells}\n")
@@ -432,18 +431,42 @@ def test_corr_matrix_counts_must_be_integers_in_range(tmp_path, field, key, valu
             corr_from_csv(path)
 
 
-@pytest.mark.parametrize("value", [2.0, True, np.True_, "2", -2, 0])
-def test_mode_basis_goods_must_be_an_integer_matching_its_size(value):
-    with pytest.raises(SchemaError, match="n_goods"):
-        ModeBasis(np.ones(6), np.eye(6), n_goods=value)
+# a genuine matrix that is not positive semidefinite (eigenvalues -0.8, 1.9, 1.9)
+NOT_PSD = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+
+# a change to a matrix document, and the refusal naming its field
+MISRECORDED = {
+    "raw with k": ({"kind": "raw"}, "kind must be 'genuine' when k is 2, got 'raw'"),
+    "genuine without k": ({"k": None}, "kind must be 'raw' when k is None, got 'genuine'"),
+    "goods empty for M = 3G": ({"goods": None}, "goods must be 1 for 3 series, got None"),
+    "goods not M / 3": ({"goods": 2}, "goods must be 1 for 3 series, got 2"),
+    "goods without a layout": (
+        {"kind": "raw", "k": None, "m": 4, "values": np.eye(4).tolist()},
+        "goods must be empty for 4 series, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISRECORDED))
+def test_readers_refuse_a_kind_or_goods_the_matrix_does_not_derive(tmp_path, case):
+    change, message = MISRECORDED[case]
+    doc = {"kind": "genuine", "m": 3, "goods": 1, "k": 2, "values": NOT_PSD, **change}
+    with pytest.raises(SchemaError, match=f"^correlation-matrix document: {message}$"):
+        corr_from_json(doc)
+    head = ",".join("" if doc[key] is None else str(doc[key]) for key in ("kind", "m", "goods", "k"))
+    cells = "\n".join(",".join(map(repr, row)) for row in doc["values"])
+    path = tmp_path / "c.csv"
+    path.write_text(f"kind,m,goods,k\n{head}\n{cells}\n")
+    with pytest.raises(SchemaError, match=f"^correlation-matrix header: {message}$"):
+        corr_from_csv(path)
 
 
 def test_counts_are_kept_as_python_ints():
-    c = CorrMatrix(np.eye(6), kind="genuine", n_goods=np.int64(2), n_modes=np.uint8(0))
+    c = CorrMatrix(np.eye(6), n_modes=np.uint8(0))
     assert (c.n_goods, c.n_modes) == (2, 0) and type(c.n_goods) is type(c.n_modes) is int
     for k in (0, 6):
-        assert corr_from_json({"kind": "genuine", "values": np.eye(6).tolist(), "k": k}).n_modes == k
-    basis = ModeBasis(np.ones(6), np.eye(6), n_goods=np.int32(2))
+        doc = {"kind": "genuine", "goods": 2, "values": np.eye(6).tolist(), "k": k}
+        assert corr_from_json(doc).n_modes == k
+    basis = ModeBasis(np.ones(6), np.eye(6))
     assert basis.n_goods == 2 and type(basis.n_goods) is int
 
 
