@@ -147,6 +147,39 @@ def test_reduced_chi_names_its_own_mode_range(planted_csv, tmp_path):
     assert "mode count 100 outside [1, 63]" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, data, line",
+    [
+        (("phases", "--k", "500"), "panel", "frequency index 500 outside [1, 238]"),
+        (("stimuli", "--kset", "500"), "panel", "frequency index 500 outside [1, 238]"),
+        (("cycles", "--xi", "500"), "panel", "half-width 500 >= series length 239"),
+        (("reduced-chi", "--k", "64"), "panel", "mode count 64 outside [1, 63]"),
+        (("genuine", "--k", "64"), "panel", "mode count 64 outside [0, 63]"),
+        (("ripple", "--k", "1"), "2-goods panel", "expected the 21-goods layout, got 2"),
+        (("synth",), "AR(1) 1.5 spec", "AR(1) coefficient 1.5 outside (-1, 1)"),
+    ],
+)
+def test_error_line_and_exit_code(planted_csv, tmp_path, args, data, line):
+    panel_path, spec_path = planted_csv
+    if data == "panel":
+        args = (*args, "--input", str(panel_path))
+    elif data == "2-goods panel":
+        small = tmp_path / "small.csv"
+        write_panel_csv(to_level_panel(synth.generate(
+            synth.SynthSpec(n_series=6, n_obs=60, modes=(), seed=1))), small)
+        args = (*args, "--input", str(small))
+    else:
+        spec = json.loads(spec_path.read_text())
+        spec["modes"][0]["driver"]["coefficient"] = 1.5
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps(spec))
+        args = (*args, "--spec", str(bad))
+    res = run_cli(*args, "--outdir", "o", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == f"panelresponse: {line}\n"
+    assert res.stdout == ""
+
+
 def test_manifest_records_peak_rss(planted_csv, tmp_path):
     panel_path, _ = planted_csv
     res = run_cli("analyze", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
