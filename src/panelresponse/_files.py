@@ -102,13 +102,13 @@ def read_json(source: str | Path | TextIO | dict) -> dict:
 
 
 @contextlib.contextmanager
-def json_fields(what: str, error: type[PanelResponseError] = SchemaError) -> Iterator[None]:
-    """Raise a missing (named) or malformed field of a ``what`` document as ``error``."""
+def json_fields(what: str) -> Iterator[None]:
+    """Raise a missing (named) or malformed field of a ``what`` document as a SchemaError."""
     try:
         yield
     except PanelResponseError:
         raise
     except KeyError as exc:
-        raise error(f"{what} lacks field {exc}") from None
+        raise SchemaError(f"{what} lacks field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise error(f"malformed {what}: {exc}") from None
+        raise SchemaError(f"malformed {what}: {exc}") from None

@@ -37,7 +37,7 @@ from .cycles import (
     mode_phases,
     moving_average,
 )
-from .errors import BadModeCount, PanelResponseError
+from .errors import BadParameter, PanelResponseError
 from .genuine import default_mode_count, genuine_matrix
 from .nullmodel import null_ensemble
 from .panel import (
@@ -264,7 +264,7 @@ def _cmd_reduced_chi(args, config: dict) -> tuple[dict, dict]:
     _, _, basis = _spectrum(args)
     if args.k > basis.m:
         # reduced_susceptibility's range, named before genuine_matrix names its own
-        raise BadModeCount(f"mode count {args.k} outside [1, {basis.m}]")
+        raise BadParameter(f"mode count {args.k} outside [1, {basis.m}]")
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
     values, normalized = red.values.tolist(), red.normalized.tolist()
     return {

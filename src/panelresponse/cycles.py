@@ -28,19 +28,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._files import write_rows
-from .errors import (
-    BadFrequencyIndex,
-    BadModeCount,
-    BadParameter,
-    DegenerateWeights,
-    DimensionMismatch,
-    EmptyInput,
-    InsufficientOverlap,
-    ReferenceAmplitudeZero,
-    SingularSusceptibility,
-    WindowTooWide,
-)
-from .panel import SeriesId, Variable, _class_rows, _goods, _row
+from .errors import BadParameter, DegenerateWeights, SchemaError
+from .panel import SeriesId, Variable, _class_rows, _freeze, _goods, _layout_entries, _row
 from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
 
@@ -68,7 +57,7 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarr
     if half_width < 0:
         raise BadParameter(f"half-width must be >= 0, got {half_width}")
     if half_width >= n:
-        raise WindowTooWide(f"half-width {half_width} >= series length {n}")
+        raise BadParameter(f"half-width {half_width} >= series length {n}")
     if half_width == 0:
         return arr.copy()
     csum = np.concatenate([[0.0], np.cumsum(arr)])
@@ -93,17 +82,17 @@ def lag_correlation(
     xs = moving_average(x, half_width)
     ys = moving_average(y, half_width)
     if xs.size != ys.size:
-        raise DimensionMismatch("series lengths differ")
+        raise SchemaError("series lengths differ")
     n = xs.size
     if n - abs(lag) < 2:
-        raise InsufficientOverlap(f"overlap for lag {lag} shorter than 2 points")
+        raise BadParameter(f"overlap for lag {lag} shorter than 2 points")
     if lag >= 0:
         num = float(np.mean(xs[lag:] * ys[: n - lag]))
     else:
         num = float(np.mean(xs[: n + lag] * ys[-lag:]))
     den = float(np.sqrt(np.mean(xs**2) * np.mean(ys**2)))
     if den == 0.0:
-        raise InsufficientOverlap("a smoothed series vanishes identically")
+        raise BadParameter("a smoothed series vanishes identically")
     return num / den
 
 
@@ -117,7 +106,7 @@ def dft(x: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     n = arr.size
     if n < 2:
-        raise EmptyInput(f"need at least 2 points, got {n}")
+        raise SchemaError(f"need at least 2 points, got {n}")
     k = np.arange(n)
     # t_j = j with j = 1..N', so the array origin carries one extra phase step
     phase = np.exp(2j * np.pi * k / n)
@@ -129,7 +118,7 @@ def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     n = c.size
     if n < 2:
-        raise EmptyInput(f"need at least 2 coefficients, got {n}")
+        raise SchemaError(f"need at least 2 coefficients, got {n}")
     k = np.arange(n)
     out = np.fft.fft(c * np.exp(-2j * np.pi * k / n)) / np.sqrt(n)
     scale = np.abs(c).max()
@@ -141,10 +130,10 @@ def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
 def _check_kset(kset: Iterable[int], n: int) -> list[int]:
     ks = sorted(set(int(k) for k in kset))
     if not ks:
-        raise EmptyInput("empty frequency set")
+        raise BadParameter("empty frequency set")
     for k in ks:
         if not 1 <= k <= n - 1:
-            raise BadFrequencyIndex(f"frequency index {k} outside [1, {n - 1}]")
+            raise BadParameter(f"frequency index {k} outside [1, {n - 1}]")
     return ks
 
 
@@ -173,7 +162,7 @@ def _mode_residuals(
 ) -> np.ndarray:
     """Smoothed-minus-long-period residual of the two leading mode series (2 x N')."""
     if ms.coeffs.shape[0] < 2:
-        raise BadModeCount("need the two leading mode series")
+        raise SchemaError("need the two leading mode series")
     return np.stack(
         [moving_average(a, half_width) - long_period(a, kset) for a in ms.coeffs[:2]]
     )
@@ -191,7 +180,7 @@ def residual_disturbance(
     long-period components, mapped back through the eigenvectors (M x N').
     """
     if basis.m < 2:
-        raise BadModeCount("need at least two modes in the basis")
+        raise SchemaError("need at least two modes in the basis")
     # read once, so a one-shot iterable serves both modes
     resid = _mode_residuals(ms, half_width, tuple(kset))
     return basis.vectors[:, :2] @ resid
@@ -206,6 +195,9 @@ class StimulusSeries:
     beta: float
     half_width: int
     kset: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _freeze(np.asarray(self.values)))
 
     @property
     def eta1(self) -> np.ndarray:
@@ -234,10 +226,10 @@ def external_stimuli(
     to the fields instantaneously.
     """
     if chi.values.shape != (2, 2):
-        raise BadModeCount("stimulus inversion uses exactly the two leading modes")
+        raise SchemaError("stimulus inversion uses exactly the two leading modes")
     det = abs(float(np.linalg.det(chi.values)))
     if det <= 1e-12 * float(np.sum(chi.values**2)):
-        raise SingularSusceptibility(f"determinant {det:.3e} too small")
+        raise BadParameter(f"determinant {det:.3e} too small")
     # read once, so a one-shot iterable serves both modes and the record
     kset = tuple(kset)
     resid = _mode_residuals(ms, half_width, kset)
@@ -266,8 +258,9 @@ class PhaseTable:
     """Per-series oscillation phases in degrees, relative to a reference series.
 
     Values lie in (-180, 180]; positive means the series peaks earlier than
-    the reference.  The reference entry is exactly zero.  ``n_goods`` is
-    derived from the number of phases M: G when M = 3G.
+    the reference.  The reference entry is exactly zero.  ``phases`` is
+    read-only, one entry per series of a 3 x G layout (else SchemaError);
+    ``n_goods`` is derived from their number M = 3G.
     """
 
     phases: np.ndarray
@@ -275,8 +268,11 @@ class PhaseTable:
     period_label: str
     kset: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "phases", _layout_entries(self.phases, "phase"))
+
     @property
-    def n_goods(self) -> int | None:
+    def n_goods(self) -> int:
         return _goods(self.phases.size)
 
     def phase(self, sid: SeriesId) -> float:
@@ -299,7 +295,7 @@ class PhaseTable:
 def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, ks: list[int]) -> np.ndarray:
     """Complex amplitude of each series at each frequency of ks in the two-mode picture (M x K)."""
     if ms.coeffs.shape[0] < 2 or basis.m < 2:
-        raise BadModeCount("need the two leading modes")
+        raise SchemaError("need the two leading modes")
     bins = np.stack([dft(a)[ks] for a in ms.coeffs[:2]])
     return basis.vectors[:, :2] @ bins
 
@@ -317,7 +313,7 @@ def mode_phases(
     n = ms.coeffs.shape[1]
     amp = _two_mode_amplitudes(ms, basis, _check_kset([k], n))[:, 0]
     if np.abs(amp[ref_idx]) < 1e-12:
-        raise ReferenceAmplitudeZero(f"reference {ref.label} has no amplitude at k={k}")
+        raise BadParameter(f"reference {ref.label} has no amplitude at k={k}")
     rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
     rel[ref_idx] = 0.0
     label = f"T={round((n + 1) / k)}"

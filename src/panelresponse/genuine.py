@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadModeCount
+from .errors import BadParameter
 from .nullmodel import NullEnsemble
 from .panel import _frozen
 from .spectral import CorrMatrix, ModeBasis, reconstruct
@@ -25,7 +25,7 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     diagonal is already one).
     """
     if not 0 <= k <= basis.m:
-        raise BadModeCount(f"mode count {k} outside [0, {basis.m}]")
+        raise BadParameter(f"mode count {k} outside [0, {basis.m}]")
     values = reconstruct(basis, range(1, k + 1))
     np.fill_diagonal(values, 1.0)
     values = (values + values.T) / 2.0

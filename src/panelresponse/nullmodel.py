@@ -28,13 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._files import json_fields, read_json, write_json, write_rows
-from .errors import (
-    BadConfidence,
-    BadParameter,
-    EmptyEnsemble,
-    LagOutOfRange,
-    SchemaError,
-)
+from .errors import BadParameter, SchemaError
 from .panel import StandardizedPanel, _freeze, _frozen, _integer, check_standardized
 
 
@@ -56,7 +50,7 @@ def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
     """
     n = w.n_obs
     if not 0 <= lag <= n - 2:
-        raise LagOutOfRange(f"lag {lag} outside [0, {n - 2}]")
+        raise BadParameter(f"lag {lag} outside [0, {n - 2}]")
     if lag == 0:
         return (w.values * w.values).mean(axis=1)
     v = w.values
@@ -77,7 +71,7 @@ def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
     z((1+confidence)/2) / sqrt(N') around zero (1.96/sqrt(N') at 95%).
     """
     if not 0.0 < confidence < 1.0:
-        raise BadConfidence(f"confidence must be in (0, 1), got {confidence}")
+        raise BadParameter(f"confidence must be in (0, 1), got {confidence}")
     if n_obs < 2:
         raise BadParameter(f"sample length must be >= 2, got {n_obs}")
     # imported here, as statistics imports decimal and fractions: no CLI start pays for them
@@ -308,7 +302,7 @@ class NullEnsemble:
     (at least 0) is kept as a Python int, under the rules of
     :func:`null_ensemble`.  ``samples`` and ``edge`` are derived from
     ``lambda_max``: its length (at least 1, else
-    :class:`~panelresponse.errors.EmptyEnsemble`) and the
+    :class:`~panelresponse.errors.BadParameter`) and the
     :func:`upper_edge` interval at 95% confidence.
     """
 
@@ -320,7 +314,7 @@ class NullEnsemble:
     def __post_init__(self):
         lmax = _freeze(np.asarray(self.lambda_max, dtype=float))
         if lmax.ndim != 1:
-            raise EmptyEnsemble(f"lambda_max must be 1-D, got shape {lmax.shape}")
+            raise SchemaError(f"lambda_max must be 1-D, got shape {lmax.shape}")
         _, seed = _sample_count_and_seed(lmax.size, self.seed)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "lambda_max", lmax)
@@ -371,7 +365,7 @@ class NullEnsemble:
                     lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
                 )
                 samples = _integer("samples", doc["samples"])
-            except (BadParameter, EmptyEnsemble) as exc:
+            except (BadParameter, SchemaError) as exc:
                 # a value the constructor refuses makes the document malformed
                 raise SchemaError(f"null-ensemble document: {exc}") from None
             if samples != ensemble.samples:
@@ -386,7 +380,7 @@ class NullEnsemble:
     def pooled_to_csv(self, target: str | Path | TextIO) -> None:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
-            raise EmptyEnsemble("ensemble carries no pooled eigenvalues")
+            raise SchemaError("ensemble carries no pooled eigenvalues")
         # one sample at a time, its index rendered once for its M rows
         rows = itertools.chain.from_iterable(
             zip(itertools.repeat(str(s)), row.tolist()) for s, row in enumerate(self.pooled)
@@ -395,10 +389,10 @@ class NullEnsemble:
 
 
 def _sample_count_and_seed(samples, seed) -> tuple[int, int]:
-    """``samples`` (>= 1, else EmptyEnsemble) and ``seed`` (>= 0) as Python ints."""
+    """``samples`` (>= 1) and ``seed`` (>= 0) as Python ints, else BadParameter."""
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
-        raise EmptyEnsemble(f"samples must be >= 1, got {samples}")
+        raise BadParameter(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise BadParameter(f"seed must be >= 0, got {seed}")
     return samples, seed
@@ -524,7 +518,7 @@ def upper_edge(
 ) -> tuple[float, float, float]:
     """(center, low, high): mean largest eigenvalue with percentile interval."""
     if not 0.0 <= confidence < 1.0:
-        raise BadConfidence(f"confidence must be in [0, 1), got {confidence}")
+        raise BadParameter(f"confidence must be in [0, 1), got {confidence}")
     center = float(ensemble.lambda_max.mean())
     half = 50.0 * confidence
     low, high = np.percentile(ensemble.lambda_max, [50.0 - half, 50.0 + half])

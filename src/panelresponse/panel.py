@@ -30,14 +30,11 @@ from ._files import open_text, read_rows, write_rows
 from .errors import (
     BadParameter,
     DegenerateSeries,
-    DuplicateSeries,
-    IrregularTimeAxis,
     MissingData,
     MissingWeight,
     NonPositiveLevel,
     PanelResponseError,
     SchemaError,
-    UnknownSeries,
 )
 
 
@@ -178,13 +175,23 @@ def _class_rows(alpha: Variable | int | str, m: int) -> slice:
 
 
 def _row(sid: SeriesId, m: int) -> int:
-    """0-based row of ``sid`` in an M-row container; UnknownSeries unless its layout holds it."""
+    """0-based row of ``sid`` in an M-row container; BadParameter unless its layout holds it."""
     g = _goods(m)
     if g is None:
-        raise UnknownSeries(f"series {sid.label}: {m} series have no 3 x G layout")
+        raise BadParameter(f"series {sid.label}: {m} series have no 3 x G layout")
     if sid.goods > g:
-        raise UnknownSeries(f"series {sid.label} not in a {g}-goods layout")
+        raise BadParameter(f"series {sid.label} not in a {g}-goods layout")
     return sid.flat(g) - 1
+
+
+def _layout_entries(values, what: str) -> np.ndarray:
+    """``values`` read-only, one ``what`` per series of a 3 x G layout, else SchemaError."""
+    v = _freeze(np.asarray(values))
+    if v.ndim != 1:
+        raise SchemaError(f"{what} values must be a 1-D array")
+    if not v.size or _goods(v.size) is None:
+        raise SchemaError(f"{what} count {v.size} is not 3 x G")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +315,8 @@ class Panel:
         if np.any(steps != 1):
             j = int(np.argmax(steps != 1))
             if steps[j] == 0:
-                raise IrregularTimeAxis(f"duplicate month {months[j]}")
-            raise IrregularTimeAxis(
+                raise SchemaError(f"duplicate month {months[j]}")
+            raise SchemaError(
                 f"months are not consecutive: {months[j + 1]} follows {months[j]}"
             )
         good = (values > 0.0) & (values < np.inf)
@@ -586,7 +593,7 @@ def _read_rows(
     for cell in header[1:]:
         sid = SeriesId.parse(cell)
         if sid in seen:
-            raise DuplicateSeries(f"duplicate series {sid.label}")
+            raise SchemaError(f"duplicate series {sid.label}")
         seen.add(sid)
         col_ids.append(sid)
     if not col_ids:

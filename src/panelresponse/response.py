@@ -21,8 +21,8 @@ from typing import TextIO
 import numpy as np
 
 from ._files import write_rows
-from .errors import BadBeta, BadModeCount, BadParameter, LayoutMismatch
-from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _goods, _row
+from .errors import BadParameter, SchemaError
+from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _goods, _layout_entries, _row
 from .spectral import CorrMatrix, ModeBasis
 
 
@@ -30,15 +30,19 @@ from .spectral import CorrMatrix, ModeBasis
 class RippleReport:
     """Responses of all series to a shift applied at one source series.
 
-    ``n_goods`` is derived from the number of responses M: G when M = 3G.
+    ``responses`` is read-only, one entry per series of a 3 x G layout (else
+    SchemaError); ``n_goods`` is derived from their number M = 3G.
     """
 
     source: SeriesId
     shift: float
     responses: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "responses", _layout_entries(self.responses, "response"))
+
     @property
-    def n_goods(self) -> int | None:
+    def n_goods(self) -> int:
         return _goods(self.responses.size)
 
     def response(self, sid: SeriesId) -> float:
@@ -54,9 +58,7 @@ class ReducedSusceptibility:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        v = (v + v.T) / 2.0
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen((v + v.T) / 2.0))
 
     @property
     def normalized(self) -> np.ndarray:
@@ -90,7 +92,7 @@ def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
     shipments of goods g.  Requires the standard 21-goods layout.
     """
     if cg.n_goods != 21:
-        raise LayoutMismatch(f"expected the 21-goods layout, got {cg.n_goods}")
+        raise BadParameter(f"expected the 21-goods layout, got {cg.n_goods}")
     prod = _row(SeriesId(Variable.PRODUCTION, 20), cg.m)  # P.20 and P.21
     ship = _row(SeriesId(Variable.SHIPMENTS, 1), cg.m)  # S.1 .. S.19
     return cg.values[prod:prod + 2, ship:ship + 19].T.copy()
@@ -124,10 +126,10 @@ def reduced_susceptibility(
     the noise-filtered matrix the diagonal reset adds small corrections.
     """
     if not 0 < beta < np.inf:
-        raise BadBeta(f"beta must be positive and finite, got {beta}")
+        raise BadParameter(f"beta must be positive and finite, got {beta}")
     if not 1 <= k <= basis.m:
-        raise BadModeCount(f"mode count {k} outside [1, {basis.m}]")
+        raise BadParameter(f"mode count {k} outside [1, {basis.m}]")
     if c.m != basis.m:
-        raise BadModeCount("matrix and basis dimensions differ")
+        raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
     return ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk), beta=beta)

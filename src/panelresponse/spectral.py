@@ -23,14 +23,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from ._files import json_fields, open_text, read_json, read_rows, write_rows
-from .errors import (
-    BadModeIndex,
-    DimensionMismatch,
-    EigensolverFailure,
-    NotSymmetric,
-    QOutOfRange,
-    SchemaError,
-)
+from .errors import BadParameter, EigensolverFailure, SchemaError
 from .panel import StandardizedPanel, Variable, _class_rows, _freeze, _frozen, _goods, _integer
 
 _SYM_TOL = 1e-12
@@ -70,7 +63,7 @@ class CorrMatrix:
         with np.errstate(invalid="ignore"):  # inf - inf is a NaN, and fails
             asymmetry = np.abs(v - v.T).max()
         if not asymmetry <= _SYM_TOL:
-            raise NotSymmetric(f"asymmetry {asymmetry:.3e} exceeds {_SYM_TOL}")
+            raise SchemaError(f"asymmetry {asymmetry:.3e} exceeds {_SYM_TOL}")
         if not np.abs(np.diag(v) - 1.0).max() <= _DIAG_TOL:
             raise SchemaError("diagonal entries must equal 1")
         limit = _RAW_ENTRY_TOL if self.kind == "raw" else _GENUINE_ENTRY_TOL
@@ -125,7 +118,7 @@ class ModeBasis:
         if m < 1:
             raise SchemaError("mode basis has no modes")
         if vec.shape != (m, m):
-            raise DimensionMismatch("eigenvector matrix must be M x M")
+            raise SchemaError("eigenvector matrix must be M x M")
         if not np.isfinite(lam).all():
             raise SchemaError("eigenvalues must be finite")
         if not np.all(np.diff(lam) <= 1e-10):
@@ -156,7 +149,7 @@ class ModeSeries:
         months = _freeze(np.asarray(self.months, dtype="datetime64[M]"))
         coeffs = _freeze(np.asarray(self.coeffs, dtype=float))
         if coeffs.ndim != 2 or months.shape != (coeffs.shape[1],):
-            raise DimensionMismatch("mode coefficients and months are inconsistent")
+            raise SchemaError("mode coefficients and months are inconsistent")
         object.__setattr__(self, "months", months)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -234,7 +227,7 @@ def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
     Summing a_n(t_j) V_l^(n) over all M modes reconstructs w_l(t_j) exactly.
     """
     if basis.m != w.n_series:
-        raise DimensionMismatch(
+        raise SchemaError(
             f"basis dimension {basis.m} does not match panel {w.n_series}"
         )
     return ModeSeries(months=w.months, coeffs=_frozen(basis.vectors.T @ w.values))
@@ -245,7 +238,7 @@ def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
     idx = np.array(sorted({int(n) for n in modes}), dtype=int)
     for n in idx:
         if not 1 <= n <= basis.m:
-            raise BadModeIndex(f"mode {n} outside [1, {basis.m}]")
+            raise BadParameter(f"mode {n} outside [1, {basis.m}]")
     v = basis.vectors[:, idx - 1]
     return (v * basis.eigenvalues[idx - 1]) @ v.T
 
@@ -258,7 +251,7 @@ def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
 def mp_bounds(q: float) -> tuple[float, float]:
     """Support bounds (1 -+ sqrt(Q))^2 / Q of the Marchenko-Pastur density."""
     if q <= 1.0:
-        raise QOutOfRange(f"aspect ratio must exceed 1, got {q}")
+        raise BadParameter(f"aspect ratio must exceed 1, got {q}")
     root = np.sqrt(q)
     return float((1.0 - root) ** 2 / q), float((1.0 + root) ** 2 / q)
 
@@ -291,17 +284,20 @@ def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     ))
 
 
-def _recorded(what: str, values: np.ndarray, kind, goods, k) -> CorrMatrix:
-    """The matrix a document records, if its ``kind`` and ``goods`` are the derived ones.
+def _recorded(what: str, values: np.ndarray, kind, m, goods, k) -> CorrMatrix:
+    """The matrix a document records, if its ``kind``, ``m`` and ``goods`` are the derived ones.
 
     ``kind`` must be "genuine" when ``k`` is present and "raw" otherwise; it
     is checked before the matrix, so a mislabelled matrix is refused as
-    such.  ``goods`` must be G when M = 3G, and empty (None) otherwise.
+    such.  ``m``, where recorded (not None), must be the matrix's M.
+    ``goods`` must be G when M = 3G, and empty (None) otherwise.
     """
     expected = "raw" if k is None else "genuine"
     if kind != expected:
         raise SchemaError(f"{what}: kind must be {expected!r} when k is {k!r}, got {kind!r}")
     c = CorrMatrix(values=values, n_modes=k)
+    if m is not None and _integer(f"{what}: m", m, SchemaError) != c.m:
+        raise SchemaError(f"{what}: m must be {c.m}, the size of its matrix, got {m!r}")
     if goods is not None:
         goods = _integer(f"{what}: goods", goods, SchemaError)
     if goods != c.n_goods:
@@ -311,7 +307,7 @@ def _recorded(what: str, values: np.ndarray, kind, goods, k) -> CorrMatrix:
 
 
 def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
-    """Read a :func:`corr_to_csv` file; its ``kind`` and ``goods`` must be the derived ones."""
+    """Read a :func:`corr_to_csv` file; ``kind``, ``m`` and ``goods`` must be the derived ones."""
     with open_text(source) as fh:
         rows = list(read_rows(fh))
     if len(rows) < 3 or rows[0][:2] != ["kind", "m"]:
@@ -323,14 +319,14 @@ def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
         n_modes = int(head["k"]) if head.get("k") else None
     except (KeyError, ValueError):
         raise SchemaError(f"bad correlation-matrix header {rows[1]!r}") from None
-    body = rows[2: 2 + m]
+    body = rows[2:]
     if len(body) != m or any(len(row) != m for row in body):
         raise SchemaError(f"correlation-matrix body is not {m} x {m}")
     try:
         values = _frozen(np.array(body, dtype=float))
     except ValueError as exc:
         raise SchemaError(f"bad correlation-matrix cell: {exc}") from None
-    return _recorded("correlation-matrix header", values, kind, n_goods, n_modes)
+    return _recorded("correlation-matrix header", values, kind, m, n_goods, n_modes)
 
 
 def _corr_document(c: CorrMatrix) -> dict:
@@ -343,9 +339,9 @@ def _corr_document(c: CorrMatrix) -> dict:
 
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:
-    """Read a matrix document; its ``kind`` and ``goods`` must be the derived ones."""
+    """Read a matrix document; its ``kind``, ``m`` and ``goods`` must be the derived ones."""
     doc = read_json(source)
     with json_fields("correlation-matrix document"):
         values = _frozen(np.array(doc["values"], dtype=float))
         return _recorded("correlation-matrix document", values,
-                         doc["kind"], doc.get("goods"), doc.get("k"))
+                         doc["kind"], doc.get("m"), doc.get("goods"), doc.get("k"))

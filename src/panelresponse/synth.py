@@ -21,8 +21,16 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from ._files import json_fields, read_json, write_json
-from .errors import BadParameter, InfeasibleSpec
-from .panel import GrowthPanel, Panel, StandardizedPanel, _frozen, parse_month, standardize
+from .errors import BadParameter, SchemaError
+from .panel import (
+    GrowthPanel,
+    Panel,
+    StandardizedPanel,
+    _freeze,
+    _frozen,
+    parse_month,
+    standardize,
+)
 
 _ORTHO_TOL = 1e-10
 
@@ -43,7 +51,7 @@ class Ar1:
 
     def __post_init__(self):
         if not -1.0 < self.coefficient < 1.0:
-            raise InfeasibleSpec(f"AR(1) coefficient {self.coefficient} outside (-1, 1)")
+            raise BadParameter(f"AR(1) coefficient {self.coefficient} outside (-1, 1)")
 
 
 Driver = Union[Sinusoid, Ar1]
@@ -64,9 +72,7 @@ class PlantedMode:
 
     def __post_init__(self):
         if self.loading is not None:
-            v = np.array(self.loading, dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, "loading", v)
+            object.__setattr__(self, "loading", _freeze(np.asarray(self.loading)))
 
 
 @dataclass(frozen=True)
@@ -82,17 +88,17 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_series < 1 or self.n_obs < 2:
-            raise InfeasibleSpec("panel must have at least 1 series and 2 months")
+            raise BadParameter("panel must have at least 1 series and 2 months")
         if self.seed < 0:
             raise BadParameter(f"seed must be >= 0, got {self.seed}")
         if sum(m.eigenvalue for m in self.modes) > self.n_series + 1e-9:
-            raise InfeasibleSpec("planted eigenvalues exceed the trace budget M")
+            raise BadParameter("planted eigenvalues exceed the trace budget M")
         for m in self.modes:
             if m.loading is not None and m.loading.shape != (self.n_series,):
-                raise InfeasibleSpec("loading length differs from series count")
+                raise SchemaError("loading length differs from series count")
         if self.noise_ar1 is not None and not np.isscalar(self.noise_ar1):
             if len(self.noise_ar1) != self.n_series:  # type: ignore[arg-type]
-                raise InfeasibleSpec("per-series noise coefficients differ from M")
+                raise SchemaError("per-series noise coefficients differ from M")
         object.__setattr__(self, "modes", tuple(self.modes))
 
 
@@ -101,7 +107,7 @@ def _noise_coeffs(spec: SynthSpec) -> np.ndarray | None:
         return None
     phi = np.broadcast_to(np.asarray(spec.noise_ar1, dtype=float), (spec.n_series,))
     if np.any(np.abs(phi) >= 1.0):
-        raise InfeasibleSpec("noise AR(1) coefficients must lie in (-1, 1)")
+        raise BadParameter("noise AR(1) coefficients must lie in (-1, 1)")
     return np.array(phi)
 
 
@@ -140,7 +146,7 @@ def _resolve_loadings(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
             loadings[:, i] = q[:, j]
     gram = loadings.T @ loadings
     if np.abs(gram - np.eye(k)).max() > _ORTHO_TOL:
-        raise InfeasibleSpec("planted loadings are not pairwise orthonormal")
+        raise BadParameter("planted loadings are not pairwise orthonormal")
     return loadings
 
 
@@ -159,7 +165,7 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
     scales = np.empty(k)
     for i, mode in enumerate(spec.modes):
         if mode.eigenvalue < floor:
-            raise InfeasibleSpec(
+            raise BadParameter(
                 f"target eigenvalue {mode.eigenvalue} below the noise floor {floor}"
             )
         scales[i] = np.sqrt(mode.eigenvalue - floor)
@@ -179,7 +185,7 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
                 break
         if phi is not None and np.any(mode_var > 1.0 + 1e-9):
             worst = int(np.argmax(mode_var))
-            raise InfeasibleSpec(
+            raise BadParameter(
                 f"mode variance {mode_var[worst]:.3f} exceeds 1 for series {worst + 1}"
             )
 
@@ -215,7 +221,7 @@ def to_level_panel(w: StandardizedPanel) -> Panel:
     exactly up to standardization (which removes the affine scale).
     """
     if w.n_goods is None:
-        raise InfeasibleSpec("panel series count is not 3 x G; cannot tag series")
+        raise SchemaError("panel series count is not 3 x G; cannot tag series")
     m, n = w.values.shape
     levels = np.empty((m, n + 1))
     levels[:, 0] = _BASE_LEVEL
@@ -259,8 +265,12 @@ def spec_to_json(spec: SynthSpec, target: str | Path | TextIO | None = None) -> 
 
 
 def spec_from_json(source: str | Path | TextIO | dict) -> SynthSpec:
-    """Spec from a JSON document; bad JSON raises SchemaError, a bad spec InfeasibleSpec."""
-    with json_fields("spec", InfeasibleSpec):
+    """Spec from a JSON document.
+
+    Unreadable JSON, a missing or wrong-typed field and an unknown driver kind
+    raise SchemaError; a value the spec refuses raises BadParameter.
+    """
+    with json_fields("spec"):
         return _spec_from_doc(read_json(source))
 
 
@@ -268,7 +278,7 @@ def _field(value, key: str, kind: type | tuple = (int, float)):
     """A spec field's value, checked to be a JSON number, integer or string (kind)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = {int: "an integer", str: "a string"}.get(kind, "a number")
-        raise InfeasibleSpec(f"spec field {key!r} must be {what}, got {value!r}")
+        raise SchemaError(f"spec field {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -284,7 +294,7 @@ def _spec_from_doc(doc: dict) -> SynthSpec:
         elif dspec["kind"] == "ar1":
             driver = Ar1(coefficient=_field(dspec["coefficient"], "coefficient"))
         else:
-            raise InfeasibleSpec(f"unknown driver kind {dspec['kind']!r}")
+            raise SchemaError(f"unknown driver kind {dspec['kind']!r}")
         loading = entry.get("loading", "random")
         modes.append(PlantedMode(
             eigenvalue=_field(entry["eigenvalue"], "eigenvalue"),

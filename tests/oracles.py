@@ -17,13 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from panelresponse._files import open_text
-from panelresponse.errors import (
-    DuplicateSeries,
-    IrregularTimeAxis,
-    MissingData,
-    NonPositiveLevel,
-    SchemaError,
-)
+from panelresponse.errors import MissingData, NonPositiveLevel, SchemaError
 from panelresponse.panel import (
     MonthLike,
     Panel,
@@ -268,7 +262,7 @@ def explicit_load_panel(
     for cell in header[1:]:
         sid = SeriesId.parse(cell)
         if sid in seen:
-            raise DuplicateSeries(f"duplicate series {sid.label}")
+            raise SchemaError(f"duplicate series {sid.label}")
         seen.add(sid)
         col_ids.append(sid)
     if not col_ids:
@@ -311,9 +305,9 @@ def explicit_load_panel(
         raise SchemaError(f"panel needs at least 3 months, got {len(records)}")
     for (before, _), (after, _) in zip(records, records[1:]):
         if after == before:
-            raise IrregularTimeAxis(f"duplicate month {before}")
+            raise SchemaError(f"duplicate month {before}")
         if after - before != np.timedelta64(1, "M"):
-            raise IrregularTimeAxis(f"months are not consecutive: {after} follows {before}")
+            raise SchemaError(f"months are not consecutive: {after} follows {before}")
 
     m = 3 * n_goods
     values = np.empty((m, len(records)))

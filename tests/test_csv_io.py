@@ -28,13 +28,7 @@ from panelresponse import (
 )
 from panelresponse import _files, cli
 from panelresponse import panel as panel_module
-from panelresponse.errors import (
-    IrregularTimeAxis,
-    MissingData,
-    NonPositiveLevel,
-    PanelResponseError,
-    SchemaError,
-)
+from panelresponse.errors import MissingData, NonPositiveLevel, PanelResponseError, SchemaError
 from panelresponse.panel import StandardizedPanel
 
 from oracles import csv_writer_text, explicit_load_panel, month_list, traced_peak
@@ -127,15 +121,15 @@ def test_load_panel_matches_per_cell_oracle():
         assert new == outcome(explicit_load_panel, text, window)
         reached.add("ok" if new[0] == "ok" else new[1].__name__)
         if new[0] == "error" and new[1] is SchemaError:
-            reached.update(k for k in ("bad value", "bad date", "row has", "infinite level")
-                           if k in new[2])
-        if new[0] == "error" and new[1] is IrregularTimeAxis:
-            reached.add("duplicate month" if "duplicate" in new[2] else "gap")
+            reached.update(k for k in ("bad value", "bad date", "row has", "infinite level",
+                                       "duplicate month", "duplicate series") if k in new[2])
+            if "not consecutive" in new[2]:
+                reached.add("gap")
 
     check()
     # the comparison means little unless panels load and fail in every way
     assert reached >= {
-        "ok", "MissingData", "NonPositiveLevel", "duplicate month", "gap", "DuplicateSeries",
+        "ok", "MissingData", "NonPositiveLevel", "duplicate month", "gap", "duplicate series",
         "SchemaError", "bad value", "bad date", "row has", "infinite level",
     }
 

@@ -28,17 +28,7 @@ from panelresponse import (
     residual_disturbance,
     ripple,
 )
-from panelresponse.errors import (
-    BadFrequencyIndex,
-    BadParameter,
-    DegenerateWeights,
-    EmptyInput,
-    InsufficientOverlap,
-    ReferenceAmplitudeZero,
-    SingularSusceptibility,
-    UnknownSeries,
-    WindowTooWide,
-)
+from panelresponse.errors import BadParameter, DegenerateWeights, SchemaError
 
 from oracles import brute_moving_average, circular_mean_degrees, direct_dft
 
@@ -101,9 +91,9 @@ def test_moving_average_linearity():
 
 
 def test_moving_average_window_too_wide():
-    with pytest.raises(WindowTooWide):
+    with pytest.raises(BadParameter, match="half-width 10 >= series length 10"):
         moving_average(np.zeros(10), 10)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="half-width must be >= 0"):
         moving_average(np.zeros(10), -1)
 
 
@@ -136,7 +126,7 @@ def test_lag_correlation_detects_shift():
 
 def test_lag_correlation_insufficient_overlap():
     x = np.arange(10, dtype=float)
-    with pytest.raises(InsufficientOverlap):
+    with pytest.raises(BadParameter, match="overlap for lag 9 shorter than 2 points"):
         lag_correlation(x, x, 9, 0)
 
 
@@ -175,7 +165,7 @@ def test_dft_round_trip_and_parseval():
 @pytest.mark.parametrize("size", [0, 1])
 def test_inverse_dft_needs_two_coefficients(size):
     # the lengths dft accepts; numpy's own ValueError used to escape at 0
-    with pytest.raises(EmptyInput, match="at least 2"):
+    with pytest.raises(SchemaError, match="at least 2"):
         inverse_dft(np.ones(size, dtype=complex))
 
 
@@ -227,11 +217,11 @@ def test_long_period_idempotent_and_real():
 
 def test_long_period_bad_index():
     x = np.zeros(50)
-    with pytest.raises(BadFrequencyIndex):
+    with pytest.raises(BadParameter, match=r"frequency index 0 outside \[1, 49\]"):
         long_period(x, [0])
-    with pytest.raises(BadFrequencyIndex):
+    with pytest.raises(BadParameter, match=r"frequency index 50 outside \[1, 49\]"):
         long_period(x, [50])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(BadParameter, match="empty frequency set"):
         long_period(x, [])
 
 
@@ -288,10 +278,10 @@ def test_residual_orthonormal_shortcut(planted_panel):
 def test_residual_reads_a_one_shot_kset_once():
     _, basis, ms = band_limited_setup()
     want = residual_disturbance(ms, basis, 6, (1, 2, 4, 6))
-    # the second mode used to find the iterator exhausted (EmptyInput)
+    # the second mode used to find the iterator exhausted (an empty frequency set)
     assert np.array_equal(residual_disturbance(ms, basis, 6, iter([1, 2, 4, 6])), want)
     # a bad half-width is still reported before a bad frequency set
-    with pytest.raises(WindowTooWide):
+    with pytest.raises(BadParameter, match=f"half-width {N} >= series length"):
         residual_disturbance(ms, basis, N, iter([]))
 
 
@@ -346,7 +336,7 @@ def test_stimuli_read_a_one_shot_kset_once():
 def test_stimuli_singular_chi():
     _, basis, ms = band_limited_setup()
     chi = ReducedSusceptibility(values=np.array([[1.0, 1.0], [1.0, 1.0]]), beta=1.0)
-    with pytest.raises(SingularSusceptibility):
+    with pytest.raises(BadParameter, match="determinant .* too small"):
         external_stimuli(ms, basis, chi, half_width=0, kset=(4, 6))
 
 
@@ -388,7 +378,7 @@ def test_mode_phases_reference_amplitude_zero():
     w2 = tone(7)
     w3 = (w1 + w2) / np.sqrt(2.0)
     _, basis, ms = rank2_pipeline([w1, w2, w3])
-    with pytest.raises(ReferenceAmplitudeZero):
+    with pytest.raises(BadParameter, match=r"reference P\.1 has no amplitude at k=7"):
         mode_phases(ms, basis, k=7, ref=SeriesId(Variable.PRODUCTION, 1))
 
 
@@ -494,14 +484,14 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     for call in (lambda: mode_phases(ms, basis, 4, ref),
                  lambda: freq_avg_phases(ms, basis, ref=ref),
                  lambda: mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phase(ref)):
-        with pytest.raises(UnknownSeries, match=r"^series P\.22 not in a 21-goods layout$"):
+        with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
             call()
-    with pytest.raises(UnknownSeries, match=r"^series S\.22 not in a 21-goods layout$"):
+    with pytest.raises(BadParameter, match=r"^series S\.22 not in a 21-goods layout$"):
         ripple(genuine_matrix(basis, 2), SeriesId.parse("S.22"))
     # a basis of four series has no layout at all
     w4 = StandardizedPanel.from_values(planted_panel.values[:4])
     four = eigendecompose(correlation_matrix(w4))
-    with pytest.raises(UnknownSeries, match=r"^series P\.1: 4 series have no 3 x G layout$"):
+    with pytest.raises(BadParameter, match=r"^series P\.1: 4 series have no 3 x G layout$"):
         mode_phases(mode_series(w4, four), four, 4, SeriesId.parse("P.1"))
 
 

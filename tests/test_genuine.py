@@ -14,7 +14,7 @@ from panelresponse import (
     genuine_matrix,
     null_ensemble,
 )
-from panelresponse.errors import BadModeCount, SchemaError
+from panelresponse.errors import BadParameter, SchemaError
 
 
 def test_zero_modes_gives_identity(planted_panel):
@@ -59,9 +59,9 @@ def test_unit_diagonal_and_symmetry_exact(planted_panel):
 
 def test_mode_count_out_of_range(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
-    with pytest.raises(BadModeCount):
+    with pytest.raises(BadParameter, match=r"mode count -1 outside \[0, 63\]"):
         genuine_matrix(basis, -1)
-    with pytest.raises(BadModeCount):
+    with pytest.raises(BadParameter, match=r"mode count 64 outside \[0, 63\]"):
         genuine_matrix(basis, basis.m + 1)
 
 

@@ -39,7 +39,7 @@ from panelresponse import (
     to_level_panel,
     write_panel_csv,
 )
-from panelresponse import _files, cli, nullmodel
+from panelresponse import _files, cli, nullmodel, synth
 from panelresponse.spectral import _corr_document
 
 from oracles import traced_peak
@@ -146,6 +146,20 @@ def test_producers_hand_over_fresh_frozen_arrays(growth):
     assert np.array_equal(g.rates, want)
     mu, sigma = want.mean(axis=1), want.std(axis=1)
     assert np.array_equal(w.values, (want - mu[:, None]) / sigma[:, None])
+
+
+def test_result_arrays_are_read_only(planted_panel):
+    w = planted_panel
+    basis = eigendecompose(correlation_matrix(w))
+    ms = mode_series(w, basis)
+    cg = genuine_matrix(basis, 2)
+    chi = reduced_susceptibility(cg, basis, 2)
+    mode = synth.PlantedMode(1.0, synth.Ar1(0.0), loading=[1.0, 0.0, 0.0])
+    for a in (ripple(cg, SeriesId.parse("S.15")).responses,
+              mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phases,
+              external_stimuli(ms, basis, chi).values, chi.values, mode.loading):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

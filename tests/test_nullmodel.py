@@ -30,13 +30,7 @@ from panelresponse import (
     synth,
     upper_edge,
 )
-from panelresponse.errors import (
-    BadConfidence,
-    BadParameter,
-    EmptyEnsemble,
-    LagOutOfRange,
-    SchemaError,
-)
+from panelresponse.errors import BadParameter, SchemaError
 from panelresponse.nullmodel import EdgeEstimate
 
 from oracles import (
@@ -81,9 +75,9 @@ def test_autocorrelation_matches_brute_force(ar1_panel):
 
 def test_autocorrelation_lag_out_of_range(iid_panel):
     n = iid_panel.n_obs
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(BadParameter, match=rf"lag {n - 1} outside \[0, {n - 2}\]"):
         autocorrelations(iid_panel, n - 1)
-    with pytest.raises(LagOutOfRange):
+    with pytest.raises(BadParameter, match=rf"lag -1 outside \[0, {n - 2}\]"):
         autocorrelations(iid_panel, -1)
 
 
@@ -107,7 +101,7 @@ def test_band_values():
 
 def test_band_bad_confidence():
     for c in (0.0, 1.0, -0.3, 1.5):
-        with pytest.raises(BadConfidence):
+        with pytest.raises(BadParameter, match=rf"confidence must be in \(0, 1\), got {c}"):
             no_autocorr_band(100, c)
 
 
@@ -197,9 +191,9 @@ def test_ensemble_deterministic(iid_panel):
 
 def test_ensemble_needs_a_sample(iid_panel):
     for samples in (0, -3):
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(BadParameter, match=f"samples must be >= 1, got {samples}"):
             null_ensemble(iid_panel, "rotational", samples, seed=1)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="seed must be >= 0, got -1"):
         null_ensemble(iid_panel, "rotational", 5, seed=-1)
 
 
@@ -551,7 +545,7 @@ def test_upper_edge_confidence_handling(iid_panel):
     assert low <= center <= high
     c0, l0, h0 = upper_edge(e, 0.0)
     assert l0 == h0 == pytest.approx(float(np.median(e.lambda_max)), abs=1e-12)
-    with pytest.raises(BadConfidence):
+    with pytest.raises(BadParameter, match=r"confidence must be in \[0, 1\), got 1.0"):
         upper_edge(e, 1.0)
 
 
@@ -582,7 +576,7 @@ def test_ensemble_json_round_trip(iid_panel, tmp_path):
     assert np.array_equal(back.lambda_max, e.lambda_max)
     # the edge is the one lambda_max gives, before and after the round trip
     assert back.edge == e.edge == EdgeEstimate(*upper_edge(e, 0.95), 0.95)
-    with pytest.raises(EmptyEnsemble):
+    with pytest.raises(SchemaError, match="ensemble carries no pooled eigenvalues"):
         back.pooled_to_csv(tmp_path / "pooled.csv")  # JSON form drops pooled spectrum
 
 
@@ -631,11 +625,16 @@ def test_ensemble_samples_is_the_length_of_lambda_max():
     e = NullEnsemble(mode="complete", seed=0, lambda_max=[2.0, 2.5, 3.0])
     assert e.samples == 3 and type(e.samples) is int
     assert e.to_json()["samples"] == 3
-    with pytest.raises(EmptyEnsemble):
+    with pytest.raises(BadParameter, match="samples must be >= 1, got 0"):
         NullEnsemble(mode="complete", seed=0, lambda_max=[])
     for samples in (1, 3):
         with pytest.raises(SchemaError, match="null-ensemble document: samples must be 2, "):
             NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": samples})
+    # each kind of fault the constructor raises is named as the document's
+    for lambda_max, message in (([], "samples must be >= 1, got 0"),
+                                ([[2.0, 2.5]], r"lambda_max must be 1-D, got shape \(1, 2\)")):
+        with pytest.raises(SchemaError, match=f"^null-ensemble document: {message}$"):
+            NullEnsemble.from_json({**ENSEMBLE_DOC, "lambda_max": lambda_max})
 
 
 @pytest.mark.parametrize("lambda_max, pooled, message", [

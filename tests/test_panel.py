@@ -11,6 +11,7 @@ from panelresponse import (
     GrowthPanel,
     Panel,
     PhaseTable,
+    RippleReport,
     SeriesId,
     StandardizedPanel,
     Variable,
@@ -27,8 +28,6 @@ from panelresponse import (
 )
 from panelresponse.errors import (
     DegenerateSeries,
-    DuplicateSeries,
-    IrregularTimeAxis,
     MissingData,
     MissingWeight,
     NonPositiveLevel,
@@ -158,14 +157,14 @@ def test_load_panel_duplicate_series():
     text = "date,P.1,P.1,S.1,I.1\n" + "\n".join(
         f"{m},1,1,1,1" for m in months
     )
-    with pytest.raises(DuplicateSeries):
+    with pytest.raises(SchemaError, match=r"duplicate series P\.1"):
         load_panel(io.StringIO(text))
 
 
 def test_load_panel_gap_in_months():
     months = ["1988-01", "1988-02", "1988-04"]
     text = panel_csv_text(months, {"P.1": [1, 1, 1], "S.1": [1, 1, 1], "I.1": [1, 1, 1]})
-    with pytest.raises(IrregularTimeAxis, match="1988-04 follows 1988-02"):
+    with pytest.raises(SchemaError, match="not consecutive: 1988-04 follows 1988-02"):
         load_panel(io.StringIO(text))
 
 
@@ -237,13 +236,13 @@ REFUSED = {
         lambda tmp: Panel(MONTHS4, np.ones((4, 4))), SchemaError, "series count 4 is not 3 x G"),
     "Panel, gap": (
         lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, 1]), np.ones((3, 4))),
-        IrregularTimeAxis, "not consecutive: 1988-05 follows 1988-03"),
+        SchemaError, "not consecutive: 1988-05 follows 1988-03"),
     "Panel, zero level": (
         lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0, 1.0, 0.0, 1.0], [1.0] * 4])),
         NonPositiveLevel, "level 0.0 for series S.1 at 1988-03"),
     "Panel, duplicate month": (
         lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, -1]), np.ones((3, 4))),
-        IrregularTimeAxis, "duplicate month 1988-03"),
+        SchemaError, "duplicate month 1988-03"),
     "Panel, inf level": (
         lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0] * 4, [1.0, math.inf, 1.0, 1.0]])),
         SchemaError, "infinite level inf for series I.1 at 1988-02"),
@@ -284,6 +283,18 @@ REFUSED = {
     "weighted_aggregate, nan": (
         lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: math.nan}),
         SchemaError, "bad weight nan for goods 1"),
+    "PhaseTable, M not 3G": (
+        lambda tmp: PhaseTable(np.zeros(4), SeriesId.parse("P.1"), "x", (1,)).class_average(1),
+        SchemaError, "phase count 4 is not 3 x G"),
+    "PhaseTable, no phases": (
+        lambda tmp: PhaseTable(np.zeros(0), SeriesId.parse("P.1"), "x", (1,)),
+        SchemaError, "phase count 0 is not 3 x G"),
+    "RippleReport, M not 3G": (
+        lambda tmp: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros(4)),
+        SchemaError, "response count 4 is not 3 x G"),
+    "RippleReport, 2-D": (
+        lambda tmp: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros((3, 3))),
+        SchemaError, "response values must be a 1-D array"),
     "weighted_aggregate, zero sum": (
         lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 0.0}),
         SchemaError, "sum to zero"),

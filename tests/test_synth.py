@@ -13,7 +13,7 @@ from panelresponse import (
     synth,
     write_panel_csv,
 )
-from panelresponse.errors import BadParameter, InfeasibleSpec
+from panelresponse.errors import BadParameter, SchemaError
 
 from oracles import MpReference, ks_distance, lfilter_ar1_rows
 
@@ -105,31 +105,33 @@ def loading(m):
     return (synth.PlantedMode(eigenvalue=1.0, driver=synth.Ar1(0.0), loading=np.ones(m) / m**0.5),)
 
 
-# a call on an infeasible spec and a message fragment of its InfeasibleSpec
+# a call on an infeasible spec, its error type and a message fragment
 INFEASIBLE = {
-    "no series": (lambda: synth.SynthSpec(n_series=0, n_obs=10), "at least 1 series"),
+    "no series": (
+        lambda: synth.SynthSpec(n_series=0, n_obs=10), BadParameter, "at least 1 series"),
     "loading length": (
-        lambda: synth.SynthSpec(n_series=3, n_obs=10, modes=loading(2)), "loading length differs"),
+        lambda: synth.SynthSpec(n_series=3, n_obs=10, modes=loading(2)),
+        SchemaError, "loading length differs"),
     "per-series noise length": (
         lambda: synth.SynthSpec(n_series=3, n_obs=10, noise_ar1=[0.1, 0.2]),
-        "per-series noise coefficients differ"),
-    "Ar1(1)": (lambda: synth.Ar1(1.0), r"coefficient 1.0 outside \(-1, 1\)"),
-    "Ar1(-1)": (lambda: synth.Ar1(-1.0), r"coefficient -1.0 outside \(-1, 1\)"),
+        SchemaError, "per-series noise coefficients differ"),
+    "Ar1(1)": (lambda: synth.Ar1(1.0), BadParameter, r"coefficient 1.0 outside \(-1, 1\)"),
+    "Ar1(-1)": (lambda: synth.Ar1(-1.0), BadParameter, r"coefficient -1.0 outside \(-1, 1\)"),
     "noise |phi| = 1": (
         lambda: synth.generate(synth.SynthSpec(n_series=3, n_obs=10, noise_ar1=[0.0, 1.0, 0.0])),
-        r"must lie in \(-1, 1\)"),
+        BadParameter, r"must lie in \(-1, 1\)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INFEASIBLE))
 def test_infeasible_spec_fields(case):
-    call, message = INFEASIBLE[case]
-    with pytest.raises(InfeasibleSpec, match=message):
+    call, error, message = INFEASIBLE[case]
+    with pytest.raises(error, match=message):
         call()
 
 
 def test_infeasible_specs():
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(BadParameter, match="planted eigenvalues exceed the trace budget M"):
         synth.SynthSpec(
             n_series=4,
             n_obs=50,
@@ -143,9 +145,9 @@ def test_infeasible_specs():
         modes=(synth.PlantedMode(eigenvalue=3.0, driver=synth.Ar1(0.0),
                                  loading=concentrated),),
     )
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(BadParameter, match="mode variance 2.000 exceeds 1 for series 1"):
         synth.generate(spec)  # 2.0 of mode variance on one series
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(BadParameter, match="target eigenvalue 0.5 below the noise floor"):
         synth.generate(
             synth.SynthSpec(
                 n_series=10,
@@ -156,28 +158,33 @@ def test_infeasible_specs():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="seed must be >= 0, got -1"):
         synth.SynthSpec(n_series=3, n_obs=10, seed=-1)
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"n_obs": 20},
-        {"n_series": "six", "n_obs": 20},
-        {"n_series": 6, "n_obs": 20.0},
-        {"n_series": 6, "n_obs": 20, "modes": [{"driver": {"kind": "ar1"}}]},
-        {"n_series": 6, "n_obs": 20, "noise_ar1": "x"},
-        {"n_series": 6, "n_obs": 20, "noise_ar1": [0.1] * 5 + [None]},
-        {"n_series": 6, "n_obs": 20, "start": 5},
-        {"n_series": 6, "n_obs": 20, "start": True},
-        {"n_series": 6, "n_obs": 20, "modes": [
+        ({"n_obs": 20}, "spec lacks field 'n_series'"),
+        ({"n_series": "six", "n_obs": 20}, "'n_series' must be an integer, got 'six'"),
+        ({"n_series": 6, "n_obs": 20.0}, "'n_obs' must be an integer, got 20.0"),
+        ({"n_series": 6, "n_obs": 20, "modes": [{"driver": {"kind": "ar1"}}]},
+         "spec lacks field 'coefficient'"),
+        ({"n_series": 6, "n_obs": 20, "modes": [{"eigenvalue": 2.0, "driver": {"kind": "x"}}]},
+         "unknown driver kind 'x'"),
+        ({"n_series": 6, "n_obs": 20, "noise_ar1": "x"}, "'noise_ar1' must be a number, got 'x'"),
+        ({"n_series": 6, "n_obs": 20, "noise_ar1": [0.1] * 5 + [None]},
+         "'noise_ar1' must be a number, got None"),
+        ({"n_series": 6, "n_obs": 20, "start": 5}, "'start' must be a string, got 5"),
+        ({"n_series": 6, "n_obs": 20, "start": True}, "'start' must be a string, got True"),
+        ({"n_series": 6, "n_obs": 20, "modes": [
             {"eigenvalue": 2.0, "driver": {"kind": "sinusoid", "period": "60"}}]},
-        [6, 20],
+         "'period' must be a number, got '60'"),
+        ([6, 20], "malformed spec"),
     ],
 )
-def test_malformed_spec_document(doc):
-    with pytest.raises(InfeasibleSpec):
+def test_malformed_spec_document(doc, message):
+    with pytest.raises(SchemaError, match=message):
         synth.spec_from_json(doc)
 
 
@@ -207,7 +214,7 @@ def test_non_orthonormal_loadings_rejected():
             synth.PlantedMode(eigenvalue=1.5, driver=synth.Ar1(0.0), loading=b),
         ),
     )
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(BadParameter, match="planted loadings are not pairwise orthonormal"):
         synth.generate(spec)
 
 
