@@ -43,7 +43,6 @@ from .nullmodel import (
 )
 from .panel import (
     DEFAULT_GOODS_LABELS,
-    DEFAULT_GOODS_WEIGHTS,
     GrowthPanel,
     Panel,
     SeriesId,
@@ -51,13 +50,11 @@ from .panel import (
     Variable,
     canonical_ids,
     load_panel,
-    load_weights,
     log_growth,
     parse_month,
     parse_window,
     simple_growth,
     standardize,
-    weighted_aggregate,
     write_panel_csv,
 )
 from .response import (
@@ -97,10 +94,8 @@ __all__ = [
     "__version__",
     # panel
     "Variable", "SeriesId", "Panel", "GrowthPanel", "StandardizedPanel",
-    "DEFAULT_GOODS_LABELS", "DEFAULT_GOODS_WEIGHTS", "canonical_ids",
-    "load_panel", "load_weights", "write_panel_csv", "log_growth",
-    "simple_growth", "standardize", "weighted_aggregate", "parse_month",
-    "parse_window",
+    "DEFAULT_GOODS_LABELS", "canonical_ids", "load_panel", "write_panel_csv",
+    "log_growth", "simple_growth", "standardize", "parse_month", "parse_window",
     # spectral
     "CorrMatrix", "ModeBasis", "ModeSeries", "correlation_matrix",
     "eigendecompose", "mode_series", "reconstruct", "mp_bounds", "mp_density",

@@ -44,7 +44,6 @@ from .panel import (
     SeriesId,
     StandardizedPanel,
     load_panel,
-    load_weights,
     log_growth,
     simple_growth,
     standardize,
@@ -193,12 +192,10 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
 
 
 def _cmd_validate(args, config: dict) -> tuple[dict, dict]:
-    weights = None if args.weights is None else load_weights(args.weights)
     panel = load_panel(_input(args), window=args.window)
     return {}, {
         "series": panel.n_series, "goods": panel.n_goods, "months": panel.n_months,
         "start": str(panel.months[0]), "end": str(panel.months[-1]),
-        "weight_sum": None if weights is None else float(sum(weights.values())),
     }
 
 
@@ -365,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="load and validate a panel CSV")
     _add_common(p)
-    p.add_argument("--weights", default=None, help="goods,weight CSV")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="eigenvalues, eigenvectors, spectrum vs MP law")

@@ -4,9 +4,9 @@ Every error raised on a violated data contract derives from
 :class:`PanelResponseError`, so callers (and the CLI) can catch one
 base class for all validation failures.  Each other class is one kind of fault
 a caller can act on: a value out of range (:class:`BadParameter`), a file,
-document or container of the wrong shape (:class:`SchemaError`), five data
-faults that name the offending series, goods or cell, and a numerical
-failure on valid input (:class:`EigensolverFailure`).
+document or container of the wrong shape (:class:`SchemaError`), four data
+faults that name the offending series or cell, and a numerical failure on
+valid input (:class:`EigensolverFailure`).
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class DegenerateSeries(PanelResponseError):
     def __init__(self, series: int | str):
         self.series = series
         super().__init__(f"series {series} has zero variance")
-
-
-class MissingWeight(PanelResponseError):
-    """No weight is available for a goods category."""
-
-    def __init__(self, goods: int):
-        self.goods = goods
-        super().__init__(f"no weight for goods category g={goods}")
 
 
 class DegenerateWeights(PanelResponseError):

@@ -22,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO, Union
+from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
     BadParameter,
     DegenerateSeries,
     MissingData,
-    MissingWeight,
     NonPositiveLevel,
     PanelResponseError,
     SchemaError,
@@ -43,7 +42,7 @@ class Variable(enum.IntEnum):
 
     ``Variable(x)`` takes the class number 1, 2 or 3, or a code: ``P``,
     ``S`` or ``I``, or the class name, in any case.  Anything else is a
-    :class:`SchemaError`.
+    :class:`BadParameter`.
     """
 
     PRODUCTION = 1
@@ -61,7 +60,7 @@ class Variable(enum.IntEnum):
             for member in cls:
                 if value.upper() == member.code or value.lower() == member.name.lower():
                     return member
-        raise SchemaError(f"unknown variable class {value!r}")
+        raise BadParameter(f"unknown variable class {value!r}")
 
 
 #: Standard 21-category classification of the Japanese Indices of Industrial
@@ -91,14 +90,6 @@ DEFAULT_GOODS_LABELS: dict[int, str] = {
     21: "Others",
 }
 
-#: Value-added weights for the 21 goods categories, normalized to sum 10,000.
-DEFAULT_GOODS_WEIGHTS: dict[int, float] = {
-    1: 530.7, 2: 148.1, 3: 48.8, 4: 31.0, 5: 129.6, 6: 381.3, 7: 175.4,
-    8: 217.2, 9: 568.1, 10: 122.3, 11: 62.3, 12: 62.5, 13: 43.4, 14: 246.5,
-    15: 853.2, 16: 649.7, 17: 105.2, 18: 92.2, 19: 467.9, 20: 4601.7,
-    21: 462.9,
-}
-
 _SERIES_RE = re.compile(r"^([PSI])\.(\d+)$")
 
 
@@ -117,14 +108,14 @@ class SeriesId:
     def flat(self, n_goods: int) -> int:
         """1-based flat index l = G*(alpha-1) + g."""
         if not 1 <= self.goods <= n_goods:
-            raise SchemaError(f"goods index {self.goods} outside [1, {n_goods}]")
+            raise BadParameter(f"goods index {self.goods} outside [1, {n_goods}]")
         return n_goods * (int(self.alpha) - 1) + self.goods
 
     @classmethod
     def from_flat(cls, flat: int, n_goods: int) -> "SeriesId":
         """Inverse of :meth:`flat`."""
         if not 1 <= flat <= 3 * n_goods:
-            raise SchemaError(f"flat index {flat} outside [1, {3 * n_goods}]")
+            raise BadParameter(f"flat index {flat} outside [1, {3 * n_goods}]")
         alpha, g = divmod(flat - 1, n_goods)
         return cls(Variable(alpha + 1), g + 1)
 
@@ -473,37 +464,6 @@ class StandardizedPanel:
 # ---------------------------------------------------------------------------
 
 
-def load_weights(path: str | Path) -> dict[int, float]:
-    """Read a `goods,weight` CSV (``#`` lines ignored) into a dict keyed by goods index.
-
-    A goods index below 1, a repeated one or a negative or non-finite
-    weight is a :class:`SchemaError`.
-    """
-    weights: dict[int, float] = {}
-    with open_text(path) as fh:
-        rows = read_rows(fh)
-        header = next(rows, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["goods", "weight"]:
-            raise SchemaError(f"{path}: expected header 'goods,weight'")
-        for row in rows:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                g, w = int(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise SchemaError(f"{path}: bad weights row {row!r}") from None
-            if g < 1:
-                raise SchemaError(f"{path}: goods index must be >= 1, got {g}")
-            if g in weights:
-                raise SchemaError(f"{path}: duplicate weight for goods {g}")
-            if w < 0:
-                raise SchemaError(f"{path}: negative weight for goods {g}")
-            if not np.isfinite(w):
-                raise SchemaError(f"{path}: bad weight {w!r} for goods {g}")
-            weights[g] = w
-    return weights
-
-
 def load_panel(
     source: str | Path | TextIO,
     window: tuple[MonthLike, MonthLike] | str | None = None,
@@ -673,9 +633,12 @@ def log_growth(panel: Panel) -> GrowthPanel:
 def simple_growth(panel: Panel) -> GrowthPanel:
     """Plain relative growth rate (S(t_{j+1}) - S(t_j)) / S(t_j).
 
-    For small month-over-month changes this is numerically indistinguishable
-    from ln(10) times the base-10 log growth rate; both lead to the same
-    standardized panel up to that scale.
+    To first order in the change this is ln(10) times the base-10 log growth
+    rate, but the two differ at second order, and standardizing does not
+    remove that difference.  On synthetic 63 x 239 panels whose largest
+    monthly change is about 9% (a log10 growth of 0.039), the correlation
+    eigenvalues of the two methods differ by up to 1% relative (lambda_1
+    7.868 against 7.871).
     """
     v = panel.values
     rates = v[:, 1:] - v[:, :-1]
@@ -696,27 +659,3 @@ def standardize(growth: GrowthPanel) -> StandardizedPanel:
     return StandardizedPanel(
         months=growth.months, values=_frozen(w), mean=_frozen(mu), std=_frozen(sigma)
     )
-
-
-def weighted_aggregate(
-    panel: Panel, alpha: Variable | int | str, weights: Mapping[int, float]
-) -> np.ndarray:
-    """Weighted mean level of one variable class across goods, per month.
-
-    ``weights`` maps each goods index of the panel (else :class:`MissingWeight`)
-    to a finite weight >= 0, with a positive sum, as :func:`load_weights` reads it.
-    """
-    alpha = Variable(alpha)
-    for key, val in weights.items():
-        if val < 0 or not np.isfinite(val):
-            raise SchemaError(f"bad weight {val!r} for goods {key}")
-    chosen = []
-    for g in range(1, panel.n_goods + 1):
-        if g not in weights:
-            raise MissingWeight(g)
-        chosen.append(weights[g])
-    wvec = np.asarray(chosen, dtype=float)
-    total = wvec.sum()
-    if total <= 0:
-        raise SchemaError("aggregation weights sum to zero")
-    return wvec @ panel.values[_class_rows(alpha, panel.n_series)] / total

@@ -2,9 +2,7 @@
 
 import csv
 import io
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from panelresponse import (
     eigendecompose,
     genuine_matrix,
     load_panel,
-    load_weights,
     parse_month,
     parse_window,
     write_panel_csv,
@@ -361,35 +358,11 @@ def test_load_panel_raises_only_panelresponse_errors(text, window):
     assert isinstance(panel, Panel)
 
 
-WEIGHTS_TOKENS = [b"goods", b"weight", b",", b"\n", b"\r", b"1", b"2.5", b"-", b"e", b" ",
-                  b'"', b"#", b"\x00", b"\xff", b"\xc3", b"\xa0"]
-
-
-@given(
-    st.lists(st.sampled_from(WEIGHTS_TOKENS), max_size=30).map(b"".join),
-    st.booleans(),
-)
-def test_load_weights_raises_only_panelresponse_errors(body, with_header):
-    data = (b"goods,weight\n" if with_header else b"") + body
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "weights.csv"
-        path.write_bytes(data)
-        try:
-            weights = load_weights(path)
-        except PanelResponseError:
-            return
-    assert isinstance(weights, dict)
-
-
 def test_undecodable_file_is_a_schema_error(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_bytes(b"date,P.1,S.1,I.1\n1988-01,\xff\xfe,1,1\n")
     with pytest.raises(SchemaError, match="unreadable CSV"):
         load_panel(path)
-    weights = tmp_path / "weights.csv"
-    weights.write_bytes(b"goods,weight\n1,\xff\n")
-    with pytest.raises(SchemaError, match="unreadable CSV"):
-        load_weights(weights)
     matrix = tmp_path / "matrix.csv"
     matrix.write_bytes(b"kind,m,goods,k\nraw,1,,\n\xff\n")
     with pytest.raises(SchemaError, match="unreadable CSV"):

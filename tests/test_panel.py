@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelresponse import (
-    DEFAULT_GOODS_WEIGHTS,
     GrowthPanel,
     Panel,
     PhaseTable,
@@ -17,19 +16,17 @@ from panelresponse import (
     Variable,
     canonical_ids,
     load_panel,
-    load_weights,
     log_growth,
     parse_month,
     parse_window,
     simple_growth,
     standardize,
-    weighted_aggregate,
     write_panel_csv,
 )
 from panelresponse.errors import (
+    BadParameter,
     DegenerateSeries,
     MissingData,
-    MissingWeight,
     NonPositiveLevel,
     SchemaError,
 )
@@ -87,20 +84,27 @@ def test_variable_from_number_or_code(value, member):
     assert Variable(value) is member
 
 
-@pytest.mark.parametrize("call", [
-    lambda: Variable(4),
-    lambda: Variable(0),
-    lambda: Variable("X"),
-    lambda: Variable(None),
-    lambda: SeriesId(4, 1),
-    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), 4, {1: 1.0}),
-    lambda: weighted_aggregate(make_panel(np.ones((3, 3))), "X", {1: 1.0}),
-    lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average(0),
+@pytest.mark.parametrize("call, match", [
+    (lambda: Variable(4), "unknown variable class"),
+    (lambda: Variable(0), "unknown variable class"),
+    (lambda: Variable("X"), "unknown variable class"),
+    (lambda: Variable(None), "unknown variable class"),
+    (lambda: SeriesId(4, 1), "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average(4),
+     "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average("X"),
+     "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3), SeriesId(1, 1), "T=40", (6,)).class_average(0),
+     "unknown variable class"),
+    (lambda: SeriesId.parse("P.22").flat(21), r"goods index 22 outside \[1, 21\]"),
+    (lambda: SeriesId.from_flat(64, 21), r"flat index 64 outside \[1, 63\]"),
 ], ids=["Variable(4)", "Variable(0)", "Variable('X')", "Variable(None)", "SeriesId(4, 1)",
-        "weighted_aggregate(4)", "weighted_aggregate('X')", "class_average(0)"])
-def test_unknown_variable_class_is_a_schema_error(call):
-    with pytest.raises(SchemaError, match="unknown variable class"):
+        "class_average(4)", "class_average('X')", "class_average(0)", "flat(21)",
+        "from_flat(64, 21)"])
+def test_out_of_range_argument_is_a_bad_parameter(call, match):
+    with pytest.raises(BadParameter, match=match) as exc:
         call()
+    assert isinstance(exc.value, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -218,107 +222,65 @@ def test_parse_window():
 MONTHS4 = parse_month("1988-01") + np.arange(4)
 
 
-def weights_csv(tmp_path, body):
-    path = tmp_path / "w.csv"
-    path.write_text("goods,weight\n" + body)
-    return path
-
-
-# a call on bad input (taking a scratch directory), its error type and a message fragment
+# a call on bad input, its error type and a message fragment
 REFUSED = {
     "Panel, no series": (
-        lambda tmp: Panel(MONTHS4, np.zeros((0, 4))), SchemaError, "at least 3 series, got 0"),
+        lambda: Panel(MONTHS4, np.zeros((0, 4))), SchemaError, "at least 3 series, got 0"),
     "Panel, months != columns": (
-        lambda tmp: Panel(MONTHS4[:3], np.ones((3, 4))), SchemaError, "3 months for 4 columns"),
+        lambda: Panel(MONTHS4[:3], np.ones((3, 4))), SchemaError, "3 months for 4 columns"),
     "Panel, 2 months": (
-        lambda tmp: Panel(MONTHS4[:2], np.ones((3, 2))), SchemaError, "at least 3 months, got 2"),
+        lambda: Panel(MONTHS4[:2], np.ones((3, 2))), SchemaError, "at least 3 months, got 2"),
     "Panel, M not 3G": (
-        lambda tmp: Panel(MONTHS4, np.ones((4, 4))), SchemaError, "series count 4 is not 3 x G"),
+        lambda: Panel(MONTHS4, np.ones((4, 4))), SchemaError, "series count 4 is not 3 x G"),
     "Panel, gap": (
-        lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, 1]), np.ones((3, 4))),
+        lambda: Panel(MONTHS4 + np.array([0, 0, 0, 1]), np.ones((3, 4))),
         SchemaError, "not consecutive: 1988-05 follows 1988-03"),
     "Panel, zero level": (
-        lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0, 1.0, 0.0, 1.0], [1.0] * 4])),
+        lambda: Panel(MONTHS4, np.array([[1.0] * 4, [1.0, 1.0, 0.0, 1.0], [1.0] * 4])),
         NonPositiveLevel, "level 0.0 for series S.1 at 1988-03"),
     "Panel, duplicate month": (
-        lambda tmp: Panel(MONTHS4 + np.array([0, 0, 0, -1]), np.ones((3, 4))),
+        lambda: Panel(MONTHS4 + np.array([0, 0, 0, -1]), np.ones((3, 4))),
         SchemaError, "duplicate month 1988-03"),
     "Panel, inf level": (
-        lambda tmp: Panel(MONTHS4, np.array([[1.0] * 4, [1.0] * 4, [1.0, math.inf, 1.0, 1.0]])),
+        lambda: Panel(MONTHS4, np.array([[1.0] * 4, [1.0] * 4, [1.0, math.inf, 1.0, 1.0]])),
         SchemaError, "infinite level inf for series I.1 at 1988-02"),
     "GrowthPanel, months": (
-        lambda tmp: GrowthPanel(MONTHS4, np.ones((3, 3))), SchemaError, "months are inconsistent"),
+        lambda: GrowthPanel(MONTHS4, np.ones((3, 3))), SchemaError, "months are inconsistent"),
     "GrowthPanel, no series": (
-        lambda tmp: GrowthPanel(MONTHS4, np.zeros((0, 4))),
+        lambda: GrowthPanel(MONTHS4, np.zeros((0, 4))),
         SchemaError, "growth rates are empty: 0 series, 4 months"),
     "GrowthPanel, no months": (
-        lambda tmp: GrowthPanel(MONTHS4[:0], np.zeros((3, 0))),
+        lambda: GrowthPanel(MONTHS4[:0], np.zeros((3, 0))),
         SchemaError, "growth rates are empty: 3 series, 0 months"),
     "StandardizedPanel, months": (
-        lambda tmp: StandardizedPanel(MONTHS4, np.zeros((3, 3)), np.zeros(3), np.ones(3)),
+        lambda: StandardizedPanel(MONTHS4, np.zeros((3, 3)), np.zeros(3), np.ones(3)),
         SchemaError, "months are inconsistent"),
     "StandardizedPanel, no series": (
-        lambda tmp: StandardizedPanel.from_values(np.zeros((0, 10))),
+        lambda: StandardizedPanel.from_values(np.zeros((0, 10))),
         SchemaError, "standardized values are empty: 0 series, 10 months"),
     "StandardizedPanel, no months": (
-        lambda tmp: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0)), np.zeros(3), np.ones(3)),
+        lambda: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0)), np.zeros(3), np.ones(3)),
         SchemaError, "standardized values are empty: 3 series, 0 months"),
-    "load_weights, duplicate": (
-        lambda tmp: load_weights(weights_csv(tmp, "1,2.0\n1,3.0\n")),
-        SchemaError, "duplicate weight for goods 1"),
-    "load_weights, nan": (
-        lambda tmp: load_weights(weights_csv(tmp, "1,2.0\n2,nan\n")),
-        SchemaError, "bad weight nan for goods 2"),
-    "load_weights, inf": (
-        lambda tmp: load_weights(weights_csv(tmp, "1,inf\n")), SchemaError, "bad weight inf"),
-    "load_weights, goods 0": (
-        lambda tmp: load_weights(weights_csv(tmp, "0,5.0\n-3,2.0\n1,1.0\n")),
-        SchemaError, "w.csv: goods index must be >= 1, got 0$"),
-    "load_weights, goods -3": (
-        lambda tmp: load_weights(weights_csv(tmp, "1,1.0\n-3,2.0\n")),
-        SchemaError, "w.csv: goods index must be >= 1, got -3$"),
-    "weighted_aggregate, negative": (
-        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 1.0, 2: -1.0}),
-        SchemaError, "bad weight -1.0 for goods 2"),
-    "weighted_aggregate, nan": (
-        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: math.nan}),
-        SchemaError, "bad weight nan for goods 1"),
     "PhaseTable, M not 3G": (
-        lambda tmp: PhaseTable(np.zeros(4), SeriesId.parse("P.1"), "x", (1,)).class_average(1),
+        lambda: PhaseTable(np.zeros(4), SeriesId.parse("P.1"), "x", (1,)).class_average(1),
         SchemaError, "phase count 4 is not 3 x G"),
     "PhaseTable, no phases": (
-        lambda tmp: PhaseTable(np.zeros(0), SeriesId.parse("P.1"), "x", (1,)),
+        lambda: PhaseTable(np.zeros(0), SeriesId.parse("P.1"), "x", (1,)),
         SchemaError, "phase count 0 is not 3 x G"),
     "RippleReport, M not 3G": (
-        lambda tmp: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros(4)),
+        lambda: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros(4)),
         SchemaError, "response count 4 is not 3 x G"),
     "RippleReport, 2-D": (
-        lambda tmp: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros((3, 3))),
+        lambda: RippleReport(SeriesId.parse("P.1"), 1.0, np.zeros((3, 3))),
         SchemaError, "response values must be a 1-D array"),
-    "weighted_aggregate, zero sum": (
-        lambda tmp: weighted_aggregate(make_panel(np.ones((3, 3))), 1, {1: 0.0}),
-        SchemaError, "sum to zero"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
-def test_bad_panel_input_is_refused(tmp_path, case):
+def test_bad_panel_input_is_refused(case):
     call, error, message = REFUSED[case]
     with pytest.raises(error, match=message):
-        call(tmp_path)
-
-
-def test_load_weights(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("goods,weight\n1,530.7\n2,148.1\n")
-    assert load_weights(path) == {1: 530.7, 2: 148.1}
-    commented = tmp_path / "commented.csv"
-    commented.write_text("# value-added weights\ngoods,weight\n1,530.7\n# 2: estimate\n2,148.1\n")
-    assert load_weights(commented) == {1: 530.7, 2: 148.1}
-    bad = tmp_path / "bad.csv"
-    bad.write_text("goods,weight\n1,-3\n")
-    with pytest.raises(SchemaError):
-        load_weights(bad)
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +403,3 @@ def test_standardize_invariants_across_magnitudes(scale):
     assert np.abs(w.values.std(axis=1) - 1.0).max() <= 1e-10
     # sigma recorded is the population normalization
     assert np.allclose(w.std, log_growth(make_panel(levels)).rates.std(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# weighted aggregation
-# ---------------------------------------------------------------------------
-
-
-def test_weighted_aggregate_equal_weights():
-    rng = np.random.default_rng(8)
-    rows = rng.uniform(50, 150, size=(6, 10))  # G = 2
-    agg = weighted_aggregate(make_panel(rows), Variable.PRODUCTION, {1: 2.0, 2: 2.0})
-    assert np.allclose(agg, rows[:2].mean(axis=0), atol=1e-12)
-
-
-def test_weighted_aggregate_single_weight():
-    rows = np.random.default_rng(9).uniform(50, 150, size=(6, 10))
-    agg = weighted_aggregate(make_panel(rows), "S", {1: 0.0, 2: 5.0})
-    assert np.allclose(agg, rows[3], atol=1e-12)
-
-
-def test_weighted_aggregate_missing_weight():
-    rows = np.random.default_rng(10).uniform(50, 150, size=(6, 10))
-    with pytest.raises(MissingWeight) as exc:
-        weighted_aggregate(make_panel(rows), 1, {1: 1.0})
-    assert exc.value.goods == 2
-
-
-def test_default_weights_sum_to_ten_thousand():
-    total = sum(DEFAULT_GOODS_WEIGHTS.values())
-    assert total == pytest.approx(10_000.0, abs=1e-9)
-    rows = np.random.default_rng(12).uniform(50, 150, size=(63, 5))
-    weighted_aggregate(make_panel(rows), "I", DEFAULT_GOODS_WEIGHTS)  # all present: no error
