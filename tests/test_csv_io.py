@@ -334,6 +334,25 @@ def test_series_id_with_too_many_digits_is_a_schema_error():
         load_panel(io.StringIO("date,P." + "9" * 5000 + "\n"))
 
 
+# a panel file the reader refuses before it reads a value, and the whole message
+MALFORMED_PANELS = {
+    "empty file": ("", "<stream>: empty file"),
+    "only comments": ("# a note\n", "<stream>: empty file"),
+    "first column": ("month,P.1,S.1,I.1\n1988-01,1,2,3\n", "<stream>: first column must be 'date'"),
+    "no series": ("date\n1988-01\n", "<stream>: no series columns"),
+    "ragged row": ("date,P.1,S.1,I.1\n1988-01,1,2\n", "<stream>: row has 3 cells, expected 4"),
+    "no data rows": ("date,P.1,S.1,I.1\n\n# a note\n", "<stream>: no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PANELS))
+def test_malformed_panel_file_is_a_schema_error(case):
+    text, message = MALFORMED_PANELS[case]
+    with pytest.raises(SchemaError) as exc:
+        load_panel(io.StringIO(text))
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: every failure is a PanelResponseError
 # ---------------------------------------------------------------------------

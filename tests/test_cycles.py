@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from panelresponse import (
     KSET_BUSINESS_CYCLES,
     KSET_LONG_PERIODS,
+    ModeBasis,
     ModeSeries,
     ReducedSusceptibility,
     SeriesId,
@@ -493,6 +494,51 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     four = eigendecompose(correlation_matrix(w4))
     with pytest.raises(BadParameter, match=r"^series P\.1: 4 series have no 3 x G layout$"):
         mode_phases(mode_series(w4, four), four, 4, SeriesId.parse("P.1"))
+
+
+# ---------------------------------------------------------------------------
+# refused inputs
+# ---------------------------------------------------------------------------
+
+MONTHS24 = np.datetime64("1988-01", "M") + np.arange(24)
+ONE_MODE = ModeSeries(MONTHS24, tone(4, n=24)[None])
+TWO_MODES = ModeSeries(MONTHS24, np.stack([tone(4, n=24), tone(6, n=24)]))
+BASIS1 = ModeBasis(np.ones(1), np.eye(1))
+BASIS3 = ModeBasis(np.ones(3), np.eye(3))  # M = 3, one goods
+
+# a call on bad input, its error type and a message fragment
+REFUSED = {
+    "lag_correlation, lengths differ": (
+        lambda: lag_correlation(np.ones(5), np.ones(6), 0), SchemaError, "series lengths differ"),
+    "lag_correlation, zero series": (
+        lambda: lag_correlation(np.zeros(5), np.ones(5), 1),
+        BadParameter, "a smoothed series vanishes identically"),
+    "residual_disturbance, one-mode basis": (
+        lambda: residual_disturbance(TWO_MODES, BASIS1, 0, (4,)),
+        SchemaError, "need at least two modes in the basis"),
+    "residual_disturbance, one mode series": (
+        lambda: residual_disturbance(ONE_MODE, BASIS3, 0, (4,)),
+        SchemaError, "need the two leading mode series"),
+    "external_stimuli, 3 x 3 chi": (
+        lambda: external_stimuli(TWO_MODES, BASIS3, ReducedSusceptibility(np.eye(3), 1.0), 0, (4,)),
+        SchemaError, "stimulus inversion uses exactly the two leading modes"),
+    "external_stimuli, one mode series": (
+        lambda: external_stimuli(ONE_MODE, BASIS3, ReducedSusceptibility(np.eye(2), 1.0), 0, (4,)),
+        SchemaError, "need the two leading mode series"),
+    "mode_phases, one mode series": (
+        lambda: mode_phases(ONE_MODE, BASIS3, 4, SeriesId(1, 1)),
+        SchemaError, "need the two leading modes"),
+    "freq_avg_phases, one mode series": (
+        lambda: freq_avg_phases(ONE_MODE, BASIS3, (4, 6), SeriesId(1, 1)),
+        SchemaError, "need the two leading modes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_bad_cycle_input_is_refused(case):
+    call, error, message = REFUSED[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,16 @@ REFUSED = {
     "StandardizedPanel, no series": (
         lambda: StandardizedPanel.from_values(np.zeros((0, 10))),
         SchemaError, "standardized values are empty: 0 series, 10 months"),
+    "Panel, 1-D values": (
+        lambda: Panel(MONTHS4, np.ones(4)), SchemaError, "panel values must be a 2-D array"),
+    "SeriesId, goods 0": (
+        lambda: SeriesId(1, 0), SchemaError, "^goods index must be >= 1, got 0$"),
+    "SeriesId, goods -3": (
+        lambda: SeriesId(Variable.INVENTORY, -3), SchemaError, "^goods index must be >= 1, got -3$"),
+    "parse_window, no colon": (
+        lambda: parse_window("1988-01"), SchemaError, r"bad window '1988-01' \(expected START:END\)"),
+    "parse_window, reversed": (
+        lambda: parse_window("2000-01:1990-01"), SchemaError, "window start 2000-01 after end 1990-01"),
     "StandardizedPanel, no months": (
         lambda: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0)), np.zeros(3), np.ones(3)),
         SchemaError, "standardized values are empty: 3 series, 0 months"),

@@ -195,6 +195,8 @@ def test_reduced_argument_errors(planted_panel):
         reduced_susceptibility(c, basis, k=64)
     with pytest.raises(BadParameter, match="beta must be positive and finite, got 0.0"):
         reduced_susceptibility(c, basis, k=2, beta=0.0)
+    with pytest.raises(SchemaError, match="matrix and basis dimensions differ"):
+        reduced_susceptibility(CorrMatrix(np.eye(3)), basis, k=2)
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])

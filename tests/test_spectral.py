@@ -354,6 +354,23 @@ REFUSED = {
     "CorrMatrix, raw not PSD": (  # eigenvalues -0.8, 1.9, 1.9
         lambda: CorrMatrix(np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])),
         SchemaError, "not positive semidefinite"),
+    "CorrMatrix, entry above 1": (
+        lambda: CorrMatrix(np.array([[1.0, 1.5], [1.5, 1.0]])),
+        SchemaError, r"entries exceed \[-1, 1\] by 5.000e-01"),
+    "ModeBasis, NaN eigenvalue": (
+        lambda: ModeBasis(np.array([np.nan, 1.0]), np.eye(2)), SchemaError, "must be finite"),
+    "ModeBasis, not orthonormal": (
+        lambda: ModeBasis(np.array([2.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])),
+        SchemaError, "eigenvectors are not orthonormal"),
+    "ModeSeries, 1-D coefficients": (
+        lambda: ModeSeries(parse_month("1988-01") + np.arange(3), np.zeros(3)),
+        SchemaError, "mode coefficients and months are inconsistent"),
+    "corr_from_csv, bad header": (
+        lambda: corr_from_csv(io.StringIO("kind,m,goods,k\nraw,two,,\n1.0\n")),
+        SchemaError, r"^bad correlation-matrix header \['raw', 'two', '', ''\]$"),
+    "corr_from_csv, bad cell": (
+        lambda: corr_from_csv(io.StringIO("kind,m,goods,k\nraw,2,,\n1.0,x\nx,1.0\n")),
+        SchemaError, "^bad correlation-matrix cell: could not convert string to float: 'x'$"),
     "ModeBasis, empty": (lambda: ModeBasis(np.zeros(0), np.zeros((0, 0))), SchemaError, "no modes"),
     "ModeBasis, vectors not square": (
         lambda: ModeBasis(np.ones(2), np.ones((2, 3))), SchemaError, "must be M x M"),
