@@ -34,9 +34,15 @@ def open_text(target: str | Path | TextIO, mode: str = "r") -> Iterator[TextIO]:
 
 
 def read_rows(fh: TextIO) -> Iterator[list[str]]:
-    """The non-``#`` rows of a CSV stream, one at a time; unreadable text is a SchemaError."""
+    """The non-``#`` rows of a CSV stream, one at a time; unreadable text is a SchemaError.
+
+    One byte-order mark (U+FEFF) at the start of the text is dropped, as a
+    spreadsheet's "CSV UTF-8" writes one; anywhere else it is kept.
+    """
     try:
-        for row in csv.reader(fh):
+        lines = iter(fh)
+        first = (line.removeprefix("\ufeff") for line in itertools.islice(lines, 1))
+        for row in csv.reader(itertools.chain(first, lines)):
             if not (row and row[0].startswith("#")):
                 yield row
     except (csv.Error, UnicodeDecodeError) as exc:

@@ -265,7 +265,7 @@ def _cmd_reduced_chi(args, config: dict) -> tuple[dict, dict]:
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
     values, normalized = red.values.tolist(), red.normalized.tolist()
     return {
-        "reduced_chi.json": {"beta": red.beta, "k": args.k, "values": values,
+        "reduced_chi.json": {"beta": args.beta, "k": args.k, "values": values,
                              "normalized": normalized},
         "reduced_chi.csv": _table(
             ["row", "col", "value", "normalized"],

@@ -188,13 +188,14 @@ def residual_disturbance(
 
 @dataclass(frozen=True, eq=False)
 class StimulusSeries:
-    """Inferred external fields acting on the two leading modes."""
+    """Inferred external fields acting on the two leading modes.
+
+    Only the series are kept: beta, the smoothing half-width and the
+    frequency set are the caller's arguments, not kept here.
+    """
 
     months: np.ndarray
     values: np.ndarray  # 2 x N'
-    beta: float
-    half_width: int
-    kset: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(np.asarray(self.values)))
@@ -230,17 +231,9 @@ def external_stimuli(
     det = abs(float(np.linalg.det(chi.values)))
     if det <= 1e-12 * float(np.sum(chi.values**2)):
         raise BadParameter(f"determinant {det:.3e} too small")
-    # read once, so a one-shot iterable serves both modes and the record
-    kset = tuple(kset)
-    resid = _mode_residuals(ms, half_width, kset)
-    eta = np.linalg.solve(chi.values, resid)
-    return StimulusSeries(
-        months=ms.months,
-        values=eta,
-        beta=chi.beta,
-        half_width=half_width,
-        kset=tuple(_check_kset(kset, ms.coeffs.shape[1])),
-    )
+    # read once, so a one-shot iterable serves both modes
+    resid = _mode_residuals(ms, half_width, tuple(kset))
+    return StimulusSeries(months=ms.months, values=np.linalg.solve(chi.values, resid))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +253,13 @@ class PhaseTable:
     Values lie in (-180, 180]; positive means the series peaks earlier than
     the reference.  The reference entry is exactly zero.  ``phases`` is
     read-only, one entry per series of a 3 x G layout (else SchemaError);
-    ``n_goods`` is derived from their number M = 3G.
+    ``n_goods`` is derived from their number M = 3G.  The reference series
+    and the frequency set are the caller's arguments, not kept here;
+    ``period_label`` is what the ``phases`` command prints.
     """
 
     phases: np.ndarray
-    reference: SeriesId
     period_label: str
-    kset: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "phases", _layout_entries(self.phases, "phase"))
@@ -316,8 +309,7 @@ def mode_phases(
         raise BadParameter(f"reference {ref.label} has no amplitude at k={k}")
     rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
     rel[ref_idx] = 0.0
-    label = f"T={round((n + 1) / k)}"
-    return PhaseTable(phases=rel, reference=ref, period_label=label, kset=(k,))
+    return PhaseTable(phases=rel, period_label=f"T={round((n + 1) / k)}")
 
 
 def freq_avg_phases(
@@ -346,9 +338,4 @@ def freq_avg_phases(
         raise DegenerateWeights(int(degenerate[0]) + 1)
     phases = _wrap_degrees(np.degrees(np.angle(resultant)))
     phases[ref_idx] = 0.0
-    return PhaseTable(
-        phases=phases,
-        reference=ref,
-        period_label="frequency-averaged",
-        kset=tuple(ks),
-    )
+    return PhaseTable(phases=phases, period_label="frequency-averaged")

@@ -102,11 +102,13 @@ class SeriesId:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Variable(self.alpha))
+        object.__setattr__(self, "goods", _integer("goods", self.goods))
         if self.goods < 1:
             raise SchemaError(f"goods index must be >= 1, got {self.goods}")
 
     def flat(self, n_goods: int) -> int:
         """1-based flat index l = G*(alpha-1) + g."""
+        n_goods = _integer("n_goods", n_goods)
         if not 1 <= self.goods <= n_goods:
             raise BadParameter(f"goods index {self.goods} outside [1, {n_goods}]")
         return n_goods * (int(self.alpha) - 1) + self.goods
@@ -114,6 +116,7 @@ class SeriesId:
     @classmethod
     def from_flat(cls, flat: int, n_goods: int) -> "SeriesId":
         """Inverse of :meth:`flat`."""
+        flat, n_goods = _integer("flat", flat), _integer("n_goods", n_goods)
         if not 1 <= flat <= 3 * n_goods:
             raise BadParameter(f"flat index {flat} outside [1, {3 * n_goods}]")
         alpha, g = divmod(flat - 1, n_goods)
@@ -405,16 +408,14 @@ def check_standardized(mean: np.ndarray, mean_square: np.ndarray) -> None:
 class StandardizedPanel:
     """Zero-mean, unit-variance growth-rate series w_l(t_j).
 
-    ``mean`` and ``std`` record the per-series statistics removed by the
-    transform (population normalization: divide by N', not N'-1).  It
-    holds at least one series and one month, and ``ids`` and ``n_goods``
-    are derived from the row count, as for :class:`GrowthPanel`.
+    Each series has population mean 0 and std 1 (divide by N', not N'-1);
+    the statistics removed to get there are not kept.  It holds at least
+    one series and one month, and ``ids`` and ``n_goods`` are derived from
+    the row count, as for :class:`GrowthPanel`.
     """
 
     months: np.ndarray
     values: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
 
     def __post_init__(self):
         months, values = _series_by_month(self.months, self.values, "standardized values")
@@ -422,8 +423,6 @@ class StandardizedPanel:
         check_standardized(values.sum(axis=1) / n, np.einsum("ij,ij->i", values, values) / n)
         object.__setattr__(self, "months", _freeze(months))
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "mean", _freeze(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "std", _freeze(np.asarray(self.std, dtype=float)))
 
     @property
     def n_series(self) -> int:
@@ -449,14 +448,12 @@ class StandardizedPanel:
         """Wrap an already-standardized M x N' array (used by tests and demos).
 
         ``months`` defaults to N' consecutive months from 1988-01.  The
-        values are checked as every :class:`StandardizedPanel`'s are, and
-        ``mean`` and ``std`` record zeros and ones, as nothing was removed.
+        values are checked as every :class:`StandardizedPanel`'s are.
         """
         values = np.asarray(values, dtype=float)
-        m, n = values.shape
         if months is None:
-            months = np.datetime64("1988-01") + np.arange(n)
-        return cls(months=months, values=values, mean=np.zeros(m), std=np.ones(m))
+            months = np.datetime64("1988-01") + np.arange(values.shape[-1])
+        return cls(months=months, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +653,4 @@ def standardize(growth: GrowthPanel) -> StandardizedPanel:
             raise DegenerateSeries(growth.ids[i].label if growth.ids else i + 1)
     w = rates - mu[:, None]
     w /= sigma[:, None]
-    return StandardizedPanel(
-        months=growth.months, values=_frozen(w), mean=_frozen(mu), std=_frozen(sigma)
-    )
+    return StandardizedPanel(months=growth.months, values=_frozen(w))

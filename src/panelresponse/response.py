@@ -31,11 +31,10 @@ class RippleReport:
     """Responses of all series to a shift applied at one source series.
 
     ``responses`` is read-only, one entry per series of a 3 x G layout (else
-    SchemaError); ``n_goods`` is derived from their number M = 3G.
+    SchemaError); ``n_goods`` is derived from their number M = 3G.  The
+    source and the shift are the caller's arguments, not kept here.
     """
 
-    source: SeriesId
-    shift: float
     responses: np.ndarray
 
     def __post_init__(self):
@@ -54,7 +53,6 @@ class ReducedSusceptibility:
     """Susceptibility projected on the leading eigenmodes (k x k, symmetric)."""
 
     values: np.ndarray
-    beta: float
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -80,7 +78,7 @@ def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport
     idx = _row(source, cg.m)
     responses = cg.values[:, idx] * shift
     responses[idx] = shift  # unit diagonal, kept exact
-    return RippleReport(source=source, shift=shift, responses=responses)
+    return RippleReport(responses=responses)
 
 
 def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
@@ -132,4 +130,4 @@ def reduced_susceptibility(
     if c.m != basis.m:
         raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    return ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk), beta=beta)
+    return ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk))

@@ -153,8 +153,7 @@ def _resolve_loadings(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 def generate(spec: SynthSpec) -> StandardizedPanel:
     """Generate the panel described by the spec (deterministic given its seed).
 
-    The generated series are standardized by :func:`standardize`, so
-    ``mean`` and ``std`` record what it removed.
+    The generated series are standardized by :func:`standardize`.
     """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.n_series, spec.n_obs

@@ -73,6 +73,20 @@ def test_validate_ok(planted_csv, tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_validate_accepts_a_byte_order_mark(planted_csv, tmp_path):
+    panel_path, _ = planted_csv
+    text = panel_path.read_text()
+    plain = run_cli("validate", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    res = run_cli("validate", "--input", str(bom), "--outdir", "o", cwd=tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
+    res = run_cli("validate", "--input", "-", "--outdir", "o", cwd=tmp_path,
+                  input_text="\ufeff" + text)
+    assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
+
+
 def test_validate_data_error_exit_1(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,P.1,S.1,I.1\n1988-01,1,1,1\n1988-02,0,1,1\n1988-03,1,1,1\n")
@@ -444,6 +458,40 @@ def test_ripple_reduced_chi_phases_cycles_stimuli(planted_csv, tmp_path):
     stim_rows = read_data_lines(tmp_path / "st" / "stimuli.csv")
     assert stim_rows[0] == "date,eta1,eta2"
     assert len(stim_rows) == 240  # header + 239 months
+
+
+def artifact_config(path: Path) -> dict:
+    """The run config an artifact records: a CSV's ``# config:`` line or a JSON's ``config``."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["config"]
+    first = path.read_text().split("\n", 1)[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+# the result containers keep no run parameter, so each artifact must record them
+@pytest.mark.parametrize("args, want", [
+    (("ripple", "--k", "2", "--source", "S.15", "--shift", "2.5"),
+     {"k": 2, "source": "S.15", "shift": 2.5}),
+    (("phases", "--k", "4", "--ref", "P.20"), {"k": 4, "ref": "P.20", "freq_avg": False}),
+    (("phases", "--freq-avg", "--kset", "two-years", "--ref", "S.3"),
+     {"kset": list(range(1, 10)), "ref": "S.3", "freq_avg": True}),
+    (("stimuli", "--xi", "3", "--kset", "1,2,4,6", "--beta", "2"),
+     {"xi": 3, "kset": [1, 2, 4, 6], "beta": 2.0}),
+    (("reduced-chi", "--k", "2", "--beta", "2"), {"k": 2, "beta": 2.0}),
+], ids=["ripple", "phases-k", "phases-freq-avg", "stimuli", "reduced-chi"])
+def test_artifacts_record_the_run_parameters(planted_csv, tmp_path, args, want):
+    panel_path, _ = planted_csv
+    res = run_cli(*args, "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    paths = sorted((tmp_path / "o").iterdir())
+    assert len(paths) >= 2  # the artifacts and manifest.json
+    for path in paths:
+        config = artifact_config(path)
+        assert {key: config.get(key) for key in want} == want, path.name
+    if args[0] == "reduced-chi":
+        doc = json.loads((tmp_path / "o" / "reduced_chi.json").read_text())
+        assert doc["beta"] == 2.0 and type(doc["beta"]) is float
 
 
 def test_synth_pipe_to_analyze(planted_csv, tmp_path):

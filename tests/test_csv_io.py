@@ -353,6 +353,41 @@ def test_malformed_panel_file_is_a_schema_error(case):
     assert str(exc.value) == message
 
 
+BOM = "\ufeff"
+BOM_PANEL = "date,P.1,S.1,I.1\n1988-01,1,2,3\n1988-02,2,3,4\n1988-03,3,4,5\n"
+
+
+@pytest.mark.parametrize("prefix", [BOM, BOM + "# saved by a spreadsheet\n"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, prefix):
+    plain = load_panel(io.StringIO(BOM_PANEL))
+    path = tmp_path / "bom.csv"
+    path.write_bytes((prefix + BOM_PANEL).encode("utf-8"))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    for source in (path, io.StringIO(prefix + BOM_PANEL)):
+        panel = load_panel(source)
+        assert np.array_equal(panel.values, plain.values)
+        assert np.array_equal(panel.months, plain.months)
+        assert panel.ids == plain.ids
+    w = StandardizedPanel.from_values(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    matrix = correlation_matrix(w)
+    buf = io.StringIO()
+    corr_to_csv(matrix, buf)
+    back = corr_from_csv(io.StringIO(prefix + buf.getvalue()))
+    assert np.array_equal(back.values, matrix.values)
+
+
+@pytest.mark.parametrize("text, message", [
+    (BOM + BOM_PANEL, "^<stream>: first column must be 'date'$"),  # a second mark
+    (BOM_PANEL.replace("1988-02", BOM + "1988-02"),
+     r"^bad date '\\ufeff1988-02': expected YYYY-MM$"),
+    (BOM_PANEL.replace(",2,3,4", "," + BOM + "2,3,4"),
+     r"^<stream>: bad value '\\ufeff2' for P.1 at 1988-02$"),
+])
+def test_a_byte_order_mark_elsewhere_is_refused(text, message):
+    with pytest.raises(SchemaError, match=message):
+        load_panel(io.StringIO(BOM + text))
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: every failure is a PanelResponseError
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_producers_hand_over_fresh_frozen_arrays(growth):
     c = correlation_matrix(w)
     basis = eigendecompose(c)
     e = null_ensemble(w, "rotational", 3, seed=0)
-    for a in (g.rates, w.values, w.mean, w.std, c.values, basis.eigenvalues,
+    for a in (g.rates, w.values, c.values, basis.eigenvalues,
               basis.vectors, genuine_matrix(basis, 2).values, e.lambda_max, e.pooled):
         assert a.flags.owndata and not a.flags.writeable
     # the in-place arithmetic gives the values of the plain expressions
