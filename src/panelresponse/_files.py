@@ -3,7 +3,8 @@
 Each accepts either a path or an already-open text stream.  A path is opened
 with ``newline=""`` (so the csv module controls line endings) and closed on
 exit; a stream is used as given and left open for its owner.  Every CSV row
-passes through :func:`read_rows` or :func:`write_rows`.
+passes through :func:`read_rows` or :func:`write_rows`, except a null
+ensemble's pooled spectrum, which ``nullmodel`` formats a sample at a time.
 """
 
 from __future__ import annotations
@@ -96,12 +97,16 @@ def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
 
 
 def read_json(source: str | Path | TextIO | dict) -> dict:
-    """A JSON document from a path or stream (a dict is returned as is), else SchemaError."""
+    """A JSON document from a path or stream (a dict is returned as is), else SchemaError.
+
+    One byte-order mark at the start of the text is dropped, as
+    :func:`read_rows` drops it.
+    """
     if isinstance(source, dict):
         return source
     with open_text(source) as fh:
         try:
-            return json.load(fh)
+            return json.loads(fh.read().removeprefix("\ufeff"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             name = getattr(fh, "name", "<stream>")
             raise SchemaError(f"{name}: unreadable JSON: {exc}") from None

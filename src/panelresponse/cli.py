@@ -5,6 +5,11 @@ computation succeeds, :func:`main` writes them plus a ``manifest.json`` into
 the output directory (flag ``--outdir``, env ``PANELRESPONSE_OUTDIR``,
 default ``out``) and embeds the full effective configuration in each file, so
 any output can be reproduced bit-for-bit from the recorded configuration.
+The one artifact written during the computation is ``null``'s
+``pooled_eigenvalues.csv``, streamed as the null's chunks finish so that the
+samples x M spectrum is never held whole.  It is written under a temporary
+name and renamed only when the null succeeds, so a failed subcommand still
+leaves none of its artifacts.
 No plotting: artifacts are plot-ready CSV for external tools.
 
 Exit status: 0 on success, 1 on data or validation errors or a refused
@@ -14,6 +19,7 @@ memory allocation (one-line diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -157,8 +163,31 @@ def _write_artifact(
         write_json(target, {"config": config, **content})
         return
     with open_text(target, "w") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(_config_line(config))
         content(fh)
+
+
+def _config_line(config: dict) -> str:
+    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def _streamed_artifact(outdir: Path, name: str, config: dict) -> Iterator[TextIO]:
+    """The open file of an artifact written while its subcommand computes.
+
+    It starts with the ``# config:`` line and is written under a temporary
+    name in ``outdir``, renamed to ``name`` when the block succeeds and
+    removed when it fails, so a failed subcommand leaves no ``name``.
+    """
+    part = outdir / f".{name}.{os.getpid()}.part"
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write(_config_line(config))
+            yield fh
+        os.replace(part, outdir / name)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _input(args) -> TextIO | str:
@@ -187,7 +216,7 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts, summary) and writes nothing itself
+# subcommands: each returns (artifacts, summary); only null writes while it computes
 # ---------------------------------------------------------------------------
 
 
@@ -225,10 +254,13 @@ def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
 
 
 def _cmd_null(args, config: dict) -> tuple[dict, dict]:
-    ensemble = null_ensemble(_standardized(args), args.mode, args.samples, args.seed)
-    return {
-        "ensemble.json": ensemble.to_json(), "pooled_eigenvalues.csv": ensemble.pooled_to_csv,
-    }, {"mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
+    w = _standardized(args)
+    # the pooled spectrum goes to its file as the chunks finish, never held whole
+    with _streamed_artifact(Path(args.outdir), "pooled_eigenvalues.csv", config) as fh:
+        ensemble = null_ensemble(w, args.mode, args.samples, args.seed, keep_pooled=False,
+                                 pooled_csv=fh)
+    return {"ensemble.json": ensemble.to_json()}, {
+        "mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
 
 
 def _cmd_genuine(args, config: dict) -> tuple[dict, dict]:

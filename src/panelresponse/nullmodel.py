@@ -17,7 +17,6 @@ threshold for retained eigenmodes.
 from __future__ import annotations
 
 import enum
-import itertools
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass, replace
@@ -27,7 +26,7 @@ from typing import TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._files import json_fields, read_json, write_json, write_rows
+from ._files import _BLOCK_CELLS, json_fields, open_text, read_json, write_json
 from .errors import BadParameter, SchemaError
 from .panel import StandardizedPanel, _freeze, _frozen, _integer, check_standardized
 
@@ -381,11 +380,27 @@ class NullEnsemble:
         """Write one ``sample,eigenvalue`` row per pooled eigenvalue (repr-exact)."""
         if self.pooled is None:
             raise SchemaError("ensemble carries no pooled eigenvalues")
-        # one sample at a time, its index rendered once for its M rows
-        rows = itertools.chain.from_iterable(
-            zip(itertools.repeat(str(s)), row.tolist()) for s, row in enumerate(self.pooled)
-        )
-        write_rows(target, itertools.chain([("sample", "eigenvalue")], rows))
+        step = max(1, _BLOCK_CELLS // self.pooled.shape[1])
+        with open_text(target, "w") as fh:
+            fh.write(_POOLED_HEADER)
+            for lo in range(0, self.samples, step):
+                fh.write(_pooled_rows(lo, self.pooled[lo:lo + step]))
+
+
+#: The header line of a pooled spectrum's CSV (see :func:`_pooled_rows`).
+_POOLED_HEADER = "sample,eigenvalue\n"
+
+
+def _pooled_rows(first: int, spectra: np.ndarray) -> str:
+    """The ``sample,eigenvalue`` lines of samples ``first``, ``first`` + 1, ...
+
+    Row s of ``spectra`` is one sample's spectrum; each sample's M lines
+    come from one %-format template with its index written in, and ``%r``
+    of a Python float is its repr, as :func:`~panelresponse._files.write_rows`
+    renders it.
+    """
+    return "".join((f"{s},%r\n" * len(row)) % tuple(row)
+                   for s, row in enumerate(spectra.tolist(), first))
 
 
 def _sample_count_and_seed(samples, seed) -> tuple[int, int]:
@@ -404,6 +419,7 @@ def null_ensemble(
     samples: int,
     seed: int,
     keep_pooled: bool = True,
+    pooled_csv: TextIO | None = None,
 ) -> NullEnsemble:
     """Generate a shuffling null ensemble of correlation eigenvalues.
 
@@ -413,12 +429,12 @@ def null_ensemble(
 
     Samples run in chunks, and the chunks run on one worker thread per
     usable CPU unless one sample exceeds a chunk (see :func:`_worker_count`);
-    each worker writes only its own samples' rows, and a failing worker
-    stops the others before their next chunk.  Every sample makes the
-    same draws, in the same order, as :func:`rotational_shuffle` /
-    :func:`complete_shuffle`, and the shuffled rows are gathered without
-    arithmetic, so each sample's panel, correlation matrix and eigenvalues
-    are bit-identical to the one-sample loop over those shufflers, at any
+    the workers take the chunks in sample order, each writes only its own
+    samples' rows, and a failing worker stops the others before their next
+    chunk.  Every sample makes the same draws, in the same order, as
+    :func:`rotational_shuffle` / :func:`complete_shuffle`, and the shuffled
+    rows are gathered without arithmetic, so each sample's panel,
+    correlation matrix and eigenvalues are bit-identical to the one-sample loop over those shufflers, at any
     chunk size and worker count.  The rotational offsets are computed by
     the calling thread before any worker starts, without building a
     generator per sample: numpy's SeedSequence key mixing, Philox4x64-10
@@ -432,7 +448,18 @@ def null_ensemble(
     diagonal of its X X^T / N'.  Memory is O(M N') per worker, so it grows
     with the number of usable CPUs, plus for a rotational null one table of
     samples x M window starts in the smallest unsigned type that holds
-    N' - 1 (one byte each up to N' = 256).
+    N' - 1 (one byte each up to N' = 256), plus the samples x M ``pooled``
+    array when ``keep_pooled`` is set.
+
+    ``pooled_csv``, an open text stream, gets the pooled spectrum's CSV
+    while the chunks run, whether or not ``keep_pooled`` is set: the
+    ``sample,eigenvalue`` header, then every sample's M rows in sample
+    order, the text :meth:`NullEnsemble.pooled_to_csv` writes.  Each worker
+    formats its own chunk's rows; a chunk that finishes before an earlier
+    one waits until the earlier one is written, and no worker starts a
+    chunk while one formatted chunk per worker waits, so fewer than two
+    chunks' text per worker is ever held.  If the null fails, the stream
+    holds a partial spectrum; its owner discards it.
 
     ``samples`` and ``seed`` are integers; a numpy integer is taken as the
     Python int it holds, and a bool, float or string is a
@@ -467,44 +494,72 @@ def null_ensemble(
 
     pooled = np.empty((samples, m)) if keep_pooled else None
     lambda_max = np.empty(samples)
+    chunks = range(0, samples, chunk)
+    workers = _worker_count(sample_bytes, len(chunks))
 
+    # a chunk's rows wait in ``texts`` until every earlier chunk is written,
+    # and no worker takes a chunk while one per worker waits there
+    todo = iter(chunks)
+    texts: dict[int, str] = {}
+    unwritten = 0
+    turn = threading.Condition()
     stop = threading.Event()
 
-    def run(chunks):
+    def halt():
+        stop.set()
+        with turn:
+            turn.notify_all()
+
+    def take():
+        with turn:
+            turn.wait_for(lambda: stop.is_set() or len(texts) < workers)
+            return None if stop.is_set() else next(todo, None)
+
+    def emit(lo, text):
+        nonlocal unwritten
+        with turn:
+            texts[lo] = text
+            while unwritten in texts:
+                pooled_csv.write(texts.pop(unwritten))
+                unwritten += chunk
+            turn.notify_all()
+
+    def run():
         try:
-            for lo in chunks:
-                if stop.is_set():
-                    return
+            while (lo := take()) is not None:
                 hi = min(lo + chunk, samples)
                 x = gather(lo, hi)
                 gram = x @ x.transpose(0, 2, 1)
                 gram /= n
                 check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
-                eigs = np.linalg.eigvalsh(gram)
-                lambda_max[lo:hi] = eigs[:, -1]
+                eigs = np.linalg.eigvalsh(gram)[:, ::-1]
+                # freed before the rows are formatted and the next chunk is
+                # gathered, so chunks never overlap
+                del x, gram
+                lambda_max[lo:hi] = eigs[:, 0]
                 if pooled is not None:
-                    pooled[lo:hi] = eigs[:, ::-1]
-                # freed before the next chunk is gathered, so chunks never overlap
-                del x, gram, eigs
+                    pooled[lo:hi] = eigs
+                if pooled_csv is not None:
+                    emit(lo, _pooled_rows(lo, eigs))
         except BaseException:
-            stop.set()
+            halt()
             raise
 
-    chunks = range(0, samples, chunk)
-    workers = _worker_count(sample_bytes, len(chunks))
+    if pooled_csv is not None:
+        pooled_csv.write(_POOLED_HEADER)
     if workers == 1:
-        run(chunks)
+        run()
     else:
         # the gather, matmul, reductions and eigvalsh release the GIL
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
             try:
-                for done in [pool.submit(run, chunks[k::workers]) for k in range(workers)]:
+                for done in [pool.submit(run) for _ in range(workers)]:
                     done.result()
             finally:
                 # an interrupt while waiting stops the workers too
-                stop.set()
+                halt()
     return NullEnsemble(
         mode=mode,
         seed=seed,

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -85,6 +86,18 @@ def test_validate_accepts_a_byte_order_mark(planted_csv, tmp_path):
     res = run_cli("validate", "--input", "-", "--outdir", "o", cwd=tmp_path,
                   input_text="\ufeff" + text)
     assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
+
+
+def test_synth_accepts_a_spec_with_a_byte_order_mark(planted_csv, tmp_path):
+    _, spec_path = planted_csv
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + spec_path.read_bytes())
+    panels = []
+    for spec in (spec_path, bom):
+        res = run_cli("synth", "--spec", str(spec), "--outdir", "s", cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+        panels.append(read_data_lines(tmp_path / "s" / "panel.csv"))
+    assert panels[0] == panels[1]
 
 
 def test_validate_data_error_exit_1(tmp_path):
@@ -386,6 +399,40 @@ def test_null_byte_identical_reruns(planted_csv, tmp_path):
     assert doc["edge"]["low"] <= doc["edge"]["center"] <= doc["edge"]["high"]
     pooled = (tmp_path / "o" / "pooled_eigenvalues.csv").read_text().strip().split("\n")
     assert len(pooled) == 2 + 40 * 63  # config + header + samples*M
+
+
+def test_failing_null_leaves_no_pooled_file(planted_csv, tmp_path, monkeypatch, capsys):
+    from panelresponse import cli, load_panel, log_growth, null_ensemble, nullmodel, standardize
+    from panelresponse.errors import PanelResponseError
+
+    panel_path, _ = planted_csv
+    argv = ["null", "--input", str(panel_path), "--samples", "200", "--outdir", str(tmp_path)]
+    check, calls = nullmodel.check_standardized, itertools.count()
+
+    def third_fails(mean, mean_square):
+        # 25 chunks of 8 samples: earlier chunks' rows are already streamed
+        if next(calls) == 2:
+            raise PanelResponseError("planted failure in the third chunk")
+        check(mean, mean_square)
+
+    monkeypatch.setattr(nullmodel, "check_standardized", third_fails)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "panelresponse: planted failure in the third chunk\n"
+    assert list(tmp_path.iterdir()) == []
+    # unpatched, the streamed file is renamed into place and nothing else is left
+    monkeypatch.setattr(nullmodel, "check_standardized", check)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ensemble.json", "manifest.json", "pooled_eigenvalues.csv"]
+    config, text = (tmp_path / "pooled_eigenvalues.csv").read_text().split("\n", 1)
+    assert json.loads(config.removeprefix("# config: ")) == json.loads(
+        (tmp_path / "ensemble.json").read_text())["config"]
+    w = standardize(log_growth(load_panel(panel_path)))
+    written = io.StringIO()
+    null_ensemble(w, "rotational", 200, 0).pooled_to_csv(written)
+    assert text == written.getvalue()
 
 
 def test_genuine_artifact(planted_csv, tmp_path):

@@ -109,6 +109,22 @@ def test_reader_path_stream_and_dict_agree(objects, tmp_path, name):
         assert form(read(json.loads(path.read_text()))) == want
 
 
+@pytest.mark.parametrize("name", ["corr_from_json", "NullEnsemble.from_json", "spec_from_json"])
+def test_json_readers_drop_one_byte_order_mark(objects, tmp_path, name):
+    key, writer, read, form, _ = READERS[name]
+    path = tmp_path / "doc"
+    WRITERS[writer](objects, path)
+    text = path.read_text()
+    want = form(objects[key])
+    # as an editor saves "UTF-8 with BOM"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert form(read(path)) == want
+    assert form(read(io.StringIO("\ufeff" + text))) == want
+    # only the first mark is dropped
+    with pytest.raises(SchemaError, match="unreadable JSON"):
+        read(io.StringIO("\ufeff\ufeff" + text))
+
+
 JSON_READERS = {
     "corr_from_json": corr_from_json,
     "NullEnsemble.from_json": NullEnsemble.from_json,

@@ -9,8 +9,11 @@ peaks are traced with ``tracemalloc`` at the scaled 300 x 1200 shape.
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -208,6 +211,36 @@ def test_rotational_offsets_cost_their_table(monkeypatch, n):
 
     itemsize = np.min_scalar_type(n - 1).itemsize
     # the table plus lambda_max's 8 bytes a sample, with some slack
+    assert peak(samples) - peak(two_chunks) <= samples * (m * itemsize + 24) + 64 * 1024
+
+
+def test_streamed_pooled_spectrum_is_never_held_whole(monkeypatch):
+    # two workers stream every sample's spectrum as its chunk finishes; the
+    # samples x M pooled array would add 2,000 x 63 x 8 bytes to the growth
+    m, n, samples = 63, 239, 2000
+    w = StandardizedPanel.from_values(standardized_values(m, n, 6))
+    monkeypatch.setattr(nullmodel, "_worker_count", lambda sample_bytes, chunks: min(2, chunks))
+    two_chunks = 2 * (nullmodel._CHUNK_BYTES // w.values.nbytes)
+    check = nullmodel.check_standardized
+
+    def peak(count):
+        # both workers' first chunks are held at once, so the two-chunk null
+        # reaches the overlap that the long one always reaches
+        meet, calls = threading.Barrier(2), itertools.count()
+
+        def meeting_check(mean, mean_square):
+            if next(calls) < 2:
+                meet.wait(timeout=60)
+            check(mean, mean_square)
+
+        monkeypatch.setattr(nullmodel, "check_standardized", meeting_check)
+        with open(os.devnull, "w") as sink:
+            return traced_peak(lambda: null_ensemble(w, "rotational", count, seed=2,
+                                                     keep_pooled=False, pooled_csv=sink))[1]
+
+    peak(two_chunks)  # the first two-worker null imports the thread pool
+    itemsize = np.min_scalar_type(n - 1).itemsize
+    # the offset table plus lambda_max's 8 bytes a sample, with the same slack
     assert peak(samples) - peak(two_chunks) <= samples * (m * itemsize + 24) + 64 * 1024
 
 

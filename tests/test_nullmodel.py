@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,52 @@ def test_ensemble_independent_of_worker_count(monkeypatch, mode, workers, per_ch
     assert_matches_oracle(w, mode, 11, seed=42)
 
 
+@pytest.mark.parametrize("per_chunk", [1, 3, 25])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_streamed_pooled_csv_equals_pooled_to_csv(monkeypatch, mode, workers, per_chunk):
+    w = standardized_panel(6, 30, 3)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", per_chunk * w.values.nbytes)
+    fixed_workers(monkeypatch, workers)
+    kept, lean = io.StringIO(), io.StringIO()
+    e = null_ensemble(w, mode, 11, seed=42, pooled_csv=kept)
+    bare = null_ensemble(w, mode, 11, seed=42, keep_pooled=False, pooled_csv=lean)
+    written = io.StringIO()
+    e.pooled_to_csv(written)
+    assert kept.getvalue() == lean.getvalue() == written.getvalue()
+    assert written.getvalue().count("\n") == 1 + 11 * 6
+    assert bare.pooled is None
+    lambda_max, _, _ = explicit_null_ensemble(w, mode, 11, 42)
+    assert np.array_equal(e.lambda_max, lambda_max)
+    assert np.array_equal(bare.lambda_max, lambda_max)
+
+
+def test_streamed_chunks_wait_for_an_earlier_one(monkeypatch):
+    # while the first chunk is held up, the two other workers stop taking
+    # chunks once three formatted ones wait: each may finish the one it
+    # holds, so at most 2 x (3 - 1) chunks are formatted ahead of it
+    w = standardized_panel(4, 20, 5)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, 3)
+    rows, formatted, ahead = nullmodel._pooled_rows, [], []
+
+    def slow_first(first, spectra):
+        if first == 0:
+            time.sleep(0.3)
+            ahead.append(len(formatted))
+        formatted.append(first)
+        return rows(first, spectra)
+
+    monkeypatch.setattr(nullmodel, "_pooled_rows", slow_first)
+    stream = io.StringIO()
+    e = null_ensemble(w, "rotational", 60, seed=1, keep_pooled=True, pooled_csv=stream)
+    assert 1 <= ahead[0] <= 4
+    assert sorted(formatted) == list(range(60))
+    written = io.StringIO()
+    e.pooled_to_csv(written)
+    assert stream.getvalue() == written.getvalue()
+
+
 @pytest.mark.parametrize("n", [256, 257])
 def test_rotational_starts_at_the_dtype_boundary(monkeypatch, n):
     # the window starts are held as uint8 up to N' = 256 and uint16 above;
@@ -439,6 +486,24 @@ def test_ensemble_threads_under_contention(monkeypatch, mode):
         assert_matches_oracle(w, mode, 40, seed=6)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_streamed_pooled_csv_under_contention(monkeypatch):
+    # a chunk written twice, out of order or by two threads at once breaks
+    # the equality with the in-memory writer
+    w = standardized_panel(5, 24, 8)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, 8)
+    stream = io.StringIO()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        e = null_ensemble(w, "rotational", 40, seed=6, pooled_csv=stream)
+    finally:
+        sys.setswitchinterval(interval)
+    written = io.StringIO()
+    e.pooled_to_csv(written)
+    assert stream.getvalue() == written.getvalue()
 
 
 def test_worker_count_policy():
