@@ -1,19 +1,16 @@
 """Command-line front end: orchestrates the pipeline, emits CSV/JSON artifacts.
 
-Every subcommand computes its artifacts without writing anything; once the
-computation succeeds, :func:`main` writes them plus a ``manifest.json`` into
-the output directory (flag ``--outdir``, env ``PANELRESPONSE_OUTDIR``,
-default ``out``) and embeds the full effective configuration in each file, so
-any output can be reproduced bit-for-bit from the recorded configuration.
-The one artifact written during the computation is ``null``'s
-``pooled_eigenvalues.csv``, streamed as the null's chunks finish so that the
-samples x M spectrum is never held whole.  It is written under a temporary
-name and renamed only when the null succeeds, so a failed subcommand still
-leaves none of its artifacts.
+Every subcommand writes its artifacts as it computes them, and :func:`main`
+adds a ``manifest.json``, all into the output directory (flag ``--outdir``,
+env ``PANELRESPONSE_OUTDIR``, default ``out``).  Each file embeds the full
+effective configuration, so any output can be reproduced bit-for-bit from the
+recorded configuration.  Every file is written under a temporary name and
+renamed into place only when the whole run has succeeded, so a failed run
+leaves none of its files, whole or partial.
 No plotting: artifacts are plot-ready CSV for external tools.
 
-Exit status: 0 on success, 1 on data or validation errors or a refused
-memory allocation (one-line diagnostic on stderr), 2 on usage errors.
+Exit status: 0 on success, 1 on data or validation errors, a failed write or
+a refused memory allocation (one-line diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,14 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import os
 import platform
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -136,11 +132,6 @@ def _effective_config(args) -> dict:
     return config
 
 
-def _table(header: list[str], rows: Iterable[Sequence]) -> Callable[[TextIO], None]:
-    """A CSV writer of ``header`` then ``rows``, taking the rows only as it writes them."""
-    return lambda fh: write_rows(fh, itertools.chain([header], rows))
-
-
 def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
     """``mode,series,component`` rows, one mode's M rows at a time (M^2 in all)."""
     return itertools.chain.from_iterable(
@@ -149,45 +140,50 @@ def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
     )
 
 
-def _write_artifact(
-    outdir: Path, name: str, content: dict | Callable[[TextIO], None], config: dict
-) -> None:
-    """Write one artifact of a subcommand, framed by its config.
+class _Artifacts:
+    """The files of one run, each framed by ``config`` and written under a temporary name.
 
-    ``content`` is the document of a ``.json`` name, written with ``config``
-    as its first key, and otherwise a writer that takes the open file, called
-    after the ``# config:`` line.  The name ``-`` is stdout.
+    A file is written under ``.{name}.{pid}.part`` in ``outdir`` as its
+    subcommand computes it.  :meth:`commit` renames every file into place in
+    the order it was opened, once the whole run has succeeded;
+    :meth:`discard` removes those not renamed.  The name ``-`` is stdout.
     """
-    target = sys.stdout if name == "-" else outdir / name
-    if name.endswith(".json"):
-        write_json(target, {"config": config, **content})
-        return
-    with open_text(target, "w") as fh:
-        fh.write(_config_line(config))
-        content(fh)
 
+    def __init__(self, outdir: Path, config: dict):
+        self.outdir, self.config = outdir, config
+        self._parts: list[tuple[Path, Path]] = []
 
-def _config_line(config: dict) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True) + "\n"
-
-
-@contextlib.contextmanager
-def _streamed_artifact(outdir: Path, name: str, config: dict) -> Iterator[TextIO]:
-    """The open file of an artifact written while its subcommand computes.
-
-    It starts with the ``# config:`` line and is written under a temporary
-    name in ``outdir``, renamed to ``name`` when the block succeeds and
-    removed when it fails, so a failed subcommand leaves no ``name``.
-    """
-    part = outdir / f".{name}.{os.getpid()}.part"
-    try:
-        with open(part, "w", newline="") as fh:
-            fh.write(_config_line(config))
+    @contextlib.contextmanager
+    def open(self, name: str) -> Iterator[TextIO]:
+        """The open file of artifact ``name``; a CSV starts with its ``# config:`` line."""
+        if name == "-":
+            target = sys.stdout
+        else:
+            target = self.outdir / f".{name}.{os.getpid()}.part"
+            self._parts.append((target, self.outdir / name))
+        with open_text(target, "w") as fh:
+            if not name.endswith(".json"):
+                fh.write("# config: " + json.dumps(self.config, sort_keys=True) + "\n")
             yield fh
-        os.replace(part, outdir / name)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+
+    def table(self, name: str, header: list[str], rows: Iterable[Sequence]) -> None:
+        """Write ``header`` then ``rows``, taking the rows only as it writes them."""
+        with self.open(name) as fh:
+            write_rows(fh, itertools.chain([header], rows))
+
+    def json(self, name: str, doc: dict, **fmt) -> None:
+        """Write ``doc`` with ``config`` as its first key (``fmt`` as for ``write_json``)."""
+        with self.open(name) as fh:
+            write_json(fh, {"config": self.config, **doc}, **fmt)
+
+    def commit(self) -> None:
+        for part, final in self._parts:
+            os.replace(part, final)
+        self._parts = []
+
+    def discard(self) -> None:
+        for part, _ in self._parts:
+            part.unlink(missing_ok=True)
 
 
 def _input(args) -> TextIO | str:
@@ -216,19 +212,19 @@ def _resolve_mode_count(args, w: StandardizedPanel, basis: ModeBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts, summary); only null writes while it computes
+# subcommands: each writes through ``out`` as it computes and returns its stdout summary
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, config: dict) -> tuple[dict, dict]:
+def _cmd_validate(args, out: _Artifacts) -> dict:
     panel = load_panel(_input(args), window=args.window)
-    return {}, {
+    return {
         "series": panel.n_series, "goods": panel.n_goods, "months": panel.n_months,
         "start": str(panel.months[0]), "end": str(panel.months[-1]),
     }
 
 
-def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
+def _cmd_analyze(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     lam = basis.eigenvalues
     labels = [sid.label for sid in w.ids]
@@ -239,95 +235,81 @@ def _cmd_analyze(args, config: dict) -> tuple[dict, dict]:
     grid = np.linspace(0.0, top, 512)
     dens = mp_density(grid, q)
     lo, hi = mp_bounds(q)
+    out.table("eigenvalues.csv", ["n", "eigenvalue"], enumerate(lam.tolist(), 1))
+    out.table("eigenvectors.csv", ["mode", "series", "component"],
+              _eigenvector_rows(basis, labels))
+    out.table("spectrum_histogram.csv", ["lambda_lo", "lambda_hi", "density"],
+              zip(edges[:-1], edges[1:], density.tolist()))
+    out.table("mp_density.csv", ["lambda", "density"], zip(grid.tolist(), dens.tolist()))
     return {
-        "eigenvalues.csv": _table(["n", "eigenvalue"], enumerate(lam.tolist(), 1)),
-        "eigenvectors.csv": _table(["mode", "series", "component"],
-                                   _eigenvector_rows(basis, labels)),
-        "spectrum_histogram.csv": _table(["lambda_lo", "lambda_hi", "density"],
-                                         zip(edges[:-1], edges[1:], density.tolist())),
-        "mp_density.csv": _table(["lambda", "density"], zip(grid.tolist(), dens.tolist())),
-    }, {
         "m": w.n_series, "n_obs": w.n_obs, "q": q,
         "mp_lower": lo, "mp_upper": hi,
         "top_eigenvalues": [float(v) for v in lam[:3]],
     }
 
 
-def _cmd_null(args, config: dict) -> tuple[dict, dict]:
+def _cmd_null(args, out: _Artifacts) -> dict:
     w = _standardized(args)
     # the pooled spectrum goes to its file as the chunks finish, never held whole
-    with _streamed_artifact(Path(args.outdir), "pooled_eigenvalues.csv", config) as fh:
+    with out.open("pooled_eigenvalues.csv") as fh:
         ensemble = null_ensemble(w, args.mode, args.samples, args.seed, keep_pooled=False,
                                  pooled_csv=fh)
-    return {"ensemble.json": ensemble.to_json()}, {
-        "mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
+    out.json("ensemble.json", ensemble.to_json())
+    return {"mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
 
 
-def _cmd_genuine(args, config: dict) -> tuple[dict, dict]:
+def _cmd_genuine(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
-    k = config["effective_k"] = _resolve_mode_count(args, w, basis)
+    k = out.config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    return {
-        "genuine_matrix.csv": lambda fh: corr_to_csv(cg, fh),
-        "genuine_matrix.json": _corr_document(cg),
-    }, {"k": k, "m": cg.m}
+    with out.open("genuine_matrix.csv") as fh:
+        corr_to_csv(cg, fh)
+    out.json("genuine_matrix.json", _corr_document(cg))
+    return {"k": k, "m": cg.m}
 
 
-def _cmd_ripple(args, config: dict) -> tuple[dict, None]:
+def _cmd_ripple(args, out: _Artifacts) -> None:
     w, raw, basis = _spectrum(args)
-    k = config["effective_k"] = _resolve_mode_count(args, w, basis)
+    k = out.config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    # rendered here (19 rows), so a panel without the 21-goods layout fails
-    # before anything is written
-    table = io.StringIO()
-    final_to_intermediate_csv(cg, raw, table)
-    artifacts = {"intermediate_response.csv": lambda fh: fh.write(table.getvalue())}
+    with out.open("intermediate_response.csv") as fh:
+        final_to_intermediate_csv(cg, raw, fh)
     if args.source is not None:
         report = ripple(cg, SeriesId.parse(args.source), args.shift)
-        artifacts["ripple_source.csv"] = _table(
-            ["series", "response"], zip([sid.label for sid in w.ids], report.responses.tolist()))
-    return artifacts, None
+        out.table("ripple_source.csv", ["series", "response"],
+                  zip([sid.label for sid in w.ids], report.responses.tolist()))
 
 
-def _cmd_reduced_chi(args, config: dict) -> tuple[dict, dict]:
+def _cmd_reduced_chi(args, out: _Artifacts) -> dict:
     _, _, basis = _spectrum(args)
     if args.k > basis.m:
         # reduced_susceptibility's range, named before genuine_matrix names its own
         raise BadParameter(f"mode count {args.k} outside [1, {basis.m}]")
     red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
     values, normalized = red.values.tolist(), red.normalized.tolist()
-    return {
-        "reduced_chi.json": {"beta": args.beta, "k": args.k, "values": values,
-                             "normalized": normalized},
-        "reduced_chi.csv": _table(
-            ["row", "col", "value", "normalized"],
-            [(i + 1, j + 1, values[i][j], normalized[i][j])
-             for i in range(args.k) for j in range(args.k)],
-        ),
-    }, {"normalized": normalized}
+    out.json("reduced_chi.json", {"beta": args.beta, "k": args.k, "values": values,
+                                  "normalized": normalized})
+    out.table("reduced_chi.csv", ["row", "col", "value", "normalized"],
+              [(i + 1, j + 1, values[i][j], normalized[i][j])
+               for i in range(args.k) for j in range(args.k)])
+    return {"normalized": normalized}
 
 
-def _cmd_cycles(args, config: dict) -> tuple[dict, None]:
+def _cmd_cycles(args, out: _Artifacts) -> None:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     a1, a2 = ms.coeffs[0], ms.coeffs[1]
     s1 = moving_average(a1, args.xi)
     s2 = moving_average(a2, args.xi)
-    return {
-        "mode_series.csv": _table(
-            ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
-            zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()),
-        ),
-        # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
-        "lag_correlation.csv": _table(
-            ["lag", "correlation"],
-            [(lag, lag_correlation(s1, s2, lag))
-             for lag in range(-args.max_lag, args.max_lag + 1)],
-        ),
-    }, None
+    out.table("mode_series.csv", ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
+              zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()))
+    # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
+    out.table("lag_correlation.csv", ["lag", "correlation"],
+              [(lag, lag_correlation(s1, s2, lag))
+               for lag in range(-args.max_lag, args.max_lag + 1)])
 
 
-def _cmd_phases(args, config: dict) -> tuple[dict, dict]:
+def _cmd_phases(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     ref = SeriesId.parse(args.ref)
@@ -335,29 +317,35 @@ def _cmd_phases(args, config: dict) -> tuple[dict, dict]:
         table = freq_avg_phases(ms, basis, args.kset, ref)
     else:
         table = mode_phases(ms, basis, args.k, ref)
-    return {"phases.csv": table.to_csv}, {
+    with out.open("phases.csv") as fh:
+        table.to_csv(fh)
+    return {
         "period": table.period_label,
         "average": {c: table.class_average(v) for v, c in enumerate("PSI", 1)},
     }
 
 
-def _cmd_stimuli(args, config: dict) -> tuple[dict, dict]:
+def _cmd_stimuli(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2, args.beta)
     series = external_stimuli(mode_series(w, basis), basis, chi, args.xi, args.kset)
-    return {"stimuli.csv": series.to_csv}, {
+    with out.open("stimuli.csv") as fh:
+        series.to_csv(fh)
+    return {
         "max_abs_eta1": float(np.abs(series.eta1).max()),
         "max_abs_eta2": float(np.abs(series.eta2).max()),
     }
 
 
-def _cmd_synth(args, config: dict) -> tuple[dict, None]:
+def _cmd_synth(args, out: _Artifacts) -> None:
     spec = spec_from_json(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    config["effective_spec"] = spec_to_json(spec)
+    # in the config before the panel's file is opened, which renders the config line
+    out.config["effective_spec"] = spec_to_json(spec)
     panel = to_level_panel(generate(spec))
-    return {"-" if args.stdout else "panel.csv": lambda fh: write_panel_csv(panel, fh)}, None
+    with out.open("-" if args.stdout else "panel.csv") as fh:
+        write_panel_csv(panel, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +465,12 @@ def _peak_rss_mb() -> float | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    outdir = Path(args.outdir)
-    config = _effective_config(args)
+    out = _Artifacts(Path(args.outdir), _effective_config(args))
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts, summary = args.func(args, config)
-        for name in list(artifacts):
-            # popped, so each artifact's content is freed once it is written
-            _write_artifact(outdir, name, artifacts.pop(name), config)
-        if summary is not None:
-            print(json.dumps(summary, sort_keys=True))
+        out.outdir.mkdir(parents=True, exist_ok=True)
+        summary = args.func(args, out)
         manifest = {
             "subcommand": args.command,
-            "config": config,
             "versions": {
                 "panelresponse": __version__,
                 "python": platform.python_version(),
@@ -499,11 +480,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         peak = _peak_rss_mb()
         if peak is not None:
             manifest["peak_rss_mb"] = peak
-        write_json(outdir / "manifest.json", manifest, indent=2, sort_keys=True)
+        out.json("manifest.json", manifest, indent=2, sort_keys=True)
+        out.commit()
     except (PanelResponseError, OSError, MemoryError) as exc:
         # numpy's refused allocation names its size; a bare MemoryError has no message
         print(f"panelresponse: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        # whatever was raised, KeyboardInterrupt included, no temporary file stays
+        out.discard()
+    if summary is not None:
+        print(json.dumps(summary, sort_keys=True))
     return 0
 
 

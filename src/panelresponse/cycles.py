@@ -29,7 +29,9 @@ import numpy as np
 
 from ._files import write_rows
 from .errors import BadParameter, DegenerateWeights, SchemaError
-from .panel import SeriesId, Variable, _class_rows, _freeze, _goods, _layout_entries, _row
+from .panel import (
+    SeriesId, Variable, _class_rows, _freeze, _goods, _layout_entries, _row, _series_by_month,
+)
 from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
 
@@ -198,7 +200,11 @@ class StimulusSeries:
     values: np.ndarray  # 2 x N'
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values)))
+        months, values = _series_by_month(self.months, self.values, "stimulus values")
+        if values.shape[0] != 2:
+            raise SchemaError(f"stimulus values need 2 rows (eta1, eta2), got {values.shape[0]}")
+        object.__setattr__(self, "months", _freeze(months))
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def eta1(self) -> np.ndarray:

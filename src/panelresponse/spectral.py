@@ -24,7 +24,10 @@ import numpy as np
 
 from ._files import json_fields, open_text, read_json, read_rows, write_rows
 from .errors import BadParameter, EigensolverFailure, SchemaError
-from .panel import StandardizedPanel, Variable, _class_rows, _freeze, _frozen, _goods, _integer
+from .panel import (
+    StandardizedPanel, Variable, _class_rows, _freeze, _frozen, _goods, _integer,
+    _series_by_month,
+)
 
 _SYM_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -146,12 +149,9 @@ class ModeSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        months = _freeze(np.asarray(self.months, dtype="datetime64[M]"))
-        coeffs = _freeze(np.asarray(self.coeffs, dtype=float))
-        if coeffs.ndim != 2 or months.shape != (coeffs.shape[1],):
-            raise SchemaError("mode coefficients and months are inconsistent")
-        object.__setattr__(self, "months", months)
-        object.__setattr__(self, "coeffs", coeffs)
+        months, coeffs = _series_by_month(self.months, self.coeffs, "mode coefficients")
+        object.__setattr__(self, "months", _freeze(months))
+        object.__setattr__(self, "coeffs", _freeze(coeffs))
 
 
 # ---------------------------------------------------------------------------

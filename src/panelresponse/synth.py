@@ -28,6 +28,7 @@ from .panel import (
     StandardizedPanel,
     _freeze,
     _frozen,
+    _integer,
     parse_month,
     standardize,
 )
@@ -41,6 +42,12 @@ class Sinusoid:
 
     period: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.period) or self.period == 0:
+            raise BadParameter(f"sinusoid period must be finite and nonzero, got {self.period}")
+        if not np.isfinite(self.phase):
+            raise BadParameter(f"sinusoid phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,8 @@ class PlantedMode:
     loading: np.ndarray | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.eigenvalue):
+            raise BadParameter(f"target eigenvalue {self.eigenvalue} is not finite")
         if self.loading is not None:
             object.__setattr__(self, "loading", _freeze(np.asarray(self.loading)))
 
@@ -87,6 +96,8 @@ class SynthSpec:
     start: str = "1988-01"
 
     def __post_init__(self):
+        for name in ("n_series", "n_obs", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_series < 1 or self.n_obs < 2:
             raise BadParameter("panel must have at least 1 series and 2 months")
         if self.seed < 0:
@@ -106,7 +117,7 @@ def _noise_coeffs(spec: SynthSpec) -> np.ndarray | None:
     if spec.noise_ar1 is None:
         return None
     phi = np.broadcast_to(np.asarray(spec.noise_ar1, dtype=float), (spec.n_series,))
-    if np.any(np.abs(phi) >= 1.0):
+    if not np.all(np.abs(phi) < 1.0):  # NaN included
         raise BadParameter("noise AR(1) coefficients must lie in (-1, 1)")
     return np.array(phi)
 

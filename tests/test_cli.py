@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import itertools
 import json
@@ -244,6 +245,37 @@ def test_bad_spec_file_is_one_line_error(tmp_path, text):
     assert_one_line_error(run_cli("synth", "--spec", str(spec), "--outdir", "o", cwd=tmp_path))
 
 
+def one_mode_spec(driver: str, eigenvalue: str = "3.0", noise: str = "0.0") -> str:
+    return (f'{{"n_series": 6, "n_obs": 60, "seed": 1, "noise_ar1": {noise}, '
+            f'"modes": [{{"eigenvalue": {eigenvalue}, "driver": {driver}}}]}}')
+
+
+SINUSOID = '{"kind": "sinusoid", "period": %s, "phase": %s}'
+
+
+@pytest.mark.parametrize("text, message", [
+    (one_mode_spec(SINUSOID % ("Infinity", "0.0")),
+     "sinusoid period must be finite and nonzero, got inf"),
+    (one_mode_spec(SINUSOID % ("0", "0.0")), "sinusoid period must be finite and nonzero, got 0"),
+    (one_mode_spec(SINUSOID % ("12.0", "Infinity")), "sinusoid phase must be finite, got inf"),
+    (one_mode_spec(SINUSOID % ("12.0", "0.0"), eigenvalue="NaN"),
+     "target eigenvalue nan is not finite"),
+    (one_mode_spec(SINUSOID % ("12.0", "0.0"), noise="NaN"),
+     "noise AR(1) coefficients must lie in (-1, 1)"),
+    (one_mode_spec(SINUSOID % ("12.0", "0.0"), noise="[0.1, 0.1, NaN, 0.1, 0.1, 0.1]"),
+     "noise AR(1) coefficients must lie in (-1, 1)"),
+], ids=["period-inf", "period-0", "phase-inf", "eigenvalue-nan", "noise-nan", "noise-list-nan"])
+def test_non_finite_spec_number_is_one_line_error(tmp_path, text, message):
+    # each once exited 0 having dropped its mode, or warned twice and then
+    # blamed a zero-variance series
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    res = run_cli("synth", "--spec", str(spec), "--outdir", "o", cwd=tmp_path)
+    assert_one_line_error(res)
+    assert res.stderr == f"panelresponse: {message}\n"
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_unknown_ripple_source_is_one_line_error(planted_csv, tmp_path):
     panel_path, _ = planted_csv
     res = run_cli("ripple", "--input", str(panel_path), "--k", "2", "--source", "S.99",
@@ -262,15 +294,15 @@ def test_series_outside_the_layout_is_one_line_error(planted_csv, tmp_path, args
 
 
 def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
-    # the source is resolved after the intermediate-response table is computed,
-    # so a run that wrote as it went would leave that table behind
+    # the source is resolved after the intermediate-response table is written
+    # under its temporary name, which the failed run removes
     panel_path, _ = planted_csv
     res = run_cli("ripple", "--input", str(panel_path), "--k", "2", "--source", "S.99",
                   "--outdir", "fresh", cwd=tmp_path)
     assert res.returncode == 1
     assert list((tmp_path / "fresh").iterdir()) == []
     # a 2-goods panel has no final-demand -> producer-goods table: the run
-    # fails before that table's file is opened
+    # fails while that table's file is open
     small = tmp_path / "small.csv"
     write_panel_csv(
         to_level_panel(synth.generate(synth.SynthSpec(n_series=6, n_obs=60, modes=(), seed=1))),
@@ -433,6 +465,64 @@ def test_failing_null_leaves_no_pooled_file(planted_csv, tmp_path, monkeypatch, 
     written = io.StringIO()
     null_ensemble(w, "rotational", 200, 0).pooled_to_csv(written)
     assert text == written.getvalue()
+
+
+@pytest.mark.parametrize("name, args", [
+    ("genuine_matrix.json", ("genuine", "--k", "2")),  # after genuine_matrix.csv
+    ("ensemble.json", ("null", "--samples", "40")),  # after pooled_eigenvalues.csv
+    ("manifest.json", ("genuine", "--k", "2")),  # after every artifact
+])
+def test_failed_write_leaves_no_file(planted_csv, tmp_path, monkeypatch, capsys, name, args):
+    from panelresponse import cli
+
+    write_json = cli.write_json
+
+    def full_disk(target, doc, **fmt):
+        if name in str(getattr(target, "name", target)):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_json(target, doc, **fmt)
+
+    monkeypatch.setattr(cli, "write_json", full_disk)
+    panel_path, _ = planted_csv
+    outdir = tmp_path / "o"
+    assert cli.main([*args, "--input", str(panel_path), "--outdir", str(outdir)]) == 1
+    out = capsys.readouterr()
+    assert out.err == "panelresponse: [Errno 28] No space left on device\n"
+    assert out.out == ""
+    assert list(outdir.iterdir()) == []
+
+
+def test_interrupted_run_leaves_no_file(planted_csv, tmp_path, monkeypatch):
+    from panelresponse import cli
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    # genuine_matrix.csv is written by then
+    monkeypatch.setattr(cli, "_corr_document", interrupt)
+    panel_path, _ = planted_csv
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["genuine", "--k", "2", "--input", str(panel_path), "--outdir", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_files_are_renamed_in_the_order_opened(planted_csv, tmp_path, monkeypatch, capsys):
+    from panelresponse import cli
+
+    renamed = []
+    replace = os.replace
+
+    def record(src, dst):
+        renamed.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    panel_path, _ = planted_csv
+    argv = ["genuine", "--k", "2", "--input", str(panel_path), "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert renamed == ["genuine_matrix.csv", "genuine_matrix.json", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(renamed)
+    assert json.loads(capsys.readouterr().out) == {"k": 2, "m": 63}
 
 
 def test_genuine_artifact(planted_csv, tmp_path):

@@ -240,9 +240,10 @@ def test_eigenvector_rows_peak_memory_is_below_their_text(tmp_path):
     basis = eigendecompose(correlation_matrix(StandardizedPanel.from_values(x)))
     labels = [str(i + 1) for i in range(300)]
     path = tmp_path / "eigenvectors.csv"
-    _, peak = traced_peak(lambda: cli._write_artifact(
-        tmp_path, path.name,
-        cli._table(["mode", "series", "component"], cli._eigenvector_rows(basis, labels)), {}))
+    out = cli._Artifacts(tmp_path, {})
+    _, peak = traced_peak(lambda: out.table(
+        path.name, ["mode", "series", "component"], cli._eigenvector_rows(basis, labels)))
+    out.commit()
     # the file holds ~2.5 MB of text; rows taken all at once peak near 3 MB
     assert peak < 1 << 20
     rows = list(csv.reader(path.read_text().splitlines()[2:]))

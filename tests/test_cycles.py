@@ -13,6 +13,7 @@ from panelresponse import (
     ReducedSusceptibility,
     SeriesId,
     StandardizedPanel,
+    StimulusSeries,
     Variable,
     correlation_matrix,
     dft,
@@ -530,7 +531,22 @@ REFUSED = {
     "freq_avg_phases, one mode series": (
         lambda: freq_avg_phases(ONE_MODE, BASIS3, (4, 6), SeriesId(1, 1)),
         SchemaError, "need the two leading modes"),
+    "StimulusSeries, months": (
+        lambda: StimulusSeries(MONTHS24[:3], np.zeros((2, 5))),
+        SchemaError, "^stimulus values and months are inconsistent$"),
+    "StimulusSeries, three rows": (
+        lambda: StimulusSeries(MONTHS24[:5], np.zeros((3, 5))),
+        SchemaError, r"^stimulus values need 2 rows \(eta1, eta2\), got 3$"),
+    "StimulusSeries, empty": (
+        lambda: StimulusSeries(MONTHS24[:0], np.zeros((2, 0))),
+        SchemaError, "^stimulus values are empty: 2 series, 0 months$"),
 }
+
+
+def test_stimulus_series_freezes_its_months():
+    series = StimulusSeries([str(m) for m in MONTHS24[:5]], np.zeros((2, 5)))
+    assert series.months.dtype == MONTHS24.dtype
+    assert not series.months.flags.writeable and not series.values.flags.writeable
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))

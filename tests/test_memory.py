@@ -253,8 +253,9 @@ def test_genuine_matrix_json_peaks_below_its_text(tmp_path):
     c = genuine_300()
     config = {"command": "genuine", "k": 2}
     path = tmp_path / "genuine_matrix.json"
-    _, peak = traced_peak(
-        lambda: cli._write_artifact(tmp_path, path.name, _corr_document(c), config))
+    out = cli._Artifacts(tmp_path, config)
+    _, peak = traced_peak(lambda: out.json(path.name, _corr_document(c)))
+    out.commit()
     text = path.read_text()
     # ~1.9 MB of text; its lists and one string of it peaked near 8 MB
     assert peak < len(text)

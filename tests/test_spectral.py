@@ -379,6 +379,12 @@ REFUSED = {
     "ModeSeries, months": (
         lambda: ModeSeries(parse_month("1988-01") + np.arange(3), np.zeros((2, 4))),
         SchemaError, "months are inconsistent"),
+    "ModeSeries, no modes": (
+        lambda: ModeSeries(parse_month("1988-01") + np.arange(3), np.zeros((0, 3))),
+        SchemaError, "^mode coefficients are empty: 0 series, 3 months$"),
+    "ModeSeries, no months": (
+        lambda: ModeSeries(parse_month("1988-01") + np.arange(0), np.zeros((2, 0))),
+        SchemaError, "^mode coefficients are empty: 2 series, 0 months$"),
     "corr_from_csv, not a matrix": (
         lambda: corr_from_csv(io.StringIO("a,b\n1,2\n3,4\n")),
         SchemaError, "not a correlation-matrix CSV"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -120,6 +122,18 @@ INFEASIBLE = {
     "noise |phi| = 1": (
         lambda: synth.generate(synth.SynthSpec(n_series=3, n_obs=10, noise_ar1=[0.0, 1.0, 0.0])),
         BadParameter, r"must lie in \(-1, 1\)"),
+    "fractional series count": (
+        lambda: synth.SynthSpec(n_series=2.5, n_obs=10), BadParameter,
+        r"^n_series must be an integer, got 2.5$"),
+    "fractional month count": (
+        lambda: synth.SynthSpec(n_series=3, n_obs=30.5), BadParameter,
+        r"^n_obs must be an integer, got 30.5$"),
+    "boolean series count": (
+        lambda: synth.SynthSpec(n_series=True, n_obs=10), BadParameter,
+        r"^n_series must be an integer, got True$"),
+    "fractional seed": (
+        lambda: synth.SynthSpec(n_series=3, n_obs=10, seed=1.5), BadParameter,
+        r"^seed must be an integer, got 1.5$"),
 }
 
 
@@ -155,6 +169,13 @@ def test_infeasible_specs():
                 modes=(synth.PlantedMode(eigenvalue=0.5, driver=synth.Ar1(0.0)),),
             )
         )  # below the unit noise floor
+
+
+def test_numpy_integer_fields_become_python_ints():
+    spec = synth.SynthSpec(n_series=np.int32(3), n_obs=np.int64(10), seed=np.int64(7))
+    assert all(type(v) is int for v in (spec.n_series, spec.n_obs, spec.seed))
+    doc = synth.spec_to_json(spec)
+    assert json.loads(json.dumps(doc))["seed"] == 7
 
 
 def test_negative_seed_rejected():
