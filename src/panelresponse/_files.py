@@ -4,7 +4,9 @@ Each accepts either a path or an already-open text stream.  A path is opened
 with ``newline=""`` (so the csv module controls line endings) and closed on
 exit; a stream is used as given and left open for its owner.  Every CSV row
 passes through :func:`read_rows` or :func:`write_rows`, except a null
-ensemble's pooled spectrum, which ``nullmodel`` formats a sample at a time.
+ensemble's pooled spectrum, which ``nullmodel`` formats a sample at a time,
+and a correlation matrix's rows, which ``spectral`` renders once for both its
+CSV and its JSON text.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
-
-import numpy as np
 
 from .errors import PanelResponseError, SchemaError
 
@@ -67,33 +67,13 @@ def write_rows(target: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
 
 
 def write_json(target: str | Path | TextIO, doc: dict, **fmt) -> None:
-    """Write ``doc`` as the text of ``json.dumps(doc, **fmt)``.
+    """Write ``doc`` as the text of ``json.dumps(doc, **fmt)``, from the C encoder.
 
-    A top-level value may be a NumPy array; it is written as its nested
-    lists would be, a 2-D array one row per write, so neither the whole
-    array as lists nor the whole document as one string is ever built.
-    Every piece comes from the C encoder (``json.dump`` would walk the
-    document in Python).  ``fmt`` is for documents without arrays.
+    No document holds an array: a correlation matrix's document, the one
+    large enough to stream, is written row by row by ``spectral._write_corr``.
     """
     with open_text(target, "w") as fh:
-        if not any(isinstance(value, np.ndarray) for value in doc.values()):
-            fh.write(json.dumps(doc, **fmt))
-            return
-        if fmt:
-            raise TypeError("write_json formats only documents without arrays")
-        # json.dumps's default separators: ", " between items, ": " after a key
-        sep = "{"
-        for key, value in doc.items():
-            fh.write(f"{sep}{json.dumps(key)}: ")
-            sep = ", "
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                fh.write("[")
-                for i, row in enumerate(value):
-                    fh.write((", " if i else "") + json.dumps(row.tolist()))
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
-        fh.write("}")
+        fh.write(json.dumps(doc, **fmt))
 
 
 def read_json(source: str | Path | TextIO | dict) -> dict:

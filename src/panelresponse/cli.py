@@ -55,9 +55,8 @@ from .response import final_to_intermediate_csv, reduced_susceptibility, ripple
 from .spectral import (
     CorrMatrix,
     ModeBasis,
+    _write_corr,
     correlation_matrix,
-    _corr_document,
-    corr_to_csv,
     eigendecompose,
     mode_series,
     mp_bounds,
@@ -262,9 +261,9 @@ def _cmd_genuine(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     k = out.config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with out.open("genuine_matrix.csv") as fh:
-        corr_to_csv(cg, fh)
-    out.json("genuine_matrix.json", _corr_document(cg))
+    # each row is rendered once for both files; the CSV is opened, so renamed, first
+    with out.open("genuine_matrix.csv") as csv_fh, out.open("genuine_matrix.json") as json_fh:
+        _write_corr(cg, csv_fh, json_fh, {"config": out.config})
     return {"k": k, "m": cg.m}
 
 

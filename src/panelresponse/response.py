@@ -130,4 +130,9 @@ def reduced_susceptibility(
     if c.m != basis.m:
         raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    return ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk))
+    # the product or its symmetrization can overflow; refused below, by name
+    with np.errstate(over="ignore"):
+        chi = ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk))
+    if not np.isfinite(chi.values).all():
+        raise BadParameter(f"beta {beta} overflows the reduced susceptibility")
+    return chi

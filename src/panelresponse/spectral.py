@@ -14,7 +14,7 @@ are candidates for genuine correlation structure.
 
 from __future__ import annotations
 
-import itertools
+import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +22,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from ._files import json_fields, open_text, read_json, read_rows, write_rows
+from ._files import json_fields, open_text, read_json, read_rows
 from .errors import BadParameter, EigensolverFailure, SchemaError
 from .panel import (
     StandardizedPanel, Variable, _class_rows, _freeze, _frozen, _goods, _integer,
@@ -49,8 +49,8 @@ class CorrMatrix:
     measured one.  ``kind`` follows it: "genuine" for a noise-filtered
     matrix, which keeps the unit diagonal but is not guaranteed positive
     semidefinite and may carry off-diagonal entries slightly outside
-    [-1, 1] (warned, tolerated up to +-0.05), else "raw" (positive
-    semidefinite).  ``n_goods`` is G when M = 3G, else None.
+    [-1, 1] (warned past rounding, 1e-12; tolerated up to +-0.05), else
+    "raw" (positive semidefinite).  ``n_goods`` is G when M = 3G, else None.
     """
 
     values: np.ndarray
@@ -73,10 +73,11 @@ class CorrMatrix:
         over = np.abs(v).max() - 1.0
         if not over <= limit:
             raise SchemaError(f"entries exceed [-1, 1] by {over:.3e}")
-        if self.kind == "genuine" and over > 0.0:
+        # an excess within the symmetry test's tolerance is rounding, not worth a warning
+        if self.kind == "genuine" and over > _SYM_TOL:
             warnings.warn(
                 f"noise-filtered matrix has entries outside [-1, 1] by {over:.3e}",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's __init__, to whoever built the matrix
             )
         if self.kind == "raw":
             min_eig = float(np.linalg.eigvalsh(v)[0])
@@ -276,12 +277,35 @@ def mp_density(lam: float | np.ndarray, q: float) -> float | np.ndarray:
 
 def corr_to_csv(c: CorrMatrix, target: str | Path | TextIO) -> None:
     """Row-major CSV with a two-line header carrying kind and dimensions."""
+    with open_text(target, "w") as fh:
+        _write_corr(c, fh)
+
+
+def _write_corr(c: CorrMatrix, csv_fh: TextIO, json_fh: TextIO | None = None,
+                lead: dict | None = None) -> None:
+    """Write ``c``'s CSV text to ``csv_fh`` and, if given, its JSON document to ``json_fh``.
+
+    The document is the text of ``json.dumps({**lead, "kind": ..., "m": ...,
+    "goods": ..., "k": ..., "values": c.values.tolist()})``;
+    :func:`corr_from_json` reads it back.  Each matrix row is rendered once,
+    as ``repr`` of its list, and written to both files before the next, so
+    at most one row's text is held.
+    """
     goods = "" if c.n_goods is None else c.n_goods
     k = "" if c.n_modes is None else c.n_modes
-    write_rows(target, itertools.chain(
-        [("kind", "m", "goods", "k"), (c.kind, c.m, goods, k)],
-        map(np.ndarray.tolist, c.values),
-    ))
+    csv_fh.write(f"kind,m,goods,k\n{c.kind},{c.m},{goods},{k}\n")
+    fields = {**(lead or {}), "kind": c.kind, "m": c.m, "goods": c.n_goods, "k": c.n_modes}
+    sep = json.dumps(fields)[:-1] + ', "values": ['
+    for row in c.values:
+        # a finite float's repr (a CorrMatrix holds no other) is its json.dumps
+        # text, and holds neither a bracket nor ", "
+        text = repr(row.tolist())
+        csv_fh.write(text[1:-1].replace(", ", ",") + "\n")
+        if json_fh is not None:
+            json_fh.write(sep + text)
+            sep = ", "
+    if json_fh is not None:
+        json_fh.write("]}")
 
 
 def _recorded(what: str, values: np.ndarray, kind, m, goods, k) -> CorrMatrix:
@@ -327,15 +351,6 @@ def corr_from_csv(source: str | Path | TextIO) -> CorrMatrix:
     except ValueError as exc:
         raise SchemaError(f"bad correlation-matrix cell: {exc}") from None
     return _recorded("correlation-matrix header", values, kind, m, n_goods, n_modes)
-
-
-def _corr_document(c: CorrMatrix) -> dict:
-    """The JSON document of a matrix, holding the matrix itself (not lists).
-
-    :func:`~panelresponse._files.write_json` writes it one matrix row at a
-    time; :func:`corr_from_json` reads it back.
-    """
-    return {"kind": c.kind, "m": c.m, "goods": c.n_goods, "k": c.n_modes, "values": c.values}
 
 
 def corr_from_json(source: str | Path | TextIO | dict) -> CorrMatrix:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import tracemalloc
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from panelresponse._files import open_text
+from panelresponse._files import open_text, write_rows
 from panelresponse.errors import MissingData, NonPositiveLevel, SchemaError
 from panelresponse.panel import (
     MonthLike,
@@ -356,6 +357,22 @@ def csv_writer_text(rows) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def corr_texts(c, lead: dict) -> tuple[str, str]:
+    """A matrix's CSV text and JSON document, each rendered on its own.
+
+    The CSV goes through the generic row writer and the document through
+    ``json.dumps`` of the whole matrix as lists, so every value is rendered
+    twice; ``lead`` holds the document's keys before the matrix's own.
+    """
+    out = io.StringIO()
+    goods = "" if c.n_goods is None else c.n_goods
+    k = "" if c.n_modes is None else c.n_modes
+    write_rows(out, [("kind", "m", "goods", "k"), (c.kind, c.m, goods, k), *c.values.tolist()])
+    doc = {**lead, "kind": c.kind, "m": c.m, "goods": c.n_goods, "k": c.n_modes,
+           "values": c.values.tolist()}
+    return out.getvalue(), json.dumps(doc)
 
 
 

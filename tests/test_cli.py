@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,41 @@ def test_series_outside_the_layout_is_one_line_error(planted_csv, tmp_path, args
     assert f"series {args[-1]} not in a 21-goods layout" in res.stderr
 
 
+# 2e307 overflows only as the symmetric part (v + v.T) / 2 is taken
+@pytest.mark.parametrize("beta", ["1e308", "2e307"])
+@pytest.mark.parametrize("command", ["reduced-chi", "stimuli"])
+def test_overflowing_beta_is_one_line_error(planted_csv, tmp_path, capsys, command, beta):
+    from panelresponse import cli
+
+    panel_path, _ = planted_csv
+    outdir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings too
+        code = cli.main([command, "--beta", beta, "--input", str(panel_path),
+                         "--outdir", str(outdir)])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.err == (
+        f"panelresponse: beta {float(beta)} overflows the reduced susceptibility\n")
+    assert out.out == ""
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [("genuine", "--k", "2"), ("ripple", "--k", "2"),
+                                  ("reduced-chi",)])
+def test_three_month_window_runs_without_a_warning(planted_csv, tmp_path, capsys, args):
+    from panelresponse import cli
+
+    # two growth rates: a rank-one matrix whose rounding passes 1 by ~3e-15
+    panel_path, _ = planted_csv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*args, "--window", "1988-01:1988-03", "--input", str(panel_path),
+                         "--outdir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
     # the source is resolved after the intermediate-response table is written
     # under its temporary name, which the failed run removes
@@ -467,6 +504,40 @@ def test_failing_null_leaves_no_pooled_file(planted_csv, tmp_path, monkeypatch, 
     assert text == written.getvalue()
 
 
+class _EndFails:
+    """A file whose write that ends a JSON document (its closing brace) raises ``exc``.
+
+    The files in the file's directory at that moment are added to ``seen``.
+    """
+
+    def __init__(self, fh, exc, seen):
+        self.fh, self.exc, self.seen = fh, exc, seen
+
+    def write(self, text):
+        if text.endswith("}"):
+            self.seen.extend(sorted(p.name for p in Path(self.fh.name).parent.iterdir()))
+            raise self.exc
+        return self.fh.write(text)
+
+
+def fail_document_end(monkeypatch, name, exc) -> list[str]:
+    """Make the CLI's last write of JSON artifact ``name`` raise ``exc``.
+
+    Returns the list that receives the output directory's files as it fails.
+    """
+    from panelresponse import cli
+
+    open_text, seen = cli.open_text, []
+
+    @contextlib.contextmanager
+    def opened(target, mode="r"):
+        with open_text(target, mode) as fh:
+            yield _EndFails(fh, exc, seen) if f".{name}." in str(target) else fh
+
+    monkeypatch.setattr(cli, "open_text", opened)
+    return seen
+
+
 @pytest.mark.parametrize("name, args", [
     ("genuine_matrix.json", ("genuine", "--k", "2")),  # after genuine_matrix.csv
     ("ensemble.json", ("null", "--samples", "40")),  # after pooled_eigenvalues.csv
@@ -475,34 +546,27 @@ def test_failing_null_leaves_no_pooled_file(planted_csv, tmp_path, monkeypatch, 
 def test_failed_write_leaves_no_file(planted_csv, tmp_path, monkeypatch, capsys, name, args):
     from panelresponse import cli
 
-    write_json = cli.write_json
-
-    def full_disk(target, doc, **fmt):
-        if name in str(getattr(target, "name", target)):
-            raise OSError(errno.ENOSPC, "No space left on device")
-        write_json(target, doc, **fmt)
-
-    monkeypatch.setattr(cli, "write_json", full_disk)
+    seen = fail_document_end(monkeypatch, name, OSError(errno.ENOSPC, "No space left on device"))
     panel_path, _ = planted_csv
     outdir = tmp_path / "o"
     assert cli.main([*args, "--input", str(panel_path), "--outdir", str(outdir)]) == 1
     out = capsys.readouterr()
     assert out.err == "panelresponse: [Errno 28] No space left on device\n"
     assert out.out == ""
+    assert f".{name}.{os.getpid()}.part" in seen
     assert list(outdir.iterdir()) == []
 
 
 def test_interrupted_run_leaves_no_file(planted_csv, tmp_path, monkeypatch):
     from panelresponse import cli
 
-    def interrupt(*args):
-        raise KeyboardInterrupt
-
-    # genuine_matrix.csv is written by then
-    monkeypatch.setattr(cli, "_corr_document", interrupt)
+    # genuine_matrix.csv is written by then, and both files are open
+    seen = fail_document_end(monkeypatch, "genuine_matrix.json", KeyboardInterrupt())
     panel_path, _ = planted_csv
     with pytest.raises(KeyboardInterrupt):
         cli.main(["genuine", "--k", "2", "--input", str(panel_path), "--outdir", str(tmp_path)])
+    pid = os.getpid()
+    assert seen == [f".genuine_matrix.csv.{pid}.part", f".genuine_matrix.json.{pid}.part"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -25,9 +25,9 @@ from panelresponse import (
     to_level_panel,
     write_panel_csv,
 )
-from panelresponse._files import write_json
+from panelresponse._files import open_text
 from panelresponse.errors import SchemaError
-from panelresponse.spectral import _corr_document
+from panelresponse.spectral import _write_corr
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +52,15 @@ def objects(planted_panel):
     }
 
 
+def corr_json(c, target):
+    """The matrix document that ``genuine`` writes beside the matrix CSV."""
+    with open_text(target, "w") as fh:
+        _write_corr(c, io.StringIO(), fh)
+
+
 WRITERS = {
     "corr_to_csv": lambda o, t: corr_to_csv(o["cg"], t),
-    "write_json(_corr_document)": lambda o, t: write_json(t, _corr_document(o["cg"])),
+    "_write_corr(json)": lambda o, t: corr_json(o["cg"], t),
     "NullEnsemble.to_json": lambda o, t: o["ensemble"].to_json(t),
     "NullEnsemble.pooled_to_csv": lambda o, t: o["ensemble"].pooled_to_csv(t),
     "StimulusSeries.to_csv": lambda o, t: o["stimuli"].to_csv(t),
@@ -87,7 +93,7 @@ def _panel_form(p):
 # reader -> (object key, writer name, reader, comparable form, reads a dict too)
 READERS = {
     "corr_from_csv": ("cg", "corr_to_csv", corr_from_csv, _corr_form, False),
-    "corr_from_json": ("cg", "write_json(_corr_document)", corr_from_json, _corr_form, True),
+    "corr_from_json": ("cg", "_write_corr(json)", corr_from_json, _corr_form, True),
     "NullEnsemble.from_json": ("ensemble", "NullEnsemble.to_json", NullEnsemble.from_json,
                                NullEnsemble.to_json, True),
     "spec_from_json": ("spec", "spec_to_json", synth.spec_from_json, synth.spec_to_json, True),

@@ -78,9 +78,14 @@ def test_frobenius_distance_non_increasing(planted_panel):
 def test_genuine_kind_tolerates_mild_overshoot_with_warning():
     # genuine matrices are not PSD-constrained; entries slightly past 1 warn
     values = np.array([[1.0, 1.02], [1.02, 1.0]])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"outside \[-1, 1\] by 2.000e-02") as record:
         cg = CorrMatrix(values=values, n_modes=1)
+    assert record[0].filename == __file__  # names whoever built the matrix
     assert np.linalg.eigvalsh(cg.values)[0] < 0  # indefinite is accepted
+    # rounding past 1 (a two-month window's rank-one matrix reaches 5e-15) does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CorrMatrix(values=np.array([[1.0, 1.0 + 5e-15], [1.0 + 5e-15, 1.0]]), n_modes=1)
     with pytest.raises(SchemaError):
         CorrMatrix(values=np.array([[1.0, 1.2], [1.2, 1.0]]), n_modes=1)
     with pytest.raises(SchemaError):

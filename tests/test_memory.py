@@ -2,7 +2,7 @@
 
 Containers adopt a read-only array that owns its data and copy anything
 else; producers hand over fresh frozen arrays, growth and standardization run
-in place, a null's chunks never overlap and JSON matrices are streamed.  The
+in place, a null's chunks never overlap and matrices are streamed row by row.  The
 peaks are traced with ``tracemalloc`` at the scaled 300 x 1200 shape.
 """
 
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from panelresponse import (
+    CorrMatrix,
     GrowthPanel,
     ModeSeries,
     NullEnsemble,
@@ -43,9 +44,9 @@ from panelresponse import (
     write_panel_csv,
 )
 from panelresponse import _files, cli, nullmodel, synth
-from panelresponse.spectral import _corr_document
+from panelresponse.spectral import _write_corr
 
-from oracles import traced_peak
+from oracles import corr_texts, traced_peak
 
 MIB = 1 << 20
 
@@ -252,14 +253,21 @@ def genuine_300():
 def test_genuine_matrix_json_peaks_below_its_text(tmp_path):
     c = genuine_300()
     config = {"command": "genuine", "k": 2}
-    path = tmp_path / "genuine_matrix.json"
     out = cli._Artifacts(tmp_path, config)
-    _, peak = traced_peak(lambda: out.json(path.name, _corr_document(c)))
+
+    def write_both():  # as the genuine subcommand writes them
+        with out.open("genuine_matrix.csv") as csv_fh, out.open("genuine_matrix.json") as json_fh:
+            _write_corr(c, csv_fh, json_fh, {"config": config})
+
+    _, peak = traced_peak(write_both)
     out.commit()
-    text = path.read_text()
-    # ~1.9 MB of text; its lists and one string of it peaked near 8 MB
-    assert peak < len(text)
-    assert text == json.dumps({"config": config, **_corr_document(c), "values": c.values.tolist()})
+    csv_text = (tmp_path / "genuine_matrix.csv").read_text()
+    json_text = (tmp_path / "genuine_matrix.json").read_text()
+    # ~1.9 MB of text each; the matrix as lists and one string of it peaked near 8 MB
+    assert peak < min(len(csv_text), len(json_text))
+    want_csv, want_json = corr_texts(c, {"config": config})
+    assert csv_text == f"# config: {json.dumps(config, sort_keys=True)}\n{want_csv}"
+    assert json_text == want_json
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +276,24 @@ def test_genuine_matrix_json_peaks_below_its_text(tmp_path):
 
 
 def test_streamed_json_equals_json_dumps():
-    matrix = np.array([[1.0, math.nan, -0.0], [math.inf, -math.inf, 1e-300], [5e-324, 0.1, 2.0]])
-    doc = {
-        "config": {"window": None, "method": "log10", "k": 2, "ok": True},
-        "name": "café \"quoted\"",
-        "values": matrix,
-        "row": np.array([math.nan, 1.5]),
-        "empty": np.empty((0, 0)),
-        "scalar": np.float64(0.25),
+    values = np.array([[1.0, -0.0, 1e-300], [-0.0, 1.0, 5e-324], [1e-300, 5e-324, 1.0]])
+    c = CorrMatrix(values=values, n_modes=1)
+    lead = {"config": {"window": None, "method": "log10", "k": 2, "ok": True,
+                       "name": "café \"quoted\""}}
+    buf = io.StringIO()
+    _write_corr(c, io.StringIO(), buf, lead)
+    assert buf.getvalue() == json.dumps(
+        {**lead, "kind": "genuine", "m": 3, "goods": 1, "k": 1, "values": values.tolist()})
+    # every other document is one json.dumps, with its formatting options
+    plain = {
+        "config": lead["config"],
+        "row": [math.nan, 1.5],
+        "empty": [],
+        "scalar": 0.25,
         "tail": [1, 2.5, None],
     }
-    buf = io.StringIO()
-    _files.write_json(buf, doc)
-    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
-    assert buf.getvalue() == json.dumps(plain)
+    for fmt in ({}, {"indent": 2, "sort_keys": True}):
+        buf = io.StringIO()
+        _files.write_json(buf, plain, **fmt)
+        assert buf.getvalue() == json.dumps(plain, **fmt)
     assert "NaN" in buf.getvalue()
-    # a document without arrays keeps json.dumps's formatting options
-    buf = io.StringIO()
-    _files.write_json(buf, plain, indent=2, sort_keys=True)
-    assert buf.getvalue() == json.dumps(plain, indent=2, sort_keys=True)

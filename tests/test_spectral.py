@@ -1,8 +1,10 @@
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from panelresponse import (
@@ -23,9 +25,11 @@ from panelresponse import (
     synth,
 )
 from panelresponse.errors import BadParameter, EigensolverFailure, SchemaError
-from panelresponse.spectral import _corr_document
+from panelresponse.spectral import _write_corr
 
-from oracles import MpReference, explicit_reconstruct, mp_bounds_decimal, mp_density_decimal
+from oracles import (
+    MpReference, corr_texts, explicit_reconstruct, mp_bounds_decimal, mp_density_decimal,
+)
 
 
 def panel_from_rows(rows):
@@ -296,9 +300,48 @@ def test_corr_csv_round_trip(planted_panel, tmp_path):
 
 def test_corr_json_round_trip(planted_panel):
     c = correlation_matrix(planted_panel)
-    doc = json.loads(json.dumps({**_corr_document(c), "values": c.values.tolist()}))
-    back = corr_from_json(doc)
+    text = io.StringIO()
+    _write_corr(c, io.StringIO(), text)
+    back = corr_from_json(json.loads(text.getvalue()))
     assert np.array_equal(back.values, c.values)
+
+
+# finite floats at each of repr's forms and switches: signed zeros, subnormals
+# and the smallest normal, the exponent form below 1e-4 and at or above 1e16
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-4,
+               9.999999999999999e-05, -1e-05, 0.1, -1.0, 1.0]
+WIDE_FLOATS = [9999999999999998.0, 1e16, -1.2345678901234567e21, 1.7976931348623157e308]
+
+
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_one_pass_matrix_texts_equal_two_renderings(m, inside, data):
+    # a CorrMatrix holds entries within 1.05 of 0; a stand-in with the four
+    # attributes the writer reads carries any finite float to it
+    cell = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1.0, 1.0))
+    if not inside:
+        cell = st.one_of(cell, st.sampled_from(WIDE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(data.draw(st.lists(cell, min_size=m * m, max_size=m * m))).reshape(m, m)
+    if inside:
+        # mirror the upper triangle; np.where keeps a -0.0 that addition would lose
+        values = np.where(np.triu(np.ones((m, m), bool), 1), values, values.T)
+        np.fill_diagonal(values, 1.0)
+        c = CorrMatrix(values=values, n_modes=data.draw(st.integers(0, m)))
+    else:
+        kind = data.draw(st.sampled_from(["raw", "genuine"]))
+        c = SimpleNamespace(kind=kind, m=m, n_goods=m // 3 if m % 3 == 0 else None,
+                            n_modes=None if kind == "raw" else data.draw(st.integers(0, m)),
+                            values=values)
+    lead = data.draw(st.sampled_from([{}, {"config": {"k": 2, "window": None, "é": "x"}}]))
+    csv_text, json_text = io.StringIO(), io.StringIO()
+    _write_corr(c, csv_text, json_text, lead)
+    assert (csv_text.getvalue(), json_text.getvalue()) == corr_texts(c, lead)
+    alone = io.StringIO()
+    corr_to_csv(c, alone)
+    assert alone.getvalue() == csv_text.getvalue()
+    if inside:
+        assert corr_from_json(json.loads(json_text.getvalue())).values.tobytes() == \
+            corr_from_csv(io.StringIO(csv_text.getvalue())).values.tobytes() == c.values.tobytes()
 
 
 def test_corr_csv_in_memory():
