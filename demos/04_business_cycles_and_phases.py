@@ -51,7 +51,8 @@ s1 = moving_average(a1, 6)
 print("smoothing the leading mode (half-width 6 months):")
 print(f"  raw std {a1.std():.2f} -> smoothed std {s1.std():.2f}")
 
-curve = [(tau, lag_correlation(a1, a2, tau, half_width=6)) for tau in range(0, 31)]
+s2 = moving_average(a2, 6)
+curve = [(tau, lag_correlation(s1, s2, tau)) for tau in range(0, 31)]
 best_tau, best_c = max(curve, key=lambda p: abs(p[1]))
 print(f"\nlagged coupling <a1(t) a2(t - tau)> peaks at tau = {best_tau} months "
       f"(corr = {best_c:+.2f}); planted lead was {LEAD_TRUE}")

@@ -54,10 +54,8 @@ shocked_values -= shocked_values.mean(axis=1, keepdims=True)
 shocked_values /= shocked_values.std(axis=1, keepdims=True)
 shocked = StandardizedPanel.from_values(shocked_values, months=clean.months)
 
-s = external_stimuli(mode_series(shocked, basis), basis, chi,
-                     half_width=XI, kset=KSET_BUSINESS_CYCLES)
-s0 = external_stimuli(mode_series(clean, basis), basis, chi,
-                      half_width=XI, kset=KSET_BUSINESS_CYCLES)
+s = external_stimuli(mode_series(shocked, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
+s0 = external_stimuli(mode_series(clean, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
 
 interior = (months_idx >= 2 * XI) & (months_idx < N_OBS - 2 * XI)
 near_shock = np.abs(months_idx - SHOCK_MONTH) <= 24

@@ -302,7 +302,6 @@ def _cmd_cycles(args, out: _Artifacts) -> None:
     s2 = moving_average(a2, args.xi)
     out.table("mode_series.csv", ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
               zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()))
-    # s1 and s2 are already smoothed, so the lagged correlation smooths nothing more
     out.table("lag_correlation.csv", ["lag", "correlation"],
               [(lag, lag_correlation(s1, s2, lag))
                for lag in range(-args.max_lag, args.max_lag + 1)])
@@ -327,7 +326,7 @@ def _cmd_phases(args, out: _Artifacts) -> dict:
 def _cmd_stimuli(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2, args.beta)
-    series = external_stimuli(mode_series(w, basis), basis, chi, args.xi, args.kset)
+    series = external_stimuli(mode_series(w, basis), chi, args.xi, args.kset)
     with out.open("stimuli.csv") as fh:
         series.to_csv(fh)
     return {

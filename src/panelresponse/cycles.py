@@ -70,19 +70,17 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarr
 
 
 def lag_correlation(
-    x: Sequence[float] | np.ndarray,
-    y: Sequence[float] | np.ndarray,
-    lag: int,
-    half_width: int = 0,
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray, lag: int
 ) -> float:
-    """Normalized lagged correlation <x(t) y(t - lag)>_t after smoothing both.
+    """Normalized lagged correlation <x(t) y(t - lag)>_t.
 
     The lagged product is averaged over the overlapping months; the
-    normalization uses each smoothed series' full-sample root mean square,
-    so the value is a correlation coefficient comparable across lags.
+    normalization uses each series' full-sample root mean square, so the
+    value is a correlation coefficient comparable across lags.  Smooth the
+    series with :func:`moving_average` first to correlate their cycles.
     """
-    xs = moving_average(x, half_width)
-    ys = moving_average(y, half_width)
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
     if xs.size != ys.size:
         raise SchemaError("series lengths differ")
     n = xs.size
@@ -94,7 +92,7 @@ def lag_correlation(
         num = float(np.mean(xs[: n + lag] * ys[-lag:]))
     den = float(np.sqrt(np.mean(xs**2) * np.mean(ys**2)))
     if den == 0.0:
-        raise BadParameter("a smoothed series vanishes identically")
+        raise BadParameter("a series vanishes identically")
     return num / den
 
 
@@ -159,33 +157,28 @@ def long_period(x: Sequence[float] | np.ndarray, kset: Iterable[int]) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _mode_residuals(
-    ms: ModeSeries, half_width: int, kset: tuple[int, ...]
-) -> np.ndarray:
-    """Smoothed-minus-long-period residual of the two leading mode series (2 x N')."""
-    if ms.coeffs.shape[0] < 2:
-        raise SchemaError("need the two leading mode series")
-    return np.stack(
-        [moving_average(a, half_width) - long_period(a, kset) for a in ms.coeffs[:2]]
-    )
+def _two_modes(ms: ModeSeries, basis: ModeBasis | None = None) -> np.ndarray:
+    """The two leading mode series (2 x N'), once ms and any basis hold two modes."""
+    if ms.coeffs.shape[0] < 2 or (basis is not None and basis.m < 2):
+        raise SchemaError("need the two leading modes")
+    return ms.coeffs[:2]
+
+
+def _residuals(pair: np.ndarray, half_width: int, kset: Iterable[int]) -> np.ndarray:
+    """Smoothed-minus-long-period residual of each mode series of pair (2 x N')."""
+    ks = tuple(kset)  # read once, so a one-shot iterable serves both modes
+    return np.stack([moving_average(a, half_width) - long_period(a, ks) for a in pair])
 
 
 def residual_disturbance(
-    ms: ModeSeries,
-    basis: ModeBasis,
-    half_width: int = 6,
-    kset: Iterable[int] = KSET_BUSINESS_CYCLES,
+    ms: ModeSeries, basis: ModeBasis, half_width: int, kset: Iterable[int]
 ) -> np.ndarray:
     """Per-series residual fluctuation <w_l(t)> beyond the inherent cycles.
 
     Combines the two leading modes: smoothed coefficients minus their
     long-period components, mapped back through the eigenvectors (M x N').
     """
-    if basis.m < 2:
-        raise SchemaError("need at least two modes in the basis")
-    # read once, so a one-shot iterable serves both modes
-    resid = _mode_residuals(ms, half_width, tuple(kset))
-    return basis.vectors[:, :2] @ resid
+    return basis.vectors[:, :2] @ _residuals(_two_modes(ms, basis), half_width, kset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +213,7 @@ class StimulusSeries:
 
 
 def external_stimuli(
-    ms: ModeSeries,
-    basis: ModeBasis,
-    chi: ReducedSusceptibility,
-    half_width: int = 6,
-    kset: Iterable[int] = KSET_BUSINESS_CYCLES,
+    ms: ModeSeries, chi: ReducedSusceptibility, half_width: int, kset: Iterable[int]
 ) -> StimulusSeries:
     """Invert the reduced linear response on the residual mode fluctuations.
 
@@ -234,12 +223,19 @@ def external_stimuli(
     """
     if chi.values.shape != (2, 2):
         raise SchemaError("stimulus inversion uses exactly the two leading modes")
-    det = abs(float(np.linalg.det(chi.values)))
-    if det <= 1e-12 * float(np.sum(chi.values**2)):
+    tiny = np.finfo(float).tiny
+    scale = float(np.abs(chi.values).max())
+    # det and the sum of squares both scale as chi^2, so test chi / scale, which neither
+    # overflows nor underflows whatever beta is
+    unit = chi.values / max(scale, tiny)
+    det = abs(float(np.linalg.det(unit)))
+    if not det > 1e-12 * float(np.sum(unit**2)):
         raise BadParameter(f"determinant {det:.3e} too small")
-    # read once, so a one-shot iterable serves both modes
-    resid = _mode_residuals(ms, half_width, tuple(kset))
-    return StimulusSeries(months=ms.months, values=np.linalg.solve(chi.values, resid))
+    eta = np.linalg.solve(chi.values, _residuals(_two_modes(ms), half_width, kset))
+    if not np.isfinite(eta).all() or ((eta != 0) & (np.abs(eta) < tiny)).any():
+        raise BadParameter(f"stimuli leave the float range at chi scale {scale:.3e}; "
+                           "take beta nearer 1")
+    return StimulusSeries(months=ms.months, values=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +289,7 @@ class PhaseTable:
 
 def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, ks: list[int]) -> np.ndarray:
     """Complex amplitude of each series at each frequency of ks in the two-mode picture (M x K)."""
-    if ms.coeffs.shape[0] < 2 or basis.m < 2:
-        raise SchemaError("need the two leading modes")
-    bins = np.stack([dft(a)[ks] for a in ms.coeffs[:2]])
+    bins = np.stack([dft(a)[ks] for a in _two_modes(ms, basis)])
     return basis.vectors[:, :2] @ bins
 
 
@@ -319,10 +313,7 @@ def mode_phases(
 
 
 def freq_avg_phases(
-    ms: ModeSeries,
-    basis: ModeBasis,
-    kset: Iterable[int] = KSET_LONG_PERIODS,
-    ref: SeriesId | None = None,
+    ms: ModeSeries, basis: ModeBasis, kset: Iterable[int], ref: SeriesId
 ) -> PhaseTable:
     """Amplitude-weighted circular mean of the relative phases over kset.
 
@@ -330,8 +321,6 @@ def freq_avg_phases(
     squared amplitude there; a series with no spectral weight anywhere in
     the band has no defined phase and raises DegenerateWeights.
     """
-    if ref is None:
-        ref = SeriesId(Variable.PRODUCTION, 20)
     ref_idx = _row(ref, basis.m)
     n = ms.coeffs.shape[1]
     ks = _check_kset(kset, n)

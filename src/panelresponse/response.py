@@ -130,9 +130,11 @@ def reduced_susceptibility(
     if c.m != basis.m:
         raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    # the product or its symmetrization can overflow; refused below, by name
+    # the product or its symmetrization can over- or underflow; refused below, by name
     with np.errstate(over="ignore"):
         chi = ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk))
     if not np.isfinite(chi.values).all():
         raise BadParameter(f"beta {beta} overflows the reduced susceptibility")
+    if np.abs(chi.values).max() < np.finfo(float).tiny:
+        raise BadParameter(f"beta {beta} underflows the reduced susceptibility")
     return chi

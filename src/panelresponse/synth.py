@@ -100,6 +100,9 @@ class SynthSpec:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_series < 1 or self.n_obs < 2:
             raise BadParameter("panel must have at least 1 series and 2 months")
+        # numpy refuses, with a ValueError, a shape whose bytes pass the address space
+        if self.n_series * (self.n_obs + 1) > np.iinfo(np.intp).max // 8:
+            raise BadParameter(f"a {self.n_series} x {self.n_obs} panel cannot be allocated")
         if self.seed < 0:
             raise BadParameter(f"seed must be >= 0, got {self.seed}")
         if sum(m.eigenvalue for m in self.modes) > self.n_series + 1e-9:
@@ -146,6 +149,8 @@ def _resolve_loadings(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     explicit_cols = [i for i, m in enumerate(spec.modes) if m.loading is not None]
     for i in explicit_cols:
         loadings[:, i] = spec.modes[i].loading
+    # the explicit ones first, as the random draws are projected against them
+    _check_orthonormal(loadings[:, explicit_cols])
     if random_cols:
         draw = rng.standard_normal((spec.n_series, len(random_cols)))
         # remove components along the explicit loadings, then orthonormalize
@@ -155,10 +160,15 @@ def _resolve_loadings(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         q, _ = np.linalg.qr(draw)
         for j, i in enumerate(random_cols):
             loadings[:, i] = q[:, j]
-    gram = loadings.T @ loadings
-    if np.abs(gram - np.eye(k)).max() > _ORTHO_TOL:
-        raise BadParameter("planted loadings are not pairwise orthonormal")
+    _check_orthonormal(loadings)
     return loadings
+
+
+def _check_orthonormal(loadings: np.ndarray) -> None:
+    # an entry past 1 (or NaN) fails first, so the Gram product cannot overflow
+    if not ((np.abs(loadings) <= 1.0 + _ORTHO_TOL).all() and np.abs(
+            loadings.T @ loadings - np.eye(loadings.shape[1])).max(initial=0.0) <= _ORTHO_TOL):
+        raise BadParameter("planted loadings are not pairwise orthonormal")
 
 
 def generate(spec: SynthSpec) -> StandardizedPanel:
@@ -203,9 +213,12 @@ def generate(spec: SynthSpec) -> StandardizedPanel:
     t = np.arange(1, n + 1, dtype=float)
     for i, mode in enumerate(spec.modes):
         if isinstance(mode.driver, Sinusoid):
-            drivers[i] = np.sqrt(2.0) * np.sin(
-                2.0 * np.pi * t / mode.driver.period + mode.driver.phase
-            )
+            with np.errstate(over="ignore"):  # a period near 0: refused below, by name
+                angle = 2.0 * np.pi * t / mode.driver.period + mode.driver.phase
+            if not np.isfinite(angle).all():
+                raise BadParameter(
+                    f"sinusoid period {mode.driver.period} overflows its phase in {n} months")
+            drivers[i] = np.sqrt(2.0) * np.sin(angle)
         else:
             drivers[i] = _ar1_rows(rng, np.array([mode.driver.coefficient]), n)[0]
 

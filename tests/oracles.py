@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from panelresponse._files import open_text, write_rows
-from panelresponse.errors import MissingData, NonPositiveLevel, SchemaError
+from panelresponse.errors import BadParameter, MissingData, NonPositiveLevel, SchemaError
 from panelresponse.panel import (
     MonthLike,
     Panel,
@@ -142,6 +142,32 @@ def brute_moving_average(x: np.ndarray, xi: int) -> np.ndarray:
         hi = min(n, j + xi + 1)
         out[j] = x[lo:hi].mean()
     return out
+
+
+def smoothed_lag_correlation(x, y, lag: int, half_width: int) -> float:
+    """The smoothing form of ``lag_correlation`` that the library no longer has.
+
+    A copy of the function as it was when it took ``half_width``: it smooths
+    both series with ``moving_average`` and then correlates them, so callers
+    that now smooth first can be checked against it bit for bit.
+    """
+    from panelresponse.cycles import moving_average
+
+    xs = moving_average(x, half_width)
+    ys = moving_average(y, half_width)
+    if xs.size != ys.size:
+        raise SchemaError("series lengths differ")
+    n = xs.size
+    if n - abs(lag) < 2:
+        raise BadParameter(f"overlap for lag {lag} shorter than 2 points")
+    if lag >= 0:
+        num = float(np.mean(xs[lag:] * ys[: n - lag]))
+    else:
+        num = float(np.mean(xs[: n + lag] * ys[-lag:]))
+    den = float(np.sqrt(np.mean(xs**2) * np.mean(ys**2)))
+    if den == 0.0:
+        raise BadParameter("a smoothed series vanishes identically")
+    return num / den
 
 
 def brute_autocorrelation(x: np.ndarray, lag: int) -> float:

@@ -5,13 +5,18 @@ import io
 import itertools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelresponse import corr_from_csv, corr_from_json, synth, to_level_panel, write_panel_csv
 
@@ -312,6 +317,66 @@ def test_overflowing_beta_is_one_line_error(planted_csv, tmp_path, capsys, comma
     assert out.err == (
         f"panelresponse: beta {float(beta)} overflows the reduced susceptibility\n")
     assert out.out == ""
+    assert list(outdir.iterdir()) == []
+
+
+def run_main(argv: list[str], outdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main`` in this process, warnings raised as errors."""
+    from panelresponse import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main([*argv, "--outdir", str(outdir)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# below ~3e-309 the largest entry, beta * lambda_1, is subnormal: on a 63 x 120
+# panel the normalized off-diagonal came out 3.4% off at 1e-320, and -0.0 at 5e-324
+@pytest.mark.parametrize("beta", ["1e-320", "5e-324"])
+@pytest.mark.parametrize("command", ["reduced-chi", "stimuli"])
+def test_underflowing_beta_is_one_line_error(planted_csv, tmp_path, command, beta):
+    panel_path, _ = planted_csv
+    outdir = tmp_path / "o"
+    assert run_main([command, "--beta", beta, "--input", str(panel_path)], outdir) == (
+        1, "", f"panelresponse: beta {float(beta)} underflows the reduced susceptibility\n")
+    assert list(outdir.iterdir()) == []
+
+
+def stimuli_eta(path: Path) -> np.ndarray:
+    return np.array([[float(v) for v in line.split(",")[1:]] for line in read_data_lines(path)[1:]])
+
+
+def test_extreme_beta_scales_the_stimuli(planted_csv, tmp_path):
+    # chi-hat is beta times one matrix, so eta(beta) = eta(1) / beta.  The
+    # singularity test once overflowed to "determinant inf too small" at 1.5e153
+    # and 1e200 and underflowed to "determinant 0.000e+00 too small" at 1e-300.
+    panel_path, _ = planted_csv
+    betas = ["1", "1e-300", "1.5e153", "1e200"]
+    for beta in betas:
+        code, _, stderr = run_main(["stimuli", "--beta", beta, "--input", str(panel_path)],
+                                   tmp_path / beta)
+        assert (code, stderr) == (0, ""), beta
+    eta = stimuli_eta(tmp_path / "1" / "stimuli.csv")
+    for beta in betas[1:]:
+        got = stimuli_eta(tmp_path / beta / "stimuli.csv")
+        assert np.allclose(got, eta / float(beta), rtol=1e-12, atol=0.0), beta
+
+
+def test_stimuli_outside_the_float_range_is_one_line_error(planted_csv, tmp_path):
+    # chi-hat is finite at 1e305, but the smallest fields fall below the
+    # smallest normal float
+    panel_path, _ = planted_csv
+    outdir = tmp_path / "o"
+    code, stdout, stderr = run_main(["stimuli", "--beta", "1e305", "--input", str(panel_path)],
+                                    outdir)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"panelresponse: stimuli leave the float range at chi scale "
+                        r"\d\.\d{3}e\+305; take beta nearer 1\n", stderr), stderr
     assert list(outdir.iterdir()) == []
 
 
@@ -768,3 +833,221 @@ def test_every_csv_artifact_is_csv_writer_text_with_repr_floats(planted_csv, tmp
                         continue  # a label, a month or a header
                     assert repr(value) == cell, (path, cell)
     assert len(seen) == 14
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every bad input ends as exit 1 or 2, never as a traceback
+# ---------------------------------------------------------------------------
+
+# boundary values, drawn as text the way a shell passes them
+FLOATS = ["0", "-0", "-1", "1", "2.5", "1e-320", "5e-324", "1e-300", "1.5e153", "1e200", "1e305",
+          "1e308", "nan", "inf", "-inf", "", "٣", "x"]
+INTS = ["0", "-1", "1", "2", "3", "4", "6", "12", "36", "63", "64", "500", "", "nan", "inf",
+        "1e200", "1e308", "٣", "x", "2.5"]
+IDS = ["S.15", "P.20", "P.1", "I.21", "I.2", "S.99", "P.22", "S.0", "S.-1", "", "X.1", "S",
+       "S.1.5", "s.15", "S.١٥", "S. 15", "P.20 "]
+KSETS = ["cycles", "two-years", "1,2,4,6", "4", "9", "11", "1,,2", ",", "", "0", "-1", "500",
+         "٣", "a", "1e200", "1,2,x"]
+WINDOWS = ["1988-01:1988-03", "1988-01:1988-02", "1988-01:1988-01", "1988-03:1988-01",
+           "1988-01:1989-12", "1989-06:2000-01", "2000-01:2001-01", "", ":", "1988-01",
+           "garbage", "1988-13:1989-01", "١٩٨٨-٠١:1989-01", "1988-1:1989-1"]
+
+# each subcommand's options: values a run should succeed with, then the
+# boundary pool that a fuzzed option draws from instead (None marks a flag)
+COMMON = {"--input": (["p63"], ["p6", "p3", "empty", "header", "missing"]),
+          "--window": (["1988-01:1993-12", "1988-06:1994-01"], WINDOWS),
+          "--method": (["log10", "simple"], ["log10", "simple", ""])}
+K_MODES = (["0", "1", "2", "3"], INTS)
+SAMPLES = (["1", "2", "20"], INTS)
+SEED = (["0", "3"], INTS)
+XI = (["0", "1", "6"], INTS)
+BETA = (["1", "0.5", "1e-300", "1e200"], FLOATS)
+FUZZ_OPTIONS = {
+    "validate": {},
+    "analyze": {"--bins": (["1", "12"], INTS)},
+    "null": {"--mode": (["complete", "rotational"], ["bogus", ""]), "--samples": SAMPLES,
+             "--seed": SEED},
+    "genuine": {"--k": K_MODES, "--samples": SAMPLES, "--seed": SEED},
+    "ripple": {"--k": K_MODES, "--samples": SAMPLES, "--seed": SEED,
+               "--source": (["S.15", "S.1", "P.20"], IDS), "--shift": (["1", "-2.5"], FLOATS)},
+    "reduced-chi": {"--k": (["1", "2", "3"], INTS), "--beta": BETA},
+    "cycles": {"--xi": XI, "--max-lag": (["0", "3", "10"], INTS)},
+    "phases": {"--k": (["1", "2", "4"], INTS), "--freq-avg": None,
+               "--kset": (["cycles", "two-years", "1,2"], KSETS),
+               "--ref": (["P.20", "S.15", "P.1"], IDS)},
+    "stimuli": {"--xi": XI, "--kset": (["cycles", "1,2", "4"], KSETS), "--beta": BETA},
+}
+# an automatic k without --samples runs a 10,000-sample null, too slow here
+ALWAYS = {"--input", "--samples"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small fixed panels (21 goods by 73 months, G = 2 and the 3 x 4 minimum) and bad files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    two_modes = (synth.PlantedMode(eigenvalue=8.0, driver=synth.Ar1(0.2)),
+                 synth.PlantedMode(eigenvalue=5.0, driver=synth.Sinusoid(period=12.0)))
+    specs = {
+        "p63": synth.SynthSpec(n_series=63, n_obs=72, modes=two_modes, noise_ar1=-0.35, seed=5),
+        "p6": synth.SynthSpec(n_series=6, n_obs=13, seed=6),
+        "p3": synth.SynthSpec(n_series=3, n_obs=3, seed=7),
+    }
+    paths = {}
+    for name, spec in specs.items():
+        paths[name] = root / f"{name}.csv"
+        write_panel_csv(to_level_panel(synth.generate(spec)), paths[name])
+    paths["empty"] = root / "empty.csv"
+    paths["empty"].write_text("")
+    paths["header"] = root / "header.csv"
+    paths["header"].write_text("date,P.1,S.1,I.1\n")
+    paths["missing"] = root / "missing.csv"
+    return root, paths
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which RFC 8259 does not allow."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def assert_run_contract(argv: list[str], outdir: Path) -> None:
+    code, stdout, stderr = run_main(argv, outdir)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert stderr == "", (argv, stderr)
+        for path in outdir.glob("*.json"):
+            strict_json(path.read_text())
+        if stdout and "--stdout" not in argv:
+            strict_json(stdout)
+    else:
+        assert not outdir.exists() or list(outdir.iterdir()) == [], (argv, code)
+        assert stdout == "", (argv, stdout)
+    if code == 1:
+        assert stderr.startswith("panelresponse: ") and stderr.count("\n") == 1, (argv, stderr)
+
+
+@st.composite
+def pipeline_argv(draw) -> list[str]:
+    """A subcommand with up to two options drawn from their boundary pools, the rest sound."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)), label="command")
+    options = {**COMMON, **FUZZ_OPTIONS[command]}
+    fuzzed = draw(st.sets(st.sampled_from(sorted(options)), max_size=2), label="fuzzed")
+    argv = [command]
+    for flag, pool in options.items():
+        if flag in ALWAYS or flag in fuzzed or draw(st.booleans(), label=f"{flag}?"):
+            if pool is None:
+                argv.append(flag)
+            else:
+                good, boundary = pool
+                value = draw(st.sampled_from(boundary if flag in fuzzed else good), label=flag)
+                argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=pipeline_argv())
+def test_fuzzed_pipeline_argv_exit_cleanly(fuzz_inputs, argv):
+    root, paths = fuzz_inputs
+    i = argv.index("--input") + 1
+    argv[i] = str(paths[argv[i]])
+    outdir = Path(tempfile.mkdtemp(dir=root)) / "out"
+    try:
+        assert_run_contract(argv, outdir)
+    finally:
+        shutil.rmtree(outdir.parent)
+
+
+# JSON values a spec field may be given, NaN and the infinities included
+SPEC_VALUES = [0, -1, 1, 2, 3, 6, 30, 10**20, 2**62, 0.5, 2.5, -0.35, 0.99, 1.0, 1e-320, 1e-300,
+               1e200, 1e308, float("nan"), float("inf"), float("-inf"), "", "6", "٣", "1988-01",
+               "1988-13", "١٩٨٨-٠١", "random", "ar1", "sinusoid", "bogus", True, None, [], {},
+               [0.0] * 6, [0.1] * 6, [1e308] * 6, [float("nan")] * 6, [1.0, 0.0]]
+
+
+def spec_base() -> dict:
+    return {"n_series": 6, "n_obs": 30, "seed": 1, "noise_ar1": -0.2, "start": "1988-01",
+            "modes": [{"eigenvalue": 2.0, "loading": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                       "driver": {"kind": "ar1", "coefficient": 0.3}},
+                      {"eigenvalue": 1.5, "loading": "random",
+                       "driver": {"kind": "sinusoid", "period": 12.0, "phase": 0.5}}]}
+
+
+def spec_fields(doc: dict) -> list[tuple[dict, str]]:
+    """Every (container, key) of a spec document that is still shaped like one, plus new keys."""
+    fields = [(doc, key) for key in [*doc, "unknown"]]
+    modes = doc.get("modes")
+    for mode in modes if isinstance(modes, list) else []:
+        if isinstance(mode, dict):
+            fields += [(mode, key) for key in mode]
+            if isinstance(mode.get("driver"), dict):
+                fields += [(mode["driver"], key) for key in mode["driver"]]
+    return fields
+
+
+@st.composite
+def spec_text(draw) -> str:
+    """A spec document with up to three fields dropped or given a pool value."""
+    doc = spec_base()
+    for _ in range(draw(st.integers(0, 3), label="mutations")):
+        parent, key = draw(st.sampled_from(spec_fields(doc)), label="field")
+        if draw(st.integers(0, 4), label="drop?") == 0:
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(st.sampled_from(SPEC_VALUES), label="value")
+    text = json.dumps(doc)
+    form = draw(st.sampled_from(["as is"] * 4 + ["bom", "truncated", "list", "number"]),
+                label="form")
+    return {"as is": text, "bom": "\ufeff" + text, "truncated": text[: len(text) // 2],
+            "list": f"[{text}]", "number": "3"}[form]
+
+
+@settings(max_examples=500)
+@given(text=spec_text(), seed=st.sampled_from([None] * 8 + ["0", "3"] + INTS),
+       stdout=st.booleans())
+def test_fuzzed_synth_specs_exit_cleanly(fuzz_inputs, text, seed, stdout):
+    root, _ = fuzz_inputs
+    work = Path(tempfile.mkdtemp(dir=root))
+    try:
+        spec = work / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        argv = ["synth", "--spec", str(spec)]
+        argv += [] if seed is None else ["--seed", seed]
+        argv += ["--stdout"] if stdout else []
+        assert_run_contract(argv, work / "out")
+    finally:
+        shutil.rmtree(work)
+
+
+def spec_with_modes(*modes: dict) -> dict:
+    return {"n_series": 6, "n_obs": 30, "seed": 1, "modes": list(modes)}
+
+
+AR1_MODE = {"eigenvalue": 2.0, "driver": {"kind": "ar1", "coefficient": 0.3}}
+
+
+# each escaped as a traceback: a ValueError from numpy's array constructor,
+# or a numpy RuntimeWarning raised as an error (without that, the run warned
+# and then blamed "series P.1 has zero variance")
+@pytest.mark.parametrize("doc, message", [
+    ({"n_series": 6, "n_obs": 10**20}, "a 6 x 100000000000000000000 panel cannot be allocated"),
+    ({"n_series": 6, "n_obs": 2**62}, f"a 6 x {2**62} panel cannot be allocated"),
+    ({"n_series": 10**20, "n_obs": 30}, "a 100000000000000000000 x 30 panel cannot be allocated"),
+    (spec_with_modes({"eigenvalue": 2.0, "driver": {"kind": "sinusoid", "period": 1e-320}}),
+     "sinusoid period 1e-320 overflows its phase in 30 months"),
+    (spec_with_modes({**AR1_MODE, "loading": [0.0] * 6}, AR1_MODE),
+     "planted loadings are not pairwise orthonormal"),
+    (spec_with_modes({**AR1_MODE, "loading": [float("nan")] + [0.0] * 5}),
+     "planted loadings are not pairwise orthonormal"),
+    (spec_with_modes({**AR1_MODE, "loading": [1e308, -1e308, 0.0, 0.0, 0.0, 0.0]}, AR1_MODE),
+     "planted loadings are not pairwise orthonormal"),
+], ids=["n_obs-1e20", "n_obs-2^62", "n_series-1e20", "period-1e-320", "zero-loading",
+        "nan-loading", "huge-loading"])
+def test_spec_past_the_float_or_address_range_is_one_line_error(tmp_path, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    outdir = tmp_path / "o"
+    assert run_main(["synth", "--spec", str(spec)], outdir) == (
+        1, "", f"panelresponse: {message}\n")
+    assert list(outdir.iterdir()) == []

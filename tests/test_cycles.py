@@ -1,4 +1,6 @@
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from panelresponse import (
 )
 from panelresponse.errors import BadParameter, DegenerateWeights, SchemaError
 
-from oracles import brute_moving_average, circular_mean_degrees, direct_dft
+from oracles import (
+    brute_moving_average, circular_mean_degrees, direct_dft, smoothed_lag_correlation,
+)
 
 N = 240
 T_INDEX = np.arange(1, N + 1, dtype=float)
@@ -106,14 +110,14 @@ def test_moving_average_window_too_wide():
 
 def test_lag_correlation_self():
     x = np.random.default_rng(4).standard_normal(100)
-    assert lag_correlation(x, x, 0, 0) == pytest.approx(1.0, abs=1e-14)
+    assert lag_correlation(x, x, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lag_correlation_quadrature_tones():
     t = np.arange(1, 201, dtype=float)
     x = np.sin(2 * np.pi * t / 20.0)
     y = np.cos(2 * np.pi * t / 20.0)
-    assert abs(lag_correlation(x, y, 0, 0)) <= 1e-10
+    assert abs(lag_correlation(x, y, 0)) <= 1e-10
 
 
 def test_lag_correlation_detects_shift():
@@ -122,14 +126,14 @@ def test_lag_correlation_detects_shift():
     shift = 7
     y = np.roll(x, -shift)  # y(t) = x(t + shift): x lags y by `shift`
     # C(tau) = <x(t) y(t - tau)> peaks at tau = shift
-    values = [lag_correlation(x, y, tau, 0) for tau in range(0, 15)]
+    values = [lag_correlation(x, y, tau) for tau in range(0, 15)]
     assert int(np.argmax(values)) == shift
 
 
 def test_lag_correlation_insufficient_overlap():
     x = np.arange(10, dtype=float)
     with pytest.raises(BadParameter, match="overlap for lag 9 shorter than 2 points"):
-        lag_correlation(x, x, 9, 0)
+        lag_correlation(x, x, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -293,58 +297,90 @@ def test_residual_reads_a_one_shot_kset_once():
 
 
 def test_stimuli_zero_when_no_residual():
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     chi = ReducedSusceptibility(values=np.eye(2))
-    s = external_stimuli(ms, basis, chi, half_width=0, kset=(4, 6))
+    s = external_stimuli(ms, chi, half_width=0, kset=(4, 6))
     assert np.abs(s.values).max() <= 1e-10
 
 
 def test_stimuli_identity_chi_reads_mode_one_residual():
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     pulse = np.zeros(N)
     pulse[57] = 2.0
     bumped = ModeSeries(months=ms.months, coeffs=ms.coeffs + np.outer([1, 0, 0], pulse))
     chi = ReducedSusceptibility(values=np.eye(2))
-    s = external_stimuli(bumped, basis, chi, half_width=0, kset=(4, 6))
+    s = external_stimuli(bumped, chi, half_width=0, kset=(4, 6))
     expected = pulse - long_period(pulse, (4, 6))
     assert np.abs(s.eta1 - expected).max() <= 1e-10
     assert np.abs(s.eta2).max() <= 1e-10
 
 
 def test_stimuli_linear_in_residual():
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     rng = np.random.default_rng(11)
     noisy = ModeSeries(
         months=ms.months, coeffs=ms.coeffs + 0.3 * rng.standard_normal(ms.coeffs.shape)
     )
     doubled = ModeSeries(months=ms.months, coeffs=2.0 * noisy.coeffs)
     chi = ReducedSusceptibility(values=np.array([[1.0, 0.1], [0.1, 0.5]]))
-    s1 = external_stimuli(noisy, basis, chi, half_width=3, kset=(4, 6))
-    s2 = external_stimuli(doubled, basis, chi, half_width=3, kset=(4, 6))
+    s1 = external_stimuli(noisy, chi, half_width=3, kset=(4, 6))
+    s2 = external_stimuli(doubled, chi, half_width=3, kset=(4, 6))
     assert np.abs(s2.values - 2.0 * s1.values).max() <= 1e-10
 
 
 def test_stimuli_read_a_one_shot_kset_once():
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     chi = ReducedSusceptibility(values=np.array([[1.0, 0.1], [0.1, 0.5]]))
-    want = external_stimuli(ms, basis, chi, 6, (1, 2, 4, 6))
-    s = external_stimuli(ms, basis, chi, 6, iter([6, 4, 2, 1]))
+    want = external_stimuli(ms, chi, 6, (1, 2, 4, 6))
+    s = external_stimuli(ms, chi, 6, iter([6, 4, 2, 1]))
     assert np.array_equal(s.values, want.values)
     with pytest.raises(BadParameter):
-        external_stimuli(ms, basis, chi, -1, iter([0]))
+        external_stimuli(ms, chi, -1, iter([0]))
 
 
 def test_stimuli_singular_chi():
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     chi = ReducedSusceptibility(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(BadParameter, match="determinant .* too small"):
-        external_stimuli(ms, basis, chi, half_width=0, kset=(4, 6))
+        external_stimuli(ms, chi, half_width=0, kset=(4, 6))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_stimuli_singularity_test_is_scale_free(scale):
+    # det and the sum of squares scale as chi^2: at 1e300 they once overflowed
+    # to inf, at 1e-300 underflowed to 0, and either way refused a sound chi
+    _, _, ms = band_limited_setup()
+    noisy = ModeSeries(ms.months, ms.coeffs + 0.3 * np.random.default_rng(12).standard_normal(
+        ms.coeffs.shape))
+    sound = np.array([[1.0, 0.1], [0.1, 0.5]])
+    want = external_stimuli(noisy, ReducedSusceptibility(sound), 3, (4, 6)).values / scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = external_stimuli(noisy, ReducedSusceptibility(scale * sound), 3, (4, 6)).values
+        with pytest.raises(BadParameter, match=r"^determinant 0\.000e\+00 too small$"):
+            external_stimuli(noisy, ReducedSusceptibility(scale * np.ones((2, 2))), 3, (4, 6))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale, noise", [(1e307, 0.3), (np.finfo(float).tiny, 100.0)],
+                         ids=["underflow", "overflow"])
+def test_stimuli_outside_the_float_range_are_refused(scale, noise):
+    # eta = chi^-1 <a>: a huge chi leaves subnormal fields, a tiny one infinite ones
+    _, _, ms = band_limited_setup()
+    noisy = ModeSeries(ms.months, ms.coeffs + noise * np.random.default_rng(12).standard_normal(
+        ms.coeffs.shape))
+    chi = ReducedSusceptibility(scale * np.array([[1.0, 0.1], [0.1, 0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match="^" + re.escape(
+                f"stimuli leave the float range at chi scale {scale:.3e}; take beta nearer 1")):
+            external_stimuli(noisy, chi, 3, (4, 6))
 
 
 def test_stimulus_csv(tmp_path):
-    _, basis, ms = band_limited_setup()
+    _, _, ms = band_limited_setup()
     chi = ReducedSusceptibility(values=np.eye(2))
-    s = external_stimuli(ms, basis, chi, half_width=2, kset=(4, 6))
+    s = external_stimuli(ms, chi, half_width=2, kset=(4, 6))
     path = tmp_path / "stimuli.csv"
     s.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -483,7 +519,7 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     ms = mode_series(planted_panel, basis)
     ref = SeriesId.parse("P.22")
     for call in (lambda: mode_phases(ms, basis, 4, ref),
-                 lambda: freq_avg_phases(ms, basis, ref=ref),
+                 lambda: freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref),
                  lambda: mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phase(ref)):
         with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
             call()
@@ -512,25 +548,25 @@ REFUSED = {
         lambda: lag_correlation(np.ones(5), np.ones(6), 0), SchemaError, "series lengths differ"),
     "lag_correlation, zero series": (
         lambda: lag_correlation(np.zeros(5), np.ones(5), 1),
-        BadParameter, "a smoothed series vanishes identically"),
+        BadParameter, "^a series vanishes identically$"),
     "residual_disturbance, one-mode basis": (
         lambda: residual_disturbance(TWO_MODES, BASIS1, 0, (4,)),
-        SchemaError, "need at least two modes in the basis"),
+        SchemaError, "^need the two leading modes$"),
     "residual_disturbance, one mode series": (
         lambda: residual_disturbance(ONE_MODE, BASIS3, 0, (4,)),
-        SchemaError, "need the two leading mode series"),
+        SchemaError, "^need the two leading modes$"),
     "external_stimuli, 3 x 3 chi": (
-        lambda: external_stimuli(TWO_MODES, BASIS3, ReducedSusceptibility(np.eye(3)), 0, (4,)),
+        lambda: external_stimuli(TWO_MODES, ReducedSusceptibility(np.eye(3)), 0, (4,)),
         SchemaError, "stimulus inversion uses exactly the two leading modes"),
     "external_stimuli, one mode series": (
-        lambda: external_stimuli(ONE_MODE, BASIS3, ReducedSusceptibility(np.eye(2)), 0, (4,)),
-        SchemaError, "need the two leading mode series"),
+        lambda: external_stimuli(ONE_MODE, ReducedSusceptibility(np.eye(2)), 0, (4,)),
+        SchemaError, "^need the two leading modes$"),
     "mode_phases, one mode series": (
         lambda: mode_phases(ONE_MODE, BASIS3, 4, SeriesId(1, 1)),
-        SchemaError, "need the two leading modes"),
+        SchemaError, "^need the two leading modes$"),
     "freq_avg_phases, one mode series": (
         lambda: freq_avg_phases(ONE_MODE, BASIS3, (4, 6), SeriesId(1, 1)),
-        SchemaError, "need the two leading modes"),
+        SchemaError, "^need the two leading modes$"),
     "StimulusSeries, months": (
         lambda: StimulusSeries(MONTHS24[:3], np.zeros((2, 5))),
         SchemaError, "^stimulus values and months are inconsistent$"),
@@ -566,6 +602,30 @@ def test_dft_round_trip_property(n, scale, seed):
     x = scale * np.random.default_rng(seed).standard_normal(n)
     back = inverse_dft(dft(x))
     assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@given(
+    data=st.data(),
+    n=st.integers(2, 120),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from(["none", "x", "y"]),
+)
+def test_smoothing_first_equals_the_removed_smoothing_form_property(data, n, seed, zeros):
+    # lag_correlation(moving_average(x, h), moving_average(y, h), lag) is the
+    # smoothing form it replaced, bit for bit, for every h >= 0 and valid lag
+    half_width = data.draw(st.integers(0, n - 1), label="half_width")
+    lag = data.draw(st.integers(-(n - 2), n - 2), label="lag")
+    x, y = np.random.default_rng(seed).standard_normal((2, n)) * [[1.0], [1e3]]
+    if zeros != "none":
+        (x if zeros == "x" else y)[:] = 0.0
+    try:
+        want = smoothed_lag_correlation(x, y, lag, half_width)
+    except BadParameter:
+        with pytest.raises(BadParameter, match="^a series vanishes identically$"):
+            lag_correlation(moving_average(x, half_width), moving_average(y, half_width), lag)
+        return
+    got = lag_correlation(moving_average(x, half_width), moving_average(y, half_width), lag)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @given(

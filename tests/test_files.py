@@ -6,6 +6,7 @@ import json
 import pytest
 
 from panelresponse import (
+    KSET_BUSINESS_CYCLES,
     NullEnsemble,
     SeriesId,
     corr_from_csv,
@@ -42,7 +43,7 @@ def objects(planted_panel):
         "raw": raw,
         "cg": cg,
         "ensemble": null_ensemble(w, "rotational", 5, 0),
-        "stimuli": external_stimuli(ms, basis, chi),
+        "stimuli": external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
         "phases": mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
         "panel": to_level_panel(w),
         "spec": synth.SynthSpec(

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from panelresponse import (
+    KSET_BUSINESS_CYCLES,
     CorrMatrix,
     GrowthPanel,
     ModeSeries,
@@ -122,7 +123,7 @@ def test_containers_compare_and_hash_by_identity(planted_panel):
     containers = [
         panel, log_growth(panel), w, raw, basis, ms, null_ensemble(w, "complete", 2, 0),
         ripple(cg, SeriesId.parse("S.15")), chi, mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
-        external_stimuli(ms, basis, chi),
+        external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
     ]
     assert len({type(c) for c in containers}) == 11
     for c in containers:
@@ -161,7 +162,7 @@ def test_result_arrays_are_read_only(planted_panel):
     mode = synth.PlantedMode(1.0, synth.Ar1(0.0), loading=[1.0, 0.0, 0.0])
     for a in (ripple(cg, SeriesId.parse("S.15")).responses,
               mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phases,
-              external_stimuli(ms, basis, chi).values, chi.values, mode.loading):
+              external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES).values, chi.values, mode.loading):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
