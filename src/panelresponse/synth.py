@@ -298,17 +298,27 @@ def spec_from_json(source: str | Path | TextIO | dict) -> SynthSpec:
 
 
 def _field(value, key: str, kind: type | tuple = (int, float)):
-    """A spec field's value, checked to be a JSON number, integer or string (kind)."""
+    """A spec field's value, checked to be a JSON number, integer, string, object or list (kind).
+
+    A number must also convert to a float: a JSON integer may have any length.
+    """
     if isinstance(value, bool) or not isinstance(value, kind):
-        what = {int: "an integer", str: "a string"}.get(kind, "a number")
-        raise SchemaError(f"spec field {key!r} must be {what}, got {value!r}")
+        what = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+        raise SchemaError(f"spec field {key!r} must be {what.get(kind, 'a number')}, got {value!r}")
+    if kind == (int, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise SchemaError(f"spec field {key!r} must be within the float range") from None
     return value
 
 
-def _spec_from_doc(doc: dict) -> SynthSpec:
+def _spec_from_doc(doc) -> SynthSpec:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"spec must be an object, got {type(doc).__name__}")
     modes = []
-    for entry in doc.get("modes", []):
-        dspec = entry["driver"]
+    for i, entry in enumerate(_field(doc.get("modes", []), "modes", list)):
+        dspec = _field(_field(entry, f"modes[{i}]", dict)["driver"], "driver", dict)
         if dspec["kind"] == "sinusoid":
             driver: Driver = Sinusoid(
                 period=_field(dspec["period"], "period"),
@@ -322,7 +332,8 @@ def _spec_from_doc(doc: dict) -> SynthSpec:
         modes.append(PlantedMode(
             eigenvalue=_field(entry["eigenvalue"], "eigenvalue"),
             driver=driver,
-            loading=None if loading == "random" else np.asarray(loading, dtype=float),
+            loading=None if loading == "random" else np.array(
+                [_field(v, "loading") for v in _field(loading, "loading", list)], dtype=float),
         ))
     noise = doc.get("noise_ar1", 0.0)
     for value in [] if noise is None else noise if isinstance(noise, list) else [noise]:

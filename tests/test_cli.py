@@ -1042,8 +1042,16 @@ AR1_MODE = {"eigenvalue": 2.0, "driver": {"kind": "ar1", "coefficient": 0.3}}
      "planted loadings are not pairwise orthonormal"),
     (spec_with_modes({**AR1_MODE, "loading": [1e308, -1e308, 0.0, 0.0, 0.0, 0.0]}, AR1_MODE),
      "planted loadings are not pairwise orthonormal"),
+    # JSON integers past the largest float: an OverflowError traceback from
+    # numpy's float conversion, or a ufunc's complaint naming no field
+    (spec_with_modes({**AR1_MODE, "loading": [10**400, 0, 0, 0, 0, 0]}),
+     "spec field 'loading' must be within the float range"),
+    ({"n_series": 6, "n_obs": 30, "noise_ar1": -10**400},
+     "spec field 'noise_ar1' must be within the float range"),
+    (spec_with_modes({**AR1_MODE, "eigenvalue": 10**400}),
+     "spec field 'eigenvalue' must be within the float range"),
 ], ids=["n_obs-1e20", "n_obs-2^62", "n_series-1e20", "period-1e-320", "zero-loading",
-        "nan-loading", "huge-loading"])
+        "nan-loading", "huge-loading", "loading-10^400", "noise-10^400", "eigenvalue-10^400"])
 def test_spec_past_the_float_or_address_range_is_one_line_error(tmp_path, doc, message):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
@@ -1051,3 +1059,95 @@ def test_spec_past_the_float_or_address_range_is_one_line_error(tmp_path, doc, m
     assert run_main(["synth", "--spec", str(spec)], outdir) == (
         1, "", f"panelresponse: {message}\n")
     assert list(outdir.iterdir()) == []
+
+
+# each ended with Python's own words, naming no field ('int' object has no
+# attribute 'get', could not convert string to float: 'foo', ...), or exited 0
+# reading {} or "" as no modes
+@pytest.mark.parametrize("doc, message", [
+    (3, "spec must be an object, got int"),
+    ([spec_with_modes(AR1_MODE)], "spec must be an object, got list"),
+    (spec_with_modes(3), "spec field 'modes[0]' must be an object, got 3"),
+    (spec_with_modes(AR1_MODE, [AR1_MODE]),
+     f"spec field 'modes[1]' must be an object, got {[AR1_MODE]!r}"),
+    (spec_with_modes({**AR1_MODE, "driver": 5}), "spec field 'driver' must be an object, got 5"),
+    (spec_with_modes({**AR1_MODE, "driver": ["ar1"]}),
+     "spec field 'driver' must be an object, got ['ar1']"),
+    ({**spec_with_modes(), "modes": {}}, "spec field 'modes' must be a list, got {}"),
+    ({**spec_with_modes(), "modes": ""}, "spec field 'modes' must be a list, got ''"),
+    ({**spec_with_modes(), "modes": 3}, "spec field 'modes' must be a list, got 3"),
+    (spec_with_modes({**AR1_MODE, "loading": "foo"}),
+     "spec field 'loading' must be a list, got 'foo'"),
+    (spec_with_modes({**AR1_MODE, "loading": {"a": 1}}),
+     "spec field 'loading' must be a list, got {'a': 1}"),
+    (spec_with_modes({**AR1_MODE, "loading": [1.0, "0", 0, 0, 0, 0]}),
+     "spec field 'loading' must be a number, got '0'"),
+], ids=["document-3", "document-list", "mode-3", "mode-list", "driver-5", "driver-list",
+        "modes-object", "modes-string", "modes-3", "loading-string", "loading-object",
+        "loading-entry-string"])
+def test_spec_of_the_wrong_shape_names_its_field(tmp_path, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    outdir = tmp_path / "o"
+    assert run_main(["synth", "--spec", str(spec)], outdir) == (
+        1, "", f"panelresponse: {message}\n")
+    assert list(outdir.iterdir()) == []
+
+
+# numpy < 2 imports numpy.random, and with it _hashlib, on a bare import numpy
+EAGER_NUMPY = """
+import sys, numpy
+eager = "numpy.random" in sys.modules
+"""
+
+HASH_FACTS = """
+import json, os, sys
+facts = {"_hashlib": "absent" if "_hashlib" not in sys.modules else
+                     "blocked" if sys.modules["_hashlib"] is None else "loaded", "eager": eager}
+maps = "/proc/self/maps"
+facts["libcrypto"] = "libcrypto" in open(maps).read() if os.path.exists(maps) else None
+import hashlib
+facts["sha256"] = hashlib.sha256(b"abc").hexdigest()
+print(json.dumps(facts))
+"""
+
+CLI_RUNS = """
+import contextlib, io
+from panelresponse import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["synth", "--spec", "spec.json", "--outdir", "s"]) == 0
+    assert cli.main(["null", "--mode", "complete", "--samples", "5",
+                     "--input", "s/panel.csv", "--outdir", "n"]) == 0
+assert "numpy.random" in sys.modules
+"""
+
+
+# hashlib's facts are taken after the code ran, the _hashlib entry and the
+# mapped libraries before hashlib itself is imported
+@pytest.mark.parametrize("code, state", [
+    ("import sys" + CLI_RUNS, "blocked"),
+    ("import sys, _hashlib" + CLI_RUNS, "loaded"),
+    ("import panelresponse, panelresponse.cli", "absent"),
+], ids=["cli", "hashlib-first", "import-only"])
+def test_cli_process_keeps_libcrypto_out(tmp_path, code, state):
+    """numpy.random's secrets import maps no OpenSSL in a CLI process; library callers keep it."""
+    import importlib.util
+
+    from panelresponse import cli
+
+    if state == "blocked" and not all(map(importlib.util.find_spec, cli._BUILTIN_HASHES)):
+        pytest.skip("hashlib needs OpenSSL for some algorithm on this interpreter")
+    (tmp_path / "spec.json").write_text('{"n_series": 6, "n_obs": 60, "seed": 1}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", EAGER_NUMPY + code + HASH_FACTS], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    facts = json.loads(res.stdout)
+    if facts["eager"] and state != "loaded":
+        pytest.skip("numpy < 2 loads _hashlib on import numpy, before cli.main runs")
+    assert facts["_hashlib"] == state
+    assert facts["sha256"] == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+    if facts["libcrypto"] is not None and state != "loaded":
+        assert not facts["libcrypto"]
