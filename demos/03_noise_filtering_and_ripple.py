@@ -44,7 +44,7 @@ print(f"median |off-diagonal|: raw {np.median(off_raw):.3f} -> "
 
 # unit shift applied to shipments of Motor Vehicles
 source = SeriesId(Variable.SHIPMENTS, 15)
-report = ripple(cg, source, shift=1.0)
+report = ripple(cg, source)
 print(f"\nripple from a unit growth-rate shift of shipments / "
       f"{DEFAULT_GOODS_LABELS[15]}:")
 order = np.argsort(-np.abs(report.responses))
@@ -61,7 +61,7 @@ for g in range(1, 20):
     print(f"  {g:2d}   {DEFAULT_GOODS_LABELS[g]:35s} {table[g-1, 0]:+.3f}   "
           f"{table[g-1, 1]:+.3f}")
 
-red = reduced_susceptibility(cg, basis, k=2, beta=1.0)
+red = reduced_susceptibility(cg, basis, k=2)
 norm = red.normalized
 print("\nreduced two-mode susceptibility (relative to the leading entry):")
 print(f"  [[{norm[0,0]:.3f}, {norm[0,1]:+.2e}], [{norm[1,0]:+.2e}, {norm[1,1]:.3f}]]")

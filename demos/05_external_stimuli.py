@@ -44,7 +44,7 @@ clean = generate(SynthSpec(
 
 # calibrate modes and susceptibility on the clean panel
 basis = eigendecompose(correlation_matrix(clean))
-chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, k=2, beta=1.0)
+chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, k=2)
 
 # inject a localized shock along the leading mode, a few months wide
 months_idx = np.arange(N_OBS)

@@ -107,25 +107,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float (nan and inf are usage errors)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float above 0."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 def _effective_config(args) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     config["outdir"] = str(config["outdir"])
@@ -275,7 +256,7 @@ def _cmd_ripple(args, out: _Artifacts) -> None:
     with out.open("intermediate_response.csv") as fh:
         final_to_intermediate_csv(cg, raw, fh)
     if args.source is not None:
-        report = ripple(cg, SeriesId.parse(args.source), args.shift)
+        report = ripple(cg, SeriesId.parse(args.source))
         out.table("ripple_source.csv", ["series", "response"],
                   zip([sid.label for sid in w.ids], report.responses.tolist()))
 
@@ -285,10 +266,9 @@ def _cmd_reduced_chi(args, out: _Artifacts) -> dict:
     if args.k > basis.m:
         # reduced_susceptibility's range, named before genuine_matrix names its own
         raise BadParameter(f"mode count {args.k} outside [1, {basis.m}]")
-    red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k, args.beta)
+    red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k)
     values, normalized = red.values.tolist(), red.normalized.tolist()
-    out.json("reduced_chi.json", {"beta": args.beta, "k": args.k, "values": values,
-                                  "normalized": normalized})
+    out.json("reduced_chi.json", {"values": values, "normalized": normalized})
     out.table("reduced_chi.csv", ["row", "col", "value", "normalized"],
               [(i + 1, j + 1, values[i][j], normalized[i][j])
                for i in range(args.k) for j in range(args.k)])
@@ -326,7 +306,7 @@ def _cmd_phases(args, out: _Artifacts) -> dict:
 
 def _cmd_stimuli(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
-    chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2, args.beta)
+    chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2)
     series = external_stimuli(mode_series(w, basis), chi, args.xi, args.kset)
     with out.open("stimuli.csv") as fh:
         series.to_csv(fh)
@@ -409,13 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--source", default=None, help="optional source series, e.g. S.15")
-    p.add_argument("--shift", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_ripple)
 
     p = sub.add_parser("reduced-chi", help="two-mode reduced susceptibility")
     _add_common(p)
     p.add_argument("--k", type=_int_at_least(1), default=2)
-    p.add_argument("--beta", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_reduced_chi)
 
     p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
@@ -438,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--xi", type=_int_at_least(0), default=6)
     p.add_argument("--kset", type=_parse_kset, default=KSET_BUSINESS_CYCLES)
-    p.add_argument("--beta", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_stimuli)
 
     p = sub.add_parser("synth", help="generate a synthetic panel CSV from a spec")

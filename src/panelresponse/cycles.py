@@ -183,10 +183,10 @@ def residual_disturbance(
 
 @dataclass(frozen=True, eq=False)
 class StimulusSeries:
-    """Inferred external fields acting on the two leading modes.
+    """Inferred external fields acting on the two leading modes, in units of 1/beta.
 
-    Only the series are kept: beta, the smoothing half-width and the
-    frequency set are the caller's arguments, not kept here.
+    Only the series are kept: the smoothing half-width and the frequency set
+    are the caller's arguments, not kept here.
     """
 
     months: np.ndarray
@@ -226,15 +226,14 @@ def external_stimuli(
     tiny = np.finfo(float).tiny
     scale = float(np.abs(chi.values).max())
     # det and the sum of squares both scale as chi^2, so test chi / scale, which neither
-    # overflows nor underflows whatever beta is
+    # overflows nor underflows at any scale a caller fills chi with
     unit = chi.values / max(scale, tiny)
     det = abs(float(np.linalg.det(unit)))
     if not det > 1e-12 * float(np.sum(unit**2)):
         raise BadParameter(f"determinant {det:.3e} too small")
     eta = np.linalg.solve(chi.values, _residuals(_two_modes(ms), half_width, kset))
     if not np.isfinite(eta).all() or ((eta != 0) & (np.abs(eta) < tiny)).any():
-        raise BadParameter(f"stimuli leave the float range at chi scale {scale:.3e}; "
-                           "take beta nearer 1")
+        raise BadParameter(f"stimuli leave the float range at chi scale {scale:.3e}")
     return StimulusSeries(months=ms.months, values=eta)
 
 

@@ -19,8 +19,8 @@ class PanelResponseError(Exception):
 class BadParameter(PanelResponseError, ValueError):
     """An argument lies outside its valid range.
 
-    A mode count, beta, lag, half-width, frequency index, series id,
-    layout, confidence, seed or synthetic-panel value.  Also a
+    A mode count, lag, half-width, frequency index, series id, layout,
+    confidence, seed or synthetic-panel value.  Also a
     :class:`ValueError`, so callers that catch ``ValueError`` for a bad
     argument keep working.
     """

@@ -8,6 +8,9 @@ a unit shift applied to one series propagates to every other.  The same
 relation follows from Onsager's regression hypothesis, or simply from the
 conditional expectation of one standardized Gaussian variable given another.
 
+No panel measures beta, so susceptibilities are given per unit beta and
+ripple responses per unit shift; any other value only scales them.
+
 With the noise-filtered matrix in place of the raw one, these relations read
 off interindustrial ripple effects directly.
 """
@@ -28,11 +31,11 @@ from .spectral import CorrMatrix, ModeBasis
 
 @dataclass(frozen=True, eq=False)
 class RippleReport:
-    """Responses of all series to a shift applied at one source series.
+    """Responses of all series to a unit shift applied at one source series.
 
     ``responses`` is read-only, one entry per series of a 3 x G layout (else
     SchemaError); ``n_goods`` is derived from their number M = 3G.  The
-    source and the shift are the caller's arguments, not kept here.
+    source is the caller's argument, not kept here.
     """
 
     responses: np.ndarray
@@ -64,20 +67,19 @@ class ReducedSusceptibility:
         return self.values / self.values[0, 0]
 
 
-def ripple(cg: CorrMatrix, source: SeriesId, shift: float = 1.0) -> RippleReport:
-    """Mean shifts induced in every series by a shift at the source series.
+def ripple(cg: CorrMatrix, source: SeriesId) -> RippleReport:
+    """Mean shifts induced in every series by a unit shift at the source series.
 
-    The response of series l is C_lm * shift where m is the source; the
-    source itself responds with exactly the applied shift (unit diagonal).
-    Interpretation is up to the caller: any source/target pair is computed,
-    but the economically grounded direction is shipments of final demand
-    goods driving production of producer goods.
+    The response of series l is C_lm where m is the source; the source itself
+    responds with exactly 1 (unit diagonal).  A response is linear in the
+    shift, so any other shift only scales the column.  Interpretation is up
+    to the caller: any source/target pair is computed, but the economically
+    grounded direction is shipments of final demand goods driving production
+    of producer goods.
     """
-    if not np.isfinite(shift):
-        raise BadParameter(f"shift must be finite, got {shift}")
     idx = _row(source, cg.m)
-    responses = cg.values[:, idx] * shift
-    responses[idx] = shift  # unit diagonal, kept exact
+    responses = cg.values[:, idx].copy()
+    responses[idx] = 1.0  # unit diagonal, kept exact
     return RippleReport(responses=responses)
 
 
@@ -111,30 +113,17 @@ def final_to_intermediate_csv(
     ])
 
 
-def reduced_susceptibility(
-    c: CorrMatrix,
-    basis: ModeBasis,
-    k: int = 2,
-    beta: float = 1.0,
-) -> ReducedSusceptibility:
-    """Susceptibility in the subspace of the first k eigenmodes.
+def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int = 2) -> ReducedSusceptibility:
+    """Susceptibility per unit beta in the subspace of the first k eigenmodes.
 
-    chi_hat[m, n] = beta * V(m)^T C V(n).  On the raw correlation matrix
-    this is exactly beta * diag(lambda_1 .. lambda_k) by orthonormality; on
+    chi_hat[m, n] = V(m)^T C V(n), in units of beta.  On the raw correlation
+    matrix this is exactly diag(lambda_1 .. lambda_k) by orthonormality; on
     the noise-filtered matrix the diagonal reset adds small corrections.
+    ``normalized`` does not depend on beta at all.
     """
-    if not 0 < beta < np.inf:
-        raise BadParameter(f"beta must be positive and finite, got {beta}")
     if not 1 <= k <= basis.m:
         raise BadParameter(f"mode count {k} outside [1, {basis.m}]")
     if c.m != basis.m:
         raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    # the product or its symmetrization can over- or underflow; refused below, by name
-    with np.errstate(over="ignore"):
-        chi = ReducedSusceptibility(values=beta * (vk.T @ c.values @ vk))
-    if not np.isfinite(chi.values).all():
-        raise BadParameter(f"beta {beta} overflows the reduced susceptibility")
-    if np.abs(chi.values).max() < np.finfo(float).tiny:
-        raise BadParameter(f"beta {beta} underflows the reduced susceptibility")
-    return chi
+    return ReducedSusceptibility(values=vk.T @ c.values @ vk)

@@ -162,7 +162,7 @@ def test_c07_linear_response_oracle():
     rng = np.random.default_rng(77)
     for corr in matrices:
         cg = CorrMatrix(values=corr)
-        report = ripple(cg, SeriesId(Variable.PRODUCTION, 1), shift=1.0)
+        report = ripple(cg, SeriesId(Variable.PRODUCTION, 1))
         for target in (1, 2):
             slope = gaussian_regression_slope(corr, 0, target, 1_000_000, rng)
             assert abs(report.responses[target] - slope) <= 0.01
@@ -176,10 +176,8 @@ def test_c07_linear_response_oracle():
 def test_c08_reduced_susceptibility_identity(planted_panel):
     c = correlation_matrix(planted_panel)
     basis = eigendecompose(c)
-    for beta in (1.0, 2.5):
-        red = reduced_susceptibility(c, basis, k=2, beta=beta)
-        expected = beta * np.diag(basis.eigenvalues[:2])
-        assert np.abs(red.values - expected).max() <= 1e-10
+    red = reduced_susceptibility(c, basis, k=2)
+    assert np.abs(red.values - np.diag(basis.eigenvalues[:2])).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def test_c11_two_significant_modes(real_pipeline):
 def test_c11_reduced_chi_values(real_pipeline):
     _, _, basis = real_pipeline
     cg = genuine_matrix(basis, 2)
-    red = reduced_susceptibility(cg, basis, k=2, beta=1.0)
+    red = reduced_susceptibility(cg, basis, k=2)
     norm = red.normalized
     assert norm[0, 0] == 1.0
     assert norm[0, 1] == pytest.approx(1.30e-3, rel=0.05)
@@ -301,7 +299,7 @@ def test_c11_stimulus_levels_in_normal_period(real_pipeline):
     _, w, basis = real_pipeline
     ms = mode_series(w, basis)
     cg = genuine_matrix(basis, 2)
-    chi = reduced_susceptibility(cg, basis, k=2, beta=1.0)
+    chi = reduced_susceptibility(cg, basis, k=2)
     s = external_stimuli(ms, chi, half_width=6, kset=KSET_BUSINESS_CYCLES)
     normal = s.months <= np.datetime64("2007-12", "M")
     assert np.abs(s.eta1[normal]).max() == pytest.approx(0.1, rel=0.2)

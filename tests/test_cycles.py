@@ -373,7 +373,7 @@ def test_stimuli_outside_the_float_range_are_refused(scale, noise):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParameter, match="^" + re.escape(
-                f"stimuli leave the float range at chi scale {scale:.3e}; take beta nearer 1")):
+                f"stimuli leave the float range at chi scale {scale:.3e}") + "$"):
             external_stimuli(noisy, chi, 3, (4, 6))
 
 

@@ -41,8 +41,8 @@ def basis_with_leading_mode(loading: np.ndarray, eigenvalue: float) -> ModeBasis
 
 def test_ripple_identity_matrix():
     cg = CorrMatrix(values=np.eye(3))
-    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift=0.7)
-    assert report.response(SeriesId(Variable.SHIPMENTS, 1)) == 0.7
+    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1))
+    assert report.response(SeriesId(Variable.SHIPMENTS, 1)) == 1.0
     assert report.response(SeriesId(Variable.PRODUCTION, 1)) == 0.0
     assert report.response(SeriesId(Variable.INVENTORY, 1)) == 0.0
 
@@ -51,7 +51,7 @@ def test_ripple_half_correlation():
     values = np.eye(3)
     values[0, 1] = values[1, 0] = 0.5
     cg = CorrMatrix(values=values)
-    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift=1.0)
+    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1))
     assert report.response(SeriesId(Variable.PRODUCTION, 1)) == pytest.approx(0.5)
 
 
@@ -59,28 +59,21 @@ def test_ripple_linearity_and_exact_source(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     cg = genuine_matrix(basis, 2)
     source = SeriesId(Variable.SHIPMENTS, 15)
-    one = ripple(cg, source, 1.0)
-    two = ripple(cg, source, 2.0)
-    assert np.allclose(two.responses, 2.0 * one.responses, atol=1e-15)
-    assert one.response(source) == 1.0
-    assert two.response(source) == 2.0
+    report = ripple(cg, source)
+    # the linear response to a unit shift is the source's column of the matrix
+    column = cg.values[:, source.flat(cg.n_goods) - 1]
+    assert np.array_equal(report.responses, column)
+    assert report.response(source) == 1.0
 
 
 def test_ripple_unknown_series(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     cg = genuine_matrix(basis, 2)
     with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
-        ripple(cg, SeriesId(Variable.PRODUCTION, 22), 1.0)
+        ripple(cg, SeriesId(Variable.PRODUCTION, 22))
     no_layout = CorrMatrix(values=np.eye(4))
     with pytest.raises(BadParameter, match=r"^series P\.1: 4 series have no 3 x G layout$"):
-        ripple(no_layout, SeriesId(Variable.PRODUCTION, 1), 1.0)
-
-
-@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
-def test_ripple_rejects_non_finite_shift(shift):
-    cg = CorrMatrix(values=np.eye(3))
-    with pytest.raises(BadParameter, match="shift must be finite"):
-        ripple(cg, SeriesId(Variable.SHIPMENTS, 1), shift)
+        ripple(no_layout, SeriesId(Variable.PRODUCTION, 1))
 
 
 def test_ripple_matches_gaussian_regression(rng):
@@ -91,7 +84,7 @@ def test_ripple_matches_gaussian_regression(rng):
         [0.2, 0.3, 1.0],
     ])
     cg = CorrMatrix(values=corr)
-    report = ripple(cg, SeriesId(Variable.PRODUCTION, 1), shift=1.0)
+    report = ripple(cg, SeriesId(Variable.PRODUCTION, 1))
     for target in (1, 2):
         slope = gaussian_regression_slope(corr, 0, target, 1_000_000, rng)
         assert abs(report.responses[target] - slope) <= 0.01
@@ -157,7 +150,7 @@ def test_final_to_intermediate_csv(planted_panel):
 def test_reduced_on_raw_is_diagonal(planted_panel):
     c = correlation_matrix(planted_panel)
     basis = eigendecompose(c)
-    red = reduced_susceptibility(c, basis, k=2, beta=1.0)
+    red = reduced_susceptibility(c, basis, k=2)
     expected = np.diag(basis.eigenvalues[:2])
     assert np.abs(red.values - expected).max() <= 1e-10
 
@@ -167,17 +160,17 @@ def test_reduced_on_genuine_matrix_is_eigenvalues_plus_diagonal_reset(planted_pa
     # the genuine matrix is R_k with its diagonal reset to one, and
     # V_k^T R_k V_k = diag(lambda_1 .. lambda_k), so only the reset adds to it
     basis = eigendecompose(correlation_matrix(planted_panel))
-    red = reduced_susceptibility(genuine_matrix(basis, k), basis, k=k, beta=3.0)
+    red = reduced_susceptibility(genuine_matrix(basis, k), basis, k=k)
     vk = basis.vectors[:, :k]
     reset = np.eye(basis.m) - np.diag(np.diag(reconstruct(basis, range(1, k + 1))))
-    expected = 3.0 * (np.diag(basis.eigenvalues[:k]) + vk.T @ reset @ vk)
+    expected = np.diag(basis.eigenvalues[:k]) + vk.T @ reset @ vk
     assert np.abs(red.values - expected).max() <= 1e-12
 
 
 def test_reduced_symmetry_and_normalization(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     cg = genuine_matrix(basis, 2)
-    red = reduced_susceptibility(cg, basis, k=2, beta=1.0)
+    red = reduced_susceptibility(cg, basis, k=2)
     assert red.values[0, 1] == red.values[1, 0]
     assert red.normalized[0, 0] == 1.0
     # the diagonal correction perturbs the pure eigenvalue ratio only mildly
@@ -193,14 +186,6 @@ def test_reduced_argument_errors(planted_panel):
         reduced_susceptibility(c, basis, k=0)
     with pytest.raises(BadParameter, match=r"mode count 64 outside \[1, 63\]"):
         reduced_susceptibility(c, basis, k=64)
-    with pytest.raises(BadParameter, match="beta must be positive and finite, got 0.0"):
-        reduced_susceptibility(c, basis, k=2, beta=0.0)
     with pytest.raises(SchemaError, match="matrix and basis dimensions differ"):
         reduced_susceptibility(CorrMatrix(np.eye(3)), basis, k=2)
 
-
-@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
-def test_reduced_rejects_non_finite_beta(planted_panel, beta):
-    c = correlation_matrix(planted_panel)
-    with pytest.raises(BadParameter, match="beta must be positive and finite"):
-        reduced_susceptibility(c, eigendecompose(c), k=2, beta=beta)
