@@ -149,6 +149,15 @@ def test_usage_error_exit_2(planted_csv, tmp_path):
         ("cycles", "--xi", "-1"),
         ("stimuli", "--xi", "-2"),
         ("cycles", "--max-lag", "-1"),
+        ("genuine", "--seed", "-1"),
+        ("ripple", "--seed", "-1"),
+        ("null", "--mode", "full"),
+        ("null", "--samples", "2.5"),
+        ("stimuli", "--xi", "nan"),
+        ("cycles", "--max-lag", "1e3"),
+        ("reduced-chi", "--k", "-1"),
+        ("phases", "--k", "x"),
+        ("analyze", "--bins", "-1"),
         ("phases", "--kset", "0,1"),
         ("phases", "--kset", "-3"),
         ("phases", "--kset", ","),
