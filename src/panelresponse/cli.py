@@ -92,8 +92,14 @@ def _parse_kset(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low`` (usage error otherwise)."""
+#: Histogram bins ``analyze`` accepts: far more than any useful histogram of
+#: M eigenvalues, and refused before ``np.histogram`` allocates its edges and
+#: counts, which a host that overcommits memory grants and then kills.
+_MAX_BINS = 1_000_000
+
+
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer >= ``low``, and <= ``high`` if given (usage error otherwise)."""
 
     def parse(text: str) -> int:
         try:
@@ -102,6 +108,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="eigenvalues, eigenvectors, spectrum vs MP law")
     _add_common(p)
-    p.add_argument("--bins", type=_int_at_least(1), default=50)
+    p.add_argument("--bins", type=_int_at_least(1, _MAX_BINS), default=50)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("null", help="shuffling null ensemble and significance edge")

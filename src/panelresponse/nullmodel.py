@@ -445,8 +445,10 @@ def null_ensemble(
     instead.  A block's temporaries stay below one chunk's working set
     (about 0.6 MB at 63 x 239).  The complete shuffles are drawn by the
     workers.  Each chunk's moments are checked from its row sums and the
-    diagonal of its X X^T / N'.  Memory is O(M N') per worker, so it grows
-    with the number of usable CPUs, plus for a rotational null one table of
+    diagonal of its X X^T / N', and freed before its eigensolve, so a
+    worker never holds a chunk beside the copy of its Gram matrices that
+    ``eigvalsh`` makes.  Memory is O(M N') per worker, so it grows with the
+    number of usable CPUs, plus for a rotational null one table of
     samples x M window starts in the smallest unsigned type that holds
     N' - 1 (one byte each up to N' = 256), plus the samples x M ``pooled``
     array when ``keep_pooled`` is set.
@@ -532,10 +534,13 @@ def null_ensemble(
                 gram = x @ x.transpose(0, 2, 1)
                 gram /= n
                 check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
+                # freed before eigvalsh copies the Gram matrices, so the
+                # chunk and that copy never coexist
+                del x
                 eigs = np.linalg.eigvalsh(gram)[:, ::-1]
                 # freed before the rows are formatted and the next chunk is
                 # gathered, so chunks never overlap
-                del x, gram
+                del gram
                 lambda_max[lo:hi] = eigs[:, 0]
                 if pooled is not None:
                     pooled[lo:hi] = eigs

@@ -475,13 +475,15 @@ def load_panel(
 
     The loader checks the header, raises the first ragged row, bad date or
     bad value in file order, and raises on a file with no data rows.  It
-    then keeps the months inside ``window``, sorts them, puts the series in
+    keeps the rows inside ``window``, sorts their months, puts the series in
     flat order and hands the result to :class:`Panel`, which checks the
     month count, the time axis and every level: so a cell may be empty
     outside the window, and inside it is :class:`MissingData`.
 
-    The file is read one row at a time, and only rows inside the window are
-    kept, so besides the result only one row of text is held at once.
+    The file is read one row at a time.  Each row inside the window is
+    converted straight into one month-major buffer, and every other row is
+    checked and dropped, so besides one row of text ingest holds the
+    buffer and then the result: about two copies of the values at its peak.
 
     Parameters
     ----------
@@ -497,7 +499,7 @@ def load_panel(
         name = str(getattr(fh, "name", "<stream>"))
         rows = read_rows(fh)
         try:
-            col_ids, months, cells = _read_rows(name, rows, window)
+            col_ids, months, by_month = _read_rows(name, rows, window)
         except PanelResponseError:
             # an unreadable byte anywhere in the file is reported first, as
             # when the whole file was read before any check
@@ -506,38 +508,38 @@ def load_panel(
             raise
 
     order = np.argsort(months)
+    in_order = np.array_equal(order, np.arange(order.size))
     months = months[order]
-    if window is not None:
-        keep = (months >= window[0]) & (months <= window[1])
-        order, months = order[keep], months[keep]
-    # one column per kept month, rows in header order; the file's rows are
-    # freed here, so at most two copies of the values are alive at once
-    values = np.empty((len(col_ids), months.size))
-    for j, i in enumerate(order.tolist()):
-        values[:, j] = cells[i]
-    del cells
-    canonical = np.argsort([_row(sid, len(col_ids)) for sid in col_ids])
-    if np.any(canonical != np.arange(canonical.size)):
-        values = values[canonical]
+    series = np.argsort([_row(sid, len(col_ids)) for sid in col_ids])
+    # one transposed copy into the M x N' panel, series in flat order; the
+    # months are reordered in the same copy only when the file's are not
+    # sorted.  The buffer is freed before Panel checks the levels.
+    values = by_month.T[series if in_order else np.ix_(series, order)]
+    del by_month
     return Panel(months=_frozen(months), values=_frozen(values))
 
 
 #: Missing series named in an incomplete-grid error; the rest are counted.
 _MISSING_SHOWN = 10
 
+#: Rows of the first ingest buffer; it doubles each time it fills.
+_FIRST_ROWS = 64
+
 
 def _read_rows(
     name: str,
     rows: Iterator[list[str]],
     window: tuple[np.datetime64, np.datetime64] | None,
-) -> tuple[list[SeriesId], np.ndarray, list[np.ndarray | None]]:
-    """Header ids, months and cells of a panel's rows.
+) -> tuple[list[SeriesId], np.ndarray, np.ndarray]:
+    """Header ids, and the months and values of a panel's rows inside ``window``.
 
-    ``cells`` holds one float array per data row in file order (None for a
-    row outside ``window``), in header column order, with NaN for an empty
-    cell.  Every row is checked.  Each is converted with one numpy call; a
-    row that call rejects is read cell by cell, which raises at its first
-    bad cell, so the first error in file order is raised.
+    The values are a (rows, M) array, one row per kept month in file order
+    and its cells in header column order, with NaN for an empty cell.  Each
+    kept row is written into a buffer that grows in place, which is trimmed
+    to the kept rows before it is returned.  Every row is checked.  Each is
+    converted with one numpy call; a row that call rejects is read cell by
+    cell, which raises at its first bad cell, so the first error in file
+    order is raised.
     """
     header = next(rows, None)
     if header is None:
@@ -568,7 +570,8 @@ def _read_rows(
 
     width = len(header)
     months: list[np.datetime64] = []
-    cells: list[np.ndarray | None] = []
+    values = np.empty((_FIRST_ROWS, len(col_ids)))
+    data_rows = False
     for raw in rows:
         if not raw or not "".join(raw).strip():
             continue
@@ -580,12 +583,17 @@ def _read_rows(
         except ValueError:
             # a bad value or an empty cell
             row = _read_cells(name, raw[1:], month, col_ids)
-        months.append(month)
-        in_window = window is None or window[0] <= month <= window[1]
-        cells.append(row if in_window else None)
-    if not cells:
+        data_rows = True
+        if window is None or window[0] <= month <= window[1]:
+            if len(months) == len(values):
+                # no view of the buffer exists, so it is resized in place
+                values.resize((2 * len(values), len(col_ids)), refcheck=False)
+            values[len(months)] = row
+            months.append(month)
+    if not data_rows:
         raise SchemaError(f"{name}: no data rows")
-    return col_ids, np.array(months, dtype="datetime64[M]"), cells
+    values.resize((len(months), len(col_ids)), refcheck=False)
+    return col_ids, np.array(months, dtype="datetime64[M]"), values
 
 
 def _read_cells(

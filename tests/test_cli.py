@@ -169,6 +169,7 @@ def test_usage_error_exit_2(planted_csv, tmp_path):
         ("reduced-chi", "--k", "0"),
         ("phases", "--k", "0"),
         ("analyze", "--bins", "0"),
+        ("analyze", "--bins", "1000001"),
     ],
 )
 def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
@@ -368,8 +369,9 @@ def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
 def test_refused_allocation_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):
     from panelresponse import cli
 
-    # what numpy raises for an absurd --bins or --samples; allocating for real
-    # would be an OOM kill, not an error, on a host that overcommits memory
+    # what numpy raises for an absurd --samples (--bins has an upper bound);
+    # allocating for real would be an OOM kill, not an error, on a host that
+    # overcommits memory
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"
 
     def refuse(*args, **kwargs):

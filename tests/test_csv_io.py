@@ -199,6 +199,29 @@ def test_blank_outside_the_window_reads_only_its_own_row_cell_by_cell(monkeypatc
     assert panel.n_months == 24 and np.all(panel.values == 1.5)
 
 
+@pytest.mark.parametrize("from_path", [True, False], ids=["path", "stream"])
+def test_ingest_buffer_grows_and_trims_to_the_oracle(tmp_path, from_path):
+    # about 1,000 kept months, so the ingest buffer grows past its first
+    # rows several times; shuffled rows and series exercise both reorders
+    rng = np.random.default_rng(8)
+    labels = [sid.label for sid in canonical_ids(2)]
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+    rows = [[m] + [repr(v) for v in rng.uniform(50.0, 150.0, len(labels)).tolist()]
+            for m in month_list("1920-01", 1010)]
+    rows[2][4] = ""  # a blank before the window
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    text = csv_writer_text([["date"] + labels] + rows)
+    window = "1920-06:2003-10"
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    source = path if from_path else io.StringIO(text)
+    panel = load_panel(source, window=window)
+    want = explicit_load_panel(io.StringIO(text), window=window)
+    assert panel.n_months == 1001 > 8 * panel_module._FIRST_ROWS
+    assert panel.months.tobytes() == want.months.tobytes()
+    assert panel.values.tobytes() == want.values.tobytes()
+
+
 def test_load_panel_peak_memory_is_a_few_panels(tmp_path):
     # the 300 x 1200 shape: holding every cell's text at once peaks near
     # 12x the panel's bytes, a row-at-a-time reader near 2x

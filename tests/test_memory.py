@@ -14,6 +14,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,30 @@ def test_null_chunks_never_overlap(mode, panels):
     # panel twice over, [v v], for its sliding windows.
     _, peak = traced_peak(lambda: null_ensemble(w, mode, 4, seed=1))
     assert peak < (panels + 1.75) * w.values.nbytes + MIB
+
+
+@pytest.mark.parametrize("mode, panels", [("complete", 0), ("rotational", 2)])
+def test_chunk_is_freed_before_its_eigensolve(monkeypatch, mode, panels):
+    w = StandardizedPanel.from_values(standardized_values(300, 1200, 5))
+    eigvalsh, entered = np.linalg.eigvalsh, []
+
+    def recording(a):
+        entered.append(tracemalloc.get_traced_memory()[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        null_ensemble(w, mode, 3, seed=1)
+    finally:
+        tracemalloc.stop()
+    # a sample's Gram matrix is a quarter of its 2.9 MB, and a rotational
+    # null also holds [v v]; a shuffled chunk still alive beside them would
+    # add a whole sample (1.25 samples for a complete null)
+    sample = w.values.nbytes
+    assert len(entered) == 3
+    assert max(entered) - start <= (panels + 0.5) * sample + MIB
 
 
 @pytest.mark.parametrize("n", [239, 257])
