@@ -30,7 +30,8 @@ import numpy as np
 from ._files import write_rows
 from .errors import BadParameter, DegenerateWeights, SchemaError
 from .panel import (
-    SeriesId, Variable, _class_rows, _freeze, _goods, _layout_entries, _row, _series_by_month,
+    SeriesId, Variable, _class_rows, _freeze, _goods, _integer, _layout_entries, _row,
+    _series_by_month,
 )
 from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
@@ -55,7 +56,7 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarr
     for any width.
     """
     arr = np.asarray(x, dtype=float)
-    n = arr.size
+    n, half_width = arr.size, _integer("half-width", half_width)
     if half_width < 0:
         raise BadParameter(f"half-width must be >= 0, got {half_width}")
     if half_width >= n:
@@ -83,7 +84,7 @@ def lag_correlation(
     ys = np.asarray(y, dtype=float)
     if xs.size != ys.size:
         raise SchemaError("series lengths differ")
-    n = xs.size
+    n, lag = xs.size, _integer("lag", lag)
     if n - abs(lag) < 2:
         raise BadParameter(f"overlap for lag {lag} shorter than 2 points")
     if lag >= 0:
@@ -128,7 +129,7 @@ def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
 
 
 def _check_kset(kset: Iterable[int], n: int) -> list[int]:
-    ks = sorted(set(int(k) for k in kset))
+    ks = sorted({_integer("frequency index", k) for k in kset})
     if not ks:
         raise BadParameter("empty frequency set")
     for k in ks:
@@ -303,12 +304,13 @@ def mode_phases(
     """
     ref_idx = _row(ref, basis.m)
     n = ms.coeffs.shape[1]
-    amp = _two_mode_amplitudes(ms, basis, _check_kset([k], n))[:, 0]
+    ks = _check_kset([k], n)
+    amp = _two_mode_amplitudes(ms, basis, ks)[:, 0]
     if np.abs(amp[ref_idx]) < 1e-12:
         raise BadParameter(f"reference {ref.label} has no amplitude at k={k}")
     rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
     rel[ref_idx] = 0.0
-    return PhaseTable(phases=rel, period_label=f"T={round((n + 1) / k)}")
+    return PhaseTable(phases=rel, period_label=f"T={round((n + 1) / ks[0])}")
 
 
 def freq_avg_phases(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadParameter
 from .nullmodel import NullEnsemble
-from .panel import _frozen
+from .panel import _frozen, _integer
 from .spectral import CorrMatrix, ModeBasis, reconstruct
 
 
@@ -24,6 +24,7 @@ def genuine_matrix(basis: ModeBasis, k: int) -> CorrMatrix:
     k = 0 yields the identity; k = M reproduces the raw matrix (whose
     diagonal is already one).
     """
+    k = _integer("mode count", k)
     if not 0 <= k <= basis.m:
         raise BadParameter(f"mode count {k} outside [0, {basis.m}]")
     values = reconstruct(basis, range(1, k + 1))

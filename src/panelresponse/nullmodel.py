@@ -47,7 +47,7 @@ def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
     R(m) = (1/(N'-m)) * sum_{j=1}^{N'-m} w(t_j) w(t_{j+m}); with the
     population standardization R(0) is exactly 1.
     """
-    n = w.n_obs
+    n, lag = w.n_obs, _integer("lag", lag)
     if not 0 <= lag <= n - 2:
         raise BadParameter(f"lag {lag} outside [0, {n - 2}]")
     if lag == 0:
@@ -59,7 +59,7 @@ def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
 def cyclic_autocorrelation(x: np.ndarray, lag: int) -> float:
     """Autocorrelation under the periodic boundary (invariant under rotation)."""
     x = np.asarray(x, dtype=float)
-    return float((x * np.roll(x, -lag)).mean())
+    return float((x * np.roll(x, -_integer("lag", lag))).mean())
 
 
 def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
@@ -71,7 +71,7 @@ def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise BadParameter(f"confidence must be in (0, 1), got {confidence}")
-    if n_obs < 2:
+    if _integer("sample length", n_obs) < 2:
         raise BadParameter(f"sample length must be >= 2, got {n_obs}")
     # imported here, as statistics imports decimal and fractions: no CLI start pays for them
     from statistics import NormalDist
@@ -427,41 +427,46 @@ def null_ensemble(
     master seed, so the result depends only on (seed, samples, mode) and is
     reproducible regardless of how samples would be scheduled.
 
-    Samples run in chunks, and the chunks run on one worker thread per
-    usable CPU unless one sample exceeds a chunk (see :func:`_worker_count`);
-    the workers take the chunks in sample order, each writes only its own
-    samples' rows, and a failing worker stops the others before their next
-    chunk.  Every sample makes the same draws, in the same order, as
+    Samples run in chunks on one worker thread per usable CPU, unless one
+    sample exceeds a chunk (see :func:`_worker_count`).  The calling thread
+    submits the chunks in sample order, keeps at most 2 x workers - 1 of
+    them submitted, and takes their results strictly in sample order; it
+    alone fills ``lambda_max`` and ``pooled`` and writes ``pooled_csv``.
+    With one worker it computes the chunks itself and starts no thread.  A
+    failing chunk makes every chunk not yet started return without work; on
+    any error the calling thread cancels the chunks not yet started and
+    joins the workers before the error reaches the caller.
+
+    Every sample makes the same draws, in the same order, as
     :func:`rotational_shuffle` / :func:`complete_shuffle`, and the shuffled
     rows are gathered without arithmetic, so each sample's panel,
-    correlation matrix and eigenvalues are bit-identical to the one-sample loop over those shufflers, at any
-    chunk size and worker count.  The rotational offsets are computed by
-    the calling thread before any worker starts, without building a
-    generator per sample: numpy's SeedSequence key mixing, Philox4x64-10
-    and Lemire's bounded draw are evaluated in numpy integer arithmetic for
-    a block of samples at a time, bit-identical to each sample's
-    ``integers`` call.  A sample whose draw numpy would reject and redraw
-    (probability below M N' / 2**32) is drawn through its own generator
-    instead.  A block's temporaries stay below one chunk's working set
-    (about 0.6 MB at 63 x 239).  The complete shuffles are drawn by the
-    workers.  Each chunk's moments are checked from its row sums and the
-    diagonal of its X X^T / N', and freed before its eigensolve, so a
-    worker never holds a chunk beside the copy of its Gram matrices that
-    ``eigvalsh`` makes.  Memory is O(M N') per worker, so it grows with the
-    number of usable CPUs, plus for a rotational null one table of
-    samples x M window starts in the smallest unsigned type that holds
-    N' - 1 (one byte each up to N' = 256), plus the samples x M ``pooled``
-    array when ``keep_pooled`` is set.
+    correlation matrix and eigenvalues are bit-identical to the one-sample
+    loop over those shufflers, at any chunk size and worker count.  The
+    rotational offsets are computed by the calling thread before any worker
+    starts, without building a generator per sample: numpy's SeedSequence
+    key mixing, Philox4x64-10 and Lemire's bounded draw are evaluated in
+    numpy integer arithmetic for a block of samples at a time,
+    bit-identical to each sample's ``integers`` call.  A sample whose draw
+    numpy would reject and redraw (probability below M N' / 2**32) is drawn
+    through its own generator instead.  A block's temporaries stay below
+    one chunk's working set (about 0.6 MB at 63 x 239).  The complete
+    shuffles are drawn by the threads that compute their chunks.  Each
+    chunk's moments are checked from its row sums and the diagonal of its
+    X X^T / N', and freed before its eigensolve, so a worker never holds a
+    chunk beside the copy of its Gram matrices that ``eigvalsh`` makes.
+    Memory is O(M N') per worker, so it grows with the number of usable
+    CPUs, plus for a rotational null one table of samples x M window starts
+    in the smallest unsigned type that holds N' - 1 (one byte each up to
+    N' = 256), plus the samples x M ``pooled`` array when ``keep_pooled``
+    is set.
 
     ``pooled_csv``, an open text stream, gets the pooled spectrum's CSV
     while the chunks run, whether or not ``keep_pooled`` is set: the
     ``sample,eigenvalue`` header, then every sample's M rows in sample
-    order, the text :meth:`NullEnsemble.pooled_to_csv` writes.  Each worker
-    formats its own chunk's rows; a chunk that finishes before an earlier
-    one waits until the earlier one is written, and no worker starts a
-    chunk while one formatted chunk per worker waits, so fewer than two
-    chunks' text per worker is ever held.  If the null fails, the stream
-    holds a partial spectrum; its owner discards it.
+    order, the text :meth:`NullEnsemble.pooled_to_csv` writes.  The thread
+    that computes a chunk formats its rows, and the calling thread writes
+    them in turn, so at most 2 x workers - 1 chunks' text is held.  If the
+    null fails, the stream holds a partial spectrum; its owner discards it.
 
     ``samples`` and ``seed`` are integers; a numpy integer is taken as the
     Python int it holds, and a bool, float or string is a
@@ -498,73 +503,58 @@ def null_ensemble(
     lambda_max = np.empty(samples)
     chunks = range(0, samples, chunk)
     workers = _worker_count(sample_bytes, len(chunks))
-
-    # a chunk's rows wait in ``texts`` until every earlier chunk is written,
-    # and no worker takes a chunk while one per worker waits there
-    todo = iter(chunks)
-    texts: dict[int, str] = {}
-    unwritten = 0
-    turn = threading.Condition()
     stop = threading.Event()
 
-    def halt():
-        stop.set()
-        with turn:
-            turn.notify_all()
-
-    def take():
-        with turn:
-            turn.wait_for(lambda: stop.is_set() or len(texts) < workers)
-            return None if stop.is_set() else next(todo, None)
-
-    def emit(lo, text):
-        nonlocal unwritten
-        with turn:
-            texts[lo] = text
-            while unwritten in texts:
-                pooled_csv.write(texts.pop(unwritten))
-                unwritten += chunk
-            turn.notify_all()
-
-    def run():
+    def work(lo):
+        if stop.is_set():  # another chunk failed, and its error reaches the caller
+            return None
         try:
-            while (lo := take()) is not None:
-                hi = min(lo + chunk, samples)
-                x = gather(lo, hi)
-                gram = x @ x.transpose(0, 2, 1)
-                gram /= n
-                check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
-                # freed before eigvalsh copies the Gram matrices, so the
-                # chunk and that copy never coexist
-                del x
-                eigs = np.linalg.eigvalsh(gram)[:, ::-1]
-                # freed before the rows are formatted and the next chunk is
-                # gathered, so chunks never overlap
-                del gram
-                lambda_max[lo:hi] = eigs[:, 0]
-                if pooled is not None:
-                    pooled[lo:hi] = eigs
-                if pooled_csv is not None:
-                    emit(lo, _pooled_rows(lo, eigs))
+            x = gather(lo, min(lo + chunk, samples))
+            gram = x @ x.transpose(0, 2, 1)
+            gram /= n
+            check_standardized(x.sum(axis=-1) / n, np.diagonal(gram, axis1=1, axis2=2))
+            # freed before eigvalsh copies the Gram matrices, so the
+            # chunk and that copy never coexist
+            del x
+            eigs = np.linalg.eigvalsh(gram)[:, ::-1]
+            del gram  # freed before the rows are formatted
+            return lo, eigs, None if pooled_csv is None else _pooled_rows(lo, eigs)
         except BaseException:
-            halt()
+            stop.set()
             raise
+
+    def in_order(pool):
+        # oldest first, with at most 2 x workers - 1 chunks submitted and not
+        # yet taken, so at most that many chunks' text waits to be written
+        queued = []
+        for lo in chunks:
+            queued.append(pool.submit(work, lo))
+            if len(queued) == 2 * workers - 1:
+                yield queued.pop(0).result()
+        yield from (done.result() for done in queued)
 
     if pooled_csv is not None:
         pooled_csv.write(_POOLED_HEADER)
-    if workers == 1:
-        run()
-    else:
+    pool, results = None, map(work, chunks)
+    if workers > 1:
         # the gather, matmul, reductions and eigvalsh release the GIL
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for done in [pool.submit(run) for _ in range(workers)]:
-                    done.result()
-            finally:
-                # an interrupt while waiting stops the workers too
-                halt()
+        pool = ThreadPoolExecutor(workers)
+        results = in_order(pool)
+    try:
+        # a chunk skipped after a failure gives None, and the failure's error follows
+        for lo, eigs, text in filter(None, results):
+            lambda_max[lo:lo + chunk] = eigs[:, 0]
+            if pooled is not None:
+                pooled[lo:lo + chunk] = eigs
+            if text is not None:
+                pooled_csv.write(text)
+    finally:
+        if pool is not None:
+            # joins the workers, even on an interrupt while waiting, once the
+            # chunks not yet started are cancelled
+            pool.shutdown(cancel_futures=True)
     return NullEnsemble(
         mode=mode,
         seed=seed,

@@ -25,7 +25,9 @@ import numpy as np
 
 from ._files import write_rows
 from .errors import BadParameter, SchemaError
-from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _goods, _layout_entries, _row
+from .panel import (
+    DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _goods, _integer, _layout_entries, _row,
+)
 from .spectral import CorrMatrix, ModeBasis
 
 
@@ -121,6 +123,7 @@ def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int = 2) -> Reduc
     the noise-filtered matrix the diagonal reset adds small corrections.
     ``normalized`` does not depend on beta at all.
     """
+    k = _integer("mode count", k)
     if not 1 <= k <= basis.m:
         raise BadParameter(f"mode count {k} outside [1, {basis.m}]")
     if c.m != basis.m:

@@ -236,7 +236,7 @@ def mode_series(w: StandardizedPanel, basis: ModeBasis) -> ModeSeries:
 
 def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
     """Partial spectral sum over the given 1-based mode indices."""
-    idx = np.array(sorted({int(n) for n in modes}), dtype=int)
+    idx = np.array(sorted({_integer("mode", n) for n in modes}), dtype=int)
     for n in idx:
         if not 1 <= n <= basis.m:
             raise BadParameter(f"mode {n} outside [1, {basis.m}]")

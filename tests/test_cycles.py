@@ -1,6 +1,7 @@
 import io
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from panelresponse import (
     StandardizedPanel,
     StimulusSeries,
     Variable,
+    autocorrelations,
     correlation_matrix,
+    cyclic_autocorrelation,
     dft,
     eigendecompose,
     external_stimuli,
@@ -29,6 +32,9 @@ from panelresponse import (
     mode_phases,
     mode_series,
     moving_average,
+    no_autocorr_band,
+    reconstruct,
+    reduced_susceptibility,
     residual_disturbance,
     ripple,
 )
@@ -636,3 +642,45 @@ def test_smoothing_first_equals_the_removed_smoothing_form_property(data, n, see
 def test_moving_average_keeps_constants_property(n, width, value):
     smoothed = moving_average(np.full(n, value), width % n)
     assert np.abs(smoothed - value).max() <= 1e-12 * abs(value)
+
+
+@pytest.fixture(scope="module")
+def fitted(ar1_panel):
+    c = correlation_matrix(ar1_panel)
+    basis = eigendecompose(c)
+    return SimpleNamespace(w=ar1_panel, c=c, basis=basis, ms=mode_series(ar1_panel, basis))
+
+
+# each public count argument: its name in the error, and a call with it set to v
+COUNTS = {
+    "autocorrelations": ("lag", lambda f, v: autocorrelations(f.w, v)),
+    "cyclic_autocorrelation": ("lag", lambda f, v: cyclic_autocorrelation(f.w.values[0], v)),
+    "no_autocorr_band": ("sample length", lambda f, v: no_autocorr_band(v)),
+    "moving_average": ("half-width", lambda f, v: moving_average(f.ms.coeffs[0], v)),
+    "lag_correlation": ("lag", lambda f, v: lag_correlation(f.ms.coeffs[0], f.ms.coeffs[1], v)),
+    "long_period": ("frequency index", lambda f, v: long_period(f.ms.coeffs[0], [v])),
+    "mode_phases": (
+        "frequency index", lambda f, v: mode_phases(f.ms, f.basis, v, SeriesId(1, 20)).phases),
+    "reconstruct": ("mode", lambda f, v: reconstruct(f.basis, [v])),
+    "genuine_matrix": ("mode count", lambda f, v: genuine_matrix(f.basis, v).values),
+    "reduced_susceptibility": (
+        "mode count", lambda f, v: reduced_susceptibility(f.c, f.basis, v).values),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, np.float64(2.0), True, np.True_, "2"])
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_non_integer_counts_are_bad_parameters(fitted, case, value):
+    # a float, bool or string count is refused, naming the argument, where it
+    # used to be truncated or end in a raw TypeError or IndexError
+    name, call = COUNTS[case]
+    with pytest.raises(BadParameter, match=f"^{name} must be an integer, got "):
+        call(fitted, value)
+    # a numpy integer is the Python int it holds
+    assert np.array_equal(call(fitted, np.int64(2)), call(fitted, 2))
+
+
+def test_mode_phases_labels_its_frequency(fitted):
+    # k = 1.5 used to give the k = 1 table labelled T=160
+    table = mode_phases(fitted.ms, fitted.basis, np.int64(1), SeriesId(1, 20))
+    assert table.period_label == "T=240"

@@ -543,6 +543,79 @@ def test_failing_worker_stops_the_others(monkeypatch, mode):
     assert len(calls) <= 2
 
 
+class BrokenStream(io.StringIO):
+    """A text stream whose ``fail_at``-th write raises ``error``."""
+
+    def __init__(self, fail_at, error):
+        super().__init__()
+        self.writes, self.fail_at, self.error = 0, fail_at, error
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("side", ["stream", "chunk"])
+def test_failure_on_either_side_of_the_queue(monkeypatch, side, workers):
+    # the calling thread's write of chunk 6 fails, or chunk 6 itself is
+    # interrupted in its worker: the error reaches the caller as raised,
+    # every worker is joined, and at most 2 x workers - 1 chunks past the
+    # failing one were computed
+    w = standardized_panel(4, 20, 5)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, workers)
+    failing, rows, lock, computed = 6, nullmodel._pooled_rows, threading.Lock(), []
+    planted = OSError("disk full") if side == "stream" else KeyboardInterrupt()
+
+    def recording(first, spectra):
+        with lock:
+            computed.append(first)
+        if side == "chunk" and first == failing:
+            raise planted
+        return rows(first, spectra)
+
+    monkeypatch.setattr(nullmodel, "_pooled_rows", recording)
+    # the header is the first write, so chunk i's rows are write i + 2
+    stream = BrokenStream(failing + 2 if side == "stream" else 0, planted)
+    threads = threading.active_count()
+    with pytest.raises(type(planted)) as raised:
+        null_ensemble(w, "rotational", 200, seed=0, keep_pooled=False, pooled_csv=stream)
+    assert raised.value is planted
+    assert threading.active_count() == threads
+    assert failing in computed
+    assert len([first for first in computed if first > failing]) <= 2 * workers - 1
+
+
+@pytest.mark.parametrize("mode", ["rotational", "complete"])
+def test_one_worker_starts_no_thread(monkeypatch, mode):
+    # a one-worker null (as for a sample beyond one chunk) computes every
+    # chunk in the calling thread, so it allocates from the main thread's heap
+    w = standardized_panel(4, 20, 5)
+    monkeypatch.setattr(nullmodel, "_CHUNK_BYTES", w.values.nbytes)
+    fixed_workers(monkeypatch, 1)
+    check, checked, started = nullmodel.check_standardized, [], []
+
+    def on_main_thread(mean, mean_square):
+        checked.append(threading.current_thread() is threading.main_thread())
+        check(mean, mean_square)
+
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(nullmodel, "check_standardized", on_main_thread)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    e = null_ensemble(w, mode, 12, seed=4, pooled_csv=io.StringIO())
+    assert checked == [True] * 12
+    assert started == []
+    assert np.array_equal(e.lambda_max, explicit_null_ensemble(w, mode, 12, 4)[0])
+
+
 @pytest.mark.parametrize("mode", ["rotational", "complete"])
 def test_ensemble_rejects_destandardized_panel(monkeypatch, mode):
     w = standardized_panel(4, 20, 5)
