@@ -18,9 +18,9 @@ from panelresponse import (
     Variable,
     correlation_matrix,
     eigendecompose,
+    freq_avg_phases,
     generate,
     lag_correlation,
-    mode_phases,
     mode_series,
     moving_average,
 )
@@ -57,8 +57,9 @@ best_tau, best_c = max(curve, key=lambda p: abs(p[1]))
 print(f"\nlagged coupling <a1(t) a2(t - tau)> peaks at tau = {best_tau} months "
       f"(corr = {best_c:+.2f}); planted lead was {LEAD_TRUE}")
 
-table = mode_phases(ms, basis, k=4, ref=SeriesId(Variable.PRODUCTION, 20))
-print(f"\nphases at {table.period_label} relative to production of goods 20")
+K = 4  # frequency index: period (N' + 1) / K months
+table = freq_avg_phases(ms, basis, [K], ref=SeriesId(Variable.PRODUCTION, 20))
+print(f"\nphases at T={round((w.n_obs + 1) / K)} relative to production of goods 20")
 print("(positive = peaks earlier than the reference):")
 print("  class averages: "
       f"P {table.class_average(Variable.PRODUCTION):+6.1f}  "

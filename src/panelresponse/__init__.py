@@ -23,7 +23,6 @@ from .cycles import (
     inverse_dft,
     lag_correlation,
     long_period,
-    mode_phases,
     moving_average,
     residual_disturbance,
 )
@@ -113,7 +112,7 @@ __all__ = [
     "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "PhaseTable",
     "StimulusSeries", "moving_average", "lag_correlation", "dft",
     "inverse_dft", "long_period", "residual_disturbance", "external_stimuli",
-    "mode_phases", "freq_avg_phases",
+    "freq_avg_phases",
     # synth
     "SynthSpec", "PlantedMode", "Sinusoid", "Ar1", "generate",
     "to_level_panel", "spec_to_json", "spec_from_json",

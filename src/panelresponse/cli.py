@@ -1,8 +1,8 @@
 """Command-line front end: orchestrates the pipeline, emits CSV/JSON artifacts.
 
 Every subcommand writes its artifacts as it computes them, and :func:`main`
-adds a ``manifest.json``, all into the output directory (flag ``--outdir``,
-env ``PANELRESPONSE_OUTDIR``, default ``out``).  Each file embeds the full
+adds a ``manifest.json``, all into the output directory (``--outdir``,
+default ``out``).  Each file embeds the full
 effective configuration, so any output can be reproduced bit-for-bit from the
 recorded configuration.  Every file is written under a temporary name and
 renamed into place only when the whole run has succeeded, so a failed run
@@ -37,7 +37,6 @@ from .cycles import (
     external_stimuli,
     freq_avg_phases,
     lag_correlation,
-    mode_phases,
     moving_average,
 )
 from .errors import BadParameter, PanelResponseError
@@ -244,7 +243,7 @@ def _cmd_null(args, out: _Artifacts) -> dict:
         ensemble = null_ensemble(w, args.mode, args.samples, args.seed, keep_pooled=False,
                                  pooled_csv=fh)
     out.json("ensemble.json", ensemble.to_json())
-    return {"mode": ensemble.mode.value, "edge": dataclasses.asdict(ensemble.edge)}
+    return {"mode": args.mode, "edge": dataclasses.asdict(ensemble.edge)}
 
 
 def _cmd_genuine(args, out: _Artifacts) -> dict:
@@ -299,15 +298,12 @@ def _cmd_cycles(args, out: _Artifacts) -> None:
 def _cmd_phases(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
-    ref = SeriesId.parse(args.ref)
-    if args.freq_avg:
-        table = freq_avg_phases(ms, basis, args.kset, ref)
-    else:
-        table = mode_phases(ms, basis, args.k, ref)
+    table = freq_avg_phases(ms, basis, args.kset if args.freq_avg else [args.k],
+                            SeriesId.parse(args.ref))
     with out.open("phases.csv") as fh:
         table.to_csv(fh)
     return {
-        "period": table.period_label,
+        "period": "frequency-averaged" if args.freq_avg else f"T={round((w.n_obs + 1) / args.k)}",
         "average": {c: table.class_average(v) for v, c in enumerate("PSI", 1)},
     }
 
@@ -341,11 +337,7 @@ def _cmd_synth(args, out: _Artifacts) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, pipeline: bool = True) -> None:
-    p.add_argument(
-        "--outdir",
-        default=os.environ.get("PANELRESPONSE_OUTDIR", "out"),
-        help="output directory (env PANELRESPONSE_OUTDIR; default: out)",
-    )
+    p.add_argument("--outdir", default="out", help="output directory (default: out)")
     if pipeline:
         p.add_argument("--input", required=True, help="panel CSV path, or - for stdin")
         p.add_argument(

@@ -31,7 +31,7 @@ from ._files import write_rows
 from .errors import BadParameter, DegenerateWeights, SchemaError
 from .panel import (
     SeriesId, Variable, _class_rows, _freeze, _goods, _integer, _layout_entries, _row,
-    _series_by_month,
+    _series_by_month, _series_ids,
 )
 from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
@@ -256,12 +256,10 @@ class PhaseTable:
     the reference.  The reference entry is exactly zero.  ``phases`` is
     read-only, one entry per series of a 3 x G layout (else SchemaError);
     ``n_goods`` is derived from their number M = 3G.  The reference series
-    and the frequency set are the caller's arguments, not kept here;
-    ``period_label`` is what the ``phases`` command prints.
+    and the frequency set are the caller's arguments, not kept here.
     """
 
     phases: np.ndarray
-    period_label: str
 
     def __post_init__(self):
         object.__setattr__(self, "phases", _layout_entries(self.phases, "phase"))
@@ -287,51 +285,28 @@ class PhaseTable:
         ])
 
 
-def _two_mode_amplitudes(ms: ModeSeries, basis: ModeBasis, ks: list[int]) -> np.ndarray:
-    """Complex amplitude of each series at each frequency of ks in the two-mode picture (M x K)."""
-    bins = np.stack([dft(a)[ks] for a in _two_modes(ms, basis)])
-    return basis.vectors[:, :2] @ bins
-
-
-def mode_phases(
-    ms: ModeSeries, basis: ModeBasis, k: int, ref: SeriesId
-) -> PhaseTable:
-    """Phases of every series at one frequency, relative to the reference.
-
-    The two-mode reconstruction fixes each series' complex amplitude at w_k;
-    the table lists wrap(arg ref - arg series) in degrees, so a positive
-    entry peaks ahead of the reference.
-    """
-    ref_idx = _row(ref, basis.m)
-    n = ms.coeffs.shape[1]
-    ks = _check_kset([k], n)
-    amp = _two_mode_amplitudes(ms, basis, ks)[:, 0]
-    if np.abs(amp[ref_idx]) < 1e-12:
-        raise BadParameter(f"reference {ref.label} has no amplitude at k={k}")
-    rel = _wrap_degrees(np.degrees(np.angle(amp[ref_idx]) - np.angle(amp)))
-    rel[ref_idx] = 0.0
-    return PhaseTable(phases=rel, period_label=f"T={round((n + 1) / ks[0])}")
-
-
 def freq_avg_phases(
     ms: ModeSeries, basis: ModeBasis, kset: Iterable[int], ref: SeriesId
 ) -> PhaseTable:
     """Amplitude-weighted circular mean of the relative phases over kset.
 
-    Each frequency contributes its relative phase weighted by the series'
-    squared amplitude there; a series with no spectral weight anywhere in
-    the band has no defined phase and raises DegenerateWeights.
+    The two-mode reconstruction fixes each series' complex amplitude at
+    every w_k of kset; each frequency contributes wrap(arg ref - arg series),
+    weighted by the series' squared amplitude there, so a positive entry
+    peaks ahead of the reference.  A one-tone table is the one-bin set
+    ``[k]``.  A series with no spectral weight anywhere in the band, the
+    reference included, has no defined phase and raises DegenerateWeights.
     """
     ref_idx = _row(ref, basis.m)
-    n = ms.coeffs.shape[1]
-    ks = _check_kset(kset, n)
-    amp = _two_mode_amplitudes(ms, basis, ks)
+    ks = _check_kset(kset, ms.coeffs.shape[1])
+    bins = np.stack([dft(a)[ks] for a in _two_modes(ms, basis)])
+    amp = basis.vectors[:, :2] @ bins
     weight = np.abs(amp) ** 2
     rel = np.angle(amp[ref_idx]) - np.angle(amp)
     resultant = np.sum(weight * np.exp(1j * rel), axis=1)
     degenerate = np.flatnonzero(weight.sum(axis=1) < 1e-12)
     if degenerate.size:
-        raise DegenerateWeights(int(degenerate[0]) + 1)
+        raise DegenerateWeights(_series_ids(basis.m)[degenerate[0]].label)
     phases = _wrap_degrees(np.degrees(np.angle(resultant)))
     phases[ref_idx] = 0.0
-    return PhaseTable(phases=phases, period_label="frequency-averaged")
+    return PhaseTable(phases=phases)

@@ -63,9 +63,9 @@ class DegenerateSeries(PanelResponseError):
 
 
 class DegenerateWeights(PanelResponseError):
-    """All phase weights vanish; the circular mean is undefined."""
+    """A series' phase weights all vanish; its circular mean is undefined."""
 
-    def __init__(self, series: int | str):
+    def __init__(self, series: str):
         self.series = series
         super().__init__(f"series {series} has no spectral weight in the chosen band")
 

@@ -297,16 +297,13 @@ class NullEnsemble:
     ``lambda_max`` holds the largest eigenvalue of every sample in sample
     order; ``pooled`` all M eigenvalues per sample (samples x M, descending,
     so its first column is ``lambda_max`` bit for bit), kept for density
-    comparisons and omitted from the compact JSON form.  ``seed``
-    (at least 0) is kept as a Python int, under the rules of
-    :func:`null_ensemble`.  ``samples`` and ``edge`` are derived from
-    ``lambda_max``: its length (at least 1, else
+    comparisons and omitted from the compact JSON form.  ``samples`` and
+    ``edge`` are derived from ``lambda_max``: its length (at least 1, else
     :class:`~panelresponse.errors.BadParameter`) and the
-    :func:`upper_edge` interval at 95% confidence.
+    :func:`upper_edge` interval at 95% confidence.  The shuffle mode and
+    seed are the caller's arguments, not kept here.
     """
 
-    mode: ShuffleMode
-    seed: int
     lambda_max: np.ndarray
     pooled: np.ndarray | None = None
 
@@ -314,8 +311,8 @@ class NullEnsemble:
         lmax = _freeze(np.asarray(self.lambda_max, dtype=float))
         if lmax.ndim != 1:
             raise SchemaError(f"lambda_max must be 1-D, got shape {lmax.shape}")
-        _, seed = _sample_count_and_seed(lmax.size, self.seed)
-        object.__setattr__(self, "seed", seed)
+        if not lmax.size:
+            raise BadParameter("samples must be >= 1, got 0")
         object.__setattr__(self, "lambda_max", lmax)
         if self.pooled is not None:
             pooled = _freeze(np.asarray(self.pooled, dtype=float))
@@ -325,7 +322,6 @@ class NullEnsemble:
             if pooled[:, 0].tobytes() != lmax.tobytes():
                 raise SchemaError("pooled's first column must equal lambda_max")
             object.__setattr__(self, "pooled", pooled)
-        object.__setattr__(self, "mode", ShuffleMode(self.mode))
 
     @property
     def samples(self) -> int:
@@ -337,9 +333,7 @@ class NullEnsemble:
 
     def to_json(self, target: str | Path | TextIO | None = None) -> dict:
         doc = {
-            "mode": self.mode.value,
             "samples": self.samples,
-            "seed": self.seed,
             "lambda_max": self.lambda_max.tolist(),
             "edge": asdict(self.edge),
         }
@@ -353,16 +347,13 @@ class NullEnsemble:
 
         Its ``samples`` must be the length of its ``lambda_max``, and its
         ``edge`` the one its ``lambda_max`` gives, to 1e-12 relative, else
-        the document is a :class:`SchemaError`.
+        the document is a :class:`SchemaError`.  Any other key, such as the
+        top-level ``mode`` and ``seed`` of an older document, is ignored.
         """
         doc = read_json(source)
         with json_fields("null-ensemble document"):
             try:
-                ensemble = cls(
-                    mode=ShuffleMode(doc["mode"]),
-                    seed=doc["seed"],
-                    lambda_max=_frozen(np.array(doc["lambda_max"], dtype=float)),
-                )
+                ensemble = cls(_frozen(np.array(doc["lambda_max"], dtype=float)))
                 samples = _integer("samples", doc["samples"])
             except (BadParameter, SchemaError) as exc:
                 # a value the constructor refuses makes the document malformed
@@ -401,16 +392,6 @@ def _pooled_rows(first: int, spectra: np.ndarray) -> str:
     """
     return "".join((f"{s},%r\n" * len(row)) % tuple(row)
                    for s, row in enumerate(spectra.tolist(), first))
-
-
-def _sample_count_and_seed(samples, seed) -> tuple[int, int]:
-    """``samples`` (>= 1) and ``seed`` (>= 0) as Python ints, else BadParameter."""
-    samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if samples < 1:
-        raise BadParameter(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise BadParameter(f"seed must be >= 0, got {seed}")
-    return samples, seed
 
 
 def null_ensemble(
@@ -473,7 +454,11 @@ def null_ensemble(
     :class:`~panelresponse.errors.BadParameter`.
     """
     mode = ShuffleMode(mode)
-    samples, seed = _sample_count_and_seed(samples, seed)
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
+    if samples < 1:
+        raise BadParameter(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     v = w.values
     m, n = v.shape
     sample_bytes = m * n * v.itemsize
@@ -556,8 +541,6 @@ def null_ensemble(
             # chunks not yet started are cancelled
             pool.shutdown(cancel_futures=True)
     return NullEnsemble(
-        mode=mode,
-        seed=seed,
         lambda_max=_frozen(lambda_max),
         pooled=None if pooled is None else _frozen(pooled),
     )

@@ -21,13 +21,13 @@ from panelresponse import (
     dft,
     eigendecompose,
     external_stimuli,
+    freq_avg_phases,
     genuine_matrix,
     inverse_dft,
     lag_correlation,
     load_panel,
     log_growth,
     long_period,
-    mode_phases,
     mode_series,
     moving_average,
     mp_bounds,
@@ -291,7 +291,7 @@ def test_c11_mode_lag_correlation_peak(real_pipeline):
 def test_c11_shipments_phase_at_t60(real_pipeline):
     _, w, basis = real_pipeline
     ms = mode_series(w, basis)
-    table = mode_phases(ms, basis, k=4, ref=SeriesId(Variable.PRODUCTION, 20))
+    table = freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20))
     assert table.class_average(Variable.SHIPMENTS) == pytest.approx(25.2, abs=2.0)
 
 

@@ -28,7 +28,6 @@ REPO = Path(__file__).resolve().parents[1]
 def run_cli(*args, cwd, input_text=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("PANELRESPONSE_OUTDIR", None)
     return subprocess.run(
         [sys.executable, "-m", "panelresponse.cli", *args],
         cwd=cwd,
@@ -478,7 +477,9 @@ def test_null_byte_identical_reruns(planted_csv, tmp_path):
     a, b = outputs
     assert a == b
     doc = json.loads(a)
-    assert doc["mode"] == "rotational"
+    # the run parameters are the config's alone
+    assert (doc["config"]["mode"], doc["config"]["seed"]) == ("rotational", 7)
+    assert not {"mode", "seed"} & doc.keys()
     assert doc["samples"] == 40
     assert len(doc["lambda_max"]) == 40
     assert doc["edge"]["low"] <= doc["edge"]["center"] <= doc["edge"]["high"]
@@ -675,6 +676,21 @@ def test_ripple_reduced_chi_phases_cycles_stimuli(planted_csv, tmp_path):
     stim_rows = read_data_lines(tmp_path / "st" / "stimuli.csv")
     assert stim_rows[0] == "date,eta1,eta2"
     assert len(stim_rows) == 240  # header + 239 months
+
+
+def test_one_tone_phases_are_the_one_bin_average(planted_csv, tmp_path):
+    # phases --k K is the frequency-averaged table over the one-bin set {K}
+    panel_path, _ = planted_csv
+    runs = {}
+    for name, args in (("k", ("--k", "4")), ("avg", ("--freq-avg", "--kset", "4"))):
+        res = run_cli("phases", *args, "--input", str(panel_path), "--outdir", name,
+                      cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        runs[name] = read_data_lines(tmp_path / name / "phases.csv"), json.loads(res.stdout)
+    (k_rows, k_out), (avg_rows, avg_out) = runs["k"], runs["avg"]
+    assert k_rows == avg_rows and len(k_rows) == 1 + 21 + 1
+    assert k_out["average"] == avg_out["average"]
+    assert (k_out["period"], avg_out["period"]) == ("T=60", "frequency-averaged")
 
 
 def artifact_config(path: Path) -> dict:

@@ -29,7 +29,6 @@ from panelresponse import (
     inverse_dft,
     lag_correlation,
     long_period,
-    mode_phases,
     mode_series,
     moving_average,
     no_autocorr_band,
@@ -408,8 +407,9 @@ def quarter_shift_setup():
 
 
 def test_mode_phases_reference_zero_and_quarter_period():
+    # a one-tone table is the one-bin set
     _, basis, ms = quarter_shift_setup()
-    table = mode_phases(ms, basis, k=8, ref=SeriesId(Variable.PRODUCTION, 1))
+    table = freq_avg_phases(ms, basis, [8], ref=SeriesId(Variable.PRODUCTION, 1))
     assert table.phase(SeriesId(Variable.PRODUCTION, 1)) == 0.0
     assert table.phase(SeriesId(Variable.SHIPMENTS, 1)) == pytest.approx(90.0, abs=1e-8)
     assert table.phase(SeriesId(Variable.INVENTORY, 1)) == pytest.approx(45.0, abs=1e-8)
@@ -421,16 +421,9 @@ def test_mode_phases_reference_amplitude_zero():
     w2 = tone(7)
     w3 = (w1 + w2) / np.sqrt(2.0)
     _, basis, ms = rank2_pipeline([w1, w2, w3])
-    with pytest.raises(BadParameter, match=r"reference P\.1 has no amplitude at k=7"):
-        mode_phases(ms, basis, k=7, ref=SeriesId(Variable.PRODUCTION, 1))
-
-
-def test_mode_phases_period_label(planted_panel):
-    basis = eigendecompose(correlation_matrix(planted_panel))
-    ms = mode_series(planted_panel, basis)
-    table = mode_phases(ms, basis, k=4, ref=SeriesId(Variable.PRODUCTION, 20))
-    assert table.period_label == "T=60"  # 239-month panel, friendly display name
-    assert mode_phases(ms, basis, 6, SeriesId(Variable.PRODUCTION, 20)).period_label == "T=40"
+    with pytest.raises(DegenerateWeights,
+                       match=r"^series P\.1 has no spectral weight in the chosen band$"):
+        freq_avg_phases(ms, basis, [7], ref=SeriesId(Variable.PRODUCTION, 1))
 
 
 def test_freq_avg_constant_phase_across_band():
@@ -447,7 +440,6 @@ def test_freq_avg_constant_phase_across_band():
     assert table.phase(SeriesId(Variable.SHIPMENTS, 1)) == pytest.approx(delta, abs=1e-8)
     # equal mixture of the zero-phase and delta-phase series sits halfway
     assert table.phase(SeriesId(Variable.INVENTORY, 1)) == pytest.approx(delta / 2, abs=1e-8)
-    assert table.period_label == "frequency-averaged"
 
 
 def test_freq_avg_matches_circular_mean_oracle():
@@ -482,7 +474,7 @@ def test_freq_avg_degenerate_weights():
 def test_phase_table_csv(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     ms = mode_series(planted_panel, basis)
-    table = mode_phases(ms, basis, k=4, ref=SeriesId(Variable.PRODUCTION, 20))
+    table = freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20))
     buf = io.StringIO()
     table.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -508,7 +500,7 @@ def test_phases_match_brute_force_dft_amplitudes(planted_panel):
     amp = basis.vectors[:, :2] @ bins  # M x N', every series at every bin
     rel = np.degrees(np.angle(amp[r]) - np.angle(amp))  # M x N'
     for k in (1, 4, 9):
-        table = mode_phases(ms, basis, k, ref)
+        table = freq_avg_phases(ms, basis, [k], ref)
         assert _wrapped_gap(table.phases, rel[:, k]) <= 1e-9
     ks = list(KSET_LONG_PERIODS)
     expected = np.array([
@@ -524,9 +516,8 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     ms = mode_series(planted_panel, basis)
     ref = SeriesId.parse("P.22")
-    for call in (lambda: mode_phases(ms, basis, 4, ref),
-                 lambda: freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref),
-                 lambda: mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phase(ref)):
+    for call in (lambda: freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref),
+                 lambda: freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")).phase(ref)):
         with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
             call()
     with pytest.raises(BadParameter, match=r"^series S\.22 not in a 21-goods layout$"):
@@ -535,7 +526,7 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     w4 = StandardizedPanel.from_values(planted_panel.values[:4])
     four = eigendecompose(correlation_matrix(w4))
     with pytest.raises(BadParameter, match=r"^series P\.1: 4 series have no 3 x G layout$"):
-        mode_phases(mode_series(w4, four), four, 4, SeriesId.parse("P.1"))
+        freq_avg_phases(mode_series(w4, four), four, [4], SeriesId.parse("P.1"))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +558,8 @@ REFUSED = {
     "external_stimuli, one mode series": (
         lambda: external_stimuli(ONE_MODE, ReducedSusceptibility(np.eye(2)), 0, (4,)),
         SchemaError, "^need the two leading modes$"),
-    "mode_phases, one mode series": (
-        lambda: mode_phases(ONE_MODE, BASIS3, 4, SeriesId(1, 1)),
+    "mode_phases, one mode series": (  # the one-tone table
+        lambda: freq_avg_phases(ONE_MODE, BASIS3, [4], SeriesId(1, 1)),
         SchemaError, "^need the two leading modes$"),
     "freq_avg_phases, one mode series": (
         lambda: freq_avg_phases(ONE_MODE, BASIS3, (4, 6), SeriesId(1, 1)),
@@ -659,8 +650,9 @@ COUNTS = {
     "moving_average": ("half-width", lambda f, v: moving_average(f.ms.coeffs[0], v)),
     "lag_correlation": ("lag", lambda f, v: lag_correlation(f.ms.coeffs[0], f.ms.coeffs[1], v)),
     "long_period": ("frequency index", lambda f, v: long_period(f.ms.coeffs[0], [v])),
-    "mode_phases": (
-        "frequency index", lambda f, v: mode_phases(f.ms, f.basis, v, SeriesId(1, 20)).phases),
+    "mode_phases": (  # the one-tone table
+        "frequency index",
+        lambda f, v: freq_avg_phases(f.ms, f.basis, [v], SeriesId(1, 20)).phases),
     "reconstruct": ("mode", lambda f, v: reconstruct(f.basis, [v])),
     "genuine_matrix": ("mode count", lambda f, v: genuine_matrix(f.basis, v).values),
     "reduced_susceptibility": (
@@ -679,8 +671,3 @@ def test_non_integer_counts_are_bad_parameters(fitted, case, value):
     # a numpy integer is the Python int it holds
     assert np.array_equal(call(fitted, np.int64(2)), call(fitted, 2))
 
-
-def test_mode_phases_labels_its_frequency(fitted):
-    # k = 1.5 used to give the k = 1 table labelled T=160
-    table = mode_phases(fitted.ms, fitted.basis, np.int64(1), SeriesId(1, 20))
-    assert table.period_label == "T=240"

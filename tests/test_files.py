@@ -16,9 +16,9 @@ from panelresponse import (
     eigendecompose,
     external_stimuli,
     final_to_intermediate_csv,
+    freq_avg_phases,
     genuine_matrix,
     load_panel,
-    mode_phases,
     mode_series,
     null_ensemble,
     reduced_susceptibility,
@@ -44,7 +44,7 @@ def objects(planted_panel):
         "cg": cg,
         "ensemble": null_ensemble(w, "rotational", 5, 0),
         "stimuli": external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
-        "phases": mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
+        "phases": freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")),
         "panel": to_level_panel(w),
         "spec": synth.SynthSpec(
             n_series=6, n_obs=30, noise_ar1=-0.2, seed=4,
@@ -141,7 +141,7 @@ JSON_READERS = {
 @pytest.mark.parametrize("data, message", [
     (b"{", "unreadable JSON"),
     (b"\xff", "unreadable JSON"),
-    (b"{}", "field '(values|kind|mode)'"),
+    (b"{}", "field '(values|kind|lambda_max)'"),
     (b"[]", "malformed"),
 ])
 @pytest.mark.parametrize("name", sorted(JSON_READERS))

@@ -31,10 +31,10 @@ from panelresponse import (
     correlation_matrix,
     eigendecompose,
     external_stimuli,
+    freq_avg_phases,
     genuine_matrix,
     load_panel,
     log_growth,
-    mode_phases,
     mode_series,
     null_ensemble,
     parse_month,
@@ -82,7 +82,7 @@ def test_containers_copy_a_callers_writeable_array():
     ms = ModeSeries(months=ms_months, coeffs=coeffs)
     lambda_max, pooled = np.linspace(2.0, 3.0, 4), np.ones((4, 6))
     pooled[:, 0] = lambda_max  # a pooled spectrum holds lambda_max first
-    e = NullEnsemble(mode="rotational", seed=0, lambda_max=lambda_max, pooled=pooled)
+    e = NullEnsemble(lambda_max=lambda_max, pooled=pooled)
     arrays = (panel.values, growth.rates, w.values, ms.months, ms.coeffs,
               e.lambda_max, e.pooled)
     kept = [a.copy() for a in arrays]
@@ -123,7 +123,8 @@ def test_containers_compare_and_hash_by_identity(planted_panel):
     panel = to_level_panel(w)
     containers = [
         panel, log_growth(panel), w, raw, basis, ms, null_ensemble(w, "complete", 2, 0),
-        ripple(cg, SeriesId.parse("S.15")), chi, mode_phases(ms, basis, 4, SeriesId.parse("P.20")),
+        ripple(cg, SeriesId.parse("S.15")), chi,
+        freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")),
         external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
     ]
     assert len({type(c) for c in containers}) == 11
@@ -162,7 +163,7 @@ def test_result_arrays_are_read_only(planted_panel):
     chi = reduced_susceptibility(cg, basis, 2)
     mode = synth.PlantedMode(1.0, synth.Ar1(0.0), loading=[1.0, 0.0, 0.0])
     for a in (ripple(cg, SeriesId.parse("S.15")).responses,
-              mode_phases(ms, basis, 4, SeriesId.parse("P.20")).phases,
+              freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")).phases,
               external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES).values, chi.values, mode.loading):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0

@@ -410,9 +410,9 @@ def test_rejected_samples_are_redrawn_through_their_stream(monkeypatch, workers)
 @pytest.mark.parametrize("mode", ["rotational", "complete"])
 def test_numpy_integer_arguments_are_python_ints(iid_panel, tmp_path, mode):
     e = null_ensemble(iid_panel, mode, np.int64(4), np.uint32(3))
-    assert type(e.samples) is int and type(e.seed) is int
+    assert type(e.samples) is int
     doc = json.loads(json.dumps(e.to_json(tmp_path / "ensemble.json")))
-    assert (doc["samples"], doc["seed"]) == (4, 3)
+    assert doc["samples"] == 4
     assert np.array_equal(e.pooled, null_ensemble(iid_panel, mode, 4, 3).pooled)
 
 
@@ -688,11 +688,7 @@ def test_upper_edge_confidence_handling(iid_panel):
 
 
 def test_upper_edge_degenerate_ensemble():
-    e = NullEnsemble(
-        mode="complete",
-        seed=0,
-        lambda_max=np.full(4, 2.5),
-    )
+    e = NullEnsemble(lambda_max=np.full(4, 2.5))
     center, low, high = upper_edge(e, 0.95)
     assert center == low == high == 2.5
 
@@ -710,7 +706,6 @@ def test_ensemble_json_round_trip(iid_panel, tmp_path):
     path = tmp_path / "ensemble.json"
     e.to_json(path)
     back = NullEnsemble.from_json(path)
-    assert back.mode is ShuffleMode.ROTATIONAL
     assert np.array_equal(back.lambda_max, e.lambda_max)
     # the edge is the one lambda_max gives, before and after the round trip
     assert back.edge == e.edge == EdgeEstimate(*upper_edge(e, 0.95), 0.95)
@@ -718,14 +713,19 @@ def test_ensemble_json_round_trip(iid_panel, tmp_path):
         back.pooled_to_csv(tmp_path / "pooled.csv")  # JSON form drops pooled spectrum
 
 
-ENSEMBLE_DOC = {"mode": "complete", "samples": 2, "seed": 0, "lambda_max": [2.0, 2.5],
+# an ensemble.json of the older shape: its config and also its top level
+# record the mode and seed, which from_json ignores
+ENSEMBLE_DOC = {"config": {"mode": "complete", "samples": 2, "seed": 0},
+                "mode": "complete", "samples": 2, "seed": 0, "lambda_max": [2.0, 2.5],
                 "edge": {"center": 2.25, "low": 2.0125, "high": 2.4875, "confidence": 0.95}}
 
 
 def test_ensemble_document_edge_is_derived_from_lambda_max():
     e = NullEnsemble.from_json(ENSEMBLE_DOC)
     assert e.edge == EdgeEstimate(2.25, 2.0125, 2.4875, 0.95)
-    assert e.to_json()["edge"] == ENSEMBLE_DOC["edge"]
+    # to_json writes the run parameters nowhere: they are the config's
+    assert e.to_json() == {key: ENSEMBLE_DOC[key] for key in ("samples", "lambda_max", "edge")}
+    assert NullEnsemble.from_json(e.to_json()).edge == e.edge
     # a recorded edge within 1e-12 relative of the derived one loads
     near = {**ENSEMBLE_DOC["edge"], "high": 2.4875 * (1 + 1e-13)}
     assert NullEnsemble.from_json({**ENSEMBLE_DOC, "edge": near}).edge == e.edge
@@ -742,29 +742,24 @@ def test_ensemble_document_with_another_edge_is_a_schema_error(field, value):
 
 
 @pytest.mark.parametrize("value", ["3", 3.0, True, -4])
-@pytest.mark.parametrize("field", ["samples", "seed"])
+@pytest.mark.parametrize("field", ["samples"])
 def test_ensemble_document_with_a_bad_count_is_a_schema_error(field, value):
     doc = {**ENSEMBLE_DOC, field: value}
     with pytest.raises(SchemaError, match=f"null-ensemble document: {field} must be"):
         NullEnsemble.from_json(doc)
-    if field == "seed":  # no constructor takes samples: it is the length of lambda_max
-        kwargs = {key: val for key, val in doc.items() if key not in ("edge", "samples")}
-        with pytest.raises(BadParameter, match="seed must be"):
-            NullEnsemble(**kwargs)
 
 
 def test_ensemble_document_counts_load_as_python_ints():
     e = NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": np.int64(2), "seed": np.uint8(7)})
-    assert (e.samples, e.seed) == (2, 7)
-    assert type(e.samples) is int and type(e.seed) is int
+    assert e.samples == 2 and type(e.samples) is int
 
 
 def test_ensemble_samples_is_the_length_of_lambda_max():
-    e = NullEnsemble(mode="complete", seed=0, lambda_max=[2.0, 2.5, 3.0])
+    e = NullEnsemble(lambda_max=[2.0, 2.5, 3.0])
     assert e.samples == 3 and type(e.samples) is int
     assert e.to_json()["samples"] == 3
     with pytest.raises(BadParameter, match="samples must be >= 1, got 0"):
-        NullEnsemble(mode="complete", seed=0, lambda_max=[])
+        NullEnsemble(lambda_max=[])
     for samples in (1, 3):
         with pytest.raises(SchemaError, match="null-ensemble document: samples must be 2, "):
             NullEnsemble.from_json({**ENSEMBLE_DOC, "samples": samples})
@@ -785,7 +780,7 @@ def test_ensemble_samples_is_the_length_of_lambda_max():
 ])
 def test_ensemble_pooled_must_agree_with_lambda_max(lambda_max, pooled, message):
     with pytest.raises(SchemaError, match=message):
-        NullEnsemble(mode="complete", seed=0, lambda_max=lambda_max, pooled=pooled)
+        NullEnsemble(lambda_max=lambda_max, pooled=pooled)
 
 
 def test_eigenvalues_above_a_threshold(planted_panel):

@@ -98,12 +98,9 @@ def test_variable_from_number_or_code(value, member):
     (lambda: Variable("X"), "unknown variable class"),
     (lambda: Variable(None), "unknown variable class"),
     (lambda: SeriesId(4, 1), "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3), "T=40").class_average(4),
-     "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3), "T=40").class_average("X"),
-     "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3), "T=40").class_average(0),
-     "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3)).class_average(4), "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3)).class_average("X"), "unknown variable class"),
+    (lambda: PhaseTable(np.zeros(3)).class_average(0), "unknown variable class"),
     (lambda: SeriesId.parse("P.22").flat(21), r"goods index 22 outside \[1, 21\]"),
     (lambda: SeriesId.from_flat(64, 21), r"flat index 64 outside \[1, 63\]"),
 ], ids=["Variable(4)", "Variable(0)", "Variable('X')", "Variable(None)", "SeriesId(4, 1)",
@@ -299,10 +296,10 @@ REFUSED = {
         lambda: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0))),
         SchemaError, "standardized values are empty: 3 series, 0 months"),
     "PhaseTable, M not 3G": (
-        lambda: PhaseTable(np.zeros(4), "x").class_average(1),
+        lambda: PhaseTable(np.zeros(4)).class_average(1),
         SchemaError, "phase count 4 is not 3 x G"),
     "PhaseTable, no phases": (
-        lambda: PhaseTable(np.zeros(0), "x"),
+        lambda: PhaseTable(np.zeros(0)),
         SchemaError, "phase count 0 is not 3 x G"),
     "RippleReport, M not 3G": (
         lambda: RippleReport(np.zeros(4)),
