@@ -44,14 +44,14 @@ print(f"median |off-diagonal|: raw {np.median(off_raw):.3f} -> "
 
 # unit shift applied to shipments of Motor Vehicles
 source = SeriesId(Variable.SHIPMENTS, 15)
-report = ripple(cg, source)
+responses = ripple(cg, source)
 print(f"\nripple from a unit growth-rate shift of shipments / "
       f"{DEFAULT_GOODS_LABELS[15]}:")
-order = np.argsort(-np.abs(report.responses))
+order = np.argsort(-np.abs(responses))
 for idx in order[:6]:
     sid = w.ids[idx]
     print(f"  {sid.label:5s} {DEFAULT_GOODS_LABELS[sid.goods]:35s} "
-          f"{report.responses[idx]:+.3f}")
+          f"{responses[idx]:+.3f}")
 
 # the final-demand -> producer-goods table (one column per producer goods)
 table = final_to_intermediate(cg)
@@ -61,8 +61,8 @@ for g in range(1, 20):
     print(f"  {g:2d}   {DEFAULT_GOODS_LABELS[g]:35s} {table[g-1, 0]:+.3f}   "
           f"{table[g-1, 1]:+.3f}")
 
-red = reduced_susceptibility(cg, basis, k=2)
-norm = red.normalized
+chi = reduced_susceptibility(cg, basis, k=2)
+norm = chi / chi[0, 0]
 print("\nreduced two-mode susceptibility (relative to the leading entry):")
 print(f"  [[{norm[0,0]:.3f}, {norm[0,1]:+.2e}], [{norm[1,0]:+.2e}, {norm[1,1]:.3f}]]")
 print("(the two modes are nearly decoupled, as orthonormality suggests)")

@@ -31,7 +31,6 @@ from .genuine import default_mode_count, genuine_matrix
 from .nullmodel import (
     EdgeEstimate,
     NullEnsemble,
-    ShuffleMode,
     autocorrelations,
     complete_shuffle,
     cyclic_autocorrelation,
@@ -57,8 +56,6 @@ from .panel import (
     write_panel_csv,
 )
 from .response import (
-    ReducedSusceptibility,
-    RippleReport,
     final_to_intermediate,
     final_to_intermediate_csv,
     reduced_susceptibility,
@@ -100,14 +97,14 @@ __all__ = [
     "eigendecompose", "mode_series", "reconstruct", "mp_bounds", "mp_density",
     "corr_to_csv", "corr_from_csv", "corr_from_json",
     # nullmodel
-    "ShuffleMode", "NullEnsemble", "EdgeEstimate", "autocorrelations",
-    "cyclic_autocorrelation", "no_autocorr_band", "complete_shuffle",
-    "rotational_shuffle", "null_ensemble", "upper_edge",
+    "NullEnsemble", "EdgeEstimate", "autocorrelations", "cyclic_autocorrelation",
+    "no_autocorr_band", "complete_shuffle", "rotational_shuffle", "null_ensemble",
+    "upper_edge",
     # genuine
     "genuine_matrix", "default_mode_count",
     # response
-    "RippleReport", "ReducedSusceptibility", "ripple", "final_to_intermediate",
-    "final_to_intermediate_csv", "reduced_susceptibility",
+    "ripple", "final_to_intermediate", "final_to_intermediate_csv",
+    "reduced_susceptibility",
     # cycles
     "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "PhaseTable",
     "StimulusSeries", "moving_average", "lag_correlation", "dft",

@@ -263,9 +263,9 @@ def _cmd_ripple(args, out: _Artifacts) -> None:
     with out.open("intermediate_response.csv") as fh:
         final_to_intermediate_csv(cg, raw, fh)
     if args.source is not None:
-        report = ripple(cg, SeriesId.parse(args.source))
+        responses = ripple(cg, SeriesId.parse(args.source))
         out.table("ripple_source.csv", ["series", "response"],
-                  zip([sid.label for sid in w.ids], report.responses.tolist()))
+                  zip([sid.label for sid in w.ids], responses.tolist()))
 
 
 def _cmd_reduced_chi(args, out: _Artifacts) -> dict:
@@ -273,8 +273,8 @@ def _cmd_reduced_chi(args, out: _Artifacts) -> dict:
     if args.k > basis.m:
         # reduced_susceptibility's range, named before genuine_matrix names its own
         raise BadParameter(f"mode count {args.k} outside [1, {basis.m}]")
-    red = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k)
-    values, normalized = red.values.tolist(), red.normalized.tolist()
+    chi = reduced_susceptibility(genuine_matrix(basis, args.k), basis, args.k)
+    values, normalized = chi.tolist(), (chi / chi[0, 0]).tolist()
     out.json("reduced_chi.json", {"values": values, "normalized": normalized})
     out.table("reduced_chi.csv", ["row", "col", "value", "normalized"],
               [(i + 1, j + 1, values[i][j], normalized[i][j])

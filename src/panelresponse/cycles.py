@@ -30,10 +30,9 @@ import numpy as np
 from ._files import write_rows
 from .errors import BadParameter, DegenerateWeights, SchemaError
 from .panel import (
-    SeriesId, Variable, _class_rows, _freeze, _goods, _integer, _layout_entries, _row,
+    SeriesId, Variable, _class_rows, _freeze, _goods, _integer, _layout_entries, _row, _series,
     _series_by_month, _series_ids,
 )
-from .response import ReducedSusceptibility
 from .spectral import ModeBasis, ModeSeries
 
 #: The four dominant cycle tones of a ~240-month panel.
@@ -55,7 +54,7 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarr
     the input; constants and (at interior points) linear ramps are preserved
     for any width.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _series(x)
     n, half_width = arr.size, _integer("half-width", half_width)
     if half_width < 0:
         raise BadParameter(f"half-width must be >= 0, got {half_width}")
@@ -80,8 +79,7 @@ def lag_correlation(
     value is a correlation coefficient comparable across lags.  Smooth the
     series with :func:`moving_average` first to correlate their cycles.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
+    xs, ys = _series(x), _series(y)
     if xs.size != ys.size:
         raise SchemaError("series lengths differ")
     n, lag = xs.size, _integer("lag", lag)
@@ -104,7 +102,7 @@ def lag_correlation(
 
 def dft(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coefficients (1/sqrt(N')) sum_j x(t_j) e^{+i w_k t_j}, t_j = j months, k = 0 .. N'-1."""
-    arr = np.asarray(x, dtype=float)
+    arr = _series(x)
     n = arr.size
     if n < 2:
         raise SchemaError(f"need at least 2 points, got {n}")
@@ -116,7 +114,7 @@ def dft(x: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def inverse_dft(coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Reconstruct x(t_j) = (1/sqrt(N')) sum_k coeffs_k e^{-i w_k t_j}."""
-    c = np.asarray(coeffs, dtype=complex)
+    c = _series(coeffs, complex)
     n = c.size
     if n < 2:
         raise SchemaError(f"need at least 2 coefficients, got {n}")
@@ -144,7 +142,7 @@ def long_period(x: Sequence[float] | np.ndarray, kset: Iterable[int]) -> np.ndar
     The retained pair (k, N' - k) keeps the output real; anything outside the
     band, including the mean (k = 0), is annihilated.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _series(x)
     n = arr.size
     ks = _check_kset(kset, n)
     keep = np.concatenate([ks, n - np.array(ks)])
@@ -214,25 +212,29 @@ class StimulusSeries:
 
 
 def external_stimuli(
-    ms: ModeSeries, chi: ReducedSusceptibility, half_width: int, kset: Iterable[int]
+    ms: ModeSeries, chi: np.ndarray, half_width: int, kset: Iterable[int]
 ) -> StimulusSeries:
     """Invert the reduced linear response on the residual mode fluctuations.
 
     (eta1, eta2)(t) = chi^-1 (  <a1>, <a2> )(t) with <a_n> the smoothed mode
     series minus its long-period component; the system is assumed to respond
-    to the fields instantaneously.
+    to the fields instantaneously.  ``chi`` is the 2 x 2 array
+    :func:`~panelresponse.response.reduced_susceptibility` returns for k = 2
+    (another shape is a SchemaError); a singular one, judged at chi's own
+    scale, or one whose stimuli leave the float range is a BadParameter.
     """
-    if chi.values.shape != (2, 2):
+    chi = np.asarray(chi, dtype=float)
+    if chi.shape != (2, 2):
         raise SchemaError("stimulus inversion uses exactly the two leading modes")
     tiny = np.finfo(float).tiny
-    scale = float(np.abs(chi.values).max())
+    scale = float(np.abs(chi).max())
     # det and the sum of squares both scale as chi^2, so test chi / scale, which neither
     # overflows nor underflows at any scale a caller fills chi with
-    unit = chi.values / max(scale, tiny)
+    unit = chi / max(scale, tiny)
     det = abs(float(np.linalg.det(unit)))
     if not det > 1e-12 * float(np.sum(unit**2)):
         raise BadParameter(f"determinant {det:.3e} too small")
-    eta = np.linalg.solve(chi.values, _residuals(_two_modes(ms), half_width, kset))
+    eta = np.linalg.solve(chi, _residuals(_two_modes(ms), half_width, kset))
     if not np.isfinite(eta).all() or ((eta != 0) & (np.abs(eta) < tiny)).any():
         raise BadParameter(f"stimuli leave the float range at chi scale {scale:.3e}")
     return StimulusSeries(months=ms.months, values=eta)

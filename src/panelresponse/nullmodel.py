@@ -16,7 +16,6 @@ threshold for retained eigenmodes.
 
 from __future__ import annotations
 
-import enum
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass, replace
@@ -28,12 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._files import _BLOCK_CELLS, json_fields, open_text, read_json, write_json
 from .errors import BadParameter, SchemaError
-from .panel import StandardizedPanel, _freeze, _frozen, _integer, check_standardized
-
-
-class ShuffleMode(str, enum.Enum):
-    COMPLETE = "complete"
-    ROTATIONAL = "rotational"
+from .panel import StandardizedPanel, _freeze, _frozen, _integer, _series, check_standardized
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +52,7 @@ def autocorrelations(w: StandardizedPanel, lag: int) -> np.ndarray:
 
 def cyclic_autocorrelation(x: np.ndarray, lag: int) -> float:
     """Autocorrelation under the periodic boundary (invariant under rotation)."""
-    x = np.asarray(x, dtype=float)
+    x = _series(x)
     return float((x * np.roll(x, -_integer("lag", lag))).mean())
 
 
@@ -396,13 +390,17 @@ def _pooled_rows(first: int, spectra: np.ndarray) -> str:
 
 def null_ensemble(
     w: StandardizedPanel,
-    mode: ShuffleMode | str,
+    mode: str,
     samples: int,
     seed: int,
     keep_pooled: bool = True,
     pooled_csv: TextIO | None = None,
 ) -> NullEnsemble:
     """Generate a shuffling null ensemble of correlation eigenvalues.
+
+    ``mode`` names the shuffle, ``"complete"`` (:func:`complete_shuffle`)
+    or ``"rotational"`` (:func:`rotational_shuffle`); anything else is a
+    :class:`~panelresponse.errors.BadParameter` naming both.
 
     Each sample draws from its own counter-based stream spawned from the
     master seed, so the result depends only on (seed, samples, mode) and is
@@ -453,7 +451,8 @@ def null_ensemble(
     Python int it holds, and a bool, float or string is a
     :class:`~panelresponse.errors.BadParameter`.
     """
-    mode = ShuffleMode(mode)
+    if mode not in ("complete", "rotational"):
+        raise BadParameter(f"shuffle mode must be 'complete' or 'rotational', got {mode!r}")
     samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise BadParameter(f"samples must be >= 1, got {samples}")
@@ -464,7 +463,7 @@ def null_ensemble(
     sample_bytes = m * n * v.itemsize
     chunk = max(1, _CHUNK_BYTES // sample_bytes)
 
-    if mode is ShuffleMode.ROTATIONAL:
+    if mode == "rotational":
         # windows[i, s] = [v v][i, s:s+n]; start (n - tau) % n is np.roll(v[i], tau)
         windows = sliding_window_view(np.concatenate([v, v], axis=1), n, axis=1)
         rows = np.arange(m)

@@ -259,6 +259,14 @@ def _integer(name: str, value, error: type[PanelResponseError] = BadParameter) -
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _series(x, dtype: type = float) -> np.ndarray:
+    """``x`` as an array of ``dtype``; one that is not 1-D is a SchemaError naming its shape."""
+    arr = np.asarray(x, dtype=dtype)
+    if arr.ndim != 1:
+        raise SchemaError(f"series must be 1-D, got shape {arr.shape}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # panel containers
 # ---------------------------------------------------------------------------

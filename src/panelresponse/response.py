@@ -9,7 +9,8 @@ relation follows from Onsager's regression hypothesis, or simply from the
 conditional expectation of one standardized Gaussian variable given another.
 
 No panel measures beta, so susceptibilities are given per unit beta and
-ripple responses per unit shift; any other value only scales them.
+ripple responses per unit shift; any other value only scales them.  Both
+are returned as plain read-only arrays.
 
 With the noise-filtered matrix in place of the raw one, these relations read
 off interindustrial ripple effects directly.
@@ -17,7 +18,6 @@ off interindustrial ripple effects directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -25,55 +25,16 @@ import numpy as np
 
 from ._files import write_rows
 from .errors import BadParameter, SchemaError
-from .panel import (
-    DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _goods, _integer, _layout_entries, _row,
-)
+from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _integer, _row
 from .spectral import CorrMatrix, ModeBasis
 
 
-@dataclass(frozen=True, eq=False)
-class RippleReport:
-    """Responses of all series to a unit shift applied at one source series.
-
-    ``responses`` is read-only, one entry per series of a 3 x G layout (else
-    SchemaError); ``n_goods`` is derived from their number M = 3G.  The
-    source is the caller's argument, not kept here.
-    """
-
-    responses: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "responses", _layout_entries(self.responses, "response"))
-
-    @property
-    def n_goods(self) -> int:
-        return _goods(self.responses.size)
-
-    def response(self, sid: SeriesId) -> float:
-        return float(self.responses[_row(sid, self.responses.size)])
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedSusceptibility:
-    """Susceptibility projected on the leading eigenmodes (k x k, symmetric)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        object.__setattr__(self, "values", _frozen((v + v.T) / 2.0))
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """Values relative to the leading diagonal entry."""
-        return self.values / self.values[0, 0]
-
-
-def ripple(cg: CorrMatrix, source: SeriesId) -> RippleReport:
+def ripple(cg: CorrMatrix, source: SeriesId) -> np.ndarray:
     """Mean shifts induced in every series by a unit shift at the source series.
 
-    The response of series l is C_lm where m is the source; the source itself
-    responds with exactly 1 (unit diagonal).  A response is linear in the
+    Returns a read-only array with one response per series, in flat order:
+    the response of series l is C_lm where m is the source, and the source
+    itself responds with exactly 1 (unit diagonal).  A response is linear in the
     shift, so any other shift only scales the column.  Interpretation is up
     to the caller: any source/target pair is computed, but the economically
     grounded direction is shipments of final demand goods driving production
@@ -82,7 +43,7 @@ def ripple(cg: CorrMatrix, source: SeriesId) -> RippleReport:
     idx = _row(source, cg.m)
     responses = cg.values[:, idx].copy()
     responses[idx] = 1.0  # unit diagonal, kept exact
-    return RippleReport(responses=responses)
+    return _frozen(responses)
 
 
 def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
@@ -115,13 +76,16 @@ def final_to_intermediate_csv(
     ])
 
 
-def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int = 2) -> ReducedSusceptibility:
+def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int) -> np.ndarray:
     """Susceptibility per unit beta in the subspace of the first k eigenmodes.
 
-    chi_hat[m, n] = V(m)^T C V(n), in units of beta.  On the raw correlation
-    matrix this is exactly diag(lambda_1 .. lambda_k) by orthonormality; on
-    the noise-filtered matrix the diagonal reset adds small corrections.
-    ``normalized`` does not depend on beta at all.
+    Returns the read-only k x k array chi_hat[m, n] = V(m)^T C V(n), in
+    units of beta, symmetrized as (v + v^T) / 2 so that rounding leaves no
+    asymmetry.  On the raw correlation matrix this is exactly
+    diag(lambda_1 .. lambda_k) by orthonormality; on the noise-filtered
+    matrix the diagonal reset adds small corrections.  ``chi / chi[0, 0]``,
+    the values relative to the leading diagonal entry, does not depend on
+    beta at all.
     """
     k = _integer("mode count", k)
     if not 1 <= k <= basis.m:
@@ -129,4 +93,5 @@ def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int = 2) -> Reduc
     if c.m != basis.m:
         raise SchemaError("matrix and basis dimensions differ")
     vk = basis.vectors[:, :k]
-    return ReducedSusceptibility(values=vk.T @ c.values @ vk)
+    v = vk.T @ c.values @ vk
+    return _frozen((v + v.T) / 2.0)

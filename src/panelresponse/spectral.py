@@ -250,9 +250,9 @@ def reconstruct(basis: ModeBasis, modes: Iterable[int]) -> np.ndarray:
 
 
 def mp_bounds(q: float) -> tuple[float, float]:
-    """Support bounds (1 -+ sqrt(Q))^2 / Q of the Marchenko-Pastur density."""
-    if q <= 1.0:
-        raise BadParameter(f"aspect ratio must exceed 1, got {q}")
+    """Support bounds (1 -+ sqrt(Q))^2 / Q of the Marchenko-Pastur density, for finite Q > 1."""
+    if not 1.0 < q < np.inf:
+        raise BadParameter(f"aspect ratio must be finite and exceed 1, got {q}")
     root = np.sqrt(q)
     return float((1.0 - root) ** 2 / q), float((1.0 + root) ** 2 / q)
 

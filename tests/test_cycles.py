@@ -13,7 +13,6 @@ from panelresponse import (
     KSET_LONG_PERIODS,
     ModeBasis,
     ModeSeries,
-    ReducedSusceptibility,
     SeriesId,
     StandardizedPanel,
     StimulusSeries,
@@ -303,7 +302,7 @@ def test_residual_reads_a_one_shot_kset_once():
 
 def test_stimuli_zero_when_no_residual():
     _, _, ms = band_limited_setup()
-    chi = ReducedSusceptibility(values=np.eye(2))
+    chi = np.eye(2)
     s = external_stimuli(ms, chi, half_width=0, kset=(4, 6))
     assert np.abs(s.values).max() <= 1e-10
 
@@ -313,7 +312,7 @@ def test_stimuli_identity_chi_reads_mode_one_residual():
     pulse = np.zeros(N)
     pulse[57] = 2.0
     bumped = ModeSeries(months=ms.months, coeffs=ms.coeffs + np.outer([1, 0, 0], pulse))
-    chi = ReducedSusceptibility(values=np.eye(2))
+    chi = np.eye(2)
     s = external_stimuli(bumped, chi, half_width=0, kset=(4, 6))
     expected = pulse - long_period(pulse, (4, 6))
     assert np.abs(s.eta1 - expected).max() <= 1e-10
@@ -327,7 +326,7 @@ def test_stimuli_linear_in_residual():
         months=ms.months, coeffs=ms.coeffs + 0.3 * rng.standard_normal(ms.coeffs.shape)
     )
     doubled = ModeSeries(months=ms.months, coeffs=2.0 * noisy.coeffs)
-    chi = ReducedSusceptibility(values=np.array([[1.0, 0.1], [0.1, 0.5]]))
+    chi = np.array([[1.0, 0.1], [0.1, 0.5]])
     s1 = external_stimuli(noisy, chi, half_width=3, kset=(4, 6))
     s2 = external_stimuli(doubled, chi, half_width=3, kset=(4, 6))
     assert np.abs(s2.values - 2.0 * s1.values).max() <= 1e-10
@@ -335,7 +334,7 @@ def test_stimuli_linear_in_residual():
 
 def test_stimuli_read_a_one_shot_kset_once():
     _, _, ms = band_limited_setup()
-    chi = ReducedSusceptibility(values=np.array([[1.0, 0.1], [0.1, 0.5]]))
+    chi = np.array([[1.0, 0.1], [0.1, 0.5]])
     want = external_stimuli(ms, chi, 6, (1, 2, 4, 6))
     s = external_stimuli(ms, chi, 6, iter([6, 4, 2, 1]))
     assert np.array_equal(s.values, want.values)
@@ -345,7 +344,7 @@ def test_stimuli_read_a_one_shot_kset_once():
 
 def test_stimuli_singular_chi():
     _, _, ms = band_limited_setup()
-    chi = ReducedSusceptibility(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
+    chi = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(BadParameter, match="determinant .* too small"):
         external_stimuli(ms, chi, half_width=0, kset=(4, 6))
 
@@ -358,12 +357,12 @@ def test_stimuli_singularity_test_is_scale_free(scale):
     noisy = ModeSeries(ms.months, ms.coeffs + 0.3 * np.random.default_rng(12).standard_normal(
         ms.coeffs.shape))
     sound = np.array([[1.0, 0.1], [0.1, 0.5]])
-    want = external_stimuli(noisy, ReducedSusceptibility(sound), 3, (4, 6)).values / scale
+    want = external_stimuli(noisy, sound, 3, (4, 6)).values / scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = external_stimuli(noisy, ReducedSusceptibility(scale * sound), 3, (4, 6)).values
+        got = external_stimuli(noisy, scale * sound, 3, (4, 6)).values
         with pytest.raises(BadParameter, match=r"^determinant 0\.000e\+00 too small$"):
-            external_stimuli(noisy, ReducedSusceptibility(scale * np.ones((2, 2))), 3, (4, 6))
+            external_stimuli(noisy, scale * np.ones((2, 2)), 3, (4, 6))
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -374,7 +373,7 @@ def test_stimuli_outside_the_float_range_are_refused(scale, noise):
     _, _, ms = band_limited_setup()
     noisy = ModeSeries(ms.months, ms.coeffs + noise * np.random.default_rng(12).standard_normal(
         ms.coeffs.shape))
-    chi = ReducedSusceptibility(scale * np.array([[1.0, 0.1], [0.1, 0.5]]))
+    chi = scale * np.array([[1.0, 0.1], [0.1, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParameter, match="^" + re.escape(
@@ -384,7 +383,7 @@ def test_stimuli_outside_the_float_range_are_refused(scale, noise):
 
 def test_stimulus_csv(tmp_path):
     _, _, ms = band_limited_setup()
-    chi = ReducedSusceptibility(values=np.eye(2))
+    chi = np.eye(2)
     s = external_stimuli(ms, chi, half_width=2, kset=(4, 6))
     path = tmp_path / "stimuli.csv"
     s.to_csv(path)
@@ -553,10 +552,10 @@ REFUSED = {
         lambda: residual_disturbance(ONE_MODE, BASIS3, 0, (4,)),
         SchemaError, "^need the two leading modes$"),
     "external_stimuli, 3 x 3 chi": (
-        lambda: external_stimuli(TWO_MODES, ReducedSusceptibility(np.eye(3)), 0, (4,)),
+        lambda: external_stimuli(TWO_MODES, np.eye(3), 0, (4,)),
         SchemaError, "stimulus inversion uses exactly the two leading modes"),
     "external_stimuli, one mode series": (
-        lambda: external_stimuli(ONE_MODE, ReducedSusceptibility(np.eye(2)), 0, (4,)),
+        lambda: external_stimuli(ONE_MODE, np.eye(2), 0, (4,)),
         SchemaError, "^need the two leading modes$"),
     "mode_phases, one mode series": (  # the one-tone table
         lambda: freq_avg_phases(ONE_MODE, BASIS3, [4], SeriesId(1, 1)),
@@ -656,7 +655,7 @@ COUNTS = {
     "reconstruct": ("mode", lambda f, v: reconstruct(f.basis, [v])),
     "genuine_matrix": ("mode count", lambda f, v: genuine_matrix(f.basis, v).values),
     "reduced_susceptibility": (
-        "mode count", lambda f, v: reduced_susceptibility(f.c, f.basis, v).values),
+        "mode count", lambda f, v: reduced_susceptibility(f.c, f.basis, v)),
 }
 
 
@@ -671,3 +670,22 @@ def test_non_integer_counts_are_bad_parameters(fitted, case, value):
     # a numpy integer is the Python int it holds
     assert np.array_equal(call(fitted, np.int64(2)), call(fitted, 2))
 
+
+# each public series function, called on one series x
+SERIES_CALLS = {
+    "moving_average": lambda x: moving_average(x, 0),
+    "cyclic_autocorrelation": lambda x: cyclic_autocorrelation(x, 1),
+    "lag_correlation": lambda x: lag_correlation(x, x, 0),
+    "dft": dft,
+    "inverse_dft": lambda x: inverse_dft(np.asarray(x, dtype=complex)),
+    "long_period": lambda x: long_period(x, [1]),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 20), ()], ids=["2-D", "0-D"])
+@pytest.mark.parametrize("case", sorted(SERIES_CALLS))
+def test_a_series_that_is_not_1d_is_a_schema_error(case, shape):
+    x = np.arange(1.0, 1.0 + np.prod(shape, dtype=int)).reshape(shape)
+    with pytest.raises(SchemaError,
+                       match="^" + re.escape(f"series must be 1-D, got shape {shape}") + "$"):
+        SERIES_CALLS[case](x)

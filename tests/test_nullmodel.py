@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from panelresponse import (
     CorrMatrix,
     NullEnsemble,
-    ShuffleMode,
     StandardizedPanel,
     autocorrelations,
     complete_shuffle,
@@ -183,11 +183,18 @@ def test_shuffled_correlation_diagonal(iid_panel, rng):
 
 def test_ensemble_deterministic(iid_panel):
     a = null_ensemble(iid_panel, "complete", 12, seed=5)
-    b = null_ensemble(iid_panel, ShuffleMode.COMPLETE, 12, seed=5)
+    b = null_ensemble(iid_panel, "complete", 12, seed=5)
     assert np.array_equal(a.lambda_max, b.lambda_max)
     assert np.array_equal(a.pooled, b.pooled)
     c = null_ensemble(iid_panel, "complete", 12, seed=6)
     assert not np.array_equal(a.lambda_max, c.lambda_max)
+
+
+@pytest.mark.parametrize("mode", ["full", "Complete", None])
+def test_unknown_shuffle_mode_is_a_bad_parameter(iid_panel, mode):
+    with pytest.raises(BadParameter, match="^" + re.escape(
+            f"shuffle mode must be 'complete' or 'rotational', got {mode!r}") + "$"):
+        null_ensemble(iid_panel, mode, 12, seed=5)
 
 
 def test_ensemble_needs_a_sample(iid_panel):

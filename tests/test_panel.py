@@ -10,7 +10,6 @@ from panelresponse import (
     GrowthPanel,
     Panel,
     PhaseTable,
-    RippleReport,
     SeriesId,
     StandardizedPanel,
     Variable,
@@ -301,12 +300,6 @@ REFUSED = {
     "PhaseTable, no phases": (
         lambda: PhaseTable(np.zeros(0)),
         SchemaError, "phase count 0 is not 3 x G"),
-    "RippleReport, M not 3G": (
-        lambda: RippleReport(np.zeros(4)),
-        SchemaError, "response count 4 is not 3 x G"),
-    "RippleReport, 2-D": (
-        lambda: RippleReport(np.zeros((3, 3))),
-        SchemaError, "response values must be a 1-D array"),
 }
 
 

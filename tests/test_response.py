@@ -41,29 +41,26 @@ def basis_with_leading_mode(loading: np.ndarray, eigenvalue: float) -> ModeBasis
 
 def test_ripple_identity_matrix():
     cg = CorrMatrix(values=np.eye(3))
-    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1))
-    assert report.response(SeriesId(Variable.SHIPMENTS, 1)) == 1.0
-    assert report.response(SeriesId(Variable.PRODUCTION, 1)) == 0.0
-    assert report.response(SeriesId(Variable.INVENTORY, 1)) == 0.0
+    # flat order P.1, S.1, I.1
+    assert ripple(cg, SeriesId(Variable.SHIPMENTS, 1)).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_ripple_half_correlation():
     values = np.eye(3)
     values[0, 1] = values[1, 0] = 0.5
     cg = CorrMatrix(values=values)
-    report = ripple(cg, SeriesId(Variable.SHIPMENTS, 1))
-    assert report.response(SeriesId(Variable.PRODUCTION, 1)) == pytest.approx(0.5)
+    assert ripple(cg, SeriesId(Variable.SHIPMENTS, 1))[0] == pytest.approx(0.5)
 
 
 def test_ripple_linearity_and_exact_source(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     cg = genuine_matrix(basis, 2)
     source = SeriesId(Variable.SHIPMENTS, 15)
-    report = ripple(cg, source)
+    responses = ripple(cg, source)
     # the linear response to a unit shift is the source's column of the matrix
     column = cg.values[:, source.flat(cg.n_goods) - 1]
-    assert np.array_equal(report.responses, column)
-    assert report.response(source) == 1.0
+    assert np.array_equal(responses, column)
+    assert responses[source.flat(cg.n_goods) - 1] == 1.0
 
 
 def test_ripple_unknown_series(planted_panel):
@@ -84,10 +81,10 @@ def test_ripple_matches_gaussian_regression(rng):
         [0.2, 0.3, 1.0],
     ])
     cg = CorrMatrix(values=corr)
-    report = ripple(cg, SeriesId(Variable.PRODUCTION, 1))
+    responses = ripple(cg, SeriesId(Variable.PRODUCTION, 1))
     for target in (1, 2):
         slope = gaussian_regression_slope(corr, 0, target, 1_000_000, rng)
-        assert abs(report.responses[target] - slope) <= 0.01
+        assert abs(responses[target] - slope) <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +147,9 @@ def test_final_to_intermediate_csv(planted_panel):
 def test_reduced_on_raw_is_diagonal(planted_panel):
     c = correlation_matrix(planted_panel)
     basis = eigendecompose(c)
-    red = reduced_susceptibility(c, basis, k=2)
+    chi = reduced_susceptibility(c, basis, k=2)
     expected = np.diag(basis.eigenvalues[:2])
-    assert np.abs(red.values - expected).max() <= 1e-10
+    assert np.abs(chi - expected).max() <= 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -160,21 +157,21 @@ def test_reduced_on_genuine_matrix_is_eigenvalues_plus_diagonal_reset(planted_pa
     # the genuine matrix is R_k with its diagonal reset to one, and
     # V_k^T R_k V_k = diag(lambda_1 .. lambda_k), so only the reset adds to it
     basis = eigendecompose(correlation_matrix(planted_panel))
-    red = reduced_susceptibility(genuine_matrix(basis, k), basis, k=k)
+    chi = reduced_susceptibility(genuine_matrix(basis, k), basis, k=k)
     vk = basis.vectors[:, :k]
     reset = np.eye(basis.m) - np.diag(np.diag(reconstruct(basis, range(1, k + 1))))
     expected = np.diag(basis.eigenvalues[:k]) + vk.T @ reset @ vk
-    assert np.abs(red.values - expected).max() <= 1e-12
+    assert np.abs(chi - expected).max() <= 1e-12
 
 
 def test_reduced_symmetry_and_normalization(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     cg = genuine_matrix(basis, 2)
-    red = reduced_susceptibility(cg, basis, k=2)
-    assert red.values[0, 1] == red.values[1, 0]
-    assert red.normalized[0, 0] == 1.0
+    chi = reduced_susceptibility(cg, basis, k=2)
+    assert chi.shape == (2, 2) and chi[0, 1] == chi[1, 0]
+    assert (chi / chi[0, 0])[0, 0] == 1.0
     # the diagonal correction perturbs the pure eigenvalue ratio only mildly
-    ratio = red.values[1, 1] / red.values[0, 0]
+    ratio = chi[1, 1] / chi[0, 0]
     pure_ratio = basis.eigenvalues[1] / basis.eigenvalues[0]
     assert abs(ratio - pure_ratio) < 0.2
 
@@ -188,4 +185,7 @@ def test_reduced_argument_errors(planted_panel):
         reduced_susceptibility(c, basis, k=64)
     with pytest.raises(SchemaError, match="matrix and basis dimensions differ"):
         reduced_susceptibility(CorrMatrix(np.eye(3)), basis, k=2)
+    # the mode count is the caller's choice: it has no default
+    with pytest.raises(TypeError, match="'k'"):
+        reduced_susceptibility(c, basis)
 

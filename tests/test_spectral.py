@@ -232,8 +232,9 @@ def test_mp_bounds_large_q_expansion():
 
 
 def test_mp_bounds_out_of_range():
-    for q in (1.0, 0.5, -2.0):
-        with pytest.raises(BadParameter, match=f"aspect ratio must exceed 1, got {q}"):
+    for q in (1.0, 0.5, -2.0, np.nan, np.inf):
+        with pytest.raises(BadParameter,
+                           match=f"^aspect ratio must be finite and exceed 1, got {q}$"):
             mp_bounds(q)
 
 
