@@ -36,7 +36,7 @@ w = generate(SynthSpec(
 ))
 
 r1 = autocorrelations(w, 1)
-band = no_autocorr_band(N_OBS, 0.95)
+band = no_autocorr_band(N_OBS)
 print(f"mean lag-1 autocorrelation: {r1.mean():+.3f} "
       f"(95% no-autocorrelation band: +-{band:.3f})")
 print(f"series outside the band at lag 1: {np.sum(np.abs(r1) > band)} of {M}")

@@ -91,14 +91,8 @@ def _parse_kset(text: str) -> tuple[int, ...]:
     return ks
 
 
-#: Histogram bins ``analyze`` accepts: far more than any useful histogram of
-#: M eigenvalues, and refused before ``np.histogram`` allocates its edges and
-#: counts, which a host that overcommits memory grants and then kills.
-_MAX_BINS = 1_000_000
-
-
-def _int_at_least(low: int, high: int | None = None):
-    """argparse type: an integer >= ``low``, and <= ``high`` if given (usage error otherwise)."""
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low`` (usage error otherwise)."""
 
     def parse(text: str) -> int:
         try:
@@ -107,8 +101,6 @@ def _int_at_least(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -217,7 +209,7 @@ def _cmd_analyze(args, out: _Artifacts) -> dict:
     lam = basis.eigenvalues
     labels = [sid.label for sid in w.ids]
     top = float(lam[0]) * 1.05
-    density, edges = np.histogram(lam, bins=args.bins, range=(0.0, top), density=True)
+    density, edges = np.histogram(lam, bins=50, range=(0.0, top), density=True)
     edges = edges.tolist()
     q = w.n_obs / w.n_series
     grid = np.linspace(0.0, top, 512)
@@ -283,6 +275,11 @@ def _cmd_reduced_chi(args, out: _Artifacts) -> dict:
 
 
 def _cmd_cycles(args, out: _Artifacts) -> None:
+    """Smoothed a1, a2 and their lag correlation at lags -L..L, L = min(36, N' - 2).
+
+    Three years either way, cut on a short panel to the longest lag whose
+    overlap still holds 2 points.
+    """
     w, _, basis = _spectrum(args)
     ms = mode_series(w, basis)
     a1, a2 = ms.coeffs[0], ms.coeffs[1]
@@ -290,9 +287,9 @@ def _cmd_cycles(args, out: _Artifacts) -> None:
     s2 = moving_average(a2, args.xi)
     out.table("mode_series.csv", ["date", "a1", "a2", "a1_smooth", "a2_smooth"],
               zip(ms.months, a1.tolist(), a2.tolist(), s1.tolist(), s2.tolist()))
+    max_lag = min(36, w.n_obs - 2)
     out.table("lag_correlation.csv", ["lag", "correlation"],
-              [(lag, lag_correlation(s1, s2, lag))
-               for lag in range(-args.max_lag, args.max_lag + 1)])
+              [(lag, lag_correlation(s1, s2, lag)) for lag in range(-max_lag, max_lag + 1)])
 
 
 def _cmd_phases(args, out: _Artifacts) -> dict:
@@ -322,8 +319,6 @@ def _cmd_stimuli(args, out: _Artifacts) -> dict:
 
 def _cmd_synth(args, out: _Artifacts) -> None:
     spec = spec_from_json(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     # in the config before the panel's file is opened, which renders the config line
     out.config["effective_spec"] = spec_to_json(spec)
     panel = to_level_panel(generate(spec))
@@ -363,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("analyze", help="eigenvalues, eigenvectors, spectrum vs MP law")
+    p = sub.add_parser("analyze", help="eigenvalues, eigenvectors, 50-bin spectrum vs MP law")
     _add_common(p)
-    p.add_argument("--bins", type=_int_at_least(1, _MAX_BINS), default=50)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("null", help="shuffling null ensemble and significance edge")
@@ -396,10 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_at_least(1), default=2)
     p.set_defaults(func=_cmd_reduced_chi)
 
-    p = sub.add_parser("cycles", help="smoothed mode series and lag correlation")
+    p = sub.add_parser("cycles", help="smoothed mode series and lag correlation (lags up to +-36)")
     _add_common(p)
     p.add_argument("--xi", type=_int_at_least(0), default=6, help="moving-average half-width")
-    p.add_argument("--max-lag", type=_int_at_least(0), default=36)
     p.set_defaults(func=_cmd_cycles)
 
     p = sub.add_parser("phases", help="per-goods oscillation phase table")
@@ -420,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic panel CSV from a spec")
     _add_common(p, pipeline=False)
-    p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the spec seed")
+    p.add_argument("--spec", required=True, help="JSON spec file (its seed is the run's)")
     p.add_argument("--stdout", action="store_true", help="write the CSV to stdout")
     p.set_defaults(func=_cmd_synth)
 

@@ -56,22 +56,20 @@ def cyclic_autocorrelation(x: np.ndarray, lag: int) -> float:
     return float((x * np.roll(x, -_integer("lag", lag))).mean())
 
 
-def no_autocorr_band(n_obs: int, confidence: float = 0.95) -> float:
-    """Half-width of the two-sided no-autocorrelation confidence band.
+#: The standard normal's 0.975 quantile, ``statistics.NormalDist().inv_cdf(0.975)``
+_Z_975 = 1.9599639845400536
+
+
+def no_autocorr_band(n_obs: int) -> float:
+    """Half-width of the two-sided 95% no-autocorrelation band.
 
     Under the hypothesis of no autocorrelation, the lag estimates are
     asymptotically normal with variance 1/N', so the band is
-    z((1+confidence)/2) / sqrt(N') around zero (1.96/sqrt(N') at 95%).
+    z(0.975) / sqrt(N') = 1.96/sqrt(N') around zero.
     """
-    if not 0.0 < confidence < 1.0:
-        raise BadParameter(f"confidence must be in (0, 1), got {confidence}")
     if _integer("sample length", n_obs) < 2:
         raise BadParameter(f"sample length must be >= 2, got {n_obs}")
-    # imported here, as statistics imports decimal and fractions: no CLI start pays for them
-    from statistics import NormalDist
-
-    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-    return z / np.sqrt(n_obs)
+    return _Z_975 / np.sqrt(n_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +474,8 @@ def null_ensemble(
     else:
         def gather(lo, hi):
             # permuted() copies v into x[k] and shuffles each row there, with
-            # the draws M calls of permutation(n) make, in one call that holds
-            # the GIL once; it swaps the values as it would swap arange(n)
+            # the draws M calls of permutation(n) make, in one Python-level
+            # call; it swaps the values as it would swap arange(n)
             x = np.empty((hi - lo, m, n))
             for k, i in enumerate(range(lo, hi)):
                 _stream(seed, i).permuted(v, axis=1, out=x[k])

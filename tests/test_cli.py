@@ -147,16 +147,16 @@ def test_usage_error_exit_2(planted_csv, tmp_path):
         ("null", "--seed", "-1"),
         ("cycles", "--xi", "-1"),
         ("stimuli", "--xi", "-2"),
-        ("cycles", "--max-lag", "-1"),
+        ("genuine", "--samples", "x"),
         ("genuine", "--seed", "-1"),
         ("ripple", "--seed", "-1"),
         ("null", "--mode", "full"),
         ("null", "--samples", "2.5"),
         ("stimuli", "--xi", "nan"),
-        ("cycles", "--max-lag", "1e3"),
+        ("null", "--seed", "1e3"),
         ("reduced-chi", "--k", "-1"),
         ("phases", "--k", "x"),
-        ("analyze", "--bins", "-1"),
+        ("analyze", "--method", "ln"),
         ("phases", "--kset", "0,1"),
         ("phases", "--kset", "-3"),
         ("phases", "--kset", ","),
@@ -167,8 +167,8 @@ def test_usage_error_exit_2(planted_csv, tmp_path):
         ("ripple", "--k", "-1"),
         ("reduced-chi", "--k", "0"),
         ("phases", "--k", "0"),
-        ("analyze", "--bins", "0"),
-        ("analyze", "--bins", "1000001"),
+        ("ripple", "--k", "1.5"),
+        ("cycles", "--xi", "x"),
     ],
 )
 def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
@@ -181,13 +181,18 @@ def test_out_of_range_argument_is_usage_error(planted_csv, tmp_path, args):
 
 
 # beta and the ripple shift are units, not options: chi-hat is read per unit
-# beta, the stimuli in units of 1/beta and a ripple per unit shift
+# beta, the stimuli in units of 1/beta and a ripple per unit shift; nor are the
+# histogram's bins, the cycles lag range or a synth seed apart from the spec's
 @pytest.mark.parametrize("args", [("reduced-chi", "--beta", "2"), ("stimuli", "--beta", "1"),
-                                  ("ripple", "--k", "2", "--source", "S.15", "--shift", "1")],
-                         ids=["reduced-chi-beta", "stimuli-beta", "ripple-shift"])
+                                  ("ripple", "--k", "2", "--source", "S.15", "--shift", "1"),
+                                  ("analyze", "--bins", "10"), ("cycles", "--max-lag", "5"),
+                                  ("synth", "--seed", "1")],
+                         ids=["reduced-chi-beta", "stimuli-beta", "ripple-shift",
+                              "analyze-bins", "cycles-max-lag", "synth-seed"])
 def test_removed_scale_option_is_usage_error(planted_csv, tmp_path, args):
-    panel_path, _ = planted_csv
-    res = run_cli(*args, "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
+    panel_path, spec_path = planted_csv
+    source = ["--spec", str(spec_path)] if args[0] == "synth" else ["--input", str(panel_path)]
+    res = run_cli(args[0], *source, *args[1:], "--outdir", "o", cwd=tmp_path)
     assert res.returncode == 2
     assert res.stderr.splitlines()[-1] == (
         f"panelresponse: error: unrecognized arguments: {' '.join(args[-2:])}")
@@ -368,7 +373,7 @@ def test_failed_run_writes_no_artifact(planted_csv, tmp_path):
 def test_refused_allocation_is_one_line_error(planted_csv, tmp_path, monkeypatch, capsys):
     from panelresponse import cli
 
-    # what numpy raises for an absurd --samples (--bins has an upper bound);
+    # what numpy raises for an absurd --samples;
     # allocating for real would be an OOM kill, not an error, on a host that
     # overcommits memory
     message = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"
@@ -402,9 +407,9 @@ def test_eigensolver_failure_is_one_line_error(planted_csv, tmp_path, monkeypatc
 def test_import_loads_neither_scipy_nor_an_executor():
     # import time is paid by every CLI call: the null imports its thread pool
     # only when it runs, nothing at run time needs scipy, and statistics
-    # (with decimal and fractions) serves one quantile
+    # (with decimal and fractions) is not imported for the band's one quantile
     code = (
-        "import sys, panelresponse; "
+        "import sys, panelresponse; panelresponse.no_autocorr_band(239); "
         "print([m for m in ('scipy', 'concurrent.futures', 'statistics') if m in sys.modules])"
     )
     env = dict(os.environ)
@@ -452,13 +457,12 @@ def test_analyze_artifacts(planted_csv, tmp_path):
 
 def test_analyze_histogram_spans_its_range_and_integrates_to_one(planted_csv, tmp_path):
     panel_path, _ = planted_csv
-    res = run_cli("analyze", "--input", str(panel_path), "--bins", "17", "--outdir", "o",
-                  cwd=tmp_path)
+    res = run_cli("analyze", "--input", str(panel_path), "--outdir", "o", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     rows = [line.split(",") for line in read_data_lines(tmp_path / "o" / "spectrum_histogram.csv")]
     assert rows[0] == ["lambda_lo", "lambda_hi", "density"]
     lo, hi, density = (np.array(column, dtype=float) for column in zip(*rows[1:]))
-    assert lo.size == 17 and np.array_equal(lo[1:], hi[:-1])
+    assert lo.size == 50 and np.array_equal(lo[1:], hi[:-1])
     top = float(read_data_lines(tmp_path / "o" / "eigenvalues.csv")[1].split(",")[1])
     assert lo[0] == 0.0 and hi[-1] == 1.05 * top
     assert abs(np.sum(density * (hi - lo)) - 1.0) <= 1e-12
@@ -662,12 +666,11 @@ def test_ripple_reduced_chi_phases_cycles_stimuli(planted_csv, tmp_path):
     assert json.loads(res.stdout)["period"] == "T=60"
 
     res = run_cli(
-        "cycles", "--input", str(panel_path), "--max-lag", "12", "--outdir", "cy",
-        cwd=tmp_path,
+        "cycles", "--input", str(panel_path), "--outdir", "cy", cwd=tmp_path,
     )
     assert res.returncode == 0, res.stderr
     lag_rows = read_data_lines(tmp_path / "cy" / "lag_correlation.csv")
-    assert len(lag_rows) == 1 + 25  # header + lags -12..12
+    assert len(lag_rows) == 1 + 73  # header + lags -36..36
 
     res = run_cli(
         "stimuli", "--input", str(panel_path), "--outdir", "st", cwd=tmp_path
@@ -676,6 +679,25 @@ def test_ripple_reduced_chi_phases_cycles_stimuli(planted_csv, tmp_path):
     stim_rows = read_data_lines(tmp_path / "st" / "stimuli.csv")
     assert stim_rows[0] == "date,eta1,eta2"
     assert len(stim_rows) == 240  # header + 239 months
+
+
+def test_cycles_on_a_short_panel_cuts_its_lags_to_the_overlap(tmp_path):
+    # the benchmark's panel 0 cut to 21 months, so N' = 20: lags ±min(36, N' - 2)
+    spec = synth.SynthSpec(
+        n_series=63, n_obs=239, noise_ar1=-0.35, seed=0,
+        modes=(synth.PlantedMode(eigenvalue=8.0, driver=synth.Ar1(0.2)),
+               synth.PlantedMode(eigenvalue=5.0, driver=synth.Sinusoid(period=60.0))),
+    )
+    panel_path = tmp_path / "panel.csv"
+    write_panel_csv(to_level_panel(synth.generate(spec)), panel_path)
+    res = run_cli("cycles", "--input", str(panel_path), "--window", "1988-01:1989-09",
+                  "--outdir", "o", cwd=tmp_path)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr
+    series = read_data_lines(tmp_path / "o" / "mode_series.csv")
+    assert len(series) == 1 + 20
+    rows = [line.split(",") for line in read_data_lines(tmp_path / "o" / "lag_correlation.csv")]
+    assert rows[0] == ["lag", "correlation"]
+    assert [int(lag) for lag, _ in rows[1:]] == list(range(-18, 19))
 
 
 def test_one_tone_phases_are_the_one_bin_average(planted_csv, tmp_path):
@@ -729,9 +751,10 @@ def test_artifacts_record_the_run_parameters(planted_csv, tmp_path, args, want):
 
 def test_synth_pipe_to_analyze(planted_csv, tmp_path):
     _, spec_path = planted_csv
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**json.loads(spec_path.read_text()), "seed": 1}))
     synth_res = run_cli(
-        "synth", "--spec", str(spec_path), "--seed", "1", "--stdout",
-        "--outdir", "s", cwd=tmp_path,
+        "synth", "--spec", str(spec), "--stdout", "--outdir", "s", cwd=tmp_path,
     )
     assert synth_res.returncode == 0, synth_res.stderr
     res = run_cli(
@@ -828,14 +851,14 @@ SEED = (["0", "3"], INTS)
 XI = (["0", "1", "6"], INTS)
 FUZZ_OPTIONS = {
     "validate": {},
-    "analyze": {"--bins": (["1", "12"], INTS)},
+    "analyze": {},
     "null": {"--mode": (["complete", "rotational"], ["bogus", ""]), "--samples": SAMPLES,
              "--seed": SEED},
     "genuine": {"--k": K_MODES, "--samples": SAMPLES, "--seed": SEED},
     "ripple": {"--k": K_MODES, "--samples": SAMPLES, "--seed": SEED,
                "--source": (["S.15", "S.1", "P.20"], IDS)},
     "reduced-chi": {"--k": (["1", "2", "3"], INTS)},
-    "cycles": {"--xi": XI, "--max-lag": (["0", "3", "10"], INTS)},
+    "cycles": {"--xi": XI},
     "phases": {"--k": (["1", "2", "4"], INTS), "--freq-avg": None,
                "--kset": (["cycles", "two-years", "1,2"], KSETS),
                "--ref": (["P.20", "S.15", "P.1"], IDS)},
@@ -987,17 +1010,14 @@ def spec_text(draw) -> str:
 
 
 @settings(max_examples=500)
-@given(text=spec_text(), seed=st.sampled_from([None] * 8 + ["0", "3"] + INTS),
-       stdout=st.booleans())
-def test_fuzzed_synth_specs_exit_cleanly(fuzz_inputs, text, seed, stdout):
+@given(text=spec_text(), stdout=st.booleans())
+def test_fuzzed_synth_specs_exit_cleanly(fuzz_inputs, text, stdout):
     root, _ = fuzz_inputs
     work = Path(tempfile.mkdtemp(dir=root))
     try:
         spec = work / "spec.json"
         spec.write_text(text, encoding="utf-8")
-        argv = ["synth", "--spec", str(spec)]
-        argv += [] if seed is None else ["--seed", seed]
-        argv += ["--stdout"] if stdout else []
+        argv = ["synth", "--spec", str(spec)] + (["--stdout"] if stdout else [])
         assert_run_contract(argv, work / "out")
     finally:
         shutil.rmtree(work)
