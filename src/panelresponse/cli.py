@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 from ._files import open_text, write_json, write_rows
 from .cycles import (
     KSET_BUSINESS_CYCLES,
@@ -451,6 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = args.func(args, out)
         manifest = {
             "subcommand": args.command,
+            # as this process saw them; python -m panelresponse sets each unset one to "1"
+            "thread_env": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
             "versions": {
                 "panelresponse": __version__,
                 "python": platform.python_version(),

@@ -74,10 +74,12 @@ def lag_correlation(
 ) -> float:
     """Normalized lagged correlation <x(t) y(t - lag)>_t.
 
-    The lagged product is averaged over the overlapping months; the
-    normalization uses each series' full-sample root mean square, so the
-    value is a correlation coefficient comparable across lags.  Smooth the
-    series with :func:`moving_average` first to correlate their cycles.
+    The lagged product is averaged over the N' - |lag| overlapping months
+    and divided by each series' full-sample root mean square, so by
+    Cauchy-Schwarz |value| <= N' / (N' - |lag|), reached when both series
+    vanish off the overlap.  The bound is 1 only at lag 0; at N' = 20 and
+    lag -18 it is 10.  Smooth the series with :func:`moving_average` first
+    to correlate their cycles.
     """
     xs, ys = _series(x), _series(y)
     if xs.size != ys.size:

@@ -624,6 +624,22 @@ def test_smoothing_first_equals_the_removed_smoothing_form_property(data, n, see
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@given(data=st.data(), n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+def test_lag_correlation_is_bounded_by_the_overlap_property(data, n, seed):
+    # an overlap mean over full-sample RMS values: Cauchy-Schwarz over the
+    # N' - |lag| overlapping months bounds it by N' / (N' - |lag|), not by 1
+    lag = data.draw(st.integers(-(n - 2), n - 2), label="lag")
+    overlap = n - abs(lag)
+    bound = n / overlap
+    x, y = np.random.default_rng(seed).standard_normal((2, n))
+    assert abs(lag_correlation(x, y, lag)) <= bound * (1 + 1e-12)
+    # the bound is reached when y(t - lag) = x(t) on the overlap and both vanish off it
+    tight_x, tight_y = np.zeros(n), np.zeros(n)
+    tight_x[max(lag, 0):][:overlap] = x[:overlap]
+    tight_y[max(-lag, 0):][:overlap] = x[:overlap]
+    assert lag_correlation(tight_x, tight_y, lag) == pytest.approx(bound, rel=1e-12)
+
+
 @given(
     n=st.integers(1, 400),
     width=st.integers(0, 399),
