@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import importlib.util
 import itertools
 import json
 import os
@@ -431,19 +430,7 @@ def _peak_rss_mb() -> float | None:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
 
 
-#: The built-in modules that ``hashlib`` serves every algorithm from without OpenSSL
-_BUILTIN_HASHES = (
-    ("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version_info >= (3, 12)
-    else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3")
-)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    if all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
-        # numpy.random's secrets -> hmac import maps OpenSSL's libcrypto to hash nothing
-        # (synth's peak RSS 38.1 -> 34.6 MB without it); a process-wide choice, so made
-        # here by the process's owner and not on import
-        sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     out = _Artifacts(Path(args.outdir), _effective_config(args))
     try:

@@ -258,8 +258,10 @@ def _rotational_starts(seed: int, samples: int, m: int, n: int) -> np.ndarray:
 def _worker_count(sample_bytes: int, chunks: int) -> int:
     """Threads to spread a null's chunks over: the usable CPUs, or one.
 
-    One when a single sample exceeds a worker's :data:`_CHUNK_BYTES`: BLAS
-    already spreads such a sample's matmul and ``eigvalsh`` over the cores.
+    One when a single sample exceeds a worker's :data:`_CHUNK_BYTES`, so
+    that such a null holds one shuffled sample, or its Gram matrices, at a
+    time: a second worker would add a whole sample (2.9 MB at 300 x 1200)
+    to its peak.
     Usable CPUs are the process's affinity mask where the OS has one; a
     cgroup CPU quota is not read.
     """
@@ -519,7 +521,9 @@ def null_ensemble(
         pooled_csv.write(_POOLED_HEADER)
     pool, results = None, map(work, chunks)
     if workers > 1:
-        # the gather, matmul, reductions and eigvalsh release the GIL
+        # the gather, matmul and reductions release the GIL; eigvalsh does only
+        # when its stack's matrices x M exceed 500 (8 x 63 = 504 for a full
+        # chunk at 63 x 239), and holds it for the whole call otherwise
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(workers)

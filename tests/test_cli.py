@@ -29,7 +29,7 @@ def run_cli(*args, cwd, input_text=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "panelresponse.cli", *args],
+        [sys.executable, "-m", "panelresponse", *args],
         cwd=cwd,
         env=env,
         input=input_text,
@@ -1097,60 +1097,79 @@ def test_spec_of_the_wrong_shape_names_its_field(tmp_path, doc, message):
     assert list(outdir.iterdir()) == []
 
 
-# numpy < 2 imports numpy.random, and with it _hashlib, on a bare import numpy
-EAGER_NUMPY = """
-import sys, numpy
-eager = "numpy.random" in sys.modules
-"""
-
 HASH_FACTS = """
 import json, os, sys
 facts = {"_hashlib": "absent" if "_hashlib" not in sys.modules else
-                     "blocked" if sys.modules["_hashlib"] is None else "loaded", "eager": eager}
+                     "blocked" if sys.modules["_hashlib"] is None else "loaded",
+         "numpy.random": "numpy.random" in sys.modules}
 maps = "/proc/self/maps"
 facts["libcrypto"] = "libcrypto" in open(maps).read() if os.path.exists(maps) else None
 import hashlib
 facts["sha256"] = hashlib.sha256(b"abc").hexdigest()
+facts["scrypt"] = hasattr(hashlib, "scrypt")
+try:
+    facts["sha512_256"] = hashlib.new("sha512_256").name
+except ValueError:  # an algorithm only OpenSSL serves
+    facts["sha512_256"] = None
 print(json.dumps(facts))
 """
 
-CLI_RUNS = """
-import contextlib, io
+SYNTH_AND_NULL = """
+import contextlib, io, sys
+runs = (["synth", "--spec", "spec.json", "--outdir", "s"],
+        ["null", "--mode", "complete", "--samples", "5", "--input", "s/panel.csv",
+         "--outdir", "n"])
+"""
+
+CLI_RUNS = SYNTH_AND_NULL + """
 from panelresponse import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["synth", "--spec", "spec.json", "--outdir", "s"]) == 0
-    assert cli.main(["null", "--mode", "complete", "--samples", "5",
-                     "--input", "s/panel.csv", "--outdir", "n"]) == 0
-assert "numpy.random" in sys.modules
+    for argv in runs:
+        assert cli.main(argv) == 0
+"""
+
+# the console script's call, with no numpy imported before it
+ENTRY_RUNS = SYNTH_AND_NULL + """
+from panelresponse.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        sys.argv = ["panelresponse", *argv]
+        assert main() == 0
 """
 
 
 # hashlib's facts are taken after the code ran, the _hashlib entry and the
 # mapped libraries before hashlib itself is imported
 @pytest.mark.parametrize("code, state", [
-    ("import sys" + CLI_RUNS, "blocked"),
-    ("import sys, _hashlib" + CLI_RUNS, "loaded"),
+    (ENTRY_RUNS, "blocked"),
+    (CLI_RUNS, "loaded"),
+    ("import _hashlib" + CLI_RUNS, "loaded"),
     ("import panelresponse, panelresponse.cli", "absent"),
-], ids=["cli", "hashlib-first", "import-only"])
+], ids=["entry-point", "cli", "hashlib-first", "import-only"])
 def test_cli_process_keeps_libcrypto_out(tmp_path, code, state):
-    """numpy.random's secrets import maps no OpenSSL in a CLI process; library callers keep it."""
+    """The entry point maps no OpenSSL for numpy.random's secrets import; cli.main callers keep it."""
     import importlib.util
 
-    from panelresponse import cli
+    from panelresponse.__main__ import _BUILTIN_HASHES
 
-    if state == "blocked" and not all(map(importlib.util.find_spec, cli._BUILTIN_HASHES)):
+    if state == "blocked" and not all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
         pytest.skip("hashlib needs OpenSSL for some algorithm on this interpreter")
     (tmp_path / "spec.json").write_text('{"n_series": 6, "n_obs": 60, "seed": 1}')
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run([sys.executable, "-c", EAGER_NUMPY + code + HASH_FACTS], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-c", code + HASH_FACTS], cwd=tmp_path,
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0 and res.stderr == "", res.stderr
     facts = json.loads(res.stdout)
-    if facts["eager"] and state != "loaded":
-        pytest.skip("numpy < 2 loads _hashlib on import numpy, before cli.main runs")
+    if state == "absent" and facts["numpy.random"]:
+        pytest.skip("numpy < 2 loads _hashlib on import numpy")
     assert facts["_hashlib"] == state
+    assert facts["numpy.random"] == (state != "absent")
     assert facts["sha256"] == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+    # OpenSSL-only hashing stays for every caller but the entry point
+    openssl = state != "blocked"
+    assert facts["scrypt"] == openssl
+    assert facts["sha512_256"] == ("sha512_256" if openssl else None)
     if facts["libcrypto"] is not None and state != "loaded":
         assert not facts["libcrypto"]

@@ -124,8 +124,8 @@ def test_manifest_records_the_thread_variables(small_panel, tmp_path, entry, cal
 
 def test_cli_main_records_unset_variables_as_null(small_panel, tmp_path):
     # cli.main itself sets nothing: a process that calls it records what it has
-    res = run_python(["-m", "panelresponse.cli", "validate", "--input", str(small_panel),
-                      "--outdir", "o"], cwd=tmp_path)
+    res = run_python(["-c", "import sys; from panelresponse.cli import main; sys.exit(main())",
+                      "validate", "--input", str(small_panel), "--outdir", "o"], cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["thread_env"] == dict.fromkeys(THREAD_VARS)
