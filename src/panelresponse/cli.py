@@ -462,6 +462,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(json.dumps(summary, sort_keys=True))
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1143,7 +1143,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 @pytest.mark.parametrize("code, state", [
     (ENTRY_RUNS, "blocked"),
     (CLI_RUNS, "loaded"),
-    ("import _hashlib" + CLI_RUNS, "loaded"),
+    ("import _hashlib" + ENTRY_RUNS, "loaded"),
     ("import panelresponse, panelresponse.cli", "absent"),
 ], ids=["entry-point", "cli", "hashlib-first", "import-only"])
 def test_cli_process_keeps_libcrypto_out(tmp_path, code, state):
