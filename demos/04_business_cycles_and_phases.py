@@ -58,16 +58,15 @@ print(f"\nlagged coupling <a1(t) a2(t - tau)> peaks at tau = {best_tau} months "
       f"(corr = {best_c:+.2f}); planted lead was {LEAD_TRUE}")
 
 K = 4  # frequency index: period (N' + 1) / K months
-table = freq_avg_phases(ms, basis, [K], ref=SeriesId(Variable.PRODUCTION, 20))
+phases = freq_avg_phases(ms, basis, [K], ref=SeriesId(Variable.PRODUCTION, 20))
+by_class = phases.reshape(3, -1)  # rows P, S, I; column g - 1 is goods g
+p_avg, s_avg, i_avg = by_class.mean(axis=1)
 print(f"\nphases at T={round((w.n_obs + 1) / K)} relative to production of goods 20")
 print("(positive = peaks earlier than the reference):")
-print("  class averages: "
-      f"P {table.class_average(Variable.PRODUCTION):+6.1f}  "
-      f"S {table.class_average(Variable.SHIPMENTS):+6.1f}  "
-      f"I {table.class_average(Variable.INVENTORY):+6.1f}  degrees")
+print(f"  class averages: P {p_avg:+6.1f}  S {s_avg:+6.1f}  I {i_avg:+6.1f}  degrees")
 print("\n  goods  P        S        I")
 for g in (1, 9, 15, 20, 21):
-    row = [table.phase(SeriesId(Variable(a), g)) for a in (1, 2, 3)]
+    row = by_class[:, g - 1]
     print(f"  {g:4d}  {row[0]:+7.1f}  {row[1]:+7.1f}  {row[2]:+7.1f}")
 print("\n(the leading contrast mode pushes production ahead of the pure")
 print(" aggregate cycle: production peaks first, shipments follow, inventory last)")

@@ -54,14 +54,15 @@ shocked_values -= shocked_values.mean(axis=1, keepdims=True)
 shocked_values /= shocked_values.std(axis=1, keepdims=True)
 shocked = StandardizedPanel.from_values(shocked_values, months=clean.months)
 
-s = external_stimuli(mode_series(shocked, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
-s0 = external_stimuli(mode_series(clean, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
+# rows eta_1 and eta_2, one column per month
+eta = external_stimuli(mode_series(shocked, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
+eta0 = external_stimuli(mode_series(clean, basis), chi, half_width=XI, kset=KSET_BUSINESS_CYCLES)
 
 interior = (months_idx >= 2 * XI) & (months_idx < N_OBS - 2 * XI)
 near_shock = np.abs(months_idx - SHOCK_MONTH) <= 24
-background = np.abs(s0.eta1[interior]).max()
-at_shock = np.abs(s.eta1[near_shock]).max()
-peak_month = months_idx[interior][np.argmax(np.abs(s.eta1[interior]))]
+background = np.abs(eta0[0, interior]).max()
+at_shock = np.abs(eta[0, near_shock]).max()
+peak_month = months_idx[interior][np.argmax(np.abs(eta[0, interior]))]
 
 print(f"injected shock: size {SHOCK_SIZE} on the leading mode at month {SHOCK_MONTH}")
 print(f"stimulus background of the undisturbed panel: {background:.3f}")
@@ -70,11 +71,11 @@ print(f"recovered |eta_1| at the shock: {at_shock:.3f} "
 print(f"peak located at month {peak_month} "
       f"(the {2 * XI + 1}-month smoothing window spreads it)")
 print(f"eta_2 stays comparatively quiet near the shock: "
-      f"{np.abs(s.eta2[near_shock]).max():.3f}")
+      f"{np.abs(eta[1, near_shock]).max():.3f}")
 print("(a localized shock also bleeds into the fitted long-period component,")
 print(" lifting the apparent stimulus level away from the event itself)")
 
 print("\nstimulus trace around the shock (eta_1):")
 for j in range(SHOCK_MONTH - 12, SHOCK_MONTH + 13, 3):
-    bar = "#" * int(round(abs(s.eta1[j]) * 30))
-    print(f"  {str(s.months[j])}  {s.eta1[j]:+.3f}  {bar}")
+    bar = "#" * int(round(abs(eta[0, j]) * 30))
+    print(f"  {str(shocked.months[j])}  {eta[0, j]:+.3f}  {bar}")

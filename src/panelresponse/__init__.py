@@ -40,15 +40,11 @@ _EXPORTS = {
         "upper_edge",
     ),
     "genuine": ("genuine_matrix", "default_mode_count"),
-    "response": (
-        "ripple", "final_to_intermediate", "final_to_intermediate_csv",
-        "reduced_susceptibility",
-    ),
+    "response": ("ripple", "final_to_intermediate", "reduced_susceptibility"),
     "cycles": (
-        "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "PhaseTable",
-        "StimulusSeries", "moving_average", "lag_correlation", "dft",
-        "inverse_dft", "long_period", "residual_disturbance", "external_stimuli",
-        "freq_avg_phases",
+        "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "moving_average",
+        "lag_correlation", "dft", "inverse_dft", "long_period",
+        "residual_disturbance", "external_stimuli", "freq_avg_phases",
     ),
     "synth": (
         "SynthSpec", "PlantedMode", "Sinusoid", "Ar1", "generate",

@@ -42,6 +42,7 @@ from .errors import BadParameter, PanelResponseError
 from .genuine import default_mode_count, genuine_matrix
 from .nullmodel import null_ensemble
 from .panel import (
+    DEFAULT_GOODS_LABELS,
     SeriesId,
     StandardizedPanel,
     load_panel,
@@ -50,7 +51,7 @@ from .panel import (
     standardize,
     write_panel_csv,
 )
-from .response import final_to_intermediate_csv, reduced_susceptibility, ripple
+from .response import final_to_intermediate, reduced_susceptibility, ripple
 from .spectral import (
     CorrMatrix,
     ModeBasis,
@@ -251,8 +252,10 @@ def _cmd_ripple(args, out: _Artifacts) -> None:
     w, raw, basis = _spectrum(args)
     k = out.config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    with out.open("intermediate_response.csv") as fh:
-        final_to_intermediate_csv(cg, raw, fh)
+    table = np.hstack([final_to_intermediate(cg), final_to_intermediate(raw)])
+    out.table("intermediate_response.csv",
+              ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"],
+              ([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)))
     if args.source is not None:
         responses = ripple(cg, SeriesId.parse(args.source))
         out.table("ripple_source.csv", ["series", "response"],
@@ -292,28 +295,30 @@ def _cmd_cycles(args, out: _Artifacts) -> None:
 
 
 def _cmd_phases(args, out: _Artifacts) -> dict:
+    """One row per goods with its P, S and I phases to one decimal, then the class averages."""
     w, _, basis = _spectrum(args)
-    ms = mode_series(w, basis)
-    table = freq_avg_phases(ms, basis, args.kset if args.freq_avg else [args.k],
-                            SeriesId.parse(args.ref))
-    with out.open("phases.csv") as fh:
-        table.to_csv(fh)
+    phases = freq_avg_phases(mode_series(w, basis), basis,
+                             args.kset if args.freq_avg else [args.k], SeriesId.parse(args.ref))
+    by_class = phases.reshape(3, -1)
+    average = by_class.mean(axis=1).tolist()
+    out.table("phases.csv", ["goods", "P", "S", "I"], [
+        *([g] + [f"{p:.1f}" for p in row] for g, row in enumerate(zip(*by_class.tolist()), 1)),
+        ["average"] + [f"{a:.1f}" for a in average],
+    ])
     return {
         "period": "frequency-averaged" if args.freq_avg else f"T={round((w.n_obs + 1) / args.k)}",
-        "average": {c: table.class_average(v) for v, c in enumerate("PSI", 1)},
+        "average": dict(zip("PSI", average)),
     }
 
 
 def _cmd_stimuli(args, out: _Artifacts) -> dict:
     w, _, basis = _spectrum(args)
     chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2)
-    series = external_stimuli(mode_series(w, basis), chi, args.xi, args.kset)
-    with out.open("stimuli.csv") as fh:
-        series.to_csv(fh)
-    return {
-        "max_abs_eta1": float(np.abs(series.eta1).max()),
-        "max_abs_eta2": float(np.abs(series.eta2).max()),
-    }
+    ms = mode_series(w, basis)
+    eta = external_stimuli(ms, chi, args.xi, args.kset)
+    out.table("stimuli.csv", ["date", "eta1", "eta2"], zip(ms.months, *eta.tolist()))
+    eta1, eta2 = np.abs(eta).max(axis=1).tolist()
+    return {"max_abs_eta1": eta1, "max_abs_eta2": eta2}
 
 
 def _cmd_synth(args, out: _Artifacts) -> None:

@@ -21,18 +21,12 @@ and k <= 9, all periods over two years) are tuned to ~240-month panels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._files import write_rows
 from .errors import BadParameter, DegenerateWeights, SchemaError
-from .panel import (
-    SeriesId, Variable, _class_rows, _freeze, _goods, _integer, _layout_entries, _row, _series,
-    _series_by_month, _series_ids,
-)
+from .panel import SeriesId, _frozen, _integer, _row, _series, _series_ids
 from .spectral import ModeBasis, ModeSeries
 
 #: The four dominant cycle tones of a ~240-month panel.
@@ -69,6 +63,16 @@ def moving_average(x: Sequence[float] | np.ndarray, half_width: int) -> np.ndarr
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings its largest |entry| into [0.5, 1).
+
+    A power of two scales exactly, so a ratio of products (a correlation, a
+    phase weight) reads the same from the result as from ``x``, and no square
+    of it overflows or underflows; an all-zero ``x`` comes back as it is.
+    """
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
 def lag_correlation(
     x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray, lag: int
 ) -> float:
@@ -87,6 +91,8 @@ def lag_correlation(
     n, lag = xs.size, _integer("lag", lag)
     if n - abs(lag) < 2:
         raise BadParameter(f"overlap for lag {lag} shorter than 2 points")
+    # a correlation is scale-free, and at unit scale no product overflows or underflows
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     if lag >= 0:
         num = float(np.mean(xs[lag:] * ys[: n - lag]))
     else:
@@ -182,40 +188,9 @@ def residual_disturbance(
     return basis.vectors[:, :2] @ _residuals(_two_modes(ms, basis), half_width, kset)
 
 
-@dataclass(frozen=True, eq=False)
-class StimulusSeries:
-    """Inferred external fields acting on the two leading modes, in units of 1/beta.
-
-    Only the series are kept: the smoothing half-width and the frequency set
-    are the caller's arguments, not kept here.
-    """
-
-    months: np.ndarray
-    values: np.ndarray  # 2 x N'
-
-    def __post_init__(self):
-        months, values = _series_by_month(self.months, self.values, "stimulus values")
-        if values.shape[0] != 2:
-            raise SchemaError(f"stimulus values need 2 rows (eta1, eta2), got {values.shape[0]}")
-        object.__setattr__(self, "months", _freeze(months))
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def eta1(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def eta2(self) -> np.ndarray:
-        return self.values[1]
-
-    def to_csv(self, target: str | Path | TextIO) -> None:
-        eta1, eta2 = self.values.tolist()
-        write_rows(target, [("date", "eta1", "eta2"), *zip(self.months, eta1, eta2)])
-
-
 def external_stimuli(
     ms: ModeSeries, chi: np.ndarray, half_width: int, kset: Iterable[int]
-) -> StimulusSeries:
+) -> np.ndarray:
     """Invert the reduced linear response on the residual mode fluctuations.
 
     (eta1, eta2)(t) = chi^-1 (  <a1>, <a2> )(t) with <a_n> the smoothed mode
@@ -224,6 +199,8 @@ def external_stimuli(
     :func:`~panelresponse.response.reduced_susceptibility` returns for k = 2
     (another shape is a SchemaError); a singular one, judged at chi's own
     scale, or one whose stimuli leave the float range is a BadParameter.
+    Returns the read-only 2 x N' array (eta1, eta2), in units of 1/beta, one
+    column per month of ``ms``.
     """
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (2, 2):
@@ -239,7 +216,7 @@ def external_stimuli(
     eta = np.linalg.solve(chi, _residuals(_two_modes(ms), half_width, kset))
     if not np.isfinite(eta).all() or ((eta != 0) & (np.abs(eta) < tiny)).any():
         raise BadParameter(f"stimuli leave the float range at chi scale {scale:.3e}")
-    return StimulusSeries(months=ms.months, values=eta)
+    return _frozen(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -252,46 +229,9 @@ def _wrap_degrees(d: np.ndarray) -> np.ndarray:
     return np.where(out == -180.0, 180.0, out)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseTable:
-    """Per-series oscillation phases in degrees, relative to a reference series.
-
-    Values lie in (-180, 180]; positive means the series peaks earlier than
-    the reference.  The reference entry is exactly zero.  ``phases`` is
-    read-only, one entry per series of a 3 x G layout (else SchemaError);
-    ``n_goods`` is derived from their number M = 3G.  The reference series
-    and the frequency set are the caller's arguments, not kept here.
-    """
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", _layout_entries(self.phases, "phase"))
-
-    @property
-    def n_goods(self) -> int:
-        return _goods(self.phases.size)
-
-    def phase(self, sid: SeriesId) -> float:
-        return float(self.phases[_row(sid, self.phases.size)])
-
-    def class_average(self, alpha: Variable | int) -> float:
-        """Arithmetic mean phase over goods for one variable class."""
-        return float(self.phases[_class_rows(alpha, self.phases.size)].mean())
-
-    def to_csv(self, target: str | Path | TextIO) -> None:
-        """Goods rows with P/S/I columns, one decimal, plus a class-average row."""
-        by_class = self.phases.reshape(3, self.n_goods).tolist()
-        write_rows(target, [
-            ("goods", "P", "S", "I"),
-            *([g] + [f"{p:.1f}" for p in row] for g, row in enumerate(zip(*by_class), 1)),
-            ["average"] + [f"{self.class_average(a):.1f}" for a in (1, 2, 3)],
-        ])
-
-
 def freq_avg_phases(
     ms: ModeSeries, basis: ModeBasis, kset: Iterable[int], ref: SeriesId
-) -> PhaseTable:
+) -> np.ndarray:
     """Amplitude-weighted circular mean of the relative phases over kset.
 
     The two-mode reconstruction fixes each series' complex amplitude at
@@ -300,10 +240,14 @@ def freq_avg_phases(
     peaks ahead of the reference.  A one-tone table is the one-bin set
     ``[k]``.  A series with no spectral weight anywhere in the band, the
     reference included, has no defined phase and raises DegenerateWeights.
+    Returns the read-only array of the M phases in degrees, in (-180, 180]
+    and in flat order, the reference's exactly zero; ``reshape(3, G)`` gives
+    the P, S and I rows.
     """
     ref_idx = _row(ref, basis.m)
     ks = _check_kset(kset, ms.coeffs.shape[1])
-    bins = np.stack([dft(a)[ks] for a in _two_modes(ms, basis)])
+    # one power of two for both modes keeps their mix and the weights' ratios exact
+    bins = np.stack([dft(a)[ks] for a in _unit_scaled(_two_modes(ms, basis))])
     amp = basis.vectors[:, :2] @ bins
     weight = np.abs(amp) ** 2
     rel = np.angle(amp[ref_idx]) - np.angle(amp)
@@ -313,4 +257,4 @@ def freq_avg_phases(
         raise DegenerateWeights(_series_ids(basis.m)[degenerate[0]].label)
     phases = _wrap_degrees(np.degrees(np.angle(resultant)))
     phases[ref_idx] = 0.0
-    return PhaseTable(phases=phases)
+    return _frozen(phases)

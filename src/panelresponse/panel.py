@@ -149,7 +149,7 @@ def _flat_ids(n_goods: int) -> Iterator[SeriesId]:
 
 
 # The 3 x G layout of an M-row container (a panel's series, a matrix's rows
-# and columns, a basis's components, a table's entries) is known here alone.
+# and columns, a basis's components) is known here alone.
 
 
 def _goods(m: int) -> int | None:
@@ -176,16 +176,6 @@ def _row(sid: SeriesId, m: int) -> int:
     if sid.goods > g:
         raise BadParameter(f"series {sid.label} not in a {g}-goods layout")
     return sid.flat(g) - 1
-
-
-def _layout_entries(values, what: str) -> np.ndarray:
-    """``values`` read-only, one ``what`` per series of a 3 x G layout, else SchemaError."""
-    v = _freeze(np.asarray(values))
-    if v.ndim != 1:
-        raise SchemaError(f"{what} values must be a 1-D array")
-    if not v.size or _goods(v.size) is None:
-        raise SchemaError(f"{what} count {v.size} is not 3 x G")
-    return v
 
 
 # ---------------------------------------------------------------------------

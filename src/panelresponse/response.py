@@ -18,14 +18,10 @@ off interindustrial ripple effects directly.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TextIO
-
 import numpy as np
 
-from ._files import write_rows
 from .errors import BadParameter, SchemaError
-from .panel import DEFAULT_GOODS_LABELS, SeriesId, Variable, _frozen, _integer, _row
+from .panel import SeriesId, Variable, _frozen, _integer, _row
 from .spectral import CorrMatrix, ModeBasis
 
 
@@ -59,21 +55,6 @@ def final_to_intermediate(cg: CorrMatrix) -> np.ndarray:
     prod = _row(SeriesId(Variable.PRODUCTION, 20), cg.m)  # P.20 and P.21
     ship = _row(SeriesId(Variable.SHIPMENTS, 1), cg.m)  # S.1 .. S.19
     return cg.values[prod:prod + 2, ship:ship + 19].T.copy()
-
-
-def final_to_intermediate_csv(
-    genuine: CorrMatrix, raw: CorrMatrix, target: str | Path | TextIO
-) -> None:
-    """Write the final-demand -> producer-goods table with goods labels.
-
-    Columns g20/g21 of the noise-filtered matrix come first, then those of the raw one.
-    """
-    header = ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"]
-    table = np.hstack([final_to_intermediate(genuine), final_to_intermediate(raw)])
-    write_rows(target, [
-        header,
-        *([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)),
-    ])
 
 
 def reduced_susceptibility(c: CorrMatrix, basis: ModeBasis, k: int) -> np.ndarray:

@@ -38,6 +38,8 @@ from panelresponse import (
     rotational_shuffle,
     standardize,
     synth,
+    to_level_panel,
+    write_panel_csv,
 )
 from panelresponse.spectral import CorrMatrix
 
@@ -238,7 +240,86 @@ def test_c10_fourier_suite():
 
 # ---------------------------------------------------------------------------
 # criterion 11 (dataset-dependent; skipped unless IIP_PANEL_CSV is set)
+#
+# Each check is a pipeline call, run in tier-1 on a synthetic panel in the
+# IIP layout for its shapes alone, and the paper's values, asserted on the
+# real panel only.
 # ---------------------------------------------------------------------------
+
+IIP_WINDOW = ("1988-01", "2007-12")
+C11_LAGS = np.arange(0, 37)
+
+
+def iip_pipeline(path):
+    panel = load_panel(path, window=IIP_WINDOW)
+    w = standardize(log_growth(panel))
+    return w, eigendecompose(correlation_matrix(w))
+
+
+def c11_top_eigenvalues(w, basis):
+    return basis.eigenvalues[:3]
+
+
+def c11_mode_count(w, basis):
+    ensemble = null_ensemble(w, "rotational", 2000, seed=0, keep_pooled=False)
+    return default_mode_count(basis, ensemble)
+
+
+def c11_normalized_chi(w, basis):
+    chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, k=2)
+    return chi / chi[0, 0]
+
+
+def c11_lag_curve(w, basis):
+    ms = mode_series(w, basis)
+    a1, a2 = moving_average(ms.coeffs[0], 6), moving_average(ms.coeffs[1], 6)
+    return np.array([lag_correlation(a1, a2, int(t)) for t in C11_LAGS])
+
+
+def c11_phases_at_t60(w, basis):
+    """The one-tone phases at k = 4, one row per variable class."""
+    ms = mode_series(w, basis)
+    return freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20)).reshape(3, -1)
+
+
+def c11_normal_period_stimuli(w, basis):
+    ms = mode_series(w, basis)
+    chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, k=2)
+    eta = external_stimuli(ms, chi, half_width=6, kset=KSET_BUSINESS_CYCLES)
+    return eta[:, ms.months <= np.datetime64("2007-12", "M")]
+
+
+# each pipeline call and the shape of its result on a 63-series, 239-month panel
+C11_PIPELINES = {
+    "top_eigenvalues": (c11_top_eigenvalues, (3,)),
+    "mode_count": (c11_mode_count, ()),
+    "normalized_chi": (c11_normalized_chi, (2, 2)),
+    "lag_curve": (c11_lag_curve, (37,)),
+    "phases_at_t60": (c11_phases_at_t60, (3, 21)),
+    "normal_period_stimuli": (c11_normal_period_stimuli, (2, 239)),
+}
+
+
+@pytest.fixture(scope="module")
+def iip_layout_pipeline(tmp_path_factory):
+    """A synthetic 63-series panel from 1987-01 to 2008-12, read through the IIP window."""
+    spec = synth.SynthSpec(
+        n_series=63, n_obs=263, start="1987-01", noise_ar1=-0.35, seed=11,
+        modes=(synth.PlantedMode(eigenvalue=8.0, driver=synth.Ar1(0.2)),
+               synth.PlantedMode(eigenvalue=5.0, driver=synth.Sinusoid(period=60.0))),
+    )
+    path = tmp_path_factory.mktemp("iip") / "panel.csv"
+    write_panel_csv(to_level_panel(synth.generate(spec)), path)
+    return iip_pipeline(path)
+
+
+@pytest.mark.parametrize("name", sorted(C11_PIPELINES))
+def test_c11_pipeline_runs_on_an_iip_layout_panel(iip_layout_pipeline, name):
+    call, shape = C11_PIPELINES[name]
+    w, _ = iip_layout_pipeline
+    assert (w.n_series, w.n_obs) == (63, 239)
+    result = np.asarray(call(*iip_layout_pipeline))
+    assert result.shape == shape and np.isfinite(result).all()
 
 
 @pytest.fixture(scope="module")
@@ -248,59 +329,40 @@ def real_pipeline(request):
     path = os.environ.get("IIP_PANEL_CSV", "")
     if not path or not os.path.exists(path):
         pytest.skip("real IIP panel not available (set IIP_PANEL_CSV to enable)")
-    panel = load_panel(path, window=("1988-01", "2007-12"))
-    w = standardize(log_growth(panel))
-    basis = eigendecompose(correlation_matrix(w))
-    return panel, w, basis
+    return iip_pipeline(path)
 
 
 def test_c11_top_eigenvalues(real_pipeline):
-    _, _, basis = real_pipeline
-    assert basis.eigenvalues[0] == pytest.approx(9.95, rel=0.01)
-    assert basis.eigenvalues[1] == pytest.approx(3.83, rel=0.01)
-    assert basis.eigenvalues[2] == pytest.approx(2.77, rel=0.01)
+    lam = c11_top_eigenvalues(*real_pipeline)
+    assert lam[0] == pytest.approx(9.95, rel=0.01)
+    assert lam[1] == pytest.approx(3.83, rel=0.01)
+    assert lam[2] == pytest.approx(2.77, rel=0.01)
 
 
 def test_c11_two_significant_modes(real_pipeline):
-    _, w, basis = real_pipeline
-    ensemble = null_ensemble(w, "rotational", 2000, seed=0, keep_pooled=False)
-    assert default_mode_count(basis, ensemble) == 2
+    assert c11_mode_count(*real_pipeline) == 2
 
 
 def test_c11_reduced_chi_values(real_pipeline):
-    _, _, basis = real_pipeline
-    cg = genuine_matrix(basis, 2)
-    chi = reduced_susceptibility(cg, basis, k=2)
-    norm = chi / chi[0, 0]
+    norm = c11_normalized_chi(*real_pipeline)
     assert norm[0, 0] == 1.0
     assert norm[0, 1] == pytest.approx(1.30e-3, rel=0.05)
     assert norm[1, 1] == pytest.approx(0.433, rel=0.05)
 
 
 def test_c11_mode_lag_correlation_peak(real_pipeline):
-    _, w, basis = real_pipeline
-    ms = mode_series(w, basis)
-    lags = np.arange(0, 37)
-    a1, a2 = moving_average(ms.coeffs[0], 6), moving_average(ms.coeffs[1], 6)
-    curve = [lag_correlation(a1, a2, int(t)) for t in lags]
+    curve = c11_lag_curve(*real_pipeline)
     peak = int(np.argmax(curve))
-    assert abs(lags[peak] - 10) <= 2
+    assert abs(C11_LAGS[peak] - 10) <= 2
     assert curve[peak] == pytest.approx(0.7, abs=0.05)
 
 
 def test_c11_shipments_phase_at_t60(real_pipeline):
-    _, w, basis = real_pipeline
-    ms = mode_series(w, basis)
-    table = freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20))
-    assert table.class_average(Variable.SHIPMENTS) == pytest.approx(25.2, abs=2.0)
+    by_class = c11_phases_at_t60(*real_pipeline)
+    assert by_class[Variable.SHIPMENTS - 1].mean() == pytest.approx(25.2, abs=2.0)
 
 
 def test_c11_stimulus_levels_in_normal_period(real_pipeline):
-    _, w, basis = real_pipeline
-    ms = mode_series(w, basis)
-    cg = genuine_matrix(basis, 2)
-    chi = reduced_susceptibility(cg, basis, k=2)
-    s = external_stimuli(ms, chi, half_width=6, kset=KSET_BUSINESS_CYCLES)
-    normal = s.months <= np.datetime64("2007-12", "M")
-    assert np.abs(s.eta1[normal]).max() == pytest.approx(0.1, rel=0.2)
-    assert np.abs(s.eta2[normal]).max() == pytest.approx(0.2, rel=0.2)
+    eta = c11_normal_period_stimuli(*real_pipeline)
+    assert np.abs(eta[0]).max() == pytest.approx(0.1, rel=0.2)
+    assert np.abs(eta[1]).max() == pytest.approx(0.2, rel=0.2)

@@ -18,7 +18,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelresponse import corr_from_csv, corr_from_json, synth, to_level_panel, write_panel_csv
+from panelresponse import (
+    DEFAULT_GOODS_LABELS,
+    KSET_BUSINESS_CYCLES,
+    SeriesId,
+    corr_from_csv,
+    corr_from_json,
+    correlation_matrix,
+    eigendecompose,
+    external_stimuli,
+    final_to_intermediate,
+    freq_avg_phases,
+    genuine_matrix,
+    load_panel,
+    log_growth,
+    mode_series,
+    reduced_susceptibility,
+    standardize,
+    synth,
+    to_level_panel,
+    write_panel_csv,
+)
 
 from oracles import csv_writer_text
 
@@ -713,6 +733,51 @@ def test_one_tone_phases_are_the_one_bin_average(planted_csv, tmp_path):
     assert k_rows == avg_rows and len(k_rows) == 1 + 21 + 1
     assert k_out["average"] == avg_out["average"]
     assert (k_out["period"], avg_out["period"]) == ("T=60", "frequency-averaged")
+
+
+def test_cli_tables_hold_the_library_arrays(planted_csv, tmp_path):
+    # the library returns plain arrays and the CLI writes the tables: every
+    # cell of the three against the arrays, at the subcommands' defaults
+    panel_path, _ = planted_csv
+    summary = {}
+    for name, args in (("ri", ("ripple", "--k", "2")), ("ph", ("phases", "--k", "4")),
+                       ("st", ("stimuli",))):
+        res = run_cli(*args, "--input", str(panel_path), "--outdir", name, cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+        summary[name] = json.loads(res.stdout) if res.stdout else None
+
+    def cells(path: Path) -> list[list[str]]:
+        _, body = path.read_text().split("\n", 1)  # below the config line
+        return list(csv.reader(io.StringIO(body)))
+
+    w = standardize(log_growth(load_panel(panel_path)))
+    raw = correlation_matrix(w)
+    basis = eigendecompose(raw)
+    ms, cg = mode_series(w, basis), genuine_matrix(basis, 2)
+
+    genuine, plain = final_to_intermediate(cg).tolist(), final_to_intermediate(raw).tolist()
+    assert cells(tmp_path / "ri" / "intermediate_response.csv") == [
+        ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"],
+        *([str(g), DEFAULT_GOODS_LABELS[g], *map(repr, genuine[g - 1] + plain[g - 1])]
+          for g in range(1, 20)),
+    ]
+
+    phases = freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")).reshape(3, 21)
+    average = summary["ph"]["average"]
+    assert [average[c] for c in "PSI"] == pytest.approx(phases.mean(axis=1), abs=1e-12)
+    assert cells(tmp_path / "ph" / "phases.csv") == [
+        ["goods", "P", "S", "I"],
+        *([str(g), *(f"{p:.1f}" for p in phases[:, g - 1])] for g in range(1, 22)),
+        ["average", *(f"{average[c]:.1f}" for c in "PSI")],
+    ]
+
+    eta = external_stimuli(ms, reduced_susceptibility(cg, basis, 2), 6, KSET_BUSINESS_CYCLES)
+    assert cells(tmp_path / "st" / "stimuli.csv") == [
+        ["date", "eta1", "eta2"],
+        *([str(m), repr(e1), repr(e2)] for m, e1, e2 in zip(ms.months, *eta.tolist())),
+    ]
+    assert summary["st"] == {"max_abs_eta1": np.abs(eta[0]).max(),
+                             "max_abs_eta2": np.abs(eta[1]).max()}
 
 
 def artifact_config(path: Path) -> dict:

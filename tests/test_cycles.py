@@ -1,4 +1,3 @@
-import io
 import re
 import warnings
 from types import SimpleNamespace
@@ -15,7 +14,6 @@ from panelresponse import (
     ModeSeries,
     SeriesId,
     StandardizedPanel,
-    StimulusSeries,
     Variable,
     autocorrelations,
     correlation_matrix,
@@ -35,6 +33,7 @@ from panelresponse import (
     reduced_susceptibility,
     residual_disturbance,
     ripple,
+    synth,
 )
 from panelresponse.errors import BadParameter, DegenerateWeights, SchemaError
 
@@ -304,7 +303,7 @@ def test_stimuli_zero_when_no_residual():
     _, _, ms = band_limited_setup()
     chi = np.eye(2)
     s = external_stimuli(ms, chi, half_width=0, kset=(4, 6))
-    assert np.abs(s.values).max() <= 1e-10
+    assert np.abs(s).max() <= 1e-10
 
 
 def test_stimuli_identity_chi_reads_mode_one_residual():
@@ -315,8 +314,8 @@ def test_stimuli_identity_chi_reads_mode_one_residual():
     chi = np.eye(2)
     s = external_stimuli(bumped, chi, half_width=0, kset=(4, 6))
     expected = pulse - long_period(pulse, (4, 6))
-    assert np.abs(s.eta1 - expected).max() <= 1e-10
-    assert np.abs(s.eta2).max() <= 1e-10
+    assert np.abs(s[0] - expected).max() <= 1e-10
+    assert np.abs(s[1]).max() <= 1e-10
 
 
 def test_stimuli_linear_in_residual():
@@ -329,7 +328,7 @@ def test_stimuli_linear_in_residual():
     chi = np.array([[1.0, 0.1], [0.1, 0.5]])
     s1 = external_stimuli(noisy, chi, half_width=3, kset=(4, 6))
     s2 = external_stimuli(doubled, chi, half_width=3, kset=(4, 6))
-    assert np.abs(s2.values - 2.0 * s1.values).max() <= 1e-10
+    assert np.abs(s2 - 2.0 * s1).max() <= 1e-10
 
 
 def test_stimuli_read_a_one_shot_kset_once():
@@ -337,7 +336,7 @@ def test_stimuli_read_a_one_shot_kset_once():
     chi = np.array([[1.0, 0.1], [0.1, 0.5]])
     want = external_stimuli(ms, chi, 6, (1, 2, 4, 6))
     s = external_stimuli(ms, chi, 6, iter([6, 4, 2, 1]))
-    assert np.array_equal(s.values, want.values)
+    assert np.array_equal(s, want)
     with pytest.raises(BadParameter):
         external_stimuli(ms, chi, -1, iter([0]))
 
@@ -357,10 +356,10 @@ def test_stimuli_singularity_test_is_scale_free(scale):
     noisy = ModeSeries(ms.months, ms.coeffs + 0.3 * np.random.default_rng(12).standard_normal(
         ms.coeffs.shape))
     sound = np.array([[1.0, 0.1], [0.1, 0.5]])
-    want = external_stimuli(noisy, sound, 3, (4, 6)).values / scale
+    want = external_stimuli(noisy, sound, 3, (4, 6)) / scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = external_stimuli(noisy, scale * sound, 3, (4, 6)).values
+        got = external_stimuli(noisy, scale * sound, 3, (4, 6))
         with pytest.raises(BadParameter, match=r"^determinant 0\.000e\+00 too small$"):
             external_stimuli(noisy, scale * np.ones((2, 2)), 3, (4, 6))
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -381,18 +380,6 @@ def test_stimuli_outside_the_float_range_are_refused(scale, noise):
             external_stimuli(noisy, chi, 3, (4, 6))
 
 
-def test_stimulus_csv(tmp_path):
-    _, _, ms = band_limited_setup()
-    chi = np.eye(2)
-    s = external_stimuli(ms, chi, half_width=2, kset=(4, 6))
-    path = tmp_path / "stimuli.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "date,eta1,eta2"
-    assert len(lines) == N + 1
-    assert lines[1].startswith("1988-01,")
-
-
 # ---------------------------------------------------------------------------
 # phases
 # ---------------------------------------------------------------------------
@@ -408,11 +395,12 @@ def quarter_shift_setup():
 def test_mode_phases_reference_zero_and_quarter_period():
     # a one-tone table is the one-bin set
     _, basis, ms = quarter_shift_setup()
-    table = freq_avg_phases(ms, basis, [8], ref=SeriesId(Variable.PRODUCTION, 1))
-    assert table.phase(SeriesId(Variable.PRODUCTION, 1)) == 0.0
-    assert table.phase(SeriesId(Variable.SHIPMENTS, 1)) == pytest.approx(90.0, abs=1e-8)
-    assert table.phase(SeriesId(Variable.INVENTORY, 1)) == pytest.approx(45.0, abs=1e-8)
-    assert np.all(table.phases > -180.0) and np.all(table.phases <= 180.0)
+    phases = freq_avg_phases(ms, basis, [8], ref=SeriesId(Variable.PRODUCTION, 1))
+    p1, s1, i1 = phases  # P.1, S.1 and I.1 in flat order
+    assert p1 == 0.0
+    assert s1 == pytest.approx(90.0, abs=1e-8)
+    assert i1 == pytest.approx(45.0, abs=1e-8)
+    assert np.all(phases > -180.0) and np.all(phases <= 180.0)
 
 
 def test_mode_phases_reference_amplitude_zero():
@@ -434,11 +422,11 @@ def test_freq_avg_constant_phase_across_band():
     w3 = w1 + w2
     w3 /= w3.std()
     _, basis, ms = rank2_pipeline([w1, w2, w3])
-    table = freq_avg_phases(ms, basis, kset=(2, 4), ref=SeriesId(Variable.PRODUCTION, 1))
-    assert table.phase(SeriesId(Variable.PRODUCTION, 1)) == 0.0
-    assert table.phase(SeriesId(Variable.SHIPMENTS, 1)) == pytest.approx(delta, abs=1e-8)
+    p1, s1, i1 = freq_avg_phases(ms, basis, kset=(2, 4), ref=SeriesId(Variable.PRODUCTION, 1))
+    assert p1 == 0.0
+    assert s1 == pytest.approx(delta, abs=1e-8)
     # equal mixture of the zero-phase and delta-phase series sits halfway
-    assert table.phase(SeriesId(Variable.INVENTORY, 1)) == pytest.approx(delta / 2, abs=1e-8)
+    assert i1 == pytest.approx(delta / 2, abs=1e-8)
 
 
 def test_freq_avg_matches_circular_mean_oracle():
@@ -453,12 +441,12 @@ def test_freq_avg_matches_circular_mean_oracle():
     w3 = w1 + 0.5 * w2
     w3 /= w3.std()
     _, basis, ms = rank2_pipeline([w1, w2, w3])
-    table = freq_avg_phases(ms, basis, kset=(3, 9), ref=SeriesId(Variable.PRODUCTION, 1))
+    _, s1, _ = freq_avg_phases(ms, basis, kset=(3, 9), ref=SeriesId(Variable.PRODUCTION, 1))
     # oracle: weights are squared tone amplitudes of the target series
     scale = 1.0 / np.sqrt(amp3**2 + amp9**2)  # from the w2 restandardization
     weights = np.array([(amp3 * scale) ** 2, (amp9 * scale) ** 2]) * N / 2.0 * 2.0
     expected = circular_mean_degrees(np.array([d3, d9]), weights)
-    assert table.phase(SeriesId(Variable.SHIPMENTS, 1)) == pytest.approx(expected, abs=1e-6)
+    assert s1 == pytest.approx(expected, abs=1e-6)
 
 
 def test_freq_avg_degenerate_weights():
@@ -468,20 +456,6 @@ def test_freq_avg_degenerate_weights():
     _, basis, ms = rank2_pipeline([w1, w2, w3])
     with pytest.raises(DegenerateWeights):
         freq_avg_phases(ms, basis, kset=(3,), ref=SeriesId(Variable.PRODUCTION, 1))
-
-
-def test_phase_table_csv(planted_panel):
-    basis = eigendecompose(correlation_matrix(planted_panel))
-    ms = mode_series(planted_panel, basis)
-    table = freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20))
-    buf = io.StringIO()
-    table.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "goods,P,S,I"
-    assert len(lines) == 23  # 21 goods + header + average row
-    assert lines[-1].startswith("average,")
-    p20_row = lines[20].split(",")
-    assert p20_row[0] == "20" and float(p20_row[1]) == 0.0
 
 
 def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -499,15 +473,13 @@ def test_phases_match_brute_force_dft_amplitudes(planted_panel):
     amp = basis.vectors[:, :2] @ bins  # M x N', every series at every bin
     rel = np.degrees(np.angle(amp[r]) - np.angle(amp))  # M x N'
     for k in (1, 4, 9):
-        table = freq_avg_phases(ms, basis, [k], ref)
-        assert _wrapped_gap(table.phases, rel[:, k]) <= 1e-9
+        assert _wrapped_gap(freq_avg_phases(ms, basis, [k], ref), rel[:, k]) <= 1e-9
     ks = list(KSET_LONG_PERIODS)
     expected = np.array([
         circular_mean_degrees(rel[i, ks], np.abs(amp[i, ks]) ** 2) for i in range(basis.m)
     ])
     expected[r] = 0.0
-    table = freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref)
-    assert _wrapped_gap(table.phases, expected) <= 1e-9
+    assert _wrapped_gap(freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref), expected) <= 1e-9
 
 
 def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
@@ -515,10 +487,8 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     basis = eigendecompose(correlation_matrix(planted_panel))
     ms = mode_series(planted_panel, basis)
     ref = SeriesId.parse("P.22")
-    for call in (lambda: freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref),
-                 lambda: freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")).phase(ref)):
-        with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
-            call()
+    with pytest.raises(BadParameter, match=r"^series P\.22 not in a 21-goods layout$"):
+        freq_avg_phases(ms, basis, KSET_LONG_PERIODS, ref)
     with pytest.raises(BadParameter, match=r"^series S\.22 not in a 21-goods layout$"):
         ripple(genuine_matrix(basis, 2), SeriesId.parse("S.22"))
     # a basis of four series has no layout at all
@@ -526,6 +496,38 @@ def test_an_unknown_reference_is_the_unknown_ripple_source_error(planted_panel):
     four = eigendecompose(correlation_matrix(w4))
     with pytest.raises(BadParameter, match=r"^series P\.1: 4 series have no 3 x G layout$"):
         freq_avg_phases(mode_series(w4, four), four, [4], SeriesId.parse("P.1"))
+
+
+@pytest.fixture(scope="module")
+def benchmark_modes():
+    """The basis and mode series of the benchmark's 63 x 239 panel at seed 0."""
+    w = synth.generate(synth.SynthSpec(
+        n_series=63, n_obs=239, noise_ar1=-0.35, seed=0,
+        modes=(synth.PlantedMode(eigenvalue=8.0, driver=synth.Ar1(0.2)),
+               synth.PlantedMode(eigenvalue=5.0, driver=synth.Sinusoid(period=60.0))),
+    ))
+    basis = eigendecompose(correlation_matrix(w))
+    return basis, mode_series(w, basis)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-6, 1e155, 1e300])
+def test_phases_and_lag_correlations_are_scale_free(benchmark_modes, scale):
+    # both read squares of their inputs: at 1e-6 every phase weight fell under
+    # the degenerate floor, at 1e-160 a lag correlation's norms underflowed to 0,
+    # and from 1e155 up the squares overflowed to inf
+    basis, ms = benchmark_modes
+    ref = SeriesId.parse("P.20")
+    scaled = ModeSeries(ms.months, ms.coeffs * scale)
+    s1, s2 = (moving_average(a, 6) for a in ms.coeffs[:2])
+    lags = range(-36, 37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kset in ([4], KSET_LONG_PERIODS):
+            want = freq_avg_phases(ms, basis, kset, ref)
+            assert _wrapped_gap(freq_avg_phases(scaled, basis, kset, ref), want) <= 1e-12
+        got = [lag_correlation(s1 * scale, s2 * scale, lag) for lag in lags]
+    want = [lag_correlation(s1, s2, lag) for lag in lags]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +565,7 @@ REFUSED = {
     "freq_avg_phases, one mode series": (
         lambda: freq_avg_phases(ONE_MODE, BASIS3, (4, 6), SeriesId(1, 1)),
         SchemaError, "^need the two leading modes$"),
-    "StimulusSeries, months": (
-        lambda: StimulusSeries(MONTHS24[:3], np.zeros((2, 5))),
-        SchemaError, "^stimulus values and months are inconsistent$"),
-    "StimulusSeries, three rows": (
-        lambda: StimulusSeries(MONTHS24[:5], np.zeros((3, 5))),
-        SchemaError, r"^stimulus values need 2 rows \(eta1, eta2\), got 3$"),
-    "StimulusSeries, empty": (
-        lambda: StimulusSeries(MONTHS24[:0], np.zeros((2, 0))),
-        SchemaError, "^stimulus values are empty: 2 series, 0 months$"),
 }
-
-
-def test_stimulus_series_freezes_its_months():
-    series = StimulusSeries([str(m) for m in MONTHS24[:5]], np.zeros((2, 5)))
-    assert series.months.dtype == MONTHS24.dtype
-    assert not series.months.flags.writeable and not series.values.flags.writeable
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
@@ -667,7 +654,7 @@ COUNTS = {
     "long_period": ("frequency index", lambda f, v: long_period(f.ms.coeffs[0], [v])),
     "mode_phases": (  # the one-tone table
         "frequency index",
-        lambda f, v: freq_avg_phases(f.ms, f.basis, [v], SeriesId(1, 20)).phases),
+        lambda f, v: freq_avg_phases(f.ms, f.basis, [v], SeriesId(1, 20))),
     "reconstruct": ("mode", lambda f, v: reconstruct(f.basis, [v])),
     "genuine_matrix": ("mode count", lambda f, v: genuine_matrix(f.basis, v).values),
     "reduced_susceptibility": (

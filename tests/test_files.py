@@ -6,22 +6,15 @@ import json
 import pytest
 
 from panelresponse import (
-    KSET_BUSINESS_CYCLES,
     NullEnsemble,
-    SeriesId,
     corr_from_csv,
     corr_from_json,
     corr_to_csv,
     correlation_matrix,
     eigendecompose,
-    external_stimuli,
-    final_to_intermediate_csv,
-    freq_avg_phases,
     genuine_matrix,
     load_panel,
-    mode_series,
     null_ensemble,
-    reduced_susceptibility,
     synth,
     to_level_panel,
     write_panel_csv,
@@ -34,17 +27,10 @@ from panelresponse.spectral import _write_corr
 @pytest.fixture(scope="module")
 def objects(planted_panel):
     w = planted_panel
-    raw = correlation_matrix(w)
-    basis = eigendecompose(raw)
-    cg = genuine_matrix(basis, 2)
-    ms = mode_series(w, basis)
-    chi = reduced_susceptibility(cg, basis, 2)
+    basis = eigendecompose(correlation_matrix(w))
     return {
-        "raw": raw,
-        "cg": cg,
+        "cg": genuine_matrix(basis, 2),
         "ensemble": null_ensemble(w, "rotational", 5, 0),
-        "stimuli": external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
-        "phases": freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")),
         "panel": to_level_panel(w),
         "spec": synth.SynthSpec(
             n_series=6, n_obs=30, noise_ar1=-0.2, seed=4,
@@ -64,10 +50,7 @@ WRITERS = {
     "_write_corr(json)": lambda o, t: corr_json(o["cg"], t),
     "NullEnsemble.to_json": lambda o, t: o["ensemble"].to_json(t),
     "NullEnsemble.pooled_to_csv": lambda o, t: o["ensemble"].pooled_to_csv(t),
-    "StimulusSeries.to_csv": lambda o, t: o["stimuli"].to_csv(t),
-    "PhaseTable.to_csv": lambda o, t: o["phases"].to_csv(t),
     "write_panel_csv": lambda o, t: write_panel_csv(o["panel"], t),
-    "final_to_intermediate_csv": lambda o, t: final_to_intermediate_csv(o["cg"], o["raw"], t),
     "spec_to_json": lambda o, t: synth.spec_to_json(o["spec"], t),
 }
 

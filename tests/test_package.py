@@ -28,12 +28,10 @@ PUBLIC = {
     "no_autocorr_band", "complete_shuffle", "rotational_shuffle", "null_ensemble",
     "upper_edge",
     "genuine_matrix", "default_mode_count",
-    "ripple", "final_to_intermediate", "final_to_intermediate_csv",
-    "reduced_susceptibility",
-    "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "PhaseTable",
-    "StimulusSeries", "moving_average", "lag_correlation", "dft",
-    "inverse_dft", "long_period", "residual_disturbance", "external_stimuli",
-    "freq_avg_phases",
+    "ripple", "final_to_intermediate", "reduced_susceptibility",
+    "KSET_BUSINESS_CYCLES", "KSET_LONG_PERIODS", "moving_average",
+    "lag_correlation", "dft", "inverse_dft", "long_period",
+    "residual_disturbance", "external_stimuli", "freq_avg_phases",
     "SynthSpec", "PlantedMode", "Sinusoid", "Ar1", "generate",
     "to_level_panel", "spec_to_json", "spec_from_json",
     "PanelResponseError",

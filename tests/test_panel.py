@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from panelresponse import (
     GrowthPanel,
     Panel,
-    PhaseTable,
     SeriesId,
     StandardizedPanel,
     Variable,
@@ -97,13 +96,10 @@ def test_variable_from_number_or_code(value, member):
     (lambda: Variable("X"), "unknown variable class"),
     (lambda: Variable(None), "unknown variable class"),
     (lambda: SeriesId(4, 1), "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3)).class_average(4), "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3)).class_average("X"), "unknown variable class"),
-    (lambda: PhaseTable(np.zeros(3)).class_average(0), "unknown variable class"),
     (lambda: SeriesId.parse("P.22").flat(21), r"goods index 22 outside \[1, 21\]"),
     (lambda: SeriesId.from_flat(64, 21), r"flat index 64 outside \[1, 63\]"),
 ], ids=["Variable(4)", "Variable(0)", "Variable('X')", "Variable(None)", "SeriesId(4, 1)",
-        "class_average(4)", "class_average('X')", "class_average(0)", "flat(21)",
+        "flat(21)",
         "from_flat(64, 21)"])
 def test_out_of_range_argument_is_a_bad_parameter(call, match):
     with pytest.raises(BadParameter, match=match) as exc:
@@ -294,12 +290,6 @@ REFUSED = {
     "StandardizedPanel, no months": (
         lambda: StandardizedPanel(MONTHS4[:0], np.zeros((3, 0))),
         SchemaError, "standardized values are empty: 3 series, 0 months"),
-    "PhaseTable, M not 3G": (
-        lambda: PhaseTable(np.zeros(4)).class_average(1),
-        SchemaError, "phase count 4 is not 3 x G"),
-    "PhaseTable, no phases": (
-        lambda: PhaseTable(np.zeros(0)),
-        SchemaError, "phase count 0 is not 3 x G"),
 }
 
 
