@@ -120,6 +120,36 @@ def _eigenvector_rows(basis: ModeBasis, labels: list[str]) -> Iterator[tuple]:
     )
 
 
+def _write_intermediate(target: str | Path | TextIO, genuine: CorrMatrix,
+                        raw: CorrMatrix) -> None:
+    """The final-demand -> producer-goods table: g20/g21 of ``genuine``, then those of ``raw``."""
+    table = np.hstack([final_to_intermediate(genuine), final_to_intermediate(raw)])
+    write_rows(target, [
+        ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"],
+        *([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)),
+    ])
+
+
+def _write_phases(target: str | Path | TextIO, phases: np.ndarray) -> list[float]:
+    """One row per goods with its P, S and I phases to one decimal, then the class averages.
+
+    Returns the P, S and I averages unrounded.
+    """
+    by_class = phases.reshape(3, -1)
+    average = by_class.mean(axis=1).tolist()
+    write_rows(target, [
+        ["goods", "P", "S", "I"],
+        *([g] + [f"{p:.1f}" for p in row] for g, row in enumerate(zip(*by_class.tolist()), 1)),
+        ["average"] + [f"{a:.1f}" for a in average],
+    ])
+    return average
+
+
+def _write_stimuli(target: str | Path | TextIO, months: np.ndarray, eta: np.ndarray) -> None:
+    """One ``date,eta1,eta2`` row per month."""
+    write_rows(target, itertools.chain([["date", "eta1", "eta2"]], zip(months, *eta.tolist())))
+
+
 class _Artifacts:
     """The files of one run, each framed by ``config`` and written under a temporary name.
 
@@ -252,10 +282,8 @@ def _cmd_ripple(args, out: _Artifacts) -> None:
     w, raw, basis = _spectrum(args)
     k = out.config["effective_k"] = _resolve_mode_count(args, w, basis)
     cg = genuine_matrix(basis, k)
-    table = np.hstack([final_to_intermediate(cg), final_to_intermediate(raw)])
-    out.table("intermediate_response.csv",
-              ["goods", "label", "g20_genuine", "g21_genuine", "g20_raw", "g21_raw"],
-              ([g, DEFAULT_GOODS_LABELS[g], *row] for g, row in enumerate(table.tolist(), 1)))
+    with out.open("intermediate_response.csv") as fh:
+        _write_intermediate(fh, cg, raw)
     if args.source is not None:
         responses = ripple(cg, SeriesId.parse(args.source))
         out.table("ripple_source.csv", ["series", "response"],
@@ -295,16 +323,11 @@ def _cmd_cycles(args, out: _Artifacts) -> None:
 
 
 def _cmd_phases(args, out: _Artifacts) -> dict:
-    """One row per goods with its P, S and I phases to one decimal, then the class averages."""
     w, _, basis = _spectrum(args)
     phases = freq_avg_phases(mode_series(w, basis), basis,
                              args.kset if args.freq_avg else [args.k], SeriesId.parse(args.ref))
-    by_class = phases.reshape(3, -1)
-    average = by_class.mean(axis=1).tolist()
-    out.table("phases.csv", ["goods", "P", "S", "I"], [
-        *([g] + [f"{p:.1f}" for p in row] for g, row in enumerate(zip(*by_class.tolist()), 1)),
-        ["average"] + [f"{a:.1f}" for a in average],
-    ])
+    with out.open("phases.csv") as fh:
+        average = _write_phases(fh, phases)
     return {
         "period": "frequency-averaged" if args.freq_avg else f"T={round((w.n_obs + 1) / args.k)}",
         "average": dict(zip("PSI", average)),
@@ -316,7 +339,8 @@ def _cmd_stimuli(args, out: _Artifacts) -> dict:
     chi = reduced_susceptibility(genuine_matrix(basis, 2), basis, 2)
     ms = mode_series(w, basis)
     eta = external_stimuli(ms, chi, args.xi, args.kset)
-    out.table("stimuli.csv", ["date", "eta1", "eta2"], zip(ms.months, *eta.tolist()))
+    with out.open("stimuli.csv") as fh:
+        _write_stimuli(fh, ms.months, eta)
     eta1, eta2 = np.abs(eta).max(axis=1).tolist()
     return {"max_abs_eta1": eta1, "max_abs_eta2": eta2}
 

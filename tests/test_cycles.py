@@ -1,3 +1,4 @@
+import io
 import re
 import warnings
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from panelresponse import (
     ripple,
     synth,
 )
+from panelresponse.cli import _write_phases, _write_stimuli
 from panelresponse.errors import BadParameter, DegenerateWeights, SchemaError
 
 from oracles import (
@@ -380,6 +382,18 @@ def test_stimuli_outside_the_float_range_are_refused(scale, noise):
             external_stimuli(noisy, chi, 3, (4, 6))
 
 
+def test_stimulus_csv(tmp_path):
+    _, _, ms = band_limited_setup()
+    chi = np.eye(2)
+    s = external_stimuli(ms, chi, half_width=2, kset=(4, 6))
+    path = tmp_path / "stimuli.csv"
+    _write_stimuli(path, ms.months, s)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "date,eta1,eta2"
+    assert len(lines) == N + 1
+    assert lines[1].startswith("1988-01,")
+
+
 # ---------------------------------------------------------------------------
 # phases
 # ---------------------------------------------------------------------------
@@ -456,6 +470,20 @@ def test_freq_avg_degenerate_weights():
     _, basis, ms = rank2_pipeline([w1, w2, w3])
     with pytest.raises(DegenerateWeights):
         freq_avg_phases(ms, basis, kset=(3,), ref=SeriesId(Variable.PRODUCTION, 1))
+
+
+def test_phase_table_csv(planted_panel):
+    basis = eigendecompose(correlation_matrix(planted_panel))
+    ms = mode_series(planted_panel, basis)
+    phases = freq_avg_phases(ms, basis, [4], ref=SeriesId(Variable.PRODUCTION, 20))
+    buf = io.StringIO()
+    average = _write_phases(buf, phases)
+    lines = buf.getvalue().strip().split("\n")
+    assert lines[0] == "goods,P,S,I"
+    assert len(lines) == 23  # 21 goods + header + average row
+    assert lines[-1] == "average," + ",".join(f"{a:.1f}" for a in average)
+    p20_row = lines[20].split(",")
+    assert p20_row[0] == "20" and float(p20_row[1]) == 0.0
 
 
 def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:

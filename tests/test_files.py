@@ -6,20 +6,27 @@ import json
 import pytest
 
 from panelresponse import (
+    KSET_BUSINESS_CYCLES,
     NullEnsemble,
+    SeriesId,
     corr_from_csv,
     corr_from_json,
     corr_to_csv,
     correlation_matrix,
     eigendecompose,
+    external_stimuli,
+    freq_avg_phases,
     genuine_matrix,
     load_panel,
+    mode_series,
     null_ensemble,
+    reduced_susceptibility,
     synth,
     to_level_panel,
     write_panel_csv,
 )
 from panelresponse._files import open_text
+from panelresponse.cli import _write_intermediate, _write_phases, _write_stimuli
 from panelresponse.errors import SchemaError
 from panelresponse.spectral import _write_corr
 
@@ -27,10 +34,18 @@ from panelresponse.spectral import _write_corr
 @pytest.fixture(scope="module")
 def objects(planted_panel):
     w = planted_panel
-    basis = eigendecompose(correlation_matrix(w))
+    raw = correlation_matrix(w)
+    basis = eigendecompose(raw)
+    cg = genuine_matrix(basis, 2)
+    ms = mode_series(w, basis)
+    chi = reduced_susceptibility(cg, basis, 2)
     return {
-        "cg": genuine_matrix(basis, 2),
+        "raw": raw,
+        "cg": cg,
         "ensemble": null_ensemble(w, "rotational", 5, 0),
+        "months": ms.months,
+        "stimuli": external_stimuli(ms, chi, 6, KSET_BUSINESS_CYCLES),
+        "phases": freq_avg_phases(ms, basis, [4], SeriesId.parse("P.20")),
         "panel": to_level_panel(w),
         "spec": synth.SynthSpec(
             n_series=6, n_obs=30, noise_ar1=-0.2, seed=4,
@@ -51,6 +66,10 @@ WRITERS = {
     "NullEnsemble.to_json": lambda o, t: o["ensemble"].to_json(t),
     "NullEnsemble.pooled_to_csv": lambda o, t: o["ensemble"].pooled_to_csv(t),
     "write_panel_csv": lambda o, t: write_panel_csv(o["panel"], t),
+    # the CLI's three result tables, keyed by the names of the writers they had in the library
+    "StimulusSeries.to_csv": lambda o, t: _write_stimuli(t, o["months"], o["stimuli"]),
+    "PhaseTable.to_csv": lambda o, t: _write_phases(t, o["phases"]),
+    "final_to_intermediate_csv": lambda o, t: _write_intermediate(t, o["cg"], o["raw"]),
     "spec_to_json": lambda o, t: synth.spec_to_json(o["spec"], t),
 }
 

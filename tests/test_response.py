@@ -1,3 +1,4 @@
+import io
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from panelresponse import (
     reduced_susceptibility,
     ripple,
 )
+from panelresponse.cli import _write_intermediate
 from panelresponse.errors import BadParameter, SchemaError
 
 from oracles import gaussian_regression_slope
@@ -120,6 +122,21 @@ def test_final_to_intermediate_layout_mismatch():
     cg = CorrMatrix(values=np.eye(6))
     with pytest.raises(BadParameter, match="expected the 21-goods layout, got 2"):
         final_to_intermediate(cg)
+
+
+def test_final_to_intermediate_csv(planted_panel):
+    craw = correlation_matrix(planted_panel)
+    basis = eigendecompose(craw)
+    cg = genuine_matrix(basis, 2)
+    buf = io.StringIO()
+    _write_intermediate(buf, cg, craw)
+    lines = buf.getvalue().strip().split("\n")
+    assert lines[0] == "goods,label,g20_genuine,g21_genuine,g20_raw,g21_raw"
+    assert len(lines) == 20
+    first = lines[1].split(",")
+    assert first[0] == "1" and first[1] == "Manufacturing Equipment"
+    table = final_to_intermediate(cg)
+    assert float(first[2]) == table[0, 0]
 
 
 # ---------------------------------------------------------------------------
