@@ -469,6 +469,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "subcommand": args.command,
             # as this process saw them; python -m panelresponse sets each unset one to "1"
             "thread_env": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+            # on glibc python -m panelresponse sets an unset MALLOC_ARENA_MAX to "1",
+            # unless GLIBC_TUNABLES names glibc.malloc.arena_max
+            "malloc_env": {var: os.environ.get(var)
+                           for var in ("MALLOC_ARENA_MAX", "GLIBC_TUNABLES")},
             "versions": {
                 "panelresponse": __version__,
                 "python": platform.python_version(),

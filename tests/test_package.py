@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import panelresponse
+from panelresponse.__main__ import _glibc
 
 REPO = Path(__file__).resolve().parents[1]
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MALLOC_VARS = ("MALLOC_ARENA_MAX", "GLIBC_TUNABLES")
 
 # the public names, as the package listed them when it imported every submodule
 PUBLIC = {
@@ -39,8 +41,8 @@ PUBLIC = {
 
 
 def run_python(args, cwd=None, **env_changes):
-    """A fresh interpreter on the source tree, with no BLAS thread variable unless given."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    """A fresh interpreter on the source tree, with no BLAS or malloc variable unless given."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + MALLOC_VARS}
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_changes)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
@@ -127,3 +129,108 @@ def test_cli_main_records_unset_variables_as_null(small_panel, tmp_path):
     assert res.returncode == 0, res.stderr
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["thread_env"] == dict.fromkeys(THREAD_VARS)
+    assert manifest["malloc_env"] == dict.fromkeys(MALLOC_VARS)
+
+
+GLIBC = _glibc()
+
+# the entry point, with every ctypes.CDLL it opens listed on stderr
+MALLOPT_SPY = """
+import ctypes, sys
+from panelresponse.__main__ import main
+real, opened = ctypes.CDLL, []
+ctypes.CDLL = lambda name, *args, **kwargs: opened.append(name) or real(name, *args, **kwargs)
+sys.argv = ["panelresponse", *sys.argv[1:]]
+code = main()
+print(opened, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("caller, recorded", [
+    ({}, {"MALLOC_ARENA_MAX": "1" if GLIBC else None, "GLIBC_TUNABLES": None}),
+    ({"MALLOC_ARENA_MAX": "2"}, {"MALLOC_ARENA_MAX": "2", "GLIBC_TUNABLES": None}),
+    ({"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"},
+     {"MALLOC_ARENA_MAX": None, "GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}),
+], ids=["unset", "caller-set", "caller-tunable"])
+def test_manifest_records_the_malloc_arena_variable(small_panel, tmp_path, entry, caller,
+                                                    recorded):
+    # on glibc the entry point caps malloc at one arena unless the caller chose a cap
+    res = run_python([*ENTRIES[entry], "analyze", "--input", str(small_panel), "--outdir", "o"],
+                     cwd=tmp_path, **caller)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["malloc_env"] == recorded
+
+
+@pytest.mark.parametrize("caller, capped", [
+    ({}, GLIBC),
+    ({"MALLOC_ARENA_MAX": "abc"}, False),
+    ({"MALLOC_ARENA_MAX": "2"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.check=0:glibc.malloc.arena_max=4"}, False),
+    ({"GLIBC_TUNABLES": "glibc.malloc.check=0"}, GLIBC),
+], ids=["unset", "malformed", "caller-set", "caller-tunable", "other-tunable"])
+def test_entry_point_calls_mallopt_only_for_an_unset_cap(small_panel, tmp_path, caller, capped):
+    # a caller's value, malformed or not, is left to glibc and recorded as given
+    res = run_python(["-c", MALLOPT_SPY, "validate", "--input", str(small_panel),
+                      "--outdir", "o"], cwd=tmp_path, **caller)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip() == str([None] if capped else [])
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["malloc_env"]["MALLOC_ARENA_MAX"] == caller.get(
+        "MALLOC_ARENA_MAX", "1" if capped else None)
+
+
+def _no_such_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [None, _no_such_name, lambda name: None,
+                                     lambda name: "musl 1.2.4"],
+                         ids=["no-confstr", "no-such-name", "unset", "other-libc"])
+def test_other_libcs_keep_their_malloc(monkeypatch, confstr):
+    import ctypes
+
+    from panelresponse.__main__ import _one_malloc_arena
+
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(os, "environ", {})
+    monkeypatch.setattr(ctypes, "CDLL", None)  # any call would raise
+    _one_malloc_arena()
+    assert os.environ == {}
+
+
+# a two-worker null on any machine, then glibc's count of malloc's arenas
+TWO_WORKER_NULL_HEAPS = """
+import contextlib, ctypes, io, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from panelresponse.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["synth", "--spec", "spec.json", "--outdir", "s"],
+                 ["null", "--mode", "rotational", "--samples", "2000",
+                  "--input", "s/panel.csv", "--outdir", "n"]):
+        sys.argv = ["panelresponse", *argv]
+        assert main() == 0
+libc = ctypes.CDLL(None)
+libc.fopen.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+libc.fopen.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.malloc_info.restype = ctypes.c_int
+libc.fclose.argtypes = (ctypes.c_void_p,)
+libc.fclose.restype = ctypes.c_int
+stream = libc.fopen(b"malloc_info.xml", b"w")
+assert stream and libc.malloc_info(0, stream) == 0 and libc.fclose(stream) == 0
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="malloc arenas are glibc's")
+def test_two_worker_null_allocates_from_one_arena(tmp_path):
+    # each null worker would otherwise create an arena of its own: 3 heaps
+    (tmp_path / "spec.json").write_text('{"n_series": 6, "n_obs": 60, "seed": 1}')
+    res = run_python(["-c", TWO_WORKER_NULL_HEAPS], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "malloc_info.xml").read_text().count("<heap nr=") == 1
