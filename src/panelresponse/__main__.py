@@ -35,6 +35,7 @@ _M_ARENA_MAX = -8
 
 
 def _glibc() -> bool:
+    """Whether this process's C library is glibc."""
     try:
         return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
     except (AttributeError, ValueError, OSError):  # no confstr, or no such name

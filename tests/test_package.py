@@ -1,5 +1,6 @@
 """The package's lazy namespace and the command line's numpy-free entry point."""
 
+import ctypes
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import panelresponse
-from panelresponse.__main__ import _glibc
+from panelresponse.__main__ import _glibc, _one_malloc_arena
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -190,10 +191,6 @@ def _no_such_name(name):
                                      lambda name: "musl 1.2.4"],
                          ids=["no-confstr", "no-such-name", "unset", "other-libc"])
 def test_other_libcs_keep_their_malloc(monkeypatch, confstr):
-    import ctypes
-
-    from panelresponse.__main__ import _one_malloc_arena
-
     if confstr is None:
         monkeypatch.delattr(os, "confstr", raising=False)
     else:
